@@ -13,12 +13,12 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 
 from . import congruences as cong
 from . import macmahon as mac
 from . import registry
 from .reports import REFUTED, CongruenceClaim
+from .series import _is_odd_prime
 
 SCHEMA_VERSION = 1
 
@@ -27,23 +27,34 @@ class UsageError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
-    command: str
-    order: int | None = None
-    fmt: str = "text"
-    output: str | None = None
-
-
 def parse_range(text):
-    """Accept '3', '1..4' or '1,3,5' and return a list of ints."""
+    """Accept '3', '1..4' or '1,3,5' and return a list of ints; other text is a UsageError."""
     if text is None:
         return None
     text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(v) for v in text.split(",") if v]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            return list(range(int(lo), int(hi) + 1))
+        return [int(v) for v in text.split(",") if v]
+    except ValueError:
+        raise UsageError(f"{text!r} is not an integer, a range a..b or a list a,b,c") from None
+
+
+def _at_least(low, **values):
+    for name, value in values.items():
+        if value < low:
+            raise UsageError(f"{name} must be >= {low}, got {value}")
+
+
+def _check_family(family):
+    if family not in ("M", "MO"):
+        raise UsageError(f"family must be M or MO, got {family!r}")
+
+
+def _check_prime(p):
+    if not (p < 1 << 31 and _is_odd_prime(p)):
+        raise UsageError(f"modulus must be an odd prime below 2^31, got {p}")
 
 
 def _emit(text_rows, json_payload, csv_rows, csv_header, args):
@@ -69,8 +80,11 @@ def _emit(text_rows, json_payload, csv_rows, csv_header, args):
 
 def cmd_coeffs(args):
     family = args.family
-    if family not in ("M", "MO"):
-        raise UsageError("family must be M or MO")
+    _check_family(family)
+    _at_least(1, t=args.t)
+    _at_least(0, n=args.n)
+    if args.mod is not None:
+        _at_least(2, mod=args.mod)
     formulas = mac.M_FORMULAS if family == "M" else mac.MO_FORMULAS
     formula = args.formula or mac.DEFAULT_FORMULA[family]
     if formula not in formulas:
@@ -105,21 +119,20 @@ def cmd_coeffs(args):
     return 0
 
 
-def _identity_grids(args):
-    grids = {}
-    for name in ("t", "n", "x", "z", "c"):
-        vals = parse_range(getattr(args, name))
-        if vals is not None:
-            grids[name] = vals
-    return grids
-
-
 def cmd_verify(args):
     if args.id not in registry.REGISTRY:
         raise UsageError(
             f"unknown identity id {args.id!r}; known ids:\n  " + "\n  ".join(registry.known_ids())
         )
-    reports = registry.run_identity(args.id, _identity_grids(args), args.order)
+    grids = {
+        name: parse_range(getattr(args, name))
+        for name in registry.GRID_DOMAINS
+        if getattr(args, name) is not None
+    }
+    try:
+        reports = registry.run_identity(args.id, grids, args.order)
+    except registry.GridError as exc:
+        raise UsageError(str(exc)) from None
     ok = all(r.passed for r in reports)
     text = []
     for r in reports:
@@ -175,17 +188,29 @@ def cmd_scan(args):
         return _recheck(args)
     if args.claim:
         parts = args.claim.split(",")
-        if len(parts) != 5:
-            raise UsageError('claim must be "family,t,p,step,offset"')
-        family, t, p, step, offset = parts[0].strip(), *map(int, parts[1:])
+        try:
+            family, t, p, step, offset = parts[0].strip(), *map(int, parts[1:])
+        except ValueError:
+            raise UsageError('claim must be "family,t,p,step,offset", integers after the family') from None
+        _check_family(family)
+        _at_least(1, t=t, step=step)
+        _check_prime(p)
+        if not 0 <= offset < step:
+            raise UsageError(f"offset must satisfy 0 <= offset < step, got {offset} with step {step}")
         claim = CongruenceClaim(family=family, t=t, p=p, step=step, offset=offset, kind="ad-hoc")
         checked = cong.check_claim(claim, args.order)
         _claims_output([checked], args)
         return 0 if checked.status != REFUTED else 1
     if args.prospect:
         family = args.family or "MO"
-        t_values = parse_range(args.t) or [1, 2, 3, 4]
-        primes = parse_range(args.p) or [3, 5, 7, 11]
+        _check_family(family)
+        t_values = [1, 2, 3, 4] if args.t is None else parse_range(args.t)
+        primes = [3, 5, 7, 11] if args.p is None else parse_range(args.p)
+        if not t_values or not primes:
+            raise UsageError("--t and --p must not be empty")
+        _at_least(1, t=min(t_values))
+        for p in primes:
+            _check_prime(p)
         print(f"prospecting family={family} t={t_values} p={primes} order={args.order}", file=sys.stderr)
         result = cong.prospect(family, t_values, primes, args.order)
         _claims_output(
@@ -203,8 +228,11 @@ def cmd_scan(args):
 
 
 def _recheck(args):
-    with open(args.input) as fh:
-        previous = json.load(fh)
+    try:
+        with open(args.input) as fh:
+            previous = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read {args.input}: {exc}") from None
     if previous.get("schema") != SCHEMA_VERSION:
         raise UsageError(f"unsupported schema {previous.get('schema')!r}")
     if previous.get("command") != "scan":
@@ -255,8 +283,8 @@ def build_parser():
     p_verify = sub.add_parser("verify", help="verify a catalogued identity over a grid")
     p_verify.add_argument("--id", required=True)
     p_verify.add_argument("--order", type=int, required=True)
-    for name in ("t", "n", "x", "z", "c"):
-        p_verify.add_argument(f"--{name}", default=None, help="grid, e.g. 1..4 or 1,3")
+    for name, (domain, _) in registry.GRID_DOMAINS.items():
+        p_verify.add_argument(f"--{name}", default=None, help=f"grid, e.g. 1..4 or 1,3; each value {domain}")
 
     p_scan = sub.add_parser("scan", help="congruence suite, single claims, or prospecting")
     p_scan.add_argument("--order", type=int, default=None)
@@ -284,11 +312,15 @@ def main(argv=None) -> int:
     try:
         if args.command == "coeffs":
             return cmd_coeffs(args)
+        if getattr(args, "order", None) is not None:
+            _at_least(0, order=args.order)
         if args.command == "verify":
             return cmd_verify(args)
         if args.command == "scan":
             if args.order is None and not args.input:
                 raise UsageError("scan needs an explicit --order")
+            if not args.prospect and (args.t, args.p, args.family) != (None, None, None):
+                raise UsageError("--t, --p and --family apply only to --prospect")
             return cmd_scan(args)
         raise UsageError(f"unknown command {args.command!r}")
     except UsageError as exc:

@@ -159,8 +159,7 @@ def sigma_progression_check(p, s_hi, s_lo, step, offset, depth) -> IdentityRepor
 
 
 def verify_paper_suite(order: int):
-    """Run the whole fixed claim list at the requested depth, together with
-    the sigma companion congruence."""
+    """Check every claim of `paper_claims()` at the requested depth."""
     results = [check_claim(c, order) for c in paper_claims()]
     return results
 

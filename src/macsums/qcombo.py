@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 
 from .series import Series, _norm
 
@@ -188,12 +188,6 @@ def gbinom(a, k: int) -> Fraction:
     for i in range(k):
         num *= a - i
     return num / factorial(k)
-
-
-def binomial(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    return comb(n, k)
 
 
 def q_binomial_transform(a, order):

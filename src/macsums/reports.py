@@ -142,12 +142,3 @@ class ProspectResult:
     # expected number of surviving (t, p, b) triples under uniform residues
     chance_level: float = 0.0
     note: str = ""
-
-    def as_dict(self):
-        return {
-            "family": self.family,
-            "order": self.order,
-            "claims": [c.as_dict() for c in self.claims],
-            "chance_level": self.chance_level,
-            "note": self.note,
-        }

@@ -170,11 +170,12 @@ def test_scan_rejects_unknown_suite(capsys):
 
 
 def test_registry_runs_every_id_smoke():
-    # tiny order, default grids trimmed where supported: just prove each
-    # runner executes and returns reports
+    # tiny order, each declared grid trimmed to one value: just prove each
+    # case function executes and returns reports
     small_grids = {"t": [1], "n": [1], "x": [0], "z": [0], "c": [4]}
     for ident_id in registry.known_ids():
-        reports = registry.run_identity(ident_id, small_grids, 20)
+        grids = {name: small_grids[name] for name in registry.REGISTRY[ident_id].grids}
+        reports = registry.run_identity(ident_id, grids, 20)
         assert reports, ident_id
         assert all(r.passed for r in reports), ident_id
 
@@ -182,3 +183,57 @@ def test_registry_runs_every_id_smoke():
 def test_registry_unknown_id():
     with pytest.raises(KeyError):
         registry.run_identity("bogus", {}, 10)
+
+
+def assert_usage_error(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_verify_rejects_grid_the_id_does_not_declare(capsys):
+    code, out, err = run_cli(capsys, "verify", "--id", "theorem-FGH", "--order", "20", "--x", "7")
+    assert_usage_error(code, out, err)
+    assert "x" in err and "t, n" in err
+
+
+def test_verify_rejects_empty_grid(capsys):
+    code, out, err = run_cli(capsys, "verify", "--id", "dilcher", "--order", "20", "--t", "5..1")
+    assert_usage_error(code, out, err)
+    assert "empty" in err
+
+
+def test_verify_rejects_non_integer_grid(capsys):
+    code, out, err = run_cli(capsys, "verify", "--id", "dilcher", "--order", "20", "--t", "abc")
+    assert_usage_error(code, out, err)
+    assert "abc" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--claim", "M,2,5,5,7", "--order", "50"],  # offset >= step
+        ["scan", "--claim", "M,2,4,5,1", "--order", "50"],  # modulus not prime
+        ["scan", "--claim", "Q,2,5,5,1", "--order", "50"],  # unknown family
+        ["scan", "--claim", "M,x,5,5,1", "--order", "50"],
+        ["scan", "--prospect", "--t", "a", "--order", "50"],
+        ["scan", "--order", "-5"],
+        ["verify", "--id", "dilcher", "--order", "-1"],
+        ["verify", "--id", "mss", "--order", "3", "--n", "4635", "--x", "7"],  # q-Pascal recursion depth
+        ["coeffs", "--family", "M", "--t", "0", "--n", "10"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_malformed_input_exits_2_without_traceback(capsys, argv):
+    assert_usage_error(*run_cli(capsys, *argv))
+
+
+def test_error_inside_a_case_is_not_a_usage_error(monkeypatch):
+    def case(order, t):
+        raise ValueError("broken case")
+
+    monkeypatch.setitem(
+        registry.REGISTRY, "broken", registry.IdentitySpec("broken", "raises", {"t": (1,)}, case)
+    )
+    with pytest.raises(ValueError, match="broken case"):
+        main(["verify", "--id", "broken", "--order", "5"])
