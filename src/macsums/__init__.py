@@ -1,7 +1,7 @@
 """macsums: exact q-series arithmetic for MacMahon-type generalized divisor
 sums, with an identity catalog and a congruence scanner."""
 
-from .series import ModSeries, Series, euler_function, geometric_pow, q_derivative
+from .series import Series, euler_function, geometric_pow, q_derivative
 from .qcombo import IntPoly, q_binomial, q_factorial, q_int, stirling1_unsigned
 from .divisors import eisenstein, lambert_series, sigma, sigma_series, theta_moment
 from .macmahon import (
@@ -16,7 +16,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "IntPoly",
-    "ModSeries",
     "Series",
     "coefficient_table",
     "eisenstein",

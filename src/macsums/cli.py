@@ -18,7 +18,6 @@ from . import congruences as cong
 from . import macmahon as mac
 from . import registry
 from .reports import REFUTED, CongruenceClaim
-from .series import _is_odd_prime
 
 SCHEMA_VERSION = 1
 
@@ -52,9 +51,35 @@ def _check_family(family):
         raise UsageError(f"family must be M or MO, got {family!r}")
 
 
+def _is_odd_prime(p):
+    if p < 3 or p % 2 == 0:
+        return False
+    f = 3
+    while f * f <= p:
+        if p % f == 0:
+            return False
+        f += 2
+    return True
+
+
 def _check_prime(p):
     if not (p < 1 << 31 and _is_odd_prime(p)):
         raise UsageError(f"modulus must be an odd prime below 2^31, got {p}")
+
+
+_CLAIM_INTS = ("t", "p", "step", "offset")
+
+
+def _checked_claim(family, t, p, step, offset, **rest):
+    """A CongruenceClaim whose fields satisfy the --claim contract, or a UsageError."""
+    if any(type(v) is not int for v in (t, p, step, offset)):
+        raise UsageError(f"claim fields {', '.join(_CLAIM_INTS)} must be integers")
+    _check_family(family)
+    _at_least(1, t=t, step=step)
+    _check_prime(p)
+    if not 0 <= offset < step:
+        raise UsageError(f"offset must satisfy 0 <= offset < step, got {offset} with step {step}")
+    return CongruenceClaim(family=family, t=t, p=p, step=step, offset=offset, **rest)
 
 
 def _emit(text_rows, json_payload, csv_rows, csv_header, args):
@@ -184,6 +209,9 @@ def _claims_output(claims, args, extra=None):
 
 
 def cmd_scan(args):
+    modes = [args.input, args.claim, args.prospect, args.suite is not None]
+    if sum(map(bool, modes)) > 1:
+        raise UsageError("give only one of --input, --claim, --prospect and --suite")
     if args.input:
         return _recheck(args)
     if args.claim:
@@ -192,12 +220,7 @@ def cmd_scan(args):
             family, t, p, step, offset = parts[0].strip(), *map(int, parts[1:])
         except ValueError:
             raise UsageError('claim must be "family,t,p,step,offset", integers after the family') from None
-        _check_family(family)
-        _at_least(1, t=t, step=step)
-        _check_prime(p)
-        if not 0 <= offset < step:
-            raise UsageError(f"offset must satisfy 0 <= offset < step, got {offset} with step {step}")
-        claim = CongruenceClaim(family=family, t=t, p=p, step=step, offset=offset, kind="ad-hoc")
+        claim = _checked_claim(family, t, p, step, offset, kind="ad-hoc")
         checked = cong.check_claim(claim, args.order)
         _claims_output([checked], args)
         return 0 if checked.status != REFUTED else 1
@@ -233,32 +256,36 @@ def _recheck(args):
             previous = json.load(fh)
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read {args.input}: {exc}") from None
+    if not isinstance(previous, dict):
+        raise UsageError("the report must be a JSON object")
     if previous.get("schema") != SCHEMA_VERSION:
         raise UsageError(f"unsupported schema {previous.get('schema')!r}")
     if previous.get("command") != "scan":
         raise UsageError("recheck expects a scan report")
-    order = previous["order"] if args.recheck else args.order
+    order = previous.get("order") if args.recheck else args.order
     if order is None:
         raise UsageError("no order recorded in the report; pass --order")
+    if type(order) is not int:
+        raise UsageError(f"order must be an integer, got {order!r}")
+    _at_least(0, order=order)
+    results = previous.get("results")
+    if not isinstance(results, list):
+        raise UsageError("the report has no results list")
+    fields = ("family", *_CLAIM_INTS)
+    claims = []
+    for d in results:
+        if not isinstance(d, dict) or any(name not in d for name in fields):
+            raise UsageError(f"each result needs the fields {', '.join(fields)}")
+        claims.append(_checked_claim(
+            *(d[name] for name in fields), kind=d.get("kind", "theorem"), label=d.get("label", ""),
+        ))
+    rechecked = cong.check_claims(claims, order)
     identical = True
-    rechecked = []
-    for d in previous["results"]:
-        claim = CongruenceClaim.from_dict(d)
-        fresh = cong.check_claim(
-            CongruenceClaim(
-                family=claim.family, t=claim.t, p=claim.p,
-                step=claim.step, offset=claim.offset,
-                kind=claim.kind, label=claim.label,
-            ),
-            order,
-        )
-        rechecked.append(fresh)
-        if fresh.status != claim.status:
+    for d, fresh in zip(results, rechecked):
+        status = d.get("status", "")
+        if fresh.status != status:
             identical = False
-            print(
-                f"status changed for {claim.key()}: {claim.status} -> {fresh.status}",
-                file=sys.stderr,
-            )
+            print(f"status changed for {fresh.key()}: {status} -> {fresh.status}", file=sys.stderr)
     args.order = order
     _claims_output(rechecked, args)
     if not identical:

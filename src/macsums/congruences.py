@@ -1,114 +1,63 @@
 """Congruence verification and mining for the M and MO coefficient families.
 
-Scans run on mod-p streams built from the cheapest formula per family: the
-alternating single sum for M and the theta quotient for MO.  The theta
-quotient's rational weight (2k+1)/(2t+1) is replaced by the equal integer
-2*C(k+t, 2t+1) + C(k+t, 2t), so the stream stays defined even when p
-divides 2t+1 (as it does for the t = 2, p = 5 claims).
+Scans reduce the exact integer coefficients of each family's default route
+(the alternating single sum for M, the theta quotient for MO) modulo p.
+One table serves every claim and prime for its (family, t); it is built
+uncached and dropped once those are checked, so a scan holds one table at
+a time.  The theta quotient divides by 2t+1 exactly, so its tables stay
+defined even when p divides 2t+1 (as it does for the t = 2, p = 5 claims).
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from math import comb
 
 from .divisors import sigma
+from .macmahon import add_single_sum_term, coefficient_values, single_sum_weights
 from .reports import EVIDENCE, REFUTED, VERIFIED, CongruenceClaim, IdentityReport, ProspectResult
-from .series import ModSeries
-
-_STREAM_CACHE: dict = {}
 
 
-def m_mod_stream(t: int, p: int, order: int) -> ModSeries:
-    """Coefficients of the M-family series modulo p, via the single sum."""
-    key = ("M", t, p, order)
-    hit = _STREAM_CACHE.get(key)
-    if hit is not None:
-        return hit
-    out = [0] * (order + 1)
-    k = 1
-    while k * (k - 1) // 2 + t * k <= order:
-        e = k * (k - 1) // 2 + t * k
-        sign = -1 if k % 2 == 0 else 1
-        for m in range((order - e) // k + 1):
-            c = sign * comb(m + 2 * t - 1, 2 * t - 1) % p
-            idx = e + m * k
-            out[idx] = (out[idx] + c) % p
-            if idx + k <= order:
-                out[idx + k] = (out[idx + k] + c) % p
-        k += 1
-    result = ModSeries(out, p, order)
-    _STREAM_CACHE[key] = result
-    return result
+def _first_nonvanishing(values, p, step, offset):
+    """(first index on step*n + offset where p does not divide the value, or
+    None; number of indices checked)."""
+    checked = 0
+    for idx in range(offset, len(values), step):
+        checked += 1
+        if values[idx] % p:
+            return idx, checked
+    return None, checked
 
 
-def mo_mod_stream(t: int, p: int, order: int) -> ModSeries:
-    """Coefficients of the MO-family series modulo p, via the theta quotient
-    with integer weights."""
-    key = ("MO", t, p, order)
-    hit = _STREAM_CACHE.get(key)
-    if hit is not None:
-        return hit
-    num = [0] * (order + 1)
-    k = t
-    while k * (k + 1) // 2 <= order:
-        w = 2 * comb(k + t, 2 * t + 1) + comb(k + t, 2 * t)
-        if (k + t) % 2:
-            w = -w
-        num[k * (k + 1) // 2] = (num[k * (k + 1) // 2] + w) % p
-        k += 1
-    # (q)_inf^3 equals the weight-1 theta series; invert it mod p
-    cube = [0] * (order + 1)
-    m = 0
-    while m * (m + 1) // 2 <= order:
-        v = 2 * m + 1
-        cube[m * (m + 1) // 2] = (-v if m % 2 else v) % p
-        m += 1
-    result = ModSeries(num, p, order) * ModSeries(cube, p, order).invert()
-    _STREAM_CACHE[key] = result
-    return result
+def check_claims(claims, order: int) -> list[CongruenceClaim]:
+    """Check coeff(a*n + b) = 0 mod p for every a*n + b <= order, for each
+    claim; one table per (family, t) serves all of its claims.
 
-
-def family_mod_stream(family: str, t: int, p: int, order: int) -> ModSeries:
-    if family == "M":
-        return m_mod_stream(t, p, order)
-    if family == "MO":
-        return mo_mod_stream(t, p, order)
-    raise ValueError(f"unknown family {family!r}")
+    Returns new claims, in the given order, with status, depth and (on
+    failure) the first violating coefficient index filled in.
+    """
+    groups = {}
+    for i, claim in enumerate(claims):
+        groups.setdefault((claim.family, claim.t), []).append(i)
+    results = [None] * len(claims)
+    for (family, t), members in groups.items():
+        values = coefficient_values(family, t, order)
+        for i in members:
+            claim = claims[i]
+            first_violation, checked = _first_nonvanishing(values, claim.p, claim.step, claim.offset)
+            status = REFUTED if first_violation is not None else (
+                EVIDENCE if claim.kind == "conjecture" else VERIFIED
+            )
+            results[i] = replace(
+                claim, status=status, depth=checked - 1, checked=checked, first_violation=first_violation
+            )
+        del values  # free this table before the next one is built
+    return results
 
 
 def check_claim(claim: CongruenceClaim, order: int) -> CongruenceClaim:
-    """Check coeff(a*n + b) = 0 mod p for every a*n + b <= order.
-
-    Returns a new claim with status, depth and (on failure) the first
-    violating coefficient index filled in.
-    """
-    stream = family_mod_stream(claim.family, claim.t, claim.p, order)
-    p = claim.p
-    checked = 0
-    first_violation = None
-    depth = -1
-    for idx in range(claim.offset, order + 1, claim.step):
-        checked += 1
-        depth = (idx - claim.offset) // claim.step
-        if stream[idx] % p != 0:
-            first_violation = idx
-            break
-    status = REFUTED if first_violation is not None else (
-        EVIDENCE if claim.kind == "conjecture" else VERIFIED
-    )
-    return CongruenceClaim(
-        family=claim.family,
-        t=claim.t,
-        p=claim.p,
-        step=claim.step,
-        offset=claim.offset,
-        kind=claim.kind,
-        label=claim.label,
-        status=status,
-        depth=depth,
-        checked=checked,
-        first_violation=first_violation,
-    )
+    """`check_claims` for one claim."""
+    return check_claims([claim], order)[0]
 
 
 def paper_claims() -> list[CongruenceClaim]:
@@ -160,8 +109,7 @@ def sigma_progression_check(p, s_hi, s_lo, step, offset, depth) -> IdentityRepor
 
 def verify_paper_suite(order: int):
     """Check every claim of `paper_claims()` at the requested depth."""
-    results = [check_claim(c, order) for c in paper_claims()]
-    return results
+    return check_claims(paper_claims(), order)
 
 
 def sigma_lemma_a_check(p, k, j, a, b, depth) -> IdentityReport:
@@ -204,24 +152,17 @@ def sigma_lemma_b_check(p, depth) -> IdentityReport:
 
 
 def phi_termwise_check(t, k, p, step, offset, order) -> IdentityReport:
-    """Single-k term of the M single sum: (1+q^k) q^(C(k,2)+tk) / (1-q^k)^(2t),
+    """Single-k term of the M single sum, (-1)^(k-1) (1+q^k) q^(C(k,2)+tk) / (1-q^k)^(2t),
     tested for vanishing along the progression modulo p."""
     params = {"t": t, "k": k, "p": p, "step": step, "offset": offset}
-    e = k * (k - 1) // 2 + t * k
     out = [0] * (order + 1)
-    if e <= order:
-        for m in range((order - e) // k + 1):
-            c = comb(m + 2 * t - 1, 2 * t - 1) % p
-            idx = e + m * k
-            out[idx] = (out[idx] + c) % p
-            if idx + k <= order:
-                out[idx + k] = (out[idx + k] + c) % p
-    for idx in range(offset, order + 1, step):
-        if out[idx] % p != 0:
-            return IdentityReport(
-                "phi-termwise", params, order, False, mismatch_at=idx,
-                lhs=str(out[idx]), rhs="0",
-            )
+    add_single_sum_term(out, t, k, single_sum_weights(t, order + 1))
+    idx, _ = _first_nonvanishing(out, p, step, offset)
+    if idx is not None:
+        return IdentityReport(
+            "phi-termwise", params, order, False, mismatch_at=idx,
+            lhs=str(out[idx] % p), rhs="0",
+        )
     return IdentityReport("phi-termwise", params, order, True)
 
 
@@ -310,18 +251,12 @@ def prospect(family: str, t_values, primes, order: int) -> ProspectResult:
     claims = []
     chance = 0.0
     for t in t_values:
+        values = coefficient_values(family, t, order)
         for p in primes:
-            stream = family_mod_stream(family, t, p, order)
             chance += p * p ** (-(order / p))
             for b in range(p):
-                ok = True
-                checked = 0
-                for idx in range(b, order + 1, p):
-                    checked += 1
-                    if stream[idx] % p != 0:
-                        ok = False
-                        break
-                if ok:
+                first_violation, checked = _first_nonvanishing(values, p, p, b)
+                if first_violation is None:
                     anchor = known.get((family, t, p, p, b))
                     label = f"{p} | {family}({t}, {p}n+{b})"
                     if anchor:
@@ -333,6 +268,7 @@ def prospect(family: str, t_values, primes, order: int) -> ProspectResult:
                             status=EVIDENCE, depth=(order - b) // p, checked=checked,
                         )
                     )
+        del values  # free this table before the next one is built
     claims.sort(key=lambda c: -c.depth)
     return ProspectResult(
         family=family,

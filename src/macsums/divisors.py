@@ -113,7 +113,7 @@ def alternating_tail_quotient(t: int, order: int) -> Series:
         if e > order:
             break
         finite_prod = finite_prod - finite_prod.shift(m)
-        term = (geometric_pow(m, t, order) * finite_prod.invert()).shift(e)
+        term = (geometric_pow(m, t, order) / finite_prod).shift(e)
         acc = acc + term if m % 2 else acc - term
     return acc
 

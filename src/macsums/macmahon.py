@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from operator import add, sub
 
 from .divisors import (
     THETA_FAMILY,
@@ -24,7 +25,7 @@ from .divisors import (
     umbral_eval,
 )
 from .reports import IdentityReport, merge_reports, series_report
-from .series import Series, euler_function, geometric_pow
+from .series import Series, euler_function
 
 
 # ---------------------------------------------------------------------------
@@ -134,20 +135,38 @@ def strict_multisum(t: int, order: int) -> Series:
 # single-sum, conjugate, theta-quotient, umbral, and recurrence routes
 
 
+def single_sum_weights(t: int, count: int) -> list:
+    """C(m+2t-1, 2t-1) + C(m+2t-2, 2t-1) for m < count: the coefficients of
+    (1+q)/(1-q)^(2t)."""
+    r = 2 * t - 1
+    out = []
+    b, prev = 1, 0  # C(m+r, r) and C(m-1+r, r)
+    for m in range(count):
+        out.append(b + prev)
+        prev, b = b, b * (m + 1 + r) // (m + 1)
+    return out
+
+
+def add_single_sum_term(out: list, t: int, k: int, weights: list) -> None:
+    """Add the k-th single-sum term (-1)^(k-1) (1+q^k) q^(C(k,2)+t*k) / (1-q^k)^(2t)
+    to the coefficient list out in place; weights are `single_sum_weights(t, len(out))`."""
+    e = k * (k - 1) // 2 + t * k
+    if e < len(out):
+        out[e::k] = map(add if k % 2 else sub, out[e::k], weights)
+
+
 def m_single_sum(t: int, order: int) -> Series:
     """Alternating single sum for the M family: terms
     (-1)^(k-1) (1+q^k) q^(C(k,2)+t*k) / (1-q^k)^(2t)."""
     if t < 1:
         raise ValueError("t >= 1")
-    acc = Series.zero(order)
+    out = [0] * (order + 1)
+    weights = single_sum_weights(t, order + 1)
     k = 1
     while k * (k - 1) // 2 + t * k <= order:
-        e = k * (k - 1) // 2 + t * k
-        g = geometric_pow(k, 2 * t, order)
-        term = g.shift(e) + g.shift(e + k)
-        acc = acc - term if k % 2 == 0 else acc + term
+        add_single_sum_term(out, t, k, weights)
         k += 1
-    return acc
+    return Series(out, order)
 
 
 def m_conjugate_form(t: int, order: int) -> Series:
@@ -172,22 +191,28 @@ def m_conjugate_form(t: int, order: int) -> Series:
 def mo_andrews_rose(t: int, order: int) -> Series:
     """Theta quotient for the MO family: a finite alternating theta-like sum
     with weights (2k+1)/(2t+1) * C(k+t, k-t), divided by the cube of the
-    Euler product.  Exact rational arithmetic; the output must be integral."""
+    Euler product.
+
+    The cube is taken as the weight-1 theta series (Jacobi's identity), and
+    the integer numerators (2k+1) * C(k+t, k-t) are divided by it before the
+    exact division by 2t+1; a remainder there is a transcription error."""
     if t < 1:
         raise ValueError("t >= 1")
-    num = [Fraction(0)] * (order + 1)
+    num = [0] * (order + 1)
     k = t
     while k * (k + 1) // 2 <= order:
-        c = Fraction(2 * k + 1, 2 * t + 1) * comb(k + t, k - t)
-        if (k + t) % 2:
-            c = -c
-        num[k * (k + 1) // 2] += c
+        c = (2 * k + 1) * comb(k + t, k - t)
+        num[k * (k + 1) // 2] = -c if (k + t) % 2 else c
         k += 1
-    out = Series(num, order) * (euler_function(order) ** 3).invert()
-    for i, c in enumerate(out.coeffs):
-        if not isinstance(c, int):
-            raise ArithmeticError(f"non-integer coefficient {c} at q^{i}: formula transcription error")
-    return out
+    out = []
+    for i, c in enumerate((Series(num, order) / theta_moment(1, order)).coeffs):
+        v, rem = divmod(c, 2 * t + 1)
+        if rem:
+            raise ArithmeticError(
+                f"non-integer coefficient {Fraction(c, 2 * t + 1)} at q^{i}: formula transcription error"
+            )
+        out.append(v)
+    return Series(out, order)
 
 
 def mo_umbral(t: int, order: int) -> Series:
@@ -199,7 +224,7 @@ def mo_umbral(t: int, order: int) -> Series:
     poly = odd_square_product(t)
     combo = umbral_eval(poly, THETA_FAMILY, order)
     scale = Fraction((-1) ** t, 4**t * factorial(2 * t + 1))
-    out = combo * theta_moment(1, order).invert() * scale
+    out = combo / theta_moment(1, order) * scale
     for i, c in enumerate(out.coeffs):
         if not isinstance(c, int):
             raise ArithmeticError(f"non-integer coefficient {c} at q^{i}: formula transcription error")
@@ -287,11 +312,8 @@ class CoefficientTable:
         return self.values[n]
 
 
-_TABLE_CACHE: dict = {}
-
-
-def coefficient_table(family: str, t: int, order: int, formula: str | None = None) -> CoefficientTable:
-    """Integer coefficient table for a family, cached per formula and order.
+def coefficient_values(family: str, t: int, order: int, formula: str | None = None) -> tuple:
+    """Integer coefficients of a family through q^order, built afresh.
 
     Integrality and the vanishing of the leading window (below t for M,
     below t(t+1)/2 for MO) are asserted at construction.
@@ -302,23 +324,30 @@ def coefficient_table(family: str, t: int, order: int, formula: str | None = Non
     table = M_FORMULAS if family == "M" else MO_FORMULAS
     if formula not in table:
         raise ValueError(f"unknown formula {formula!r} for family {family}; known: {sorted(table)}")
-    key = (family, t, order, formula)
-    hit = _TABLE_CACHE.get(key)
-    if hit is not None:
-        return hit
-    series = table[formula](t, order)
-    vals = []
-    for n, c in enumerate(series.coeffs):
+    vals = table[formula](t, order).coeffs
+    for n, c in enumerate(vals):
         if not isinstance(c, int):
             raise ArithmeticError(f"{family}({t},{n}) is not an integer: {c}")
-        vals.append(c)
     window = t if family == "M" else t * (t + 1) // 2
     for n in range(min(window, order + 1)):
         if vals[n] != 0:
             raise ArithmeticError(f"{family}({t},{n}) = {vals[n]} below the minimal partition size")
-    result = CoefficientTable(family, t, order, formula, tuple(vals))
-    _TABLE_CACHE[key] = result
-    return result
+    return tuple(vals)
+
+
+_TABLE_CACHE: dict = {}
+
+
+def coefficient_table(family: str, t: int, order: int, formula: str | None = None) -> CoefficientTable:
+    """`coefficient_values` as a table naming its formula, cached per
+    family, t, order and formula."""
+    formula = formula or DEFAULT_FORMULA.get(family)
+    key = (family, t, order, formula)
+    hit = _TABLE_CACHE.get(key)
+    if hit is None:
+        hit = CoefficientTable(family, t, order, formula, coefficient_values(family, t, order, formula))
+        _TABLE_CACHE[key] = hit
+    return hit
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +462,7 @@ def jacobi_product_side(c: int, order: int) -> Series:
     den = Series.one(order)
     for m in range(1, order + 1):
         den = den * _JACOBI_DENOMS[c](m, order)
-    return num * den.invert()
+    return num / den
 
 
 def jacobi_theta_side(c: int, order: int) -> Series:
@@ -443,7 +472,7 @@ def jacobi_theta_side(c: int, order: int) -> Series:
     while m * (m - 1) // 2 <= order:
         num = Series.one(order) - Series.monomial(1, m, order)
         num = num * (Series.one(order) - Series.monomial(1, 2 * m, order))
-        term = (num * _JACOBI_DENOMS[c](m, order).invert()).shift(m * (m - 1) // 2)
+        term = (num / _JACOBI_DENOMS[c](m, order)).shift(m * (m - 1) // 2)
         acc = acc - term if m % 2 == 0 else acc + term
         m += 1
     return acc

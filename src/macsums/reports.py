@@ -79,7 +79,7 @@ REFUTED = "refuted"
 
 @dataclass
 class CongruenceClaim:
-    """p divides coeff(step*n + offset) for all n, for a named family stream."""
+    """p divides coeff(step*n + offset) for all n, for a named coefficient family."""
 
     family: str  # "M", "MO" or "sigma"
     t: int | None

@@ -203,33 +203,34 @@ class Series:
             e >>= 1
         return result
 
-    def invert(self):
-        """Multiplicative inverse; requires a nonzero constant term."""
-        a = self.coeffs
-        n = self.order
-        if a[0] == 0:
+    def __truediv__(self, other):
+        """Quotient by a series with a nonzero constant term, in one pass
+        over the divisor's nonzero terms."""
+        if not isinstance(other, Series):
+            return NotImplemented
+        n = min(self.order, other.order)
+        a, b = self.coeffs, other.coeffs
+        if b[0] == 0:
             raise ZeroDivisionError("non-unit series: constant term is zero")
-        inv0 = _norm(Fraction(1) / Fraction(a[0]))
-        tail = [(i, c) for i, c in enumerate(a[1 : n + 1], 1) if c]
-        out = [inv0]
-        for m in range(1, n + 1):
-            acc = 0
+        inv0 = _norm(Fraction(1) / Fraction(b[0]))
+        tail = [(i, c) for i, c in enumerate(b[1 : n + 1], 1) if c]
+        out = []
+        for m in range(n + 1):
+            acc = a[m]
             for i, c in tail:
                 if i > m:
                     break
-                acc += c * out[m - i]
-            out.append(_norm(-acc * inv0) if acc else 0)
+                acc -= c * out[m - i]
+            out.append(_norm(acc * inv0) if acc else 0)
         return Series(out, n)
+
+    def invert(self):
+        """Multiplicative inverse; requires a nonzero constant term."""
+        return Series.one(self.order) / self
 
     def q_derivative(self):
         """Apply q*d/dq: the coefficient of q^n becomes n times itself."""
         return Series([i * c for i, c in enumerate(self.coeffs)], self.order)
-
-    # ------------------------------------------------------------------
-
-    def reduce(self, p):
-        """Reduce coefficients modulo the odd prime p, returning a ModSeries."""
-        return ModSeries.from_series(self, p)
 
 
 def q_derivative(a: Series) -> Series:
@@ -262,146 +263,3 @@ def euler_function(order: int) -> Series:
             out[g2] += s
         m += 1
     return Series(out, order)
-
-
-def _is_odd_prime(p):
-    if p < 3 or p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
-
-
-class ModSeries:
-    """Truncated series with coefficients in Z/p for an odd prime p < 2^31."""
-
-    __slots__ = ("coeffs", "order", "modulus")
-
-    def __init__(self, coeffs, modulus, order=None):
-        if not _is_odd_prime(modulus) or modulus >= 1 << 31:
-            raise ValueError(f"modulus must be an odd prime below 2^31, got {modulus}")
-        coeffs = [c % modulus for c in coeffs]
-        if order is None:
-            if not coeffs:
-                raise ValueError("empty coefficient list needs an explicit order")
-            order = len(coeffs) - 1
-        if len(coeffs) > order + 1:
-            raise ValueError("more coefficients than order allows")
-        if len(coeffs) < order + 1:
-            coeffs = coeffs + [0] * (order + 1 - len(coeffs))
-        self.coeffs = coeffs
-        self.order = order
-        self.modulus = modulus
-
-    @classmethod
-    def from_series(cls, a: Series, p: int) -> "ModSeries":
-        out = []
-        for c in a.coeffs:
-            if isinstance(c, Fraction):
-                if c.denominator % p == 0:
-                    raise ZeroDivisionError(f"coefficient denominator divisible by {p}")
-                out.append(c.numerator * pow(c.denominator, p - 2, p) % p)
-            else:
-                out.append(c % p)
-        return cls(out, p, a.order)
-
-    @classmethod
-    def zero(cls, order, p):
-        return cls([0] * (order + 1), p, order)
-
-    @classmethod
-    def one(cls, order, p):
-        c = [0] * (order + 1)
-        c[0] = 1
-        return cls(c, p, order)
-
-    def __getitem__(self, n):
-        return self.coeffs[n]
-
-    def __eq__(self, other):
-        if not isinstance(other, ModSeries):
-            return NotImplemented
-        return (
-            self.modulus == other.modulus
-            and self.order == other.order
-            and self.coeffs == other.coeffs
-        )
-
-    __hash__ = None
-
-    def __repr__(self):
-        head = ", ".join(str(c) for c in self.coeffs[:10])
-        return f"ModSeries([{head}, ...] mod {self.modulus}; order={self.order})"
-
-    def _check(self, other):
-        if self.modulus != other.modulus:
-            raise ValueError("mixed moduli")
-
-    def __add__(self, other):
-        self._check(other)
-        n = min(self.order, other.order)
-        p = self.modulus
-        a, b = self.coeffs, other.coeffs
-        return ModSeries([(a[i] + b[i]) % p for i in range(n + 1)], p, n)
-
-    def __sub__(self, other):
-        self._check(other)
-        n = min(self.order, other.order)
-        p = self.modulus
-        a, b = self.coeffs, other.coeffs
-        return ModSeries([(a[i] - b[i]) % p for i in range(n + 1)], p, n)
-
-    def __mul__(self, other):
-        p = self.modulus
-        if isinstance(other, int):
-            return ModSeries([c * other % p for c in self.coeffs], p, self.order)
-        self._check(other)
-        n = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
-        na = sum(1 for c in a[: n + 1] if c)
-        nb = sum(1 for c in b[: n + 1] if c)
-        if nb < na:
-            a, b = b, a
-        out = [0] * (n + 1)
-        for i in range(n + 1):
-            c = a[i]
-            if not c:
-                continue
-            for j, d in enumerate(b[: n - i + 1]):
-                if d:
-                    out[i + j] = (out[i + j] + c * d) % p
-        return ModSeries(out, p, n)
-
-    __rmul__ = __mul__
-
-    def shift(self, k):
-        if k < 0:
-            raise ValueError("negative shift")
-        n = self.order
-        if k > n:
-            return ModSeries.zero(n, self.modulus)
-        return ModSeries([0] * k + self.coeffs[: n + 1 - k], self.modulus, n)
-
-    def invert(self):
-        a = self.coeffs
-        n = self.order
-        p = self.modulus
-        if a[0] == 0:
-            raise ZeroDivisionError("non-unit series: constant term is zero")
-        inv0 = pow(a[0], p - 2, p)
-        tail = [(i, c) for i, c in enumerate(a[1 : n + 1], 1) if c]
-        out = [inv0]
-        for m in range(1, n + 1):
-            acc = 0
-            for i, c in tail:
-                if i > m:
-                    break
-                acc += c * out[m - i]
-            out.append(-acc * inv0 % p if acc else 0)
-        return ModSeries(out, p, n)
-
-    def is_zero(self):
-        return all(c == 0 for c in self.coeffs)

@@ -8,7 +8,7 @@ equality); the only numeric budgets are the stated runtimes.
 import time
 from fractions import Fraction
 
-from conftest import rand_int_series, rand_rational_series, seeded
+from conftest import naive_mul, rand_int_series, rand_rational_series, seeded
 from macsums import registry
 from macsums.congruences import (
     check_claim,
@@ -233,8 +233,9 @@ def test_criterion_10_randomized_property_suites():
         p = rng.choice((3, 5, 7, 11, 13))
         a = rand_int_series(rng, 25)
         b = rand_int_series(rng, 25)
-        assert (a * b).reduce(p) == a.reduce(p) * b.reduce(p)
-        assert (a + b).reduce(p) == a.reduce(p) + b.reduce(p)
+        ra, rb = [c % p for c in a.coeffs], [c % p for c in b.coeffs]
+        assert [c % p for c in (a * b).coeffs] == [c % p for c in naive_mul(ra, rb, 25)]
+        assert [c % p for c in (a + b).coeffs] == [(x + y) % p for x, y in zip(ra, rb)]
     # q-binomial inverse pair round trip
     for _ in range(100):
         length = rng.randrange(1, 9)

@@ -228,6 +228,43 @@ def test_malformed_input_exits_2_without_traceback(capsys, argv):
     assert_usage_error(*run_cli(capsys, *argv))
 
 
+SUITE_CLAIM = {"family": "M", "t": 2, "p": 5, "step": 5, "offset": 1, "status": "verified-to-depth"}
+
+
+@pytest.mark.parametrize(
+    "report",
+    [
+        [SUITE_CLAIM],  # not an object
+        {"schema": 1, "command": "scan", "order": 50, "results": 5},  # no results list
+        {"schema": 1, "command": "scan", "order": 50, "results": [{"family": "M", "t": 2}]},
+        {"schema": 1, "command": "scan", "order": 50, "results": [dict(SUITE_CLAIM, p=4)]},
+        {"schema": 1, "command": "scan", "order": 50, "results": [dict(SUITE_CLAIM, t="2")]},
+    ],
+    ids=["not-an-object", "no-results-list", "missing-keys", "modulus-not-prime", "string-t"],
+)
+def test_recheck_rejects_malformed_report(capsys, tmp_path, report):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    assert_usage_error(*run_cli(capsys, "scan", "--input", str(path), "--recheck"))
+
+
+@pytest.mark.parametrize(
+    "modes",
+    [
+        ["--suite", "paper", "--claim", "M,3,7,8,4"],
+        ["--prospect", "--suite", "paper"],
+        ["--claim", "M,3,7,8,4", "--prospect"],
+        ["--input", "REPORT", "--suite", "paper"],
+    ],
+    ids=" ".join,
+)
+def test_scan_rejects_more_than_one_mode(capsys, tmp_path, modes):
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"schema": 1, "command": "scan", "order": 50, "results": [SUITE_CLAIM]}))
+    argv = [str(report) if arg == "REPORT" else arg for arg in modes]
+    assert_usage_error(*run_cli(capsys, "scan", *argv, "--order", "50"))
+
+
 def test_error_inside_a_case_is_not_a_usage_error(monkeypatch):
     def case(order, t):
         raise ValueError("broken case")

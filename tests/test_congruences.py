@@ -1,17 +1,15 @@
 """Tests for the congruence scanner: paper suite, sigma lemmas, termwise
-checks, stream cross-validation, and negative controls."""
+checks, cross-validation of the scanned tables, and negative controls."""
 
 import pytest
 
+from macsums import congruences
 from macsums.congruences import (
     check_claim,
     delta_binomial,
     delta_residue_check,
     delta_vanishing_check,
     exponent_residue_set,
-    family_mod_stream,
-    m_mod_stream,
-    mo_mod_stream,
     paper_claims,
     phi_termwise_check,
     prospect,
@@ -20,7 +18,13 @@ from macsums.congruences import (
     sigma_progression_check,
     verify_paper_suite,
 )
-from macsums.macmahon import m_single_sum, mo_andrews_rose, strict_multisum, weak_multisum
+from macsums.macmahon import (
+    coefficient_values,
+    m_conjugate_form,
+    mo_recurrence,
+    strict_multisum,
+    weak_multisum,
+)
 from macsums.reports import EVIDENCE, REFUTED, VERIFIED, CongruenceClaim
 
 
@@ -70,24 +74,46 @@ def test_check_claim_monotone_in_depth():
         assert check_claim(claim, order).status == VERIFIED
 
 
+def reduced(values, p):
+    return [v % p for v in values]
+
+
+# The three "mod_stream" tests keep their names so their ids stay stable; they
+# check the exact tables that scans reduce.
+
+
 def test_mod_streams_match_rational_backends():
+    # the tables a scan reduces, against the multisums and one more exact route
     for t in (1, 2, 3, 4):
-        m_exact = m_single_sum(t, 100)
-        mo_exact = mo_andrews_rose(t, 100)
+        m_others = [weak_multisum(t, 100).coeffs, m_conjugate_form(t, 100).coeffs]
+        mo_others = [strict_multisum(t, 100).coeffs, mo_recurrence(t, 100).coeffs]
         for p in (3, 5, 7, 11):
-            assert m_mod_stream(t, p, 100) == m_exact.reduce(p)
-            assert mo_mod_stream(t, p, 100) == mo_exact.reduce(p)
+            m, mo = reduced(coefficient_values("M", t, 100), p), reduced(coefficient_values("MO", t, 100), p)
+            assert all(m == reduced(other, p) for other in m_others)
+            assert all(mo == reduced(other, p) for other in mo_others)
 
 
 def test_mod_streams_match_multisums():
     for t in (1, 2, 3):
-        assert m_mod_stream(t, 7, 60) == weak_multisum(t, 60).reduce(7)
-        assert mo_mod_stream(t, 7, 60) == strict_multisum(t, 60).reduce(7)
+        assert reduced(coefficient_values("M", t, 60), 7) == reduced(weak_multisum(t, 60).coeffs, 7)
+        assert reduced(coefficient_values("MO", t, 60), 7) == reduced(strict_multisum(t, 60).coeffs, 7)
 
 
 def test_family_mod_stream_rejects_unknown():
     with pytest.raises(ValueError):
-        family_mod_stream("Q", 1, 5, 10)
+        check_claim(CongruenceClaim("Q", 1, 5, 5, 1), 10)
+
+
+def test_paper_suite_builds_one_table_per_family_and_t(monkeypatch):
+    calls = []
+
+    def counting(family, t, order, formula=None):
+        calls.append((family, t))
+        return coefficient_values(family, t, order, formula)
+
+    monkeypatch.setattr(congruences, "coefficient_values", counting)
+    assert len(verify_paper_suite(60)) == 29
+    assert len(calls) == len(set(calls)) == 13
 
 
 def test_sigma_lemma_a_examples():
