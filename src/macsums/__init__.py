@@ -3,7 +3,7 @@ sums, with an identity catalog and a congruence scanner."""
 
 from .series import Series, euler_function, geometric_pow, q_derivative
 from .qcombo import IntPoly, q_binomial, q_factorial, q_int, stirling1_unsigned
-from .divisors import eisenstein, lambert_series, sigma, sigma_series, theta_moment
+from .divisors import eisenstein, sigma, sigma_series, theta_moment
 from .macmahon import (
     coefficient_table,
     m_single_sum,
@@ -21,7 +21,6 @@ __all__ = [
     "eisenstein",
     "euler_function",
     "geometric_pow",
-    "lambert_series",
     "m_single_sum",
     "mo_andrews_rose",
     "q_binomial",

@@ -262,9 +262,14 @@ def _recheck(args):
         raise UsageError(f"unsupported schema {previous.get('schema')!r}")
     if previous.get("command") != "scan":
         raise UsageError("recheck expects a scan report")
-    order = previous.get("order") if args.recheck else args.order
+    recorded = previous.get("order")
+    if args.recheck and args.order is not None:
+        raise UsageError(f"give --recheck or --order, not both; the report records order {recorded}")
+    order = recorded if args.recheck else args.order
     if order is None:
-        raise UsageError("no order recorded in the report; pass --order")
+        if recorded is None:
+            raise UsageError("no order recorded in the report; pass --order")
+        raise UsageError(f"the report records order {recorded}; pass --order, or --recheck to rerun at it")
     if type(order) is not int:
         raise UsageError(f"order must be an integer, got {order!r}")
     _at_least(0, order=order)
@@ -344,6 +349,8 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(args)
         if args.command == "scan":
+            if args.recheck and not args.input:
+                raise UsageError("--recheck applies only to --input")
             if args.order is None and not args.input:
                 raise UsageError("scan needs an explicit --order")
             if not args.prospect and (args.t, args.p, args.family) != (None, None, None):

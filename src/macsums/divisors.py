@@ -1,19 +1,19 @@
 """Divisor power sums, Eisenstein series, Lambert-type series, and umbral
-evaluation against series families.
+evaluation of integer polynomials against series families.
 
-All generating functions return exact integer-coefficient Series.  The
-umbral machinery expands a polynomial in one formal symbol and then replaces
-each power X^s by the s-th member of a series family.
+All generating functions return exact integer-coefficient Series.  An umbral
+polynomial is a `qcombo.IntPoly` read in one formal symbol X; evaluating it
+replaces each power X^s by the s-th member of a family, which is any function
+(s, order) -> Series such as `sigma_series`, `theta_moment` or `dilcher_r`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from math import comb, isqrt
-from typing import Callable
+from math import isqrt
+from operator import add
 
-from .series import Series, euler_function, geometric_pow
+from .qcombo import IntPoly, poly_from_roots
+from .series import Series, geometric_pow
 
 
 def sigma(s: int, n: int) -> int:
@@ -31,7 +31,8 @@ def sigma(s: int, n: int) -> int:
 
 
 def sigma_series(s: int, order: int) -> Series:
-    """Generating function of sigma_s, by a divisor sieve."""
+    """Generating function of sigma_s, by a divisor sieve; this is also the
+    Lambert series sum over m >= 1 of m^s * q^m/(1-q^m)."""
     out = [0] * (order + 1)
     for d in range(1, order + 1):
         v = d**s
@@ -51,29 +52,15 @@ def eisenstein(which: str, order: int) -> Series:
     raise ValueError(f"unknown Eisenstein series {which!r}; use E2, E4 or E6")
 
 
-def lambert_series(t: int, order: int) -> Series:
-    """Sum over m >= 1 of m^t * q^m/(1-q^m)."""
+def power_lambert(a: int, r: int, order: int) -> Series:
+    """Sum over m >= 1 of q^(a*m)/(1-q^m)^r, by a direct divisor loop: each m
+    adds the coefficients C(i+r-1, r-1) of 1/(1-q)^r at the exponents (a+i)*m."""
+    if a < 1 or r < 1:
+        raise ValueError("power_lambert needs a >= 1 and r >= 1")
     out = [0] * (order + 1)
-    for m in range(1, order + 1):
-        v = m**t
-        for e in range(m, order + 1, m):
-            out[e] += v
-    return Series(out, order)
-
-
-def binomial_lambert(t: int, order: int) -> Series:
-    """Sum over m >= 1 of q^(t*m)/(1-q^m)^(2t).
-
-    Coefficientwise this is the Lambert series with binomial weights
-    C(j+t-1, 2t-1) attached to each divisor j.
-    """
-    if t < 1:
-        raise ValueError("binomial_lambert needs t >= 1")
-    out = [0] * (order + 1)
-    for m in range(1, order // t + 1):
-        base = t * m
-        for i in range(0, (order - base) // m + 1):
-            out[base + i * m] += comb(i + 2 * t - 1, 2 * t - 1)
+    weights = geometric_pow(1, r, order).coeffs
+    for m in range(1, order // a + 1):
+        out[a * m :: m] = map(add, out[a * m :: m], weights)
     return Series(out, order)
 
 
@@ -88,16 +75,6 @@ def dilcher_r(t: int, order: int) -> Series:
     for m in range(order, 0, -1):
         acc = acc + (m**t) * tail.shift(m)
         tail = tail - tail.shift(m)
-    return acc
-
-
-def power_lambert(t: int, order: int) -> Series:
-    """Sum over m >= 1 of q^(t*m)/(1-q^m)^t."""
-    if t < 1:
-        raise ValueError("power_lambert needs t >= 1")
-    acc = Series.zero(order)
-    for m in range(1, order // t + 1):
-        acc = acc + geometric_pow(m, t, order).shift(t * m)
     return acc
 
 
@@ -133,136 +110,34 @@ def theta_moment(s: int, order: int) -> Series:
 # umbral evaluation
 
 
-class UmbralPoly:
-    """Polynomial in one umbral symbol, finitely supported rational coefficients."""
+def umbral_eval(p: IntPoly, family, order: int) -> Series:
+    """Replace each X^s in the polynomial p by family(s, order) and sum.
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        self.coeffs = {s: c for s, c in coeffs.items() if c != 0}
-
-    @classmethod
-    def symbol(cls):
-        return cls({1: 1})
-
-    @classmethod
-    def const(cls, c):
-        return cls({0: c})
-
-    def __eq__(self, other):
-        if not isinstance(other, UmbralPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    __hash__ = None
-
-    def __repr__(self):
-        terms = [f"{c}*X^{s}" for s, c in sorted(self.coeffs.items())]
-        return "UmbralPoly(" + (" + ".join(terms) or "0") + ")"
-
-    def _as_poly(self, other):
-        if isinstance(other, UmbralPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return UmbralPoly.const(other)
-        return None
-
-    def __add__(self, other):
-        other = self._as_poly(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self.coeffs)
-        for s, c in other.coeffs.items():
-            out[s] = out.get(s, 0) + c
-        return UmbralPoly(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._as_poly(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self.coeffs)
-        for s, c in other.coeffs.items():
-            out[s] = out.get(s, 0) - c
-        return UmbralPoly(out)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return UmbralPoly({s: -c for s, c in self.coeffs.items()})
-
-    def __mul__(self, other):
-        other = self._as_poly(other)
-        if other is None:
-            return NotImplemented
-        out = {}
-        for s1, c1 in self.coeffs.items():
-            for s2, c2 in other.coeffs.items():
-                s = s1 + s2
-                out[s] = out.get(s, 0) + c1 * c2
-        return UmbralPoly(out)
-
-    __rmul__ = __mul__
-
-
-@dataclass(frozen=True)
-class BaseFamily:
-    """A named family s -> Series used as the target of umbral substitution."""
-
-    label: str
-    generator: Callable[[int, int], Series]
-
-    def __call__(self, s: int, order: int) -> Series:
-        return self.generator(s, order)
-
-
-THETA_FAMILY = BaseFamily("J", theta_moment)
-LAMBERT_FAMILY = BaseFamily("S", lambert_series)
-TAIL_FAMILY = BaseFamily("R", dilcher_r)
-
-
-def umbral_eval(p: UmbralPoly, fam: BaseFamily, order: int) -> Series:
-    """Replace each X^s in p by fam(s) and sum; the multiplication in p has
-    already been carried out symbolically."""
+    The variable of p is read as the umbral symbol X; its products have
+    already been multiplied out, so only the coefficients reach the series.
+    """
     acc = Series.zero(order)
-    for s, c in p.coeffs.items():
-        acc = acc + fam(s, order) * c
+    for s, c in enumerate(p.coeffs):
+        if c:
+            acc = acc + family(s, order) * c
     return acc
 
 
-def odd_square_product(t: int) -> UmbralPoly:
+def odd_square_product(t: int) -> IntPoly:
     """X*(X^2-1^2)(X^2-3^2)...(X^2-(2t-1)^2), degree 2t+1."""
-    x = UmbralPoly.symbol()
-    p = x
-    for i in range(1, t + 1):
-        p = p * (x * x - (2 * i - 1) ** 2)
-    return p
+    return poly_from_roots([0, *(s * (2 * i - 1) for i in range(1, t + 1) for s in (1, -1))])
 
 
-def square_product(t: int) -> UmbralPoly:
+def square_product(t: int) -> IntPoly:
     """X*(X^2-1^2)(X^2-2^2)...(X^2-(t-1)^2), degree 2t-1."""
-    x = UmbralPoly.symbol()
-    p = x
-    for i in range(1, t):
-        p = p * (x * x - i * i)
-    return p
+    return poly_from_roots([0, *(s * i for i in range(1, t) for s in (1, -1))])
 
 
-def lower_factorial(t: int) -> UmbralPoly:
+def lower_factorial(t: int) -> IntPoly:
     """(X-1)(X-2)...(X-(t-1)); the empty product for t = 1."""
-    x = UmbralPoly.symbol()
-    p = UmbralPoly.const(1)
-    for j in range(1, t):
-        p = p * (x - j)
-    return p
+    return poly_from_roots(range(1, t))
 
 
-def raising_factorial(t: int) -> UmbralPoly:
+def raising_factorial(t: int) -> IntPoly:
     """X(X+1)(X+2)...(X+t-1), t factors."""
-    x = UmbralPoly.symbol()
-    p = x
-    for j in range(1, t):
-        p = p * (x + j)
-    return p
+    return poly_from_roots(range(0, -t, -1))

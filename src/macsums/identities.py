@@ -33,6 +33,22 @@ def _inv_poly(p: IntPoly, order: int) -> Series:
     return p.to_series(order).invert()
 
 
+def _alternating_sum(n: int, order: int, exponent, base) -> Series:
+    """Sum over k = 1..n of (-1)^(k-1) q^exponent(k) base(k).
+
+    exponent(k) is a nonnegative integer and base(k) a Series; a term whose
+    shift passes the order is skipped before its base is built.
+    """
+    acc = Series.zero(order)
+    for k in range(1, n + 1):
+        e = exponent(k)
+        if e > order:
+            continue
+        term = base(k).shift(e)
+        acc = acc + term if k % 2 else acc - term
+    return acc
+
+
 # ---------------------------------------------------------------------------
 # the triplet of equivalent finite q-harmonic sums
 
@@ -53,20 +69,17 @@ def harmonic_single_sum(t: int, n: int, order: int) -> Series:
     multisum for every t, n."""
     if t == 0:
         return Series.one(order)
-    acc = Series.zero(order)
     omq = one_minus_q_pow(2 * t)
-    for k in range(1, n + 1):
-        e = k * (k - 1) // 2 + t * k
-        if e > order:
-            continue
-        base = (
+
+    def base(k):
+        b = (
             (q_binomial(n, k) * omq).to_series(order)
             * geometric_pow(k, 2 * t, order)
             * _inv_poly(q_binomial(n + k, k), order)
         )
-        term = base.shift(e) + base.shift(e + k)
-        acc = acc + term if k % 2 else acc - term
-    return acc
+        return b + b.shift(k)
+
+    return _alternating_sum(n, order, lambda k: k * (k - 1) // 2 + t * k, base)
 
 
 def harmonic_single_sum_alt(t: int, n: int, order: int) -> Series:
@@ -75,15 +88,13 @@ def harmonic_single_sum_alt(t: int, n: int, order: int) -> Series:
         return Series.one(order)
     if n == 0:
         return Series.zero(order)
-    acc = Series.zero(order)
     omq = one_minus_q_pow(2 * t)
-    for k in range(1, n + 1):
-        e = k * (k - 1) // 2 + t * k
-        if e > order:
-            continue
-        base = (q_binomial(2 * n, n - k) * omq).to_series(order) * geometric_pow(k, 2 * t, order)
-        term = base.shift(e) + base.shift(e + k)
-        acc = acc + term if k % 2 else acc - term
+
+    def base(k):
+        b = (q_binomial(2 * n, n - k) * omq).to_series(order) * geometric_pow(k, 2 * t, order)
+        return b + b.shift(k)
+
+    acc = _alternating_sum(n, order, lambda k: k * (k - 1) // 2 + t * k, base)
     return acc * _inv_poly(q_binomial(2 * n, n), order)
 
 
@@ -177,14 +188,10 @@ def triplet_degree_bound(t: int, n: int) -> int:
 
 def dilcher_sides(t: int, n: int, order: int):
     omq = one_minus_q_pow(t)
-    lhs = Series.zero(order)
-    for k in range(1, n + 1):
-        e = k * (k - 1) // 2 + t * k
-        if e > order:
-            continue
-        base = (q_binomial(n, k) * omq).to_series(order) * geometric_pow(k, t, order)
-        term = base.shift(e)
-        lhs = lhs + term if k % 2 else lhs - term
+    lhs = _alternating_sum(
+        n, order, lambda k: k * (k - 1) // 2 + t * k,
+        lambda k: (q_binomial(n, k) * omq).to_series(order) * geometric_pow(k, t, order),
+    )
     fac = lambda k: geometric_tail(k, order)
     rhs = chain_series([fac] * t, order, max_part=n) * omq.to_series(order)
     return lhs, rhs
@@ -195,31 +202,27 @@ def dilcher_check(t: int, n: int, order: int) -> IdentityReport:
     return series_report("dilcher", {"t": t, "n": n}, order, lhs, rhs)
 
 
-def mss_sides(t: int, n: int, x: int, order: int):
-    lhs = Series.zero(order)
-    omq = one_minus_q_pow(t + 1)
-    for k in range(1, n + 1):
-        e = k * (k - 1) // 2 + t * k
-        if e > order:
-            continue
-        base = (q_binomial(n, k) * q_int(k) * omq).to_series(order) * geometric_pow(x + k, t + 1, order)
-        term = base.shift(e)
-        lhs = lhs + term if k % 2 else lhs - term
+def _bounded_x_multisum(t, kmax, x, order):
     fac = lambda k: geometric_full(x + k, order).shift(k)
-    core = chain_series([fac] * t, order, max_part=n)
-    rhs = _inv_poly(q_binomial(x + n, n), order) * one_minus_q_pow(t).to_series(order) * core
+    core = chain_series([fac] * t, order, max_part=kmax)
+    return one_minus_q_pow(t).to_series(order) * core
+
+
+def mss_sides(t: int, n: int, x: int, order: int):
+    """The x-shifted single sum and multisum; Cor. 5.3 is the same identity
+    with the shift named z."""
+    omq = one_minus_q_pow(t + 1)
+    lhs = _alternating_sum(
+        n, order, lambda k: k * (k - 1) // 2 + t * k,
+        lambda k: (q_binomial(n, k) * q_int(k) * omq).to_series(order) * geometric_pow(x + k, t + 1, order),
+    )
+    rhs = _inv_poly(q_binomial(x + n, n), order) * _bounded_x_multisum(t, n, x, order)
     return lhs, rhs
 
 
 def mss_check(t: int, n: int, x: int, order: int) -> IdentityReport:
     lhs, rhs = mss_sides(t, n, x, order)
     return series_report("mss", {"t": t, "n": n, "x": x}, order, lhs, rhs)
-
-
-def _bounded_x_multisum(t, kmax, x, order):
-    fac = lambda k: geometric_full(x + k, order).shift(k)
-    core = chain_series([fac] * t, order, max_part=kmax)
-    return one_minus_q_pow(t).to_series(order) * core
 
 
 def mss_precursor_sides(t: int, n: int, x: int, order: int, reading: str = "inverse-pair"):
@@ -237,25 +240,22 @@ def mss_precursor_sides(t: int, n: int, x: int, order: int, reading: str = "inve
     base_shift = n * (n - 1)
     rhs = (q_int(n) * one_minus_q_pow(t + 1)).to_series(order) * geometric_pow(x + n, t + 1, order)
     rhs = rhs.shift(t * n + base_shift)
+    exponent = lambda k: k * (k - 1) // 2 + (n - k) * (n - 1)
     if reading == "printed":
-        ksum = Series.zero(order)
-        for k in range(1, n + 1):
-            e = k * (k - 1) // 2 + (n - k) * (n - 1)
-            base = (q_binomial(n, k) * q_int(k)).to_series(order) * _inv_poly(q_binomial(x + k, k), order)
-            term = base.shift(e)
-            ksum = ksum + term if k % 2 else ksum - term
+        ksum = _alternating_sum(
+            n, order, exponent,
+            lambda k: (q_binomial(n, k) * q_int(k)).to_series(order) * _inv_poly(q_binomial(x + k, k), order),
+        )
         lhs = ksum * _bounded_x_multisum(t, n, x, order)
     elif reading == "inverse-pair":
-        lhs = Series.zero(order)
-        for k in range(1, n + 1):
-            e = k * (k - 1) // 2 + (n - k) * (n - 1)
-            base = (
+        lhs = _alternating_sum(
+            n, order, exponent,
+            lambda k: (
                 q_binomial(n, k).to_series(order)
                 * _inv_poly(q_binomial(x + k, k), order)
                 * _bounded_x_multisum(t, k, x, order)
-            )
-            term = base.shift(e)
-            lhs = lhs + term if k % 2 else lhs - term
+            ),
+        )
     else:
         raise ValueError(f"unknown reading {reading!r}")
     return lhs, rhs
@@ -278,18 +278,14 @@ def mss_precursor_check(t: int, n: int, x: int, order: int) -> IdentityReport:
 
 def atid_b_sides(t: int, n: int, x: int, order: int):
     omq = one_minus_q_pow(2 * t)
-    lhs = Series.zero(order)
-    for k in range(1, n + 1):
-        e = k * (k - 1) // 2 + (x + 2 * t) * k
-        if e > order:
-            continue
-        base = (
+    lhs = _alternating_sum(
+        n, order, lambda k: k * (k - 1) // 2 + (x + 2 * t) * k,
+        lambda k: (
             (q_binomial(n, k) * omq).to_series(order)
             * geometric_pow(k, 2 * t, order)
             * _inv_poly(q_binomial(x + k, k), order)
-        )
-        term = base.shift(e)
-        lhs = lhs + term if k % 2 else lhs - term
+        ),
+    )
 
     def make(pos):
         if pos == 1:
@@ -307,18 +303,14 @@ def atid_b_check(t: int, n: int, x: int, order: int) -> IdentityReport:
 
 
 def cor52_sides(t: int, n: int, x: int, z: int, order: int):
-    lhs = Series.zero(order)
-    for k in range(1, n + 1):
-        e = k * (k - 1) // 2 + (x + t) * k
-        if e > order:
-            continue
-        base = (
+    lhs = _alternating_sum(
+        n, order, lambda k: k * (k - 1) // 2 + (x + t) * k,
+        lambda k: (
             (q_binomial(n, k) * one_minus_q_pow(t)).to_series(order)
             * geometric_pow(z + k, t, order)
             * _inv_poly(q_binomial(x + k, k), order)
-        )
-        term = base.shift(e)
-        lhs = lhs + term if k % 2 else lhs - term
+        ),
+    )
 
     def pos1(k):
         return (
@@ -345,25 +337,8 @@ def cor52_check(t: int, n: int, x: int, z: int, order: int) -> IdentityReport:
     return series_report("cor52", {"t": t, "n": n, "x": x, "z": z}, order, lhs, rhs)
 
 
-def cor53_sides(t: int, n: int, z: int, order: int):
-    lhs = Series.zero(order)
-    for k in range(1, n + 1):
-        e = k * (k - 1) // 2 + t * k
-        if e > order:
-            continue
-        base = (q_binomial(n, k) * q_int(k) * one_minus_q_pow(t + 1)).to_series(order) * geometric_pow(
-            z + k, t + 1, order
-        )
-        term = base.shift(e)
-        lhs = lhs + term if k % 2 else lhs - term
-    fac = lambda k: geometric_full(z + k, order).shift(k)
-    core = chain_series([fac] * t, order, max_part=n)
-    rhs = _inv_poly(q_binomial(z + n, n), order) * one_minus_q_pow(t).to_series(order) * core
-    return lhs, rhs
-
-
 def cor53_check(t: int, n: int, z: int, order: int) -> IdentityReport:
-    lhs, rhs = cor53_sides(t, n, z, order)
+    lhs, rhs = mss_sides(t, n, z, order)
     return series_report("cor53", {"t": t, "n": n, "z": z}, order, lhs, rhs)
 
 
@@ -634,23 +609,27 @@ def _wz52_G(n, k, x, order):
     return -s if k % 2 else s
 
 
-def wz_cor52_check(x: int, nmax: int, order: int) -> IdentityReport:
-    p = {"x": x, "nmax": nmax}
+def _wz_row_check(ident_id, p, F, G, shift, nmax, order) -> IdentityReport:
+    """Rows n = 1..nmax of a normalized WZ pair F(n, k, shift, order),
+    G(n, k, shift, order): each row sum of F is 1 (the transform hypothesis
+    itself), and F(n+1,k) - F(n,k) equals G(n,k+1) - G(n,k) for k = 1..n+1."""
     for n in range(1, nmax + 1):
-        # normalized row sums equal 1: the transform hypothesis itself
         total = Series.zero(order)
         for k in range(1, n + 1):
-            total = total + _wz52_F(n, k, x, order)
+            total = total + F(n, k, shift, order)
         if not total.agrees(Series.one(order)):
-            return IdentityReport("wz-cor52", p, order, False, note=f"row sum differs from 1 at n={n}")
+            return IdentityReport(ident_id, p, order, False, note=f"row sum differs from 1 at n={n}")
         for k in range(1, n + 2):
-            lhs = _wz52_F(n + 1, k, x, order) - _wz52_F(n, k, x, order)
-            rhs = _wz52_G(n, k + 1, x, order) - _wz52_G(n, k, x, order)
-            if not lhs.agrees(rhs):
+            lhs = F(n + 1, k, shift, order) - F(n, k, shift, order)
+            if not lhs.agrees(G(n, k + 1, shift, order) - G(n, k, shift, order)):
                 return IdentityReport(
-                    "wz-cor52", p, order, False, note=f"pair relation fails at n={n}, k={k}"
+                    ident_id, p, order, False, note=f"pair relation fails at n={n}, k={k}"
                 )
-    return IdentityReport("wz-cor52", p, order, True)
+    return IdentityReport(ident_id, p, order, True)
+
+
+def wz_cor52_check(x: int, nmax: int, order: int) -> IdentityReport:
+    return _wz_row_check("wz-cor52", {"x": x, "nmax": nmax}, _wz52_F, _wz52_G, x, nmax, order)
 
 
 def _wz53_F(n, k, z, order):
@@ -677,21 +656,7 @@ def _wz53_G(n, k, z, order):
 
 
 def wz_cor53_check(z: int, nmax: int, order: int) -> IdentityReport:
-    p = {"z": z, "nmax": nmax}
-    for n in range(1, nmax + 1):
-        total = Series.zero(order)
-        for k in range(1, n + 1):
-            total = total + _wz53_F(n, k, z, order)
-        if not total.agrees(Series.one(order)):
-            return IdentityReport("wz-cor53", p, order, False, note=f"row sum differs from 1 at n={n}")
-        for k in range(1, n + 2):
-            lhs = _wz53_F(n + 1, k, z, order) - _wz53_F(n, k, z, order)
-            rhs = _wz53_G(n, k + 1, z, order) - _wz53_G(n, k, z, order)
-            if not lhs.agrees(rhs):
-                return IdentityReport(
-                    "wz-cor53", p, order, False, note=f"pair relation fails at n={n}, k={k}"
-                )
-    return IdentityReport("wz-cor53", p, order, True)
+    return _wz_row_check("wz-cor53", {"z": z, "nmax": nmax}, _wz53_F, _wz53_G, z, nmax, order)
 
 
 def qbin_difference_check(nmax: int, order: int) -> IdentityReport:

@@ -16,14 +16,7 @@ from fractions import Fraction
 from math import comb, factorial
 from operator import add, sub
 
-from .divisors import (
-    THETA_FAMILY,
-    eisenstein,
-    odd_square_product,
-    sigma_series,
-    theta_moment,
-    umbral_eval,
-)
+from .divisors import eisenstein, odd_square_product, sigma_series, theta_moment, umbral_eval
 from .reports import IdentityReport, merge_reports, series_report
 from .series import Series, euler_function
 
@@ -221,8 +214,7 @@ def mo_umbral(t: int, order: int) -> Series:
     (-1)^t / (4^t (2t+1)!)."""
     if t < 1:
         raise ValueError("t >= 1")
-    poly = odd_square_product(t)
-    combo = umbral_eval(poly, THETA_FAMILY, order)
+    combo = umbral_eval(odd_square_product(t), theta_moment, order)
     scale = Fraction((-1) ** t, 4**t * factorial(2 * t + 1))
     out = combo / theta_moment(1, order) * scale
     for i, c in enumerate(out.coeffs):
@@ -335,19 +327,10 @@ def coefficient_values(family: str, t: int, order: int, formula: str | None = No
     return tuple(vals)
 
 
-_TABLE_CACHE: dict = {}
-
-
 def coefficient_table(family: str, t: int, order: int, formula: str | None = None) -> CoefficientTable:
-    """`coefficient_values` as a table naming its formula, cached per
-    family, t, order and formula."""
+    """`coefficient_values` as a table naming its formula, built afresh."""
     formula = formula or DEFAULT_FORMULA.get(family)
-    key = (family, t, order, formula)
-    hit = _TABLE_CACHE.get(key)
-    if hit is None:
-        hit = CoefficientTable(family, t, order, formula, coefficient_values(family, t, order, formula))
-        _TABLE_CACHE[key] = hit
-    return hit
+    return CoefficientTable(family, t, order, formula, coefficient_values(family, t, order, formula))
 
 
 # ---------------------------------------------------------------------------

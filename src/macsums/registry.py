@@ -94,10 +94,10 @@ def _by_t(ident_id, order, t, lhs, rhs):
 
 
 def _stirling_lambert(order, t):
-    lhs = div.binomial_lambert(t, order) * factorial(2 * t - 1)
+    lhs = div.power_lambert(t, 2 * t, order) * factorial(2 * t - 1)
     rhs = Series.zero(order)
     for k in range(t):
-        term = div.lambert_series(2 * t - 1 - 2 * k, order) * central_u(t, k)
+        term = div.sigma_series(2 * t - 1 - 2 * k, order) * central_u(t, k)
         rhs = rhs + term if k % 2 == 0 else rhs - term
     return _by_t("stirling-lambert", order, t, lhs, rhs)
 
@@ -105,8 +105,8 @@ def _stirling_lambert(order, t):
 def _t_inversion(order, t):
     lhs = Series.zero(order)
     for k in range(1, t + 1):
-        lhs = lhs + div.binomial_lambert(k, order) * (central_T(t, k) * factorial(2 * k - 1))
-    return _by_t("T-inversion", order, t, lhs, div.lambert_series(2 * t - 1, order))
+        lhs = lhs + div.power_lambert(k, 2 * k, order) * (central_T(t, k) * factorial(2 * k - 1))
+    return _by_t("T-inversion", order, t, lhs, div.sigma_series(2 * t - 1, order))
 
 
 def _eisenstein_ramanujan(order):
@@ -172,18 +172,18 @@ _SPECS = [
                  _stirling_lambert),
     IdentitySpec("umbral-square-product", "binomial Lambert series as one umbral product", _T4,
                  lambda order, t: _by_t(
-                     "umbral-square-product", order, t, div.binomial_lambert(t, order) * factorial(2 * t - 1),
-                     div.umbral_eval(div.square_product(t), div.LAMBERT_FAMILY, order))),
+                     "umbral-square-product", order, t, div.power_lambert(t, 2 * t, order) * factorial(2 * t - 1),
+                     div.umbral_eval(div.square_product(t), div.sigma_series, order))),
     IdentitySpec("T-inversion", "central factorial inversion back to a plain Lambert series", _T4,
                  _t_inversion),
     IdentitySpec("umbral-compact", "t-th power Lambert sum as an umbral falling product", _T4,
                  lambda order, t: _by_t(
-                     "umbral-compact", order, t, div.power_lambert(t, order) * factorial(t - 1),
-                     div.umbral_eval(div.lower_factorial(t), div.LAMBERT_FAMILY, order))),
+                     "umbral-compact", order, t, div.power_lambert(t, t, order) * factorial(t - 1),
+                     div.umbral_eval(div.lower_factorial(t), div.sigma_series, order))),
     IdentitySpec("umbral-tail", "alternating theta quotient as an umbral rising product", _T4,
                  lambda order, t: _by_t(
                      "umbral-tail", order, t, div.alternating_tail_quotient(t, order) * factorial(t),
-                     div.umbral_eval(div.raising_factorial(t), div.TAIL_FAMILY, order))),
+                     div.umbral_eval(div.raising_factorial(t), div.dilcher_r, order))),
     IdentitySpec("eisenstein-ramanujan", "the three modular derivative identities", {}, _eisenstein_ramanujan),
 ]
 

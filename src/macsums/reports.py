@@ -115,22 +115,6 @@ class CongruenceClaim:
             "first_violation": self.first_violation,
         }
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(
-            family=d["family"],
-            t=d["t"],
-            p=d["p"],
-            step=d["step"],
-            offset=d["offset"],
-            kind=d.get("kind", "theorem"),
-            label=d.get("label", ""),
-            status=d.get("status", ""),
-            depth=d.get("depth", -1),
-            checked=d.get("checked", 0),
-            first_violation=d.get("first_violation"),
-        )
-
 
 @dataclass
 class ProspectResult:

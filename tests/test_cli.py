@@ -265,6 +265,25 @@ def test_scan_rejects_more_than_one_mode(capsys, tmp_path, modes):
     assert_usage_error(*run_cli(capsys, "scan", *argv, "--order", "50"))
 
 
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (["--recheck", "--order", "20"], ["--recheck", "--input"]),
+        (["--input", "REPORT", "--recheck", "--order", "5"], ["--recheck", "--order", "order 30"]),
+        (["--input", "REPORT"], ["order 30", "--order", "--recheck"]),
+    ],
+    ids=["recheck-without-input", "recheck-with-order", "input-without-order-or-recheck"],
+)
+def test_scan_order_flags_are_never_ignored(capsys, tmp_path, argv, names):
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"schema": 1, "command": "scan", "order": 30, "results": [SUITE_CLAIM]}))
+    argv = [str(report) if arg == "REPORT" else arg for arg in argv]
+    code, out, err = run_cli(capsys, "scan", *argv)
+    assert_usage_error(code, out, err)
+    for name in names:
+        assert name in err
+
+
 def test_error_inside_a_case_is_not_a_usage_error(monkeypatch):
     def case(order, t):
         raise ValueError("broken case")

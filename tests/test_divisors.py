@@ -1,20 +1,15 @@
 """Tests for divisor sums, Eisenstein series, Lambert-type series and the
 umbral machinery."""
 
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, prod
 
 from conftest import naive_mul
 from macsums.divisors import (
-    LAMBERT_FAMILY,
-    TAIL_FAMILY,
-    THETA_FAMILY,
-    UmbralPoly,
     alternating_tail_quotient,
-    binomial_lambert,
     dilcher_r,
     eisenstein,
-    lambert_series,
     lower_factorial,
+    odd_square_product,
     power_lambert,
     raising_factorial,
     sigma,
@@ -23,8 +18,8 @@ from macsums.divisors import (
     theta_moment,
     umbral_eval,
 )
-from macsums.qcombo import central_T, central_u
-from macsums.series import Series, euler_function, q_derivative
+from macsums.qcombo import IntPoly, central_T, central_u
+from macsums.series import Series, euler_function, geometric_pow, q_derivative
 
 
 def test_sigma_values():
@@ -45,9 +40,17 @@ def test_sigma_series_prefix():
     assert sigma_series(1, 6).coeffs == [0, 1, 3, 4, 7, 6, 12]
 
 
+def lambert_rearrangement(s, order):
+    """Sum over m of m^s * q^m/(1-q^m), one geometric series per m."""
+    acc = Series.zero(order)
+    for m in range(1, order + 1):
+        acc = acc + geometric_pow(m, 1, order).shift(m) * m**s
+    return acc
+
+
 def test_sigma_series_matches_lambert_rearrangement():
-    assert sigma_series(1, 30) == lambert_series(1, 30)
-    assert sigma_series(3, 50) == lambert_series(3, 50)
+    assert sigma_series(1, 30) == lambert_rearrangement(1, 30)
+    assert sigma_series(3, 50) == lambert_rearrangement(3, 50)
 
 
 def test_sigma_series_matches_pointwise_sigma():
@@ -76,18 +79,29 @@ def test_eisenstein_ramanujan_derivatives():
 
 
 def test_lambert_series_classics():
-    assert lambert_series(1, 30) == sigma_series(1, 30)
-    assert lambert_series(0, 12)[12] == 6  # d(12)
-    assert lambert_series(3, 50) == sigma_series(3, 50)
+    assert sigma_series(0, 12)[12] == 6  # d(12)
+    assert power_lambert(1, 1, 30) == sigma_series(0, 30)  # sum of q^m/(1-q^m)
+    assert power_lambert(1, 2, 50) == sigma_series(1, 50)  # sum of q^m/(1-q^m)^2
+
+
+def test_power_lambert_matches_geometric_shifts():
+    # the definition term by term: q^(a*m) times the series of 1/(1-q^m)^r
+    n = 30
+    for a in (1, 2, 3, 5):
+        for r in (1, 2, 3, 4, 6):
+            expected = Series.zero(n)
+            for m in range(1, n + 1):
+                expected = expected + geometric_pow(m, r, n).shift(a * m)
+            assert power_lambert(a, r, n) == expected, (a, r)
 
 
 def test_binomial_lambert_t1_is_sigma():
-    assert binomial_lambert(1, 40) == sigma_series(1, 40)
+    assert power_lambert(1, 2, 40) == sigma_series(1, 40)
 
 
 def test_binomial_lambert_divisor_weights():
     for t in range(1, 5):
-        g = binomial_lambert(t, 60)
+        g = power_lambert(t, 2 * t, 60)
         for n in range(1, 61):
             expected = sum(comb(n // k + t - 1, 2 * t - 1) for k in range(1, n + 1) if n % k == 0)
             assert g[n] == expected
@@ -95,10 +109,10 @@ def test_binomial_lambert_divisor_weights():
 
 def test_binomial_lambert_stirling_combination():
     for t in range(1, 5):
-        lhs = binomial_lambert(t, 40) * factorial(2 * t - 1)
+        lhs = power_lambert(t, 2 * t, 40) * factorial(2 * t - 1)
         rhs = Series.zero(40)
         for k in range(t):
-            term = lambert_series(2 * t - 1 - 2 * k, 40) * central_u(t, k)
+            term = sigma_series(2 * t - 1 - 2 * k, 40) * central_u(t, k)
             rhs = rhs + term if k % 2 == 0 else rhs - term
         assert lhs == rhs
 
@@ -143,17 +157,28 @@ def test_theta_moment_cube_identity():
 
 
 def test_umbral_symbol_linearity():
-    x = UmbralPoly.symbol()
-    assert umbral_eval(x, THETA_FAMILY, 20) == theta_moment(1, 20)
-    assert umbral_eval(2 * x * x - 3, LAMBERT_FAMILY, 15) == (
-        2 * lambert_series(2, 15) - 3 * lambert_series(0, 15)
+    x = IntPoly([0, 1])
+    assert umbral_eval(x, theta_moment, 20) == theta_moment(1, 20)
+    assert umbral_eval(x * x * 2 + IntPoly([-3]), sigma_series, 15) == (
+        2 * sigma_series(2, 15) - 3 * sigma_series(0, 15)
     )
+
+
+def test_umbral_builders_evaluate_to_their_products():
+    for t in range(1, 7):
+        for v in range(-4, 9):
+            assert odd_square_product(t)(v) == v * prod(v * v - (2 * i - 1) ** 2 for i in range(1, t + 1))
+            assert square_product(t)(v) == v * prod(v * v - i * i for i in range(1, t))
+            assert lower_factorial(t)(v) == prod(v - j for j in range(1, t))
+            assert raising_factorial(t)(v) == prod(v + j for j in range(t))
+        assert odd_square_product(t).degree == 2 * t + 1
+        assert square_product(t).degree == 2 * t - 1
 
 
 def test_umbral_square_product_matches_binomial_lambert():
     for t in range(1, 5):
-        lhs = binomial_lambert(t, 40) * factorial(2 * t - 1)
-        rhs = umbral_eval(square_product(t), LAMBERT_FAMILY, 40)
+        lhs = power_lambert(t, 2 * t, 40) * factorial(2 * t - 1)
+        rhs = umbral_eval(square_product(t), sigma_series, 40)
         assert lhs == rhs
 
 
@@ -161,23 +186,23 @@ def test_T_inversion_returns_lambert():
     for t in range(1, 5):
         acc = Series.zero(40)
         for k in range(1, t + 1):
-            acc = acc + binomial_lambert(k, 40) * (central_T(t, k) * factorial(2 * k - 1))
-        assert acc == lambert_series(2 * t - 1, 40)
+            acc = acc + power_lambert(k, 2 * k, 40) * (central_T(t, k) * factorial(2 * k - 1))
+        assert acc == sigma_series(2 * t - 1, 40)
 
 
 def test_umbral_lower_factorial_matches_power_lambert():
     # at t = 1 the right side collapses to the divisor-count series
-    assert umbral_eval(lower_factorial(1), LAMBERT_FAMILY, 20) == lambert_series(0, 20)
+    assert umbral_eval(lower_factorial(1), sigma_series, 20) == sigma_series(0, 20)
     for t in range(1, 5):
-        lhs = power_lambert(t, 40) * factorial(t - 1)
-        rhs = umbral_eval(lower_factorial(t), LAMBERT_FAMILY, 40)
+        lhs = power_lambert(t, t, 40) * factorial(t - 1)
+        rhs = umbral_eval(lower_factorial(t), sigma_series, 40)
         assert lhs == rhs
 
 
 def test_umbral_raising_factorial_matches_tail_quotient():
     for t in range(1, 5):
         lhs = alternating_tail_quotient(t, 30) * factorial(t)
-        rhs = umbral_eval(raising_factorial(t), TAIL_FAMILY, 30)
+        rhs = umbral_eval(raising_factorial(t), dilcher_r, 30)
         assert lhs == rhs
 
 

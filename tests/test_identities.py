@@ -213,17 +213,6 @@ def test_cor53_grid():
                 assert cor53_check(t, n, z, 40).passed
 
 
-def test_cor53_z0_matches_mss_x0():
-    for t in (1, 2):
-        for n in (1, 2, 3):
-            from macsums.identities import cor53_sides
-
-            c_lhs, c_rhs = cor53_sides(t, n, 0, 30)
-            m_lhs, m_rhs = mss_sides(t, n, 0, 30)
-            assert c_lhs == m_lhs
-            assert c_rhs == m_rhs
-
-
 # ---------------------------------------------------------------------------
 # rational identities
 

@@ -3,6 +3,7 @@
 
 import contextlib
 import io
+import json
 
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -84,3 +85,22 @@ def test_scan_claims_never_raise(claim, order):
 @given(st.sampled_from(["M", "MO", "X"]), grid_text, prime_text, st.integers(-2, 30))
 def test_scan_prospect_grids_never_raise(family, t, p, order):
     run(["scan", "--prospect", "--family", family, f"--t={t}", f"--p={p}", "--order", str(order)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(["M", "MO"]), st.integers(1, 4), primes,
+    st.integers(1, 12).flatmap(lambda step: st.tuples(st.just(step), st.integers(0, step - 1))),
+    st.integers(0, 40),
+)
+def test_scan_report_rechecks_to_the_same_results(tmp_path_factory, family, t, p, step_offset, order):
+    step, offset = step_offset
+    first = tmp_path_factory.mktemp("scan") / "report.json"
+    again = first.with_name("recheck.json")
+    claim = f"--claim={family},{t},{p},{step},{offset}"
+    code = main(["scan", claim, "--order", str(order), "--format", "json", "--output", str(first)])
+    assert code in (0, 1)
+    with contextlib.redirect_stderr(io.StringIO()):
+        recode = main(["scan", "--input", str(first), "--recheck", "--format", "json", "--output", str(again)])
+    assert recode == code
+    assert json.loads(again.read_text())["results"] == json.loads(first.read_text())["results"]
