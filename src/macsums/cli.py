@@ -97,8 +97,11 @@ def _emit(text_rows, json_payload, csv_rows, csv_header, args):
     else:
         raise UsageError(f"unknown format {fmt!r}")
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(body)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(body)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.output}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(body)
 
@@ -309,7 +312,7 @@ def build_parser():
     p_coeffs.add_argument("--family", required=True, help="M or MO")
     p_coeffs.add_argument("--t", type=int, required=True)
     p_coeffs.add_argument("--n", type=int, required=True, help="largest index to print")
-    p_coeffs.add_argument("--mod", type=int, default=None, help="also reduce modulo this prime")
+    p_coeffs.add_argument("--mod", type=int, default=None, help="also reduce modulo this integer (>= 2)")
     p_coeffs.add_argument("--formula", default=None, help="which formula backs the table")
 
     p_verify = sub.add_parser("verify", help="verify a catalogued identity over a grid")

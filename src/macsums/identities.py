@@ -10,7 +10,6 @@ power series; nothing symbolic is carried along.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from math import comb
 
 from .macmahon import (
@@ -346,6 +345,23 @@ def cor53_check(t: int, n: int, z: int, order: int) -> IdentityReport:
 # the rational specializations (q = 1), exact rational arithmetic throughout
 
 
+def _weak_chain_sum(t: int, n: int, first, rest) -> Fraction:
+    """Sum over 1 <= k_1 <= ... <= k_t <= n of first(k_1) rest(k_2)...rest(k_t).
+
+    The tails T_r(v), summed over v <= k_1 <= ... <= k_r <= n of
+    rest(k_1)...rest(k_r), follow T_r(v) = T_r(v+1) + rest(v) T_(r-1)(v)
+    from T_0 = 1; the answer is the sum of first(k) T_(t-1)(k).
+    """
+    w = [None] + [rest(v) for v in range(1, n + 1)]
+    tail = [Fraction(1)] * (n + 1)
+    for _ in range(t - 1):
+        acc = Fraction(0)
+        for v in range(n, 0, -1):
+            acc += w[v] * tail[v]
+            tail[v] = acc
+    return sum((first(k) * tail[k] for k in range(1, n + 1)), Fraction(0))
+
+
 def _check_poles(n, z, x=None):
     for k in range(1, n + 1):
         if z + k == 0:
@@ -376,16 +392,8 @@ def master_lemma_sides(t: int, n: int, z, a_seq):
     denom = gbinom(z + n, n)
     if denom == 0:
         raise ValueError("parameter hits pole: C(z+n, n) = 0")
-    rhs = Fraction(0)
-    for tup in combinations_with_replacement(range(1, n + 1), t):
-        k1 = tup[0]
-        num = b[k1 - 1] * gbinom(z + k1, k1)
-        den = Fraction(1)
-        for kj in tup:
-            den *= z + kj
-        rhs += num / den
-    rhs /= denom
-    return lhs, rhs
+    first = lambda k: b[k - 1] * gbinom(z + k, k) / (z + k)
+    return lhs, _weak_chain_sum(t, n, first, lambda k: 1 / (z + k)) / denom
 
 
 def rational_master_sides(t: int, n: int, z, x):
@@ -403,16 +411,8 @@ def rational_master_sides(t: int, n: int, z, x):
     denom = gbinom(z + n, n)
     if denom == 0:
         raise ValueError("parameter hits pole: C(z+n, n) = 0")
-    rhs = Fraction(0)
-    for tup in combinations_with_replacement(range(1, n + 1), t):
-        k1 = tup[0]
-        num = k1 * gbinom(z + k1, k1)
-        den = (x + k1) * Fraction(1)
-        for kj in tup:
-            den *= z + kj
-        rhs += num / den
-    rhs /= denom
-    return lhs, rhs
+    first = lambda k: k * gbinom(z + k, k) / ((x + k) * (z + k))
+    return lhs, _weak_chain_sum(t, n, first, lambda k: 1 / (z + k)) / denom
 
 
 def rational_master_check(t: int, n: int, z, x) -> IdentityReport:
@@ -443,22 +443,13 @@ def rational_triplet_check(t: int, n: int) -> IdentityReport:
     """The q = 1 shadow of the triplet (set x = n in the master corollary):
     multisum of 1/(k_1^2...k_t^2) equals twice the alternating single sum,
     equals the paired 2t-fold sum."""
-    s1 = Fraction(0)
-    for tup in combinations_with_replacement(range(1, n + 1), t):
-        den = 1
-        for k in tup:
-            den *= k * k
-        s1 += Fraction(1, den)
+    inverse_square = lambda k: Fraction(1, k * k)
+    s1 = _weak_chain_sum(t, n, inverse_square, inverse_square)
     s2 = Fraction(0)
     for k in range(1, n + 1):
         term = Fraction(2 * comb(n, k), k ** (2 * t) * comb(n + k, k))
         s2 += term if k % 2 else -term
-    s3 = Fraction(0)
-    for tup in combinations_with_replacement(range(1, n + 1), 2 * t):
-        den = (n + tup[0]) * 1
-        for k in tup[1:]:
-            den *= k
-        s3 += Fraction(2, den)
+    s3 = _weak_chain_sum(2 * t, n, lambda k: Fraction(2, n + k), lambda k: Fraction(1, k))
     return merge_reports(
         "rational-FGH-limit",
         {"t": t, "n": n},

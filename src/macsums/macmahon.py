@@ -107,13 +107,30 @@ def geometric_full(k, order):
 # the defining multiple sums
 
 
+def weak_multisums(T: int, order: int) -> list:
+    """[h_1, ..., h_T]: the M-family generating functions for every chain
+    length up to T, from one suffix pass over the chain states.
+
+    H_s(v), the sum over v <= k_1 <= ... <= k_s of x_(k_1)...x_(k_s) with
+    x_k = q^k/(1-q^k)^2, satisfies H_s(v) = H_s(v+1) + x_v H_(s-1)(v) and
+    vanishes through q^order once s*v > order; h_s = H_s(1).
+    """
+    if T < 0:
+        raise ValueError("T >= 0")
+    row = [Series.one(order)] + [Series.zero(order)] * T  # row[s] = H_s(v + 1), then H_s(v)
+    for v in range(order, 0, -1):
+        x = weighted_geometric(v, order)
+        for s in range(1, min(T, order // v) + 1):
+            row[s] = row[s] + x * row[s - 1]
+    return row[1:]
+
+
 def weak_multisum(t: int, order: int) -> Series:
     """M-family generating function: weakly increasing t-tuples of part
     sizes, each contributing q^k/(1-q^k)^2."""
     if t < 1:
         raise ValueError("t >= 1")
-    fac = lambda k: weighted_geometric(k, order)
-    return chain_series([fac] * t, order)
+    return weak_multisums(t, order)[-1]
 
 
 def strict_multisum(t: int, order: int) -> Series:
@@ -352,14 +369,11 @@ def closed_form_check(which: str, order: int) -> IdentityReport:
     """Evaluate both sides of a named closed-form identity exactly."""
     p = {"which": which}
     if which == "V2_ode":
-        v1 = weak_multisum(1, order)
-        v2 = weak_multisum(2, order)
+        v1, v2 = weak_multisums(2, order)
         rhs = ((7 * v1 - 1) * v1 + v1.q_derivative()) * Fraction(1, 10)
         return series_report("closed-form-V2", p, order, v2, rhs)
     if which == "V3_ode":
-        v1 = weak_multisum(1, order)
-        v2 = weak_multisum(2, order)
-        v3 = weak_multisum(3, order)
+        v1, v2, v3 = weak_multisums(3, order)
         rhs = ((19 * v1 - 3) * v2 - 4 * v1**3 + v1 * v1 + v2.q_derivative()) * Fraction(1, 21)
         return series_report("closed-form-V3-ode", p, order, v3, rhs)
     if which == "V3_sigma":
@@ -419,7 +433,7 @@ CLOSED_FORMS = ("V2_ode", "V3_ode", "V3_sigma", "U3mV3_sigma", "U4_sigma", "MO25
 def symmetric_relation_check(t: int, order: int) -> IdentityReport:
     """Alternating sum of strict times weak series over total weight t is zero."""
     e = [Series.one(order)] + [strict_multisum(i, order) for i in range(1, t + 1)]
-    h = [Series.one(order)] + [weak_multisum(i, order) for i in range(1, t + 1)]
+    h = [Series.one(order)] + weak_multisums(t, order)
     acc = Series.zero(order)
     for i in range(t + 1):
         term = e[i] * h[t - i]
@@ -464,10 +478,8 @@ def jacobi_theta_side(c: int, order: int) -> Series:
 def jacobi_weak_sum_side(c: int, order: int) -> Series:
     """Sum over n of (-c)^n times the weak n-tuple enumeration."""
     acc = Series.one(order)
-    sign = 1
-    for n in range(1, order + 1):
-        sign = -sign
-        acc = acc + (sign * c**n) * weak_multisum(n, order)
+    for n, h in enumerate(weak_multisums(order, order), 1):
+        acc = acc + (-c) ** n * h
     return acc
 
 

@@ -87,6 +87,9 @@ class IntPoly:
     __rmul__ = __mul__
 
     def shift(self, k):
+        """Multiply by q^k."""
+        if k < 0:
+            raise ValueError("negative shifts would leave the polynomial ring")
         if self.is_zero():
             return self
         return IntPoly([0] * k + self.coeffs)

@@ -284,6 +284,22 @@ def test_scan_order_flags_are_never_ignored(capsys, tmp_path, argv, names):
         assert name in err
 
 
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        (["coeffs", "--family", "M", "--t", "2", "--n", "10"], "missing/x.txt"),
+        (["verify", "--id", "dilcher", "--order", "5"], "."),  # a directory
+        (["scan", "--claim", "M,3,7,8,4", "--order", "50", "--format", "json"], "missing/r.json"),
+    ],
+    ids=["coeffs", "verify", "scan"],
+)
+def test_unwritable_output_exits_2(capsys, tmp_path, argv, target):
+    output = tmp_path / target
+    code, out, err = run_cli(capsys, *argv, "--output", str(output))
+    assert_usage_error(code, out, err)
+    assert str(output) in err
+
+
 def test_error_inside_a_case_is_not_a_usage_error(monkeypatch):
     def case(order, t):
         raise ValueError("broken case")

@@ -2,8 +2,12 @@
 sums, the rational specializations, and the certificate checks."""
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from macsums.identities import (
     atid_b_check,
@@ -39,6 +43,7 @@ from macsums.identities import (
     wz_master_check,
 )
 from macsums.macmahon import weak_multisum
+from macsums.qcombo import gbinom
 from macsums.series import Series
 
 HALF = Fraction(1, 2)
@@ -264,6 +269,113 @@ def test_rational_triplet_limit():
     for t in (1, 2, 3):
         for n in range(1, 7):
             assert rational_triplet_check(t, n).passed
+
+
+# Tuple-walk oracles for the q = 1 chain sums: every weak t-tuple of parts in
+# 1..n is visited once, and every pole the library rejects raises ValueError.
+
+
+def _oracle_poles(n, z, x=None):
+    for k in range(1, n + 1):
+        if z + k == 0 or (x is not None and x + k == 0):
+            raise ValueError("pole")
+
+
+def oracle_master_lemma_rhs(t, n, z, a):
+    z = Fraction(z)
+    _oracle_poles(n, z)
+    b = [
+        sum((-1) ** (k - 1) * comb(m, k) * Fraction(a[k - 1]) for k in range(1, m + 1))
+        for m in range(1, n + 1)
+    ]
+    rhs = Fraction(0)
+    for tup in combinations_with_replacement(range(1, n + 1), t):
+        den = Fraction(1)
+        for k in tup:
+            den *= z + k
+        rhs += b[tup[0] - 1] * gbinom(z + tup[0], tup[0]) / den
+    denom = gbinom(z + n, n)
+    if denom == 0:
+        raise ValueError("pole")
+    return rhs / denom
+
+
+def oracle_rational_master_rhs(t, n, z, x):
+    z, x = Fraction(z), Fraction(x)
+    _oracle_poles(n, z, x)
+    if any(gbinom(x + k, k) == 0 for k in range(1, n + 1)) or gbinom(z + n, n) == 0:
+        raise ValueError("pole")
+    rhs = Fraction(0)
+    for tup in combinations_with_replacement(range(1, n + 1), t):
+        den = x + tup[0]
+        for k in tup:
+            den *= z + k
+        rhs += tup[0] * gbinom(z + tup[0], tup[0]) / den
+    return rhs / gbinom(z + n, n)
+
+
+def oracle_triplet_multisums(t, n):
+    s1 = Fraction(0)
+    for tup in combinations_with_replacement(range(1, n + 1), t):
+        den = 1
+        for k in tup:
+            den *= k * k
+        s1 += Fraction(1, den)
+    s3 = Fraction(0)
+    for tup in combinations_with_replacement(range(1, n + 1), 2 * t):
+        den = n + tup[0]
+        for k in tup[1:]:
+            den *= k
+        s3 += Fraction(2, den)
+    return s1, s3
+
+
+# small rationals, with the negative integers that hit the poles z + k = 0,
+# x + k = 0 and C(z+n, n) = 0
+q1_param = st.one_of(
+    st.integers(-7, 4),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 3)),
+)
+
+
+def _sides_or_pole(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError:
+        return "pole"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 7), q1_param, q1_param)
+def test_rational_master_rhs_matches_tuple_walk(t, n, z, x):
+    got = _sides_or_pole(rational_master_sides, t, n, z, x)
+    want = _sides_or_pole(oracle_rational_master_rhs, t, n, z, x)
+    assert (got if got == "pole" else got[1]) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(0, 7).flatmap(lambda n: st.lists(q1_param, min_size=n, max_size=n)),
+    q1_param,
+)
+def test_master_lemma_rhs_matches_tuple_walk(t, a, z):
+    n = len(a)
+    got = _sides_or_pole(master_lemma_sides, t, n, z, a)
+    want = _sides_or_pole(oracle_master_lemma_rhs, t, n, z, a)
+    assert (got if got == "pole" else got[1]) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 7))
+def test_rational_triplet_multisums_match_tuple_walk(t, n):
+    # the check passes only if its two multisums equal the single sum, and
+    # the tuple walk pins that single sum down
+    s2 = sum(
+        Fraction((-1) ** (k - 1) * 2 * comb(n, k), k ** (2 * t) * comb(n + k, k)) for k in range(1, n + 1)
+    )
+    assert oracle_triplet_multisums(t, n) == (s2, s2)
+    assert rational_triplet_check(t, n).passed
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from macsums.macmahon import (
     CLOSED_FORMS,
     M_FORMULAS,
     MO_FORMULAS,
+    chain_series,
     closed_form_check,
     coefficient_table,
     conjugate_chain_check,
@@ -28,6 +29,8 @@ from macsums.macmahon import (
     strict_multisum,
     symmetric_relation_check,
     weak_multisum,
+    weak_multisums,
+    weighted_geometric,
 )
 from macsums.series import Series, geometric_pow
 
@@ -48,6 +51,14 @@ def two_size_partition_weight(n):
 def test_weak_multisum_matches_brute_force():
     for t in (1, 2, 3):
         assert weak_multisum(t, 14).coeffs == brute_multisum(t, 14)
+
+
+@pytest.mark.parametrize("order, T", [(0, 3), (1, 4), (30, 34), (60, 8)])
+def test_weak_multisums_match_chain_series(order, T):
+    hs = weak_multisums(T, order)
+    assert len(hs) == T
+    for t, h in enumerate(hs, 1):
+        assert h == chain_series([lambda k: weighted_geometric(k, order)] * t, order), t
 
 
 def test_strict_multisum_matches_brute_force():
@@ -194,6 +205,27 @@ def test_excess_coefficient_q2():
 def test_jacobi_specializations():
     for c in (4, 2, 1):
         assert jacobi_specialization_check(c, 30).passed
+
+
+def test_jacobi_specializations_at_order_60():
+    for c in (4, 2, 1):
+        assert jacobi_specialization_check(c, 60).passed
+
+
+def test_jacobi_weak_sum_shares_chain_levels(monkeypatch):
+    # one suffix pass serves every n; building each weak_multisum(n) afresh
+    # takes over 5000 products
+    calls = []
+    mul = Series.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Series, "__mul__", counted)
+    monkeypatch.setattr(Series, "__rmul__", counted)
+    jacobi_weak_sum_side(4, 40)
+    assert 0 < len(calls) < 300
 
 
 def test_jacobi_sides_are_nontrivial():

@@ -190,3 +190,12 @@ def test_q_binomial_transform_round_trip():
 def test_intpoly_rejects_fractions():
     with pytest.raises(TypeError):
         IntPoly([Fraction(1, 2)])
+
+
+def test_intpoly_shift():
+    p = IntPoly([1, 2])
+    assert p.shift(0) == p
+    assert p.shift(2) == IntPoly([0, 0, 1, 2])
+    assert IntPoly([]).shift(3) == IntPoly([])
+    with pytest.raises(ValueError):
+        p.shift(-1)
