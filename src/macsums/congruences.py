@@ -242,10 +242,12 @@ def exponent_residue_set(t, p, m, kmax=None):
 def prospect(family: str, t_values, primes, order: int) -> ProspectResult:
     """Scan all progressions (p, b) with step p for full vanishing.
 
-    Survivors are reported sorted by evidence depth.  The chance level is
-    the survivor count a uniform-residue null would predict: each of the
-    roughly order/p residues in a progression vanishes with probability
-    1/p, so each (t, p, b) survives with probability p^(-order/p).
+    Only offsets b <= order are scanned, so every survivor has at least one
+    coefficient checked.  Survivors are reported sorted by evidence depth.
+    The chance level is the survivor count a uniform-residue null would
+    predict over the scanned progressions: each of the roughly order/p
+    residues in a progression vanishes with probability 1/p, so each
+    (t, p, b) survives with probability p^(-order/p).
     """
     known = {c.key(): c.label for c in paper_claims() if c.family == family}
     claims = []
@@ -253,8 +255,9 @@ def prospect(family: str, t_values, primes, order: int) -> ProspectResult:
     for t in t_values:
         values = coefficient_values(family, t, order)
         for p in primes:
-            chance += p * p ** (-(order / p))
-            for b in range(p):
+            offsets = range(min(p, order + 1))
+            chance += len(offsets) * p ** (-(order / p))
+            for b in offsets:
                 first_violation, checked = _first_nonvanishing(values, p, p, b)
                 if first_violation is None:
                     anchor = known.get((family, t, p, p, b))

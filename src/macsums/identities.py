@@ -12,12 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .macmahon import (
-    chain_series,
-    geometric_full,
-    geometric_tail,
-    weighted_geometric,
-)
+from .macmahon import chain_series
 from .qcombo import IntPoly, gbinom, q_binomial, q_factorial, q_int
 from .reports import IdentityReport, merge_reports, series_report, value_report
 from .series import Series, geometric_pow
@@ -58,7 +53,7 @@ def harmonic_multisum(t: int, n: int, order: int) -> Series:
         return Series.one(order)
     if n == 0:
         return Series.zero(order)
-    fac = lambda k: weighted_geometric(k, order)
+    fac = lambda k: geometric_pow(k, 2, order, k)
     core = chain_series([fac] * t, order, max_part=n)
     return core * one_minus_q_pow(2 * t).to_series(order)
 
@@ -107,17 +102,17 @@ def harmonic_paired_sum(t: int, n: int, order: int) -> Series:
 
     def fac_a(pos):
         if pos == 1:
-            return lambda k: geometric_full(n + k, order).shift(k)
+            return lambda k: geometric_pow(n + k, 1, order, k)
         if pos % 2 == 0:
-            return lambda k: geometric_full(k, order)
-        return lambda k: geometric_tail(k, order)
+            return lambda k: geometric_pow(k, 1, order)
+        return lambda k: geometric_pow(k, 1, order, k)
 
     def fac_b(pos):
         if pos == 1:
-            return lambda k: geometric_full(n + k, order)
+            return lambda k: geometric_pow(n + k, 1, order)
         if pos % 2 == 0:
-            return lambda k: geometric_tail(k, order)
-        return lambda k: geometric_full(k, order)
+            return lambda k: geometric_pow(k, 1, order, k)
+        return lambda k: geometric_pow(k, 1, order)
 
     weights = [0] * m
     part_a = chain_series([fac_a(p) for p in range(1, m + 1)], order, max_part=n, exp_weight=weights)
@@ -191,7 +186,7 @@ def dilcher_sides(t: int, n: int, order: int):
         n, order, lambda k: k * (k - 1) // 2 + t * k,
         lambda k: (q_binomial(n, k) * omq).to_series(order) * geometric_pow(k, t, order),
     )
-    fac = lambda k: geometric_tail(k, order)
+    fac = lambda k: geometric_pow(k, 1, order, k)
     rhs = chain_series([fac] * t, order, max_part=n) * omq.to_series(order)
     return lhs, rhs
 
@@ -202,7 +197,7 @@ def dilcher_check(t: int, n: int, order: int) -> IdentityReport:
 
 
 def _bounded_x_multisum(t, kmax, x, order):
-    fac = lambda k: geometric_full(x + k, order).shift(k)
+    fac = lambda k: geometric_pow(x + k, 1, order, k)
     core = chain_series([fac] * t, order, max_part=kmax)
     return one_minus_q_pow(t).to_series(order) * core
 
@@ -288,8 +283,8 @@ def atid_b_sides(t: int, n: int, x: int, order: int):
 
     def make(pos):
         if pos == 1:
-            return lambda k: geometric_full(x + k, order).shift(x + k)
-        return lambda k: geometric_tail(k, order)
+            return lambda k: geometric_pow(x + k, 1, order, x + k)
+        return lambda k: geometric_pow(k, 1, order, k)
 
     core = chain_series([make(p) for p in range(1, 2 * t + 1)], order, max_part=n)
     rhs = omq.to_series(order) * core
@@ -314,12 +309,12 @@ def cor52_sides(t: int, n: int, x: int, z: int, order: int):
     def pos1(k):
         return (
             (q_int(k) * q_binomial(z + k, k)).to_series(order)
-            * geometric_full(x + k, order)
-            * geometric_full(z + k, order)
+            * geometric_pow(x + k, 1, order)
+            * geometric_pow(z + k, 1, order)
         ).shift(k)
 
     def rest(k):
-        return geometric_full(z + k, order).shift(k)
+        return geometric_pow(z + k, 1, order, k)
 
     factors = [pos1] + [rest] * (t - 1)
     core = chain_series(factors, order, max_part=n)

@@ -7,6 +7,11 @@ formulas: the defining multiple sums, a single alternating sum, a conjugate
 (smallest-part weighted) sum, a theta quotient, an umbral expansion, and
 closed recurrences.  Cross-checking those routes against each other is the
 main correctness instrument of this package.
+
+With x_k = q^k/(1-q^k)^2, the M series are the complete homogeneous
+functions h_t of the x_k and the MO series their elementary functions e_t:
+one suffix pass (`multisums`) builds either family for every length, and one
+self-inverse transform (`_dual`) solves the relation between them.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from operator import add, sub
 
 from .divisors import eisenstein, odd_square_product, sigma_series, theta_moment, umbral_eval
 from .reports import IdentityReport, merge_reports, series_report
-from .series import Series, euler_function
+from .series import Series, euler_function, geometric_pow
 
 
 # ---------------------------------------------------------------------------
@@ -79,48 +84,29 @@ def chain_series(factors, order, *, strict_after=(), max_part=None, exp_weight=N
     return nxt_row[1] if m else one
 
 
-def weighted_geometric(k, order):
-    """q^k/(1-q^k)^2 as a series: coefficient j at each exponent j*k."""
-    out = [0] * (order + 1)
-    for j in range(1, order // k + 1):
-        out[j * k] = j
-    return Series(out, order)
-
-
-def geometric_tail(k, order):
-    """q^k/(1-q^k): coefficient 1 at positive multiples of k."""
-    out = [0] * (order + 1)
-    for j in range(1, order // k + 1):
-        out[j * k] = 1
-    return Series(out, order)
-
-
-def geometric_full(k, order):
-    """1/(1-q^k): coefficient 1 at all multiples of k."""
-    out = [0] * (order + 1)
-    for j in range(0, order // k + 1):
-        out[j * k] = 1
-    return Series(out, order)
-
-
 # ---------------------------------------------------------------------------
 # the defining multiple sums
 
 
-def weak_multisums(T: int, order: int) -> list:
-    """[h_1, ..., h_T]: the M-family generating functions for every chain
-    length up to T, from one suffix pass over the chain states.
+def multisums(T: int, order: int, strict: bool = False) -> list:
+    """[h_1, ..., h_T] (weak chains, the M family), or [e_1, ..., e_T]
+    (strict chains, the MO family) when strict is set, from one suffix pass
+    over the chain states.
 
-    H_s(v), the sum over v <= k_1 <= ... <= k_s of x_(k_1)...x_(k_s) with
-    x_k = q^k/(1-q^k)^2, satisfies H_s(v) = H_s(v+1) + x_v H_(s-1)(v) and
-    vanishes through q^order once s*v > order; h_s = H_s(1).
+    With x_k = q^k/(1-q^k)^2, H_s(v) sums x_(k_1)...x_(k_s) over
+    v <= k_1 <= ... <= k_s and E_s(v) over v <= k_1 < ... < k_s:
+    H_s(v) = H_s(v+1) + x_v H_(s-1)(v) and E_s(v) = E_s(v+1) + x_v E_(s-1)(v+1),
+    so the levels s are updated upward for weak chains and downward for
+    strict ones.  Both vanish through q^order once s*v > order; the series
+    are the levels at v = 1.
     """
     if T < 0:
         raise ValueError("T >= 0")
-    row = [Series.one(order)] + [Series.zero(order)] * T  # row[s] = H_s(v + 1), then H_s(v)
+    row = [Series.one(order)] + [Series.zero(order)] * T  # row[s] = level s at v + 1, then at v
     for v in range(order, 0, -1):
-        x = weighted_geometric(v, order)
-        for s in range(1, min(T, order // v) + 1):
+        x = geometric_pow(v, 2, order, v)
+        levels = range(1, min(T, order // v) + 1)
+        for s in reversed(levels) if strict else levels:
             row[s] = row[s] + x * row[s - 1]
     return row[1:]
 
@@ -130,15 +116,14 @@ def weak_multisum(t: int, order: int) -> Series:
     sizes, each contributing q^k/(1-q^k)^2."""
     if t < 1:
         raise ValueError("t >= 1")
-    return weak_multisums(t, order)[-1]
+    return multisums(t, order)[-1]
 
 
 def strict_multisum(t: int, order: int) -> Series:
     """MO-family generating function: strictly increasing t-tuples."""
     if t < 1:
         raise ValueError("t >= 1")
-    fac = lambda k: weighted_geometric(k, order)
-    return chain_series([fac] * t, order, strict_after=range(1, t))
+    return multisums(t, order, strict=True)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -188,10 +173,10 @@ def m_conjugate_form(t: int, order: int) -> Series:
 
     def make(pos):
         if pos == 1:
-            return lambda k: k * geometric_tail(k, order)
+            return lambda k: k * geometric_pow(k, 1, order, k)
         if pos % 2 == 1:
-            return lambda k: geometric_tail(k, order)
-        return lambda k: geometric_full(k, order)
+            return lambda k: geometric_pow(k, 1, order, k)
+        return lambda k: geometric_pow(k, 1, order)
 
     factors = [make(pos) for pos in range(1, m + 1)]
     weights = [1 if pos % 2 == 1 else 0 for pos in range(1, m + 1)]
@@ -254,37 +239,39 @@ def mo_recurrence(t: int, order: int) -> Series:
     return u
 
 
-def m_recurrence(t: int, order: int, mo_formula=None) -> Series:
-    """Convolution recurrence for the M family from the MO series, via the
-    alternating elementary/homogeneous relation."""
-    if t < 1:
-        raise ValueError("t >= 1")
-    mo_formula = mo_formula or strict_multisum
-    e = [Series.one(order)] + [mo_formula(i, order) for i in range(1, t + 1)]
-    h = [Series.one(order)]
-    for s in range(1, t + 1):
+def _dual(xs: list, order: int) -> list:
+    """[y_1, ..., y_T] with y_0 = 1 and y_s = sum over i = 1..s of
+    (-1)^(i-1) x_i y_(s-i), for xs = [x_1, ..., x_T].
+
+    This solves the relation sum_i (-1)^i e_i h_(t-i) = 0 between the
+    elementary and complete homogeneous functions of one set of variables
+    for either one given the other, so it is its own inverse: h from e and
+    e from h.
+    """
+    ys = [Series.one(order)]
+    for s in range(1, len(xs) + 1):
         acc = Series.zero(order)
         for i in range(1, s + 1):
-            term = e[i] * h[s - i]
+            term = xs[i - 1] * ys[s - i]
             acc = acc + term if i % 2 else acc - term
-        h.append(acc)
-    return h[t]
+        ys.append(acc)
+    return ys[1:]
+
+
+def m_recurrence(t: int, order: int) -> Series:
+    """Convolution recurrence for the M family: the e/h relation solved for
+    h_t from the strict chains e_1..e_t."""
+    if t < 1:
+        raise ValueError("t >= 1")
+    return _dual(multisums(t, order, strict=True), order)[-1]
 
 
 def mo_from_m(t: int, order: int) -> Series:
-    """Fifth MO route: solve the elementary/homogeneous relation for the
-    strict series, feeding in M values from the convolution recurrence."""
+    """Fifth MO route: the e/h relation solved for e_t from the M single
+    sums h_1..h_t."""
     if t < 1:
         raise ValueError("t >= 1")
-    h = [Series.one(order)] + [m_recurrence(s, order) for s in range(1, t + 1)]
-    e = [Series.one(order)]
-    for s in range(1, t + 1):
-        acc = Series.zero(order)
-        for i in range(s):
-            term = e[i] * h[s - i]
-            acc = acc + term if (s + 1 + i) % 2 == 0 else acc - term
-        e.append(acc)
-    return e[t]
+    return _dual([m_single_sum(s, order) for s in range(1, t + 1)], order)[-1]
 
 
 M_FORMULAS = {
@@ -369,11 +356,11 @@ def closed_form_check(which: str, order: int) -> IdentityReport:
     """Evaluate both sides of a named closed-form identity exactly."""
     p = {"which": which}
     if which == "V2_ode":
-        v1, v2 = weak_multisums(2, order)
+        v1, v2 = multisums(2, order)
         rhs = ((7 * v1 - 1) * v1 + v1.q_derivative()) * Fraction(1, 10)
         return series_report("closed-form-V2", p, order, v2, rhs)
     if which == "V3_ode":
-        v1, v2, v3 = weak_multisums(3, order)
+        v1, v2, v3 = multisums(3, order)
         rhs = ((19 * v1 - 3) * v2 - 4 * v1**3 + v1 * v1 + v2.q_derivative()) * Fraction(1, 21)
         return series_report("closed-form-V3-ode", p, order, v3, rhs)
     if which == "V3_sigma":
@@ -432,8 +419,8 @@ CLOSED_FORMS = ("V2_ode", "V3_ode", "V3_sigma", "U3mV3_sigma", "U4_sigma", "MO25
 
 def symmetric_relation_check(t: int, order: int) -> IdentityReport:
     """Alternating sum of strict times weak series over total weight t is zero."""
-    e = [Series.one(order)] + [strict_multisum(i, order) for i in range(1, t + 1)]
-    h = [Series.one(order)] + weak_multisums(t, order)
+    e = [Series.one(order)] + multisums(t, order, strict=True)
+    h = [Series.one(order)] + multisums(t, order)
     acc = Series.zero(order)
     for i in range(t + 1):
         term = e[i] * h[t - i]
@@ -478,7 +465,7 @@ def jacobi_theta_side(c: int, order: int) -> Series:
 def jacobi_weak_sum_side(c: int, order: int) -> Series:
     """Sum over n of (-c)^n times the weak n-tuple enumeration."""
     acc = Series.one(order)
-    for n, h in enumerate(weak_multisums(order, order), 1):
+    for n, h in enumerate(multisums(order, order), 1):
         acc = acc + (-c) ** n * h
     return acc
 
@@ -519,8 +506,8 @@ def conjugate_chain_m_form(t: int, order: int) -> Series:
     def make(pos):
         # ascending position pos holds original index m + 1 - pos
         if pos == m:
-            return lambda k: weighted_geometric(k, order)
-        return lambda k: geometric_full(k, order)
+            return lambda k: geometric_pow(k, 2, order, k)
+        return lambda k: geometric_pow(k, 1, order)
 
     factors = [make(pos) for pos in range(1, m + 1)]
     weights = [1 if pos == m else 0 for pos in range(1, m + 1)]

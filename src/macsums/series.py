@@ -237,13 +237,16 @@ def q_derivative(a: Series) -> Series:
     return a.q_derivative()
 
 
-def geometric_pow(k: int, r: int, order: int) -> Series:
-    """Series for 1/(1-q^k)^r: the coefficient of q^(k*m) is C(m+r-1, r-1)."""
+def geometric_pow(k: int, r: int, order: int, shift: int = 0) -> Series:
+    """Series for q^shift/(1-q^k)^r: the coefficient of q^(shift+k*m) is
+    C(m+r-1, r-1)."""
     if k < 1 or r < 1:
         raise ValueError("geometric_pow needs k >= 1 and r >= 1")
+    if shift < 0:
+        raise ValueError("negative shifts would leave the power-series ring")
     out = [0] * (order + 1)
-    for m in range(order // k + 1):
-        out[k * m] = comb(m + r - 1, r - 1)
+    for m in range((order - shift) // k + 1):
+        out[shift + k * m] = comb(m + r - 1, r - 1)
     return Series(out, order)
 
 

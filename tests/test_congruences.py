@@ -216,6 +216,14 @@ def test_prospect_consistent_with_check_claim():
         assert fresh.status != REFUTED
 
 
+def test_prospect_reports_only_tested_offsets():
+    # below order p the offsets past the order hold no coefficient
+    res = prospect("M", [1], [11], 5)
+    assert res.claims and all(c.checked > 0 for c in res.claims)
+    assert {c.offset for c in res.claims} <= set(range(6))
+    assert res.chance_level == 6 * 11 ** (-5 / 11)
+
+
 def test_prospect_chance_level_positive():
     res = prospect("M", [2], [5], 100)
     assert 0 < res.chance_level < 1

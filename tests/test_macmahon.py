@@ -3,8 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import brute_multisum
+from macsums import macmahon
 from macsums.divisors import eisenstein, sigma_series, theta_moment
 from macsums.macmahon import (
     CLOSED_FORMS,
@@ -19,6 +22,7 @@ from macsums.macmahon import (
     jacobi_specialization_check,
     jacobi_theta_side,
     jacobi_weak_sum_side,
+    _dual,
     m_conjugate_form,
     m_recurrence,
     m_single_sum,
@@ -26,11 +30,10 @@ from macsums.macmahon import (
     mo_from_m,
     mo_recurrence,
     mo_umbral,
+    multisums,
     strict_multisum,
     symmetric_relation_check,
     weak_multisum,
-    weak_multisums,
-    weighted_geometric,
 )
 from macsums.series import Series, geometric_pow
 
@@ -53,12 +56,77 @@ def test_weak_multisum_matches_brute_force():
         assert weak_multisum(t, 14).coeffs == brute_multisum(t, 14)
 
 
-@pytest.mark.parametrize("order, T", [(0, 3), (1, 4), (30, 34), (60, 8)])
-def test_weak_multisums_match_chain_series(order, T):
-    hs = weak_multisums(T, order)
+@pytest.mark.parametrize("order, T, strict", [
+    pytest.param(order, T, strict, id=f"{order}-{T}" + ("-strict" if strict else ""))
+    for order, T in [(0, 3), (1, 4), (30, 34), (60, 8)]
+    for strict in (False, True)
+])
+def test_weak_multisums_match_chain_series(order, T, strict):
+    hs = multisums(T, order, strict=strict)
     assert len(hs) == T
     for t, h in enumerate(hs, 1):
-        assert h == chain_series([lambda k: weighted_geometric(k, order)] * t, order), t
+        strict_after = range(1, t) if strict else ()
+        ref = chain_series([lambda k: geometric_pow(k, 2, order, k)] * t, order, strict_after=strict_after)
+        assert h == ref, t
+
+
+def count_products(monkeypatch):
+    """Count Series products from here on; returns the list that grows."""
+    calls = []
+    mul = Series.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Series, "__mul__", counted)
+    monkeypatch.setattr(Series, "__rmul__", counted)
+    return calls
+
+
+def count_chain_series(monkeypatch):
+    calls = []
+    chain = macmahon.chain_series
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return chain(*args, **kwargs)
+
+    monkeypatch.setattr(macmahon, "chain_series", counted)
+    return calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 12).flatmap(
+    lambda order: st.lists(st.lists(st.integers(-9, 9), min_size=order + 1, max_size=order + 1), max_size=6)
+    .map(lambda rows: (order, rows))
+))
+def test_dual_is_an_involution(order_rows):
+    order, rows = order_rows
+    xs = [Series(r, order) for r in rows]
+    assert _dual(_dual(xs, order), order) == xs
+
+
+def test_symmetric_route_shares_chain_levels(monkeypatch):
+    # mo_from_m solves e from the single sums: T(T+1)/2 products and no
+    # chain walk; rebuilding every m_recurrence(s) took 10 chain_series
+    # calls and 599 products
+    chains = count_chain_series(monkeypatch)
+    products = count_products(monkeypatch)
+    mo_from_m(4, 40)
+    assert chains == [] and 0 < len(products) <= 20
+    products.clear()
+    symmetric_relation_check(4, 40)
+    assert chains == [] and 0 < len(products) < 250
+
+
+def test_scan_routes_match_chains_up_to_t10():
+    # the paper suite scans up to t = 10 on these two routes
+    weak = multisums(10, 300)
+    strict = multisums(10, 300, strict=True)
+    for t in range(1, 11):
+        assert m_single_sum(t, 300) == weak[t - 1], t
+        assert mo_andrews_rose(t, 300) == strict[t - 1], t
 
 
 def test_strict_multisum_matches_brute_force():
@@ -215,15 +283,7 @@ def test_jacobi_specializations_at_order_60():
 def test_jacobi_weak_sum_shares_chain_levels(monkeypatch):
     # one suffix pass serves every n; building each weak_multisum(n) afresh
     # takes over 5000 products
-    calls = []
-    mul = Series.__mul__
-
-    def counted(self, other):
-        calls.append(1)
-        return mul(self, other)
-
-    monkeypatch.setattr(Series, "__mul__", counted)
-    monkeypatch.setattr(Series, "__rmul__", counted)
+    calls = count_products(monkeypatch)
     jacobi_weak_sum_side(4, 40)
     assert 0 < len(calls) < 300
 

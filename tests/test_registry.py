@@ -2,7 +2,8 @@
 
 import pytest
 
-from macsums import registry
+from macsums import macmahon, registry
+from macsums.series import Series
 
 # Cases each id runs on its default grids; a changed default grid shows here.
 CASE_COUNTS = {
@@ -75,3 +76,19 @@ def test_every_declared_grid_has_a_domain():
         for name, defaults in spec.grids.items():
             domain, admits = registry.GRID_DOMAINS[name]
             assert defaults and all(admits(v) for v in defaults), (spec.ident, name)
+
+
+def test_symmetric_route_catches_a_corrupted_strict_multisum(monkeypatch):
+    # the "symmetric" route must not be built from the series it is checked
+    # against: one bumped coefficient of the strict chains fails its row
+    strict_multisum = macmahon.strict_multisum
+
+    def bumped(t, order):
+        coeffs = list(strict_multisum(t, order).coeffs)
+        coeffs[20] += 1
+        return Series(coeffs, order)
+
+    monkeypatch.setattr(macmahon, "strict_multisum", bumped)
+    reports = registry.run_identity("U-agreement", {}, 40)
+    symmetric = {r.params["t"]: r.passed for r in reports if r.params["formula"] == "symmetric"}
+    assert symmetric == {1: False, 2: False, 3: False}

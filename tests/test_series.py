@@ -138,6 +138,31 @@ def test_geometric_pow_times_binomial_expansion_is_one():
         assert lhs == Series.one(n)
 
 
+def test_geometric_pow_shift_matches_materialized_factors():
+    # the chain factors q^k/(1-q^k)^2, q^k/(1-q^k) and 1/(1-q^k), written out
+    def materialize(k, order, first, weight):
+        out = [0] * (order + 1)
+        for j in range(first, order // k + 1):
+            out[j * k] = weight(j)
+        return Series(out, order)
+
+    weighted = lambda k, order: materialize(k, order, 1, lambda j: j)
+    tail = lambda k, order: materialize(k, order, 1, lambda j: 1)
+    full = lambda k, order: materialize(k, order, 0, lambda j: 1)
+
+    for order in (0, 1, 7, 30):
+        for k in range(1, order + 3):
+            assert geometric_pow(k, 2, order, k) == weighted(k, order), (k, order)
+            assert geometric_pow(k, 1, order, k) == tail(k, order), (k, order)
+            assert geometric_pow(k, 1, order) == full(k, order), (k, order)
+            for r in (1, 2):
+                for shift in (0, 3, order + 1, order + 5):
+                    assert geometric_pow(k, r, order, shift) == geometric_pow(k, r, order).shift(shift)
+    assert geometric_pow(2, 2, 5, 6).is_zero()
+    with pytest.raises(ValueError):
+        geometric_pow(2, 1, 5, -1)
+
+
 def test_euler_function_prefix():
     assert euler_function(7).coeffs == [1, -1, -1, 0, 0, 1, 0, 1]
 
