@@ -15,7 +15,7 @@ from math import comb
 from .macmahon import chain_series
 from .qcombo import IntPoly, gbinom, q_binomial, q_factorial, q_int
 from .reports import IdentityReport, merge_reports, series_report, value_report
-from .series import Series, geometric_pow
+from .series import Series
 
 
 def one_minus_q_pow(r: int) -> IntPoly:
@@ -53,7 +53,7 @@ def harmonic_multisum(t: int, n: int, order: int) -> Series:
         return Series.one(order)
     if n == 0:
         return Series.zero(order)
-    fac = lambda k: geometric_pow(k, 2, order, k)
+    fac = lambda k, s: s.over_geometric(k, 2, k)
     core = chain_series([fac] * t, order, max_part=n)
     return core * one_minus_q_pow(2 * t).to_series(order)
 
@@ -67,8 +67,7 @@ def harmonic_single_sum(t: int, n: int, order: int) -> Series:
 
     def base(k):
         b = (
-            (q_binomial(n, k) * omq).to_series(order)
-            * geometric_pow(k, 2 * t, order)
+            (q_binomial(n, k) * omq).to_series(order).over_geometric(k, 2 * t)
             * _inv_poly(q_binomial(n + k, k), order)
         )
         return b + b.shift(k)
@@ -85,7 +84,7 @@ def harmonic_single_sum_alt(t: int, n: int, order: int) -> Series:
     omq = one_minus_q_pow(2 * t)
 
     def base(k):
-        b = (q_binomial(2 * n, n - k) * omq).to_series(order) * geometric_pow(k, 2 * t, order)
+        b = (q_binomial(2 * n, n - k) * omq).to_series(order).over_geometric(k, 2 * t)
         return b + b.shift(k)
 
     acc = _alternating_sum(n, order, lambda k: k * (k - 1) // 2 + t * k, base)
@@ -102,17 +101,17 @@ def harmonic_paired_sum(t: int, n: int, order: int) -> Series:
 
     def fac_a(pos):
         if pos == 1:
-            return lambda k: geometric_pow(n + k, 1, order, k)
+            return lambda k, s: s.over_geometric(n + k, 1, k)
         if pos % 2 == 0:
-            return lambda k: geometric_pow(k, 1, order)
-        return lambda k: geometric_pow(k, 1, order, k)
+            return lambda k, s: s.over_geometric(k, 1)
+        return lambda k, s: s.over_geometric(k, 1, k)
 
     def fac_b(pos):
         if pos == 1:
-            return lambda k: geometric_pow(n + k, 1, order)
+            return lambda k, s: s.over_geometric(n + k, 1)
         if pos % 2 == 0:
-            return lambda k: geometric_pow(k, 1, order, k)
-        return lambda k: geometric_pow(k, 1, order)
+            return lambda k, s: s.over_geometric(k, 1, k)
+        return lambda k, s: s.over_geometric(k, 1)
 
     weights = [0] * m
     part_a = chain_series([fac_a(p) for p in range(1, m + 1)], order, max_part=n, exp_weight=weights)
@@ -147,8 +146,8 @@ def triplet_recurrence_check(which: str, t: int, n: int, order: int) -> Identity
     """X_t(n) - X_t(n-1) = q^n/[n]_q^2 * X_(t-1)(n) for each of the three sums."""
     fn = TRIPLET[which]
     lhs = fn(t, n, order) - fn(t, n - 1, order)
-    step = one_minus_q_pow(2).to_series(order) * geometric_pow(n, 2, order)
-    rhs = fn(t - 1, n, order) * step.shift(n)
+    step = one_minus_q_pow(2).to_series(order).over_geometric(n, 2, n)
+    rhs = fn(t - 1, n, order) * step
     return series_report("FGH-recurrence", {"which": which, "t": t, "n": n}, order, lhs, rhs)
 
 
@@ -184,9 +183,9 @@ def dilcher_sides(t: int, n: int, order: int):
     omq = one_minus_q_pow(t)
     lhs = _alternating_sum(
         n, order, lambda k: k * (k - 1) // 2 + t * k,
-        lambda k: (q_binomial(n, k) * omq).to_series(order) * geometric_pow(k, t, order),
+        lambda k: (q_binomial(n, k) * omq).to_series(order).over_geometric(k, t),
     )
-    fac = lambda k: geometric_pow(k, 1, order, k)
+    fac = lambda k, s: s.over_geometric(k, 1, k)
     rhs = chain_series([fac] * t, order, max_part=n) * omq.to_series(order)
     return lhs, rhs
 
@@ -197,7 +196,7 @@ def dilcher_check(t: int, n: int, order: int) -> IdentityReport:
 
 
 def _bounded_x_multisum(t, kmax, x, order):
-    fac = lambda k: geometric_pow(x + k, 1, order, k)
+    fac = lambda k, s: s.over_geometric(x + k, 1, k)
     core = chain_series([fac] * t, order, max_part=kmax)
     return one_minus_q_pow(t).to_series(order) * core
 
@@ -208,7 +207,7 @@ def mss_sides(t: int, n: int, x: int, order: int):
     omq = one_minus_q_pow(t + 1)
     lhs = _alternating_sum(
         n, order, lambda k: k * (k - 1) // 2 + t * k,
-        lambda k: (q_binomial(n, k) * q_int(k) * omq).to_series(order) * geometric_pow(x + k, t + 1, order),
+        lambda k: (q_binomial(n, k) * q_int(k) * omq).to_series(order).over_geometric(x + k, t + 1),
     )
     rhs = _inv_poly(q_binomial(x + n, n), order) * _bounded_x_multisum(t, n, x, order)
     return lhs, rhs
@@ -232,8 +231,8 @@ def mss_precursor_sides(t: int, n: int, x: int, order: int, reading: str = "inve
     the inverse q-binomial transform applied to the companion identity.
     """
     base_shift = n * (n - 1)
-    rhs = (q_int(n) * one_minus_q_pow(t + 1)).to_series(order) * geometric_pow(x + n, t + 1, order)
-    rhs = rhs.shift(t * n + base_shift)
+    rhs = (q_int(n) * one_minus_q_pow(t + 1)).to_series(order)
+    rhs = rhs.over_geometric(x + n, t + 1, t * n + base_shift)
     exponent = lambda k: k * (k - 1) // 2 + (n - k) * (n - 1)
     if reading == "printed":
         ksum = _alternating_sum(
@@ -275,16 +274,15 @@ def atid_b_sides(t: int, n: int, x: int, order: int):
     lhs = _alternating_sum(
         n, order, lambda k: k * (k - 1) // 2 + (x + 2 * t) * k,
         lambda k: (
-            (q_binomial(n, k) * omq).to_series(order)
-            * geometric_pow(k, 2 * t, order)
+            (q_binomial(n, k) * omq).to_series(order).over_geometric(k, 2 * t)
             * _inv_poly(q_binomial(x + k, k), order)
         ),
     )
 
     def make(pos):
         if pos == 1:
-            return lambda k: geometric_pow(x + k, 1, order, x + k)
-        return lambda k: geometric_pow(k, 1, order, k)
+            return lambda k, s: s.over_geometric(x + k, 1, x + k)
+        return lambda k, s: s.over_geometric(k, 1, k)
 
     core = chain_series([make(p) for p in range(1, 2 * t + 1)], order, max_part=n)
     rhs = omq.to_series(order) * core
@@ -300,21 +298,17 @@ def cor52_sides(t: int, n: int, x: int, z: int, order: int):
     lhs = _alternating_sum(
         n, order, lambda k: k * (k - 1) // 2 + (x + t) * k,
         lambda k: (
-            (q_binomial(n, k) * one_minus_q_pow(t)).to_series(order)
-            * geometric_pow(z + k, t, order)
+            (q_binomial(n, k) * one_minus_q_pow(t)).to_series(order).over_geometric(z + k, t)
             * _inv_poly(q_binomial(x + k, k), order)
         ),
     )
 
-    def pos1(k):
-        return (
-            (q_int(k) * q_binomial(z + k, k)).to_series(order)
-            * geometric_pow(x + k, 1, order)
-            * geometric_pow(z + k, 1, order)
-        ).shift(k)
+    def pos1(k, s):
+        s = (q_int(k) * q_binomial(z + k, k)).to_series(order) * s
+        return s.over_geometric(x + k, 1, k).over_geometric(z + k, 1)
 
-    def rest(k):
-        return geometric_pow(z + k, 1, order, k)
+    def rest(k, s):
+        return s.over_geometric(z + k, 1, k)
 
     factors = [pos1] + [rest] * (t - 1)
     core = chain_series(factors, order, max_part=n)

@@ -12,6 +12,10 @@ With x_k = q^k/(1-q^k)^2, the M series are the complete homogeneous
 functions h_t of the x_k and the MO series their elementary functions e_t:
 one suffix pass (`multisums`) builds either family for every length, and one
 self-inverse transform (`_dual`) solves the relation between them.
+
+Every geometric factor q^a/(1-q^k)^r, x_k included, is applied with the
+strided running sums of `Series.over_geometric` (on plain coefficient lists
+inside `multisums`), never multiplied in as a built series.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from operator import add, sub
 
 from .divisors import eisenstein, odd_square_product, sigma_series, theta_moment, umbral_eval
 from .reports import IdentityReport, merge_reports, series_report
-from .series import Series, euler_function, geometric_pow
+from .series import Series, euler_function, over_geometric_coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -32,13 +36,14 @@ from .series import Series, euler_function, geometric_pow
 
 def chain_series(factors, order, *, strict_after=(), max_part=None, exp_weight=None):
     """Truncated sum over chains k_1 <= k_2 <= ... <= k_m of part values >= 1,
-    of the product factors[i](k_i).
+    of the product of the factors f_i(k_i).
 
-    factors is a list of callables k -> Series.  Positions named in
-    strict_after (1-based) require k_i < k_(i+1).  exp_weight[i-1] = 1
-    declares that factors[i](k) has q-valuation at least k, which is what
-    bounds the enumeration; a position whose remaining tail weight is zero
-    needs max_part instead.
+    factors[i] is a callable (k, s) -> Series that returns s times f_i(k),
+    so a factor q^a/(1-q^k)^r is applied as `s.over_geometric(k, r, a)` and
+    never built as a series of its own.  Positions named in strict_after
+    (1-based) require k_i < k_(i+1).  exp_weight[i-1] = 1 declares that
+    f_i(k) has q-valuation at least k, which is what bounds the enumeration;
+    a position whose remaining tail weight is zero needs max_part instead.
 
     Evaluation runs over states (position, minimum part value) so shared
     suffixes are computed once; this realizes the tuple enumeration without
@@ -78,7 +83,7 @@ def chain_series(factors, order, *, strict_after=(), max_part=None, exp_weight=N
                 nxt = nxt_row[vn] if vn <= bounds[i + 1] else zero
             here = row[v + 1]
             if not nxt.is_zero():
-                here = here + factors[i](v) * nxt
+                here = here + factors[i](v, nxt)
             row[v] = here
         nxt_row = row
     return nxt_row[1] if m else one
@@ -102,13 +107,14 @@ def multisums(T: int, order: int, strict: bool = False) -> list:
     """
     if T < 0:
         raise ValueError("T >= 0")
-    row = [Series.one(order)] + [Series.zero(order)] * T  # row[s] = level s at v + 1, then at v
+    # row[s] = coefficients of level s at v + 1, then at v; plain lists, so
+    # no intermediate level is normalized as a Series
+    row = [[1] + [0] * order] + [[0] * (order + 1)] * T
     for v in range(order, 0, -1):
-        x = geometric_pow(v, 2, order, v)
         levels = range(1, min(T, order // v) + 1)
         for s in reversed(levels) if strict else levels:
-            row[s] = row[s] + x * row[s - 1]
-    return row[1:]
+            row[s] = list(map(add, row[s], over_geometric_coeffs(row[s - 1], v, 2, v)))
+    return [Series(c, order) for c in row[1:]]
 
 
 def weak_multisum(t: int, order: int) -> Series:
@@ -173,10 +179,10 @@ def m_conjugate_form(t: int, order: int) -> Series:
 
     def make(pos):
         if pos == 1:
-            return lambda k: k * geometric_pow(k, 1, order, k)
+            return lambda k, s: k * s.over_geometric(k, 1, k)
         if pos % 2 == 1:
-            return lambda k: geometric_pow(k, 1, order, k)
-        return lambda k: geometric_pow(k, 1, order)
+            return lambda k, s: s.over_geometric(k, 1, k)
+        return lambda k, s: s.over_geometric(k, 1)
 
     factors = [make(pos) for pos in range(1, m + 1)]
     weights = [1 if pos % 2 == 1 else 0 for pos in range(1, m + 1)]
@@ -506,8 +512,8 @@ def conjugate_chain_m_form(t: int, order: int) -> Series:
     def make(pos):
         # ascending position pos holds original index m + 1 - pos
         if pos == m:
-            return lambda k: geometric_pow(k, 2, order, k)
-        return lambda k: geometric_pow(k, 1, order)
+            return lambda k, s: s.over_geometric(k, 2, k)
+        return lambda k, s: s.over_geometric(k, 1)
 
     factors = [make(pos) for pos in range(1, m + 1)]
     weights = [1 if pos == m else 0 for pos in range(1, m + 1)]

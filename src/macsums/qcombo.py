@@ -15,7 +15,11 @@ from .series import Series, _norm
 
 
 class IntPoly:
-    """Dense integer-coefficient polynomial in q, trailing zeros trimmed."""
+    """Dense integer-coefficient polynomial in q, trailing zeros trimmed.
+
+    The coefficients are a tuple, so a polynomial handed out by a cached
+    table (`q_binomial`, `q_factorial`) cannot be changed by its caller.
+    """
 
     __slots__ = ("coeffs",)
 
@@ -26,7 +30,7 @@ class IntPoly:
         for c in coeffs:
             if not isinstance(c, int):
                 raise TypeError(f"IntPoly coefficients must be integers, got {c!r}")
-        self.coeffs = coeffs
+        self.coeffs = tuple(coeffs)
 
     @classmethod
     def zero(cls):
@@ -92,7 +96,7 @@ class IntPoly:
             raise ValueError("negative shifts would leave the polynomial ring")
         if self.is_zero():
             return self
-        return IntPoly([0] * k + self.coeffs)
+        return IntPoly((0,) * k + self.coeffs)
 
     def __call__(self, x):
         """Evaluate at an exact scalar (Horner)."""

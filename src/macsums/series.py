@@ -10,7 +10,9 @@ series beyond the coefficients it was constructed with.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
+from operator import add
 
 
 def _norm(c):
@@ -232,18 +234,52 @@ class Series:
         """Apply q*d/dq: the coefficient of q^n becomes n times itself."""
         return Series([i * c for i, c in enumerate(self.coeffs)], self.order)
 
+    def over_geometric(self, k, r, shift=0):
+        """self * q^shift/(1-q^k)^r, without building the factor; see
+        `over_geometric_coeffs`."""
+        return Series(over_geometric_coeffs(self.coeffs, k, r, shift), self.order)
+
 
 def q_derivative(a: Series) -> Series:
     return a.q_derivative()
 
 
+def _check_geometric(k, r, shift):
+    if k < 1 or r < 1:
+        raise ValueError("a geometric factor q^shift/(1-q^k)^r needs k >= 1 and r >= 1")
+    if shift < 0:
+        raise ValueError("negative shifts would leave the power-series ring")
+
+
+def over_geometric_coeffs(coeffs: list, k: int, r: int, shift: int = 0) -> list:
+    """The coefficient list times q^shift/(1-q^k)^r, truncated to its length.
+
+    Dividing by 1-q^k is a running sum with stride k, so the product is a
+    shift followed by r strided running sums: O(N) additions per sum, run in
+    C over slices (one `accumulate` per residue class mod k when k^2 <= N+1,
+    otherwise one slice-add per block of k), with no product formed.  The
+    arguments are checked as in `geometric_pow`; a shift past the end
+    gives zeros.
+    """
+    _check_geometric(k, r, shift)
+    n = len(coeffs)
+    if shift >= n:
+        return [0] * n
+    y = [0] * shift + coeffs[: n - shift]
+    for _ in range(r):
+        if k * k <= n:
+            for res in range(k):
+                y[res::k] = accumulate(y[res::k])
+        else:
+            for j in range(k, n, k):
+                y[j : j + k] = map(add, y[j : j + k], y[j - k : j])
+    return y
+
+
 def geometric_pow(k: int, r: int, order: int, shift: int = 0) -> Series:
     """Series for q^shift/(1-q^k)^r: the coefficient of q^(shift+k*m) is
     C(m+r-1, r-1)."""
-    if k < 1 or r < 1:
-        raise ValueError("geometric_pow needs k >= 1 and r >= 1")
-    if shift < 0:
-        raise ValueError("negative shifts would leave the power-series ring")
+    _check_geometric(k, r, shift)
     out = [0] * (order + 1)
     for m in range((order - shift) // k + 1):
         out[shift + k * m] = comb(m + r - 1, r - 1)

@@ -1,4 +1,5 @@
-"""Source hygiene: every name a module imports is used in that module."""
+"""Source hygiene: every name a module imports is used in that module, and
+no module multiplies by a geometric factor it built as a series."""
 
 import ast
 from pathlib import Path
@@ -32,3 +33,41 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def geometric_products(source):
+    """Lines where a `geometric_pow(...)` call is an operand of `*` or `*=`:
+    such a factor is applied with `over_geometric`, never multiplied in."""
+    def is_builder(node):
+        if not isinstance(node, ast.Call):
+            return False
+        f = node.func
+        return (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "geometric_pow"
+
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            operands = (node.left, node.right)
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Mult):
+            operands = (node.value,)
+        else:
+            continue
+        if any(is_builder(op) for op in operands):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_geometric_products_are_found():
+    source = (
+        "a = s * geometric_pow(k, 2, n, k)\n"
+        "b = 3 * series.geometric_pow(k, 1, n)\n"
+        "c = geometric_pow(k, 1, n) / s\n"
+        "s *= geometric_pow(k, 1, n)\n"
+        "d = s.over_geometric(k, 2, k) * geometric_pow\n"
+    )
+    assert geometric_products(source) == [1, 2, 4]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_multiplies_by_no_built_geometric_factor(path):
+    assert geometric_products(path.read_text()) == []

@@ -66,7 +66,7 @@ def test_weak_multisums_match_chain_series(order, T, strict):
     assert len(hs) == T
     for t, h in enumerate(hs, 1):
         strict_after = range(1, t) if strict else ()
-        ref = chain_series([lambda k: geometric_pow(k, 2, order, k)] * t, order, strict_after=strict_after)
+        ref = chain_series([lambda k, s: s * geometric_pow(k, 2, order, k)] * t, order, strict_after=strict_after)
         assert h == ref, t
 
 
@@ -120,13 +120,21 @@ def test_symmetric_route_shares_chain_levels(monkeypatch):
     assert chains == [] and 0 < len(products) < 250
 
 
+def test_multisums_form_no_series_products(monkeypatch):
+    # every chain factor x_v is applied as strided running sums
+    products = count_products(monkeypatch)
+    multisums(10, 300)
+    multisums(10, 300, strict=True)
+    assert products == []
+
+
 def test_scan_routes_match_chains_up_to_t10():
     # the paper suite scans up to t = 10 on these two routes
-    weak = multisums(10, 300)
-    strict = multisums(10, 300, strict=True)
+    weak = multisums(10, 1000)
+    strict = multisums(10, 1000, strict=True)
     for t in range(1, 11):
-        assert m_single_sum(t, 300) == weak[t - 1], t
-        assert mo_andrews_rose(t, 300) == strict[t - 1], t
+        assert m_single_sum(t, 1000) == weak[t - 1], t
+        assert mo_andrews_rose(t, 1000) == strict[t - 1], t
 
 
 def test_strict_multisum_matches_brute_force():

@@ -41,6 +41,15 @@ def test_q_binomial_4_2():
     assert q_binomial(4, 2) == IntPoly([1, 1, 2, 1, 1])
 
 
+def test_cached_polynomials_cannot_be_changed_by_callers():
+    with pytest.raises(TypeError):
+        q_binomial(4, 2).coeffs[0] = 99
+    with pytest.raises(TypeError):
+        q_factorial(3).coeffs[0] = 99
+    assert q_binomial(4, 2) == IntPoly([1, 1, 2, 1, 1])
+    assert q_factorial(3) == IntPoly([1, 2, 2, 1])
+
+
 def test_q_binomial_is_factorial_quotient():
     # cross-check by clearing denominators: qbin(n,k) [k]! [n-k]! = [n]!
     for n in range(9):

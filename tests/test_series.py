@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     naive_mul,
@@ -161,6 +163,32 @@ def test_geometric_pow_shift_matches_materialized_factors():
     assert geometric_pow(2, 2, 5, 6).is_zero()
     with pytest.raises(ValueError):
         geometric_pow(2, 1, 5, -1)
+
+
+exact_scalars = st.integers(-50, 50) | st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_over_geometric_matches_materialized_product(data):
+    # k runs past sqrt(order + 1) and past order, so both the per-residue
+    # and the block branch of the running sums are exercised
+    order = data.draw(st.integers(0, 60), label="order")
+    k = data.draw(st.integers(1, order + 2), label="k")
+    r = data.draw(st.integers(1, 6), label="r")
+    shift = data.draw(st.integers(0, order + 2), label="shift")
+    s = Series(data.draw(st.lists(exact_scalars, min_size=order + 1, max_size=order + 1)), order)
+    expected = naive_mul(s.coeffs, geometric_pow(k, r, order, shift).coeffs, order)
+    assert s.over_geometric(k, r, shift) == Series(expected, order)
+
+
+def test_over_geometric_rejects_what_geometric_pow_rejects():
+    s = Series([1, 2, 3], 2)
+    for k, r, shift in [(0, 1, 0), (1, 0, 0), (1, 1, -1)]:
+        with pytest.raises(ValueError):
+            geometric_pow(k, r, 2, shift)
+        with pytest.raises(ValueError):
+            s.over_geometric(k, r, shift)
 
 
 def test_euler_function_prefix():
