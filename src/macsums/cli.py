@@ -211,6 +211,14 @@ def _claims_output(claims, args, extra=None):
     _emit(text, payload, rows, header, args)
 
 
+def _require_checked(claims, order):
+    """A claim checked on no coefficient at this order is a UsageError."""
+    try:
+        cong.require_checked(claims, order)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def cmd_scan(args):
     modes = [args.input, args.claim, args.prospect, args.suite is not None]
     if sum(map(bool, modes)) > 1:
@@ -224,6 +232,7 @@ def cmd_scan(args):
         except ValueError:
             raise UsageError('claim must be "family,t,p,step,offset", integers after the family') from None
         claim = _checked_claim(family, t, p, step, offset, kind="ad-hoc")
+        _require_checked([claim], args.order)
         checked = cong.check_claim(claim, args.order)
         _claims_output([checked], args)
         return 0 if checked.status != REFUTED else 1
@@ -247,6 +256,7 @@ def cmd_scan(args):
     # default: the fixed suite of stated congruence claims
     if args.suite not in (None, "paper"):
         raise UsageError(f"unknown suite {args.suite!r}; available: paper")
+    _require_checked(cong.paper_claims(), args.order)
     print(f"running congruence suite at order {args.order}", file=sys.stderr)
     claims = cong.verify_paper_suite(args.order)
     _claims_output(claims, args)
@@ -287,6 +297,7 @@ def _recheck(args):
         claims.append(_checked_claim(
             *(d[name] for name in fields), kind=d.get("kind", "theorem"), label=d.get("label", ""),
         ))
+    _require_checked(claims, order)
     rechecked = cong.check_claims(claims, order)
     identical = True
     for d, fresh in zip(results, rechecked):

@@ -2,10 +2,16 @@
 
 Scans reduce the exact integer coefficients of each family's default route
 (the alternating single sum for M, the theta quotient for MO) modulo p.
-One table serves every claim and prime for its (family, t); it is built
-uncached and dropped once those are checked, so a scan holds one table at
-a time.  The theta quotient divides by 2t+1 exactly, so its tables stay
-defined even when p divides 2t+1 (as it does for the t = 2, p = 5 claims).
+One table serves every claim and prime for its (family, t); tables are
+built uncached, one family at a time, and each is dropped once its claims
+are checked.  The M tables are built one t at a time, so an M scan holds
+one table.  The MO tables of every t come from one packed division by the
+theta series (`macmahon.mo_andrews_rose_many`), so an MO scan holds that
+packed quotient, whose slot widths come from the proven bound
+MO(t, n) <= C(n+2t-1, 3t-1) / t! (`macmahon.mo_slot_bound`), plus the one
+table unpacked from it.  The theta quotient divides by 2t+1 exactly, so
+its tables stay defined even when p divides 2t+1 (as it does for the
+t = 2, p = 5 claims).
 """
 
 from __future__ import annotations
@@ -29,29 +35,47 @@ def _first_nonvanishing(values, p, step, offset):
     return None, checked
 
 
+def require_checked(claims, order: int) -> None:
+    """Raise ValueError if some claim's progression a*n + b has no index
+    <= order (b > order), so that checking it would check no coefficient.
+    The message names that claim (the one with the largest offset) and the
+    smallest order that checks it."""
+    unchecked = [c for c in claims if c.offset > order]
+    if unchecked:
+        c = max(unchecked, key=lambda c: c.offset)
+        raise ValueError(
+            f"claim {c.p} | {c.family}({c.t}, {c.step}n+{c.offset}) checks no coefficient at order {order};"
+            f" order {c.offset} is the smallest that checks it"
+        )
+
+
 def check_claims(claims, order: int) -> list[CongruenceClaim]:
     """Check coeff(a*n + b) = 0 mod p for every a*n + b <= order, for each
-    claim; one table per (family, t) serves all of its claims.
+    claim; one table per (family, t) serves all of its claims, and the
+    tables of one family come from one `coefficient_values` pass.
 
     Returns new claims, in the given order, with status, depth and (on
-    failure) the first violating coefficient index filled in.
+    failure) the first violating coefficient index filled in.  A claim
+    checked on no coefficient raises ValueError (`require_checked`).
     """
+    require_checked(claims, order)
     groups = {}
     for i, claim in enumerate(claims):
-        groups.setdefault((claim.family, claim.t), []).append(i)
+        groups.setdefault(claim.family, {}).setdefault(claim.t, []).append(i)
     results = [None] * len(claims)
-    for (family, t), members in groups.items():
-        values = coefficient_values(family, t, order)
-        for i in members:
-            claim = claims[i]
-            first_violation, checked = _first_nonvanishing(values, claim.p, claim.step, claim.offset)
-            status = REFUTED if first_violation is not None else (
-                EVIDENCE if claim.kind == "conjecture" else VERIFIED
-            )
-            results[i] = replace(
-                claim, status=status, depth=checked - 1, checked=checked, first_violation=first_violation
-            )
-        del values  # free this table before the next one is built
+    for family, members in groups.items():
+        # largest t first: for MO its slot is the widest, and the top slot needs no width
+        for t, values in coefficient_values(family, sorted(members, reverse=True), order):
+            for i in members[t]:
+                claim = claims[i]
+                first_violation, checked = _first_nonvanishing(values, claim.p, claim.step, claim.offset)
+                status = REFUTED if first_violation is not None else (
+                    EVIDENCE if claim.kind == "conjecture" else VERIFIED
+                )
+                results[i] = replace(
+                    claim, status=status, depth=checked - 1, checked=checked, first_violation=first_violation
+                )
+            del values  # free this table before the next one is built
     return results
 
 
@@ -252,8 +276,7 @@ def prospect(family: str, t_values, primes, order: int) -> ProspectResult:
     known = {c.key(): c.label for c in paper_claims() if c.family == family}
     claims = []
     chance = 0.0
-    for t in t_values:
-        values = coefficient_values(family, t, order)
+    for t, values in coefficient_values(family, t_values, order):
         for p in primes:
             offsets = range(min(p, order + 1))
             chance += len(offsets) * p ** (-(order / p))

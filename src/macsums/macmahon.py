@@ -189,6 +189,73 @@ def m_conjugate_form(t: int, order: int) -> Series:
     return chain_series(factors, order, exp_weight=weights)
 
 
+def mo_slot_bound(t: int, order: int) -> int:
+    """An integer B >= (2t+1) MO(t, n) for every n <= order: the bound that
+    sizes t's bit slot in `mo_andrews_rose_many`.
+
+    MO(t, n) is the q^n coefficient of e_t(x_1, x_2, ...), where
+    x_k = q^k/(1-q^k)^2 has nonnegative coefficients.  Expanding
+    p_1^t = (x_1 + x_2 + ...)^t gives every product of t distinct x_k
+    exactly t! times and only nonnegative terms besides, so t! e_t <= p_1^t
+    coefficientwise.  p_1 = sum sigma(m) q^m, and sigma(m) <= 1 + 2 + ... + m
+    = C(m+1, 2), the q^m coefficient of q/(1-q)^3; so p_1^t <= q^t/(1-q)^(3t)
+    coefficientwise, and
+
+        MO(t, n) <= C(n+2t-1, 3t-1) / t!.
+
+    The right side grows with n, so its value at n = order bounds every
+    n <= order, and as MO(t, n) is an integer the floor of 2t+1 times it
+    does too.
+    """
+    return (2 * t + 1) * comb(order + 2 * t - 1, 3 * t - 1) // factorial(t)
+
+
+def mo_andrews_rose_many(ts, order: int):
+    """Yield (t, coefficients of `mo_andrews_rose(t, order)` as a list) for
+    each t of ts in turn, from one division by the theta series.
+
+    Division by an integer series with constant term 1 is Z-linear, so the
+    numerators of every t share one pass: t's integer numerator goes into
+    its own bit slot of one int per coefficient, each t's slot above the
+    slots of the ts after it.  In the packed quotient, t's slot holds
+    (2t+1) MO(t, n), which lies in [0, `mo_slot_bound(t, order)`], so a slot
+    as wide as that bound's bit length never carries into its neighbour.
+    The first t holds the top slot, which needs no width: it is read as
+    c >> shift, and then the packed list is masked down in place to the
+    slots below, so a single t divides exactly as an unpacked table would.
+    Each slot is then divided exactly by 2t+1; a remainder there is a
+    transcription error.  No table is kept once it is yielded.
+    """
+    ts = list(ts)
+    if any(t < 1 for t in ts):
+        raise ValueError("t >= 1")
+    shifts = [0] * len(ts)
+    for i in range(len(ts) - 2, -1, -1):
+        shifts[i] = shifts[i + 1] + mo_slot_bound(ts[i + 1], order).bit_length()
+    num = [0] * (order + 1)
+    for t, shift in zip(ts, shifts):
+        k = t
+        while k * (k + 1) // 2 <= order:
+            c = (2 * k + 1) * comb(k + t, k - t) << shift
+            num[k * (k + 1) // 2] += -c if (k + t) % 2 else c
+            k += 1
+    packed = (Series(num, order) / theta_moment(1, order)).coeffs
+    del num
+    for j, (t, shift) in enumerate(zip(ts, shifts)):
+        out = []
+        mask = (1 << shift) - 1 if j + 1 < len(ts) else None
+        for i, c in enumerate(packed):
+            v, rem = divmod(c >> shift, 2 * t + 1)
+            if rem:
+                raise ArithmeticError(
+                    f"non-integer coefficient {Fraction(c >> shift, 2 * t + 1)} at q^{i}: formula transcription error"
+                )
+            out.append(v)
+            if mask is not None:
+                packed[i] = c & mask
+        yield t, out
+
+
 def mo_andrews_rose(t: int, order: int) -> Series:
     """Theta quotient for the MO family: a finite alternating theta-like sum
     with weights (2k+1)/(2t+1) * C(k+t, k-t), divided by the cube of the
@@ -196,23 +263,9 @@ def mo_andrews_rose(t: int, order: int) -> Series:
 
     The cube is taken as the weight-1 theta series (Jacobi's identity), and
     the integer numerators (2k+1) * C(k+t, k-t) are divided by it before the
-    exact division by 2t+1; a remainder there is a transcription error."""
-    if t < 1:
-        raise ValueError("t >= 1")
-    num = [0] * (order + 1)
-    k = t
-    while k * (k + 1) // 2 <= order:
-        c = (2 * k + 1) * comb(k + t, k - t)
-        num[k * (k + 1) // 2] = -c if (k + t) % 2 else c
-        k += 1
-    out = []
-    for i, c in enumerate((Series(num, order) / theta_moment(1, order)).coeffs):
-        v, rem = divmod(c, 2 * t + 1)
-        if rem:
-            raise ArithmeticError(
-                f"non-integer coefficient {Fraction(c, 2 * t + 1)} at q^{i}: formula transcription error"
-            )
-        out.append(v)
+    exact division by 2t+1; a remainder there is a transcription error.
+    This is the one-t case of `mo_andrews_rose_many`."""
+    ((_, out),) = mo_andrews_rose_many([t], order)
     return Series(out, order)
 
 
@@ -314,11 +367,16 @@ class CoefficientTable:
         return self.values[n]
 
 
-def coefficient_values(family: str, t: int, order: int, formula: str | None = None) -> tuple:
-    """Integer coefficients of a family through q^order, built afresh.
+def coefficient_values(family: str, ts, order: int, formula: str | None = None):
+    """Yield (t, integer coefficients of the family through q^order) for
+    each t of ts in turn, each table built afresh as a list the caller owns.
 
+    The theta quotient, MO's default formula, builds the tables of every t
+    in one packed division (`mo_andrews_rose_many`); every other formula
+    builds one t at a time.  No yielded table is kept here, so a caller
+    that drops each table before asking for the next holds one at a time.
     Integrality and the vanishing of the leading window (below t for M,
-    below t(t+1)/2 for MO) are asserted at construction.
+    below t(t+1)/2 for MO) are asserted for every table.
     """
     if family not in ("M", "MO"):
         raise ValueError(f"unknown family {family!r}; use M or MO")
@@ -326,21 +384,27 @@ def coefficient_values(family: str, t: int, order: int, formula: str | None = No
     table = M_FORMULAS if family == "M" else MO_FORMULAS
     if formula not in table:
         raise ValueError(f"unknown formula {formula!r} for family {family}; known: {sorted(table)}")
-    vals = table[formula](t, order).coeffs
-    for n, c in enumerate(vals):
-        if not isinstance(c, int):
-            raise ArithmeticError(f"{family}({t},{n}) is not an integer: {c}")
-    window = t if family == "M" else t * (t + 1) // 2
-    for n in range(min(window, order + 1)):
-        if vals[n] != 0:
-            raise ArithmeticError(f"{family}({t},{n}) = {vals[n]} below the minimal partition size")
-    return tuple(vals)
+    if family == "MO" and formula == "andrews-rose":
+        tables = mo_andrews_rose_many(ts, order)
+    else:
+        tables = ((t, table[formula](t, order).coeffs) for t in ts)
+    for t, vals in tables:
+        for n, c in enumerate(vals):
+            if not isinstance(c, int):
+                raise ArithmeticError(f"{family}({t},{n}) is not an integer: {c}")
+        window = t if family == "M" else t * (t + 1) // 2
+        for n in range(min(window, order + 1)):
+            if vals[n] != 0:
+                raise ArithmeticError(f"{family}({t},{n}) = {vals[n]} below the minimal partition size")
+        yield t, vals
+        del vals  # the next table is built before the loop rebinds this name
 
 
 def coefficient_table(family: str, t: int, order: int, formula: str | None = None) -> CoefficientTable:
-    """`coefficient_values` as a table naming its formula, built afresh."""
+    """One t of `coefficient_values` as a table naming its formula, built afresh."""
     formula = formula or DEFAULT_FORMULA.get(family)
-    return CoefficientTable(family, t, order, formula, coefficient_values(family, t, order, formula))
+    ((_, values),) = coefficient_values(family, [t], order, formula)
+    return CoefficientTable(family, t, order, formula, tuple(values))
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,9 @@ from .series import Series, _norm
 class IntPoly:
     """Dense integer-coefficient polynomial in q, trailing zeros trimmed.
 
-    The coefficients are a tuple, so a polynomial handed out by a cached
-    table (`q_binomial`, `q_factorial`) cannot be changed by its caller.
+    The coefficients are a tuple, and the attribute cannot be rebound or
+    deleted after construction, so a polynomial handed out by a cached table
+    (`q_binomial`, `q_factorial`) cannot be changed by its caller.
     """
 
     __slots__ = ("coeffs",)
@@ -30,7 +31,17 @@ class IntPoly:
         for c in coeffs:
             if not isinstance(c, int):
                 raise TypeError(f"IntPoly coefficients must be integers, got {c!r}")
-        self.coeffs = tuple(coeffs)
+        object.__setattr__(self, "coeffs", tuple(coeffs))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"IntPoly is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"IntPoly is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, not by setting the slot
+        return IntPoly, (self.coeffs,)
 
     @classmethod
     def zero(cls):

@@ -3,6 +3,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -309,3 +313,33 @@ def test_error_inside_a_case_is_not_a_usage_error(monkeypatch):
     )
     with pytest.raises(ValueError, match="broken case"):
         main(["verify", "--id", "broken", "--order", "5"])
+
+
+@pytest.mark.parametrize(
+    "argv, named, smallest",
+    [
+        (["--suite", "paper", "--order", "0"], "11 | MO(10, 11n+7)", 7),
+        (["--suite", "paper", "--order", "6"], "11 | MO(10, 11n+7)", 7),
+        (["--claim", "MO,4,11,11,6", "--order", "5"], "11 | MO(4, 11n+6)", 6),
+        (["--input", "REPORT", "--recheck"], "5 | M(2, 5n+1)", 1),
+    ],
+    ids=["suite-order-0", "suite-order-6", "claim", "recheck"],
+)
+def test_scan_rejects_a_claim_the_order_checks_nowhere(capsys, tmp_path, argv, named, smallest):
+    # a claim with offset > order used to report PASS with depth=-1 and no coefficient checked
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"schema": 1, "command": "scan", "order": 0, "results": [SUITE_CLAIM]}))
+    argv = [str(report) if arg == "REPORT" else arg for arg in argv]
+    code, out, err = run_cli(capsys, "scan", *argv)
+    assert_usage_error(code, out, err)
+    assert named in err and f"order {smallest} is the smallest" in err
+
+
+def test_python_dash_m_runs_from_a_checkout():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "macsums", "--help"], env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: macsums")

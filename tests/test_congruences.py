@@ -19,6 +19,7 @@ from macsums.congruences import (
     verify_paper_suite,
 )
 from macsums.macmahon import (
+    coefficient_table,
     coefficient_values,
     m_conjugate_form,
     mo_recurrence,
@@ -26,6 +27,7 @@ from macsums.macmahon import (
     weak_multisum,
 )
 from macsums.reports import EVIDENCE, REFUTED, VERIFIED, CongruenceClaim
+from macsums.series import Series
 
 
 def test_paper_suite_verifies_to_150():
@@ -88,15 +90,16 @@ def test_mod_streams_match_rational_backends():
         m_others = [weak_multisum(t, 100).coeffs, m_conjugate_form(t, 100).coeffs]
         mo_others = [strict_multisum(t, 100).coeffs, mo_recurrence(t, 100).coeffs]
         for p in (3, 5, 7, 11):
-            m, mo = reduced(coefficient_values("M", t, 100), p), reduced(coefficient_values("MO", t, 100), p)
+            m = reduced(coefficient_table("M", t, 100).values, p)
+            mo = reduced(coefficient_table("MO", t, 100).values, p)
             assert all(m == reduced(other, p) for other in m_others)
             assert all(mo == reduced(other, p) for other in mo_others)
 
 
 def test_mod_streams_match_multisums():
     for t in (1, 2, 3):
-        assert reduced(coefficient_values("M", t, 60), 7) == reduced(weak_multisum(t, 60).coeffs, 7)
-        assert reduced(coefficient_values("MO", t, 60), 7) == reduced(strict_multisum(t, 60).coeffs, 7)
+        assert reduced(coefficient_table("M", t, 60).values, 7) == reduced(weak_multisum(t, 60).coeffs, 7)
+        assert reduced(coefficient_table("MO", t, 60).values, 7) == reduced(strict_multisum(t, 60).coeffs, 7)
 
 
 def test_family_mod_stream_rejects_unknown():
@@ -107,13 +110,38 @@ def test_family_mod_stream_rejects_unknown():
 def test_paper_suite_builds_one_table_per_family_and_t(monkeypatch):
     calls = []
 
-    def counting(family, t, order, formula=None):
-        calls.append((family, t))
-        return coefficient_values(family, t, order, formula)
+    def counting(family, ts, order, formula=None):
+        for t, values in coefficient_values(family, ts, order, formula):
+            calls.append((family, t))
+            yield t, values
 
     monkeypatch.setattr(congruences, "coefficient_values", counting)
     assert len(verify_paper_suite(60)) == 29
     assert len(calls) == len(set(calls)) == 13
+
+
+def count_divisions(monkeypatch):
+    """Count Series divisions from here on; returns the list that grows."""
+    calls = []
+    div = Series.__truediv__
+
+    def counted(self, other):
+        calls.append(1)
+        return div(self, other)
+
+    monkeypatch.setattr(Series, "__truediv__", counted)
+    return calls
+
+
+def test_mo_scans_share_one_theta_division(monkeypatch):
+    # the suite's four MO tables and the prospect's six come from one packed
+    # division each; every table was its own division before
+    divisions = count_divisions(monkeypatch)
+    verify_paper_suite(300)
+    assert len(divisions) == 1
+    divisions.clear()
+    prospect("MO", range(1, 7), [5, 7, 11], 300)
+    assert len(divisions) == 1
 
 
 def test_sigma_lemma_a_examples():

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_multisum
@@ -27,8 +27,10 @@ from macsums.macmahon import (
     m_recurrence,
     m_single_sum,
     mo_andrews_rose,
+    mo_andrews_rose_many,
     mo_from_m,
     mo_recurrence,
+    mo_slot_bound,
     mo_umbral,
     multisums,
     strict_multisum,
@@ -135,6 +137,25 @@ def test_scan_routes_match_chains_up_to_t10():
     for t in range(1, 11):
         assert m_single_sum(t, 1000) == weak[t - 1], t
         assert mo_andrews_rose(t, 1000) == strict[t - 1], t
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(1, 12), max_size=5), st.integers(0, 400))
+@example([1, 2], 1)  # a zero-width slot under the top one
+def test_packed_theta_quotients_match_single_tables_and_chains(ts, order):
+    tables = list(mo_andrews_rose_many(ts, order))
+    assert [t for t, _ in tables] == ts
+    strict = multisums(max(ts, default=0), order, strict=True)
+    for t, values in tables:
+        assert values == mo_andrews_rose(t, order).coeffs == strict[t - 1].coeffs, t
+
+
+def test_slot_bound_dominates_every_theta_quotient_coefficient():
+    strict = multisums(10, 1000, strict=True)
+    for t in range(1, 11):
+        quotients = [(2 * t + 1) * c for c in strict[t - 1].coeffs]
+        assert mo_slot_bound(t, 1000) >= max(quotients), t
+        assert all(mo_slot_bound(t, n) >= c for n, c in enumerate(quotients)), t
 
 
 def test_strict_multisum_matches_brute_force():

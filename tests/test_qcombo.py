@@ -1,6 +1,7 @@
 """Tests for q-integers, Gaussian binomials, Stirling and central factorial
 numbers."""
 
+import copy
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
@@ -46,6 +47,11 @@ def test_cached_polynomials_cannot_be_changed_by_callers():
         q_binomial(4, 2).coeffs[0] = 99
     with pytest.raises(TypeError):
         q_factorial(3).coeffs[0] = 99
+    with pytest.raises(AttributeError):
+        q_binomial(4, 2).coeffs = (99, 1, 2, 1, 1)
+    with pytest.raises(AttributeError):
+        del q_factorial(3).coeffs
+    assert copy.deepcopy(q_binomial(4, 2)) == q_binomial(4, 2)
     assert q_binomial(4, 2) == IntPoly([1, 1, 2, 1, 1])
     assert q_factorial(3) == IntPoly([1, 2, 2, 1])
 
