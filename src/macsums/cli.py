@@ -246,6 +246,10 @@ def cmd_scan(args):
         _at_least(1, t=min(t_values))
         for p in primes:
             _check_prime(p)
+        try:
+            cong.require_distinct(t_values, primes)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
         print(f"prospecting family={family} t={t_values} p={primes} order={args.order}", file=sys.stderr)
         result = cong.prospect(family, t_values, primes, args.order)
         _claims_output(

@@ -263,20 +263,40 @@ def exponent_residue_set(t, p, m, kmax=None):
     return {(k * (k - 1) // 2 + (m + t) * k) % p for k in range(1, kmax + 1)}
 
 
+def require_distinct(t_values, primes) -> None:
+    """Raise ValueError if the prospect grid repeats a t or a prime: a
+    repeat would report its survivors twice and count its progressions
+    twice in the chance level."""
+    for name, values in (("t", t_values), ("p", primes)):
+        seen = set()
+        for v in values:
+            if v in seen:
+                raise ValueError(f"{name} grid repeats {v}")
+            seen.add(v)
+
+
 def prospect(family: str, t_values, primes, order: int) -> ProspectResult:
     """Scan all progressions (p, b) with step p for full vanishing.
 
     Only offsets b <= order are scanned, so every survivor has at least one
-    coefficient checked.  Survivors are reported sorted by evidence depth.
+    coefficient checked.  Survivors are reported sorted by evidence depth;
+    ties keep the order of t_values, then of primes, then of offsets.  A
+    repeated t or prime raises ValueError (`require_distinct`).  The tables
+    are built largest t first, as in `check_claims`, so an MO scan puts the
+    widest slot on top.
+
     The chance level is the survivor count a uniform-residue null would
     predict over the scanned progressions: each of the roughly order/p
     residues in a progression vanishes with probability 1/p, so each
     (t, p, b) survives with probability p^(-order/p).
     """
+    t_values = list(t_values)
+    require_distinct(t_values, primes)
     known = {c.key(): c.label for c in paper_claims() if c.family == family}
-    claims = []
+    survivors = {}
     chance = 0.0
-    for t, values in coefficient_values(family, t_values, order):
+    for t, values in coefficient_values(family, sorted(t_values, reverse=True), order):
+        found = survivors[t] = []
         for p in primes:
             offsets = range(min(p, order + 1))
             chance += len(offsets) * p ** (-(order / p))
@@ -287,7 +307,7 @@ def prospect(family: str, t_values, primes, order: int) -> ProspectResult:
                     label = f"{p} | {family}({t}, {p}n+{b})"
                     if anchor:
                         label += "  [known claim]"
-                    claims.append(
+                    found.append(
                         CongruenceClaim(
                             family=family, t=t, p=p, step=p, offset=b,
                             kind="prospect", label=label,
@@ -295,6 +315,7 @@ def prospect(family: str, t_values, primes, order: int) -> ProspectResult:
                         )
                     )
         del values  # free this table before the next one is built
+    claims = [c for t in t_values for c in survivors[t]]
     claims.sort(key=lambda c: -c.depth)
     return ProspectResult(
         family=family,

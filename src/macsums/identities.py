@@ -10,7 +10,7 @@ power series; nothing symbolic is carried along.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, prod
 
 from .macmahon import chain_series
 from .qcombo import IntPoly, gbinom, q_binomial, q_factorial, q_int
@@ -353,9 +353,9 @@ def _weak_chain_sum(t: int, n: int, first, rest) -> Fraction:
 
 def _check_poles(n, z, x=None):
     for k in range(1, n + 1):
-        if z + k == 0:
+        if z == -k:
             raise ValueError("parameter hits pole: z + k = 0")
-        if x is not None and x + k == 0:
+        if x is not None and x == -k:
             raise ValueError("parameter hits pole: x + k = 0")
 
 
@@ -385,23 +385,67 @@ def master_lemma_sides(t: int, n: int, z, a_seq):
     return lhs, _weak_chain_sum(t, n, first, lambda k: 1 / (z + k)) / denom
 
 
+# The master identity and its seed run on integers.  With z = a/b and
+# x = c/d in lowest terms, e_k = a + kb = b(z+k) and f_k = c + kd = d(x+k)
+# are integers, and every term of either side is an integer over
+# E^t P_n, where E = e_1...e_n and P_n = f_1...f_n.  Each side is summed as
+# one integer numerator over that denominator and reduced once.
+
+
+def _master_lhs(t: int, n: int, z: Fraction, x: Fraction) -> Fraction:
+    """Sum over k = 1..n of (-1)^(k-1) C(n,k) / ((z+k)^t C(x+k, k)).
+
+    C(x+k, k) = f_1...f_k / (d^k k!), so term k is
+    (-1)^(k-1) C(n,k) b^t d^k k! (E/e_k)^t (P_n/P_k) over E^t P_n.  The
+    factors P_n/P_k = f_(k+1)...f_n grow from the top down, so one pass over
+    k gives the numerator and leaves P_n.
+    """
+    a, b = z.numerator, z.denominator
+    c, d = x.numerator, x.denominator
+    e = [a + k * b for k in range(n + 1)]
+    big_e = prod(e[1:])
+    num, tail = 0, 1
+    for k in range(n, 0, -1):
+        term = comb(n, k) * d ** k * factorial(k) * (big_e // e[k]) ** t * tail
+        num += term if k % 2 else -term
+        tail *= c + k * d
+    if tail == 0:
+        raise ValueError("parameter hits pole: C(x+k, k) = 0")
+    return Fraction(b ** t * num, big_e ** t * tail)
+
+
 def rational_master_sides(t: int, n: int, z, x):
-    """Master identity specialized: a_k = 1/C(x+k, k), b_k = k/(x+k)."""
+    """Master identity specialized: a_k = 1/C(x+k, k), b_k = k/(x+k).
+
+    The rhs is the weak chain of first(k_1) rest(k_2)...rest(k_t) over
+    C(z+n, n), with first(k) = k C(z+k, k)/((x+k)(z+k)) and
+    rest(v) = 1/(z+v) = b w_v / E for the integer weights w_v = E/e_v.
+    Its tails T_r(v) = T_r(v+1) + w_v T_(r-1)(v) stay integers, and over
+    b^(n-1) n! P_n, first(k) is k d b^(n-k) (n!/k!) e_1...e_(k-1) (P_n/f_k).
+    """
     z = Fraction(z)
     x = Fraction(x)
     _check_poles(n, z, x)
-    lhs = Fraction(0)
+    lhs = _master_lhs(t, n, z, x)
+    a, b = z.numerator, z.denominator
+    c, d = x.numerator, x.denominator
+    e = [a + k * b for k in range(n + 1)]
+    f = [c + k * d for k in range(n + 1)]
+    big_e, big_p = prod(e[1:]), prod(f[1:])
+    w = [0] + [big_e // e[v] for v in range(1, n + 1)]
+    levels = max(t - 1, 0)  # the rest factors of a chain of length t
+    tail = [1] * (n + 1)
+    for _ in range(levels):
+        acc = 0
+        for v in range(n, 0, -1):
+            acc += w[v] * tail[v]
+            tail[v] = acc
+    total, head = 0, 1
     for k in range(1, n + 1):
-        bk = gbinom(x + k, k)
-        if bk == 0:
-            raise ValueError("parameter hits pole: C(x+k, k) = 0")
-        term = Fraction(comb(n, k)) / ((z + k) ** t * bk)
-        lhs += term if k % 2 else -term
-    denom = gbinom(z + n, n)
-    if denom == 0:
-        raise ValueError("parameter hits pole: C(z+n, n) = 0")
-    first = lambda k: k * gbinom(z + k, k) / ((x + k) * (z + k))
-    return lhs, _weak_chain_sum(t, n, first, lambda k: 1 / (z + k)) / denom
+        total += k * b ** (n - k) * (factorial(n) // factorial(k)) * head * (big_p // f[k]) * tail[k]
+        head *= e[k]
+    scale = levels + 1  # b/E from each rest factor, and from first(k) over C(z+n, n)
+    return lhs, Fraction(b ** scale * d * total, big_e ** scale * big_p)
 
 
 def rational_master_check(t: int, n: int, z, x) -> IdentityReport:
@@ -415,15 +459,10 @@ def rational_master_check(t: int, n: int, z, x) -> IdentityReport:
 
 
 def rational_hypothesis_check(n: int, x) -> IdentityReport:
-    """The seed identity: alternating sum of C(n,k)/C(x+k,k) equals n/(x+n)."""
+    """The seed identity: alternating sum of C(n,k)/C(x+k,k) equals n/(x+n).
+    Its lhs is the master lhs at t = 0, where z drops out."""
     x = Fraction(x)
-    lhs = Fraction(0)
-    for k in range(1, n + 1):
-        bk = gbinom(x + k, k)
-        if bk == 0:
-            raise ValueError("parameter hits pole: C(x+k, k) = 0")
-        term = Fraction(comb(n, k)) / bk
-        lhs += term if k % 2 else -term
+    lhs = _master_lhs(0, n, Fraction(0), x)
     rhs = Fraction(n) / (x + n)
     return value_report("rational-hypothesis", {"n": n, "x": str(x)}, lhs, rhs)
 

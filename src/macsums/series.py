@@ -32,7 +32,10 @@ class Series:
     __slots__ = ("coeffs", "order")
 
     def __init__(self, coeffs, order=None):
-        coeffs = [_norm(c) for c in coeffs]
+        coeffs = list(coeffs)
+        # one C-level type scan: a list of plain ints has nothing to normalise
+        if set(map(type, coeffs)) != {int}:
+            coeffs = [_norm(c) for c in coeffs]
         if order is None:
             if not coeffs:
                 raise ValueError("empty coefficient list needs an explicit order")

@@ -221,6 +221,8 @@ def test_verify_rejects_non_integer_grid(capsys):
         ["scan", "--claim", "Q,2,5,5,1", "--order", "50"],  # unknown family
         ["scan", "--claim", "M,x,5,5,1", "--order", "50"],
         ["scan", "--prospect", "--t", "a", "--order", "50"],
+        ["scan", "--prospect", "--family", "MO", "--t", "2,2", "--p", "5", "--order", "60"],  # repeated t
+        ["scan", "--prospect", "--family", "M", "--t", "1..3", "--p", "5,7,5", "--order", "60"],  # repeated p
         ["scan", "--order", "-5"],
         ["verify", "--id", "dilcher", "--order", "-1"],
         ["verify", "--id", "mss", "--order", "3", "--n", "4635", "--x", "7"],  # q-Pascal recursion depth

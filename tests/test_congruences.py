@@ -3,7 +3,7 @@ checks, cross-validation of the scanned tables, and negative controls."""
 
 import pytest
 
-from macsums import congruences
+from macsums import congruences, macmahon
 from macsums.congruences import (
     check_claim,
     delta_binomial,
@@ -250,6 +250,46 @@ def test_prospect_reports_only_tested_offsets():
     assert res.claims and all(c.checked > 0 for c in res.claims)
     assert {c.offset for c in res.claims} <= set(range(6))
     assert res.chance_level == 6 * 11 ** (-5 / 11)
+
+
+def oracle_prospect(family, t_values, primes, order):
+    """(t, p, offset, depth, checked) of every survivor, one table per t
+    built on its own in the caller's order, then stably sorted by depth;
+    and the chance level summed in the same order."""
+    rows, chance = [], 0.0
+    for t in t_values:
+        values = coefficient_table(family, t, order).values
+        for p in primes:
+            offsets = range(min(p, order + 1))
+            chance += len(offsets) * p ** (-(order / p))
+            for b in offsets:
+                checked = values[b::p]
+                if all(v % p == 0 for v in checked):
+                    rows.append((t, p, b, (order - b) // p, len(checked)))
+    rows.sort(key=lambda row: -row[3])
+    return rows, chance
+
+
+@pytest.mark.parametrize("t_values", [[1, 2, 3, 4, 5, 6], [4, 1, 6, 2]])
+def test_prospect_builds_widest_slot_first_and_keeps_caller_order(monkeypatch, t_values):
+    seen = []
+    many = macmahon.mo_andrews_rose_many
+
+    def recording(ts, order):
+        seen.append(list(ts))
+        return many(ts, order)
+
+    monkeypatch.setattr(macmahon, "mo_andrews_rose_many", recording)
+    res = prospect("MO", t_values, [5, 7, 11], 200)
+    assert seen == [sorted(t_values, reverse=True)]
+    rows = [(c.t, c.p, c.offset, c.depth, c.checked) for c in res.claims]
+    assert (rows, res.chance_level) == oracle_prospect("MO", t_values, [5, 7, 11], 200)
+
+
+@pytest.mark.parametrize("t_values, primes", [([2, 2], [5]), ([1, 2], [5, 7, 5])])
+def test_prospect_rejects_repeated_grid_values(t_values, primes):
+    with pytest.raises(ValueError, match="repeats"):
+        prospect("MO", t_values, primes, 60)
 
 
 def test_prospect_chance_level_positive():

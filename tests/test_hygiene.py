@@ -1,5 +1,6 @@
-"""Source hygiene: every name a module imports is used in that module, and
-no module multiplies by a geometric factor it built as a series."""
+"""Source hygiene: every name a module imports is used in that module, every
+module-level function and class is referenced somewhere, and no module
+multiplies by a geometric factor it built as a series."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "macsums"
+TESTS = Path(__file__).resolve().parent
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -71,3 +73,52 @@ def test_geometric_products_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_multiplies_by_no_built_geometric_factor(path):
     assert geometric_products(path.read_text()) == []
+
+
+def unreferenced_definitions(module, trees):
+    """Module-level functions and classes of the parsed module that no
+    name, attribute or import in trees (parsed sources, the module among
+    them) refers to.  A reference inside the definition itself does not
+    count, and dunder names are exempt."""
+    definitions = {}
+    for node in module.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                definitions[node.name] = node
+    owner = {id(n): name for name, d in definitions.items() for n in ast.walk(d)}
+    referenced = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            referenced.update(name for name in names if name != owner.get(id(node)))
+    return sorted(name for name in definitions if name not in referenced)
+
+
+def test_unreferenced_definitions_are_found():
+    module = ast.parse(
+        "def used(): pass\n"
+        "def by_attribute(): pass\n"
+        "def imported(): pass\n"
+        "def recursive(n): return recursive(n - 1)\n"
+        "class Dead: pass\n"
+        "def __getattr__(name): pass\n"
+        "x = used()\n"
+    )
+    other = ast.parse("import m\nfrom m import imported\nm.by_attribute()\n")
+    assert unreferenced_definitions(module, [module, other]) == ["Dead", "recursive"]
+
+
+def test_every_definition_is_referenced():
+    trees = {p: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))}
+    dead = {
+        path.name: unreferenced_definitions(trees[path], trees.values())
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert {name: defs for name, defs in dead.items() if defs} == {}

@@ -353,6 +353,52 @@ def test_rational_master_rhs_matches_tuple_walk(t, n, z, x):
     assert (got if got == "pole" else got[1]) == want
 
 
+def oracle_rational_master_lhs(t, n, z, x):
+    z, x = Fraction(z), Fraction(x)
+    _oracle_poles(n, z, x)
+    lhs = Fraction(0)
+    for k in range(1, n + 1):
+        bk = gbinom(x + k, k)
+        if bk == 0:
+            raise ValueError("pole")
+        lhs += (-1) ** (k - 1) * comb(n, k) / ((z + k) ** t * bk)
+    return lhs
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 7), q1_param, q1_param)
+def test_rational_master_lhs_matches_gbinom_single_sum(t, n, z, x):
+    got = _sides_or_pole(rational_master_sides, t, n, z, x)
+    want = _sides_or_pole(oracle_rational_master_lhs, t, n, z, x)
+    assert (got if got == "pole" else got[0]) == want
+
+
+FRACTION_OPERATORS = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+    "__floordiv__", "__rfloordiv__", "__mod__", "__rmod__", "__pow__", "__rpow__", "__neg__", "__pos__",
+    "__abs__",
+)
+
+
+def test_rational_master_runs_on_integers(monkeypatch):
+    # both sides are integer numerators over one denominator, reduced once;
+    # a Fraction operation per term (375 of them before) fails this
+    calls = []
+
+    def counted(fn):
+        def op(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return op
+
+    for name in FRACTION_OPERATORS:
+        monkeypatch.setattr(Fraction, name, counted(getattr(Fraction, name)))
+    lhs, rhs = rational_master_sides(4, 8, Fraction(7, 3), Fraction(1, 2))
+    monkeypatch.undo()
+    assert len(calls) <= 40, calls
+    assert lhs == rhs == oracle_rational_master_lhs(4, 8, Fraction(7, 3), Fraction(1, 2))
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.integers(1, 4),

@@ -14,7 +14,7 @@ from conftest import (
     seeded,
 )
 from macsums.divisors import eisenstein, sigma_series
-from macsums.series import Series, euler_function, geometric_pow, q_derivative
+from macsums.series import Series, _norm, euler_function, geometric_pow, q_derivative
 
 ONES = lambda n: Series([1] * (n + 1), n)
 
@@ -259,6 +259,26 @@ def test_fraction_normalization():
     a = Series([Fraction(4, 2), Fraction(1, 3)], 1)
     assert isinstance(a[0], int) and a[0] == 2
     assert a[1] == Fraction(1, 3)
+
+
+coefficient = st.one_of(
+    st.integers(-10**30, 10**30),
+    st.booleans(),
+    st.builds(lambda n, d: Fraction(n * d, d), st.integers(-50, 50), st.integers(1, 7)),
+    st.builds(Fraction, st.integers(-50, 50), st.integers(1, 7)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.lists(st.integers(-10**30, 10**30), min_size=1), st.lists(coefficient, min_size=1)))
+def test_construction_normalises_and_copies(coeffs):
+    # an all-int list skips normalising; anything else is normalised as before
+    want = [_norm(c) for c in coeffs]
+    s = Series(coeffs)
+    assert [(type(c), c) for c in s.coeffs] == [(type(c), c) for c in want]
+    coeffs[0] = Fraction(1, 3)
+    coeffs.append(5)
+    assert [(type(c), c) for c in s.coeffs] == [(type(c), c) for c in want]
 
 
 def test_valuation():
