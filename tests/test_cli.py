@@ -345,3 +345,26 @@ def test_python_dash_m_runs_from_a_checkout():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: macsums")
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["verify", "--id", "T-inversion", "--order", "20", "--format", "csv"], "verify-T-inversion-order20.csv"),
+        (["verify", "--id", "T-inversion", "--order", "20", "--format", "json"], "verify-T-inversion-order20.json"),
+        (["coeffs", "--family", "M", "--t", "2", "--n", "30", "--mod", "7", "--format", "csv"],
+         "coeffs-M-t2-n30-mod7.csv"),
+        (["coeffs", "--family", "M", "--t", "2", "--n", "30", "--mod", "7", "--format", "json"],
+         "coeffs-M-t2-n30-mod7.json"),
+        (["scan", "--suite", "paper", "--order", "60", "--format", "csv"], "scan-suite-paper-order60.csv"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else None,
+)
+def test_machine_readable_output_is_byte_identical_to_golden(capsys, argv, name):
+    # csv rows end in \r\n and verify's params column is json.dumps(params, default=str)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.encode() == (GOLDEN / name).read_bytes()
