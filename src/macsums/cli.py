@@ -4,14 +4,15 @@ catalog id, congruence suites and prospecting.
 Exit codes: 0 every requested check passed, 1 a refutation or mismatch was
 found, 2 usage or configuration error.  Standard output stays machine
 parseable; progress notes go to standard error.
+
+A command loads only what it prints: `json` for the json format and for
+reading a report, `csv` for the csv format; and the parser gives arguments
+only to the subcommand that runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
 
 from . import congruences as cong
@@ -82,20 +83,28 @@ def _checked_claim(family, t, p, step, offset, **rest):
     return CongruenceClaim(family=family, t=t, p=p, step=step, offset=offset, **rest)
 
 
-def _emit(text_rows, json_payload, csv_rows, csv_header, args):
-    fmt = args.format
-    if fmt == "text":
-        body = "\n".join(text_rows) + "\n"
-    elif fmt == "json":
-        body = json.dumps(json_payload, indent=2) + "\n"
-    elif fmt == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(csv_header)
-        w.writerows(csv_rows)
-        body = buf.getvalue()
-    else:
-        raise UsageError(f"unknown format {fmt!r}")
+def _text(lines):
+    return "\n".join(lines) + "\n"
+
+
+def _json(payload):
+    import json
+
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _csv(header, rows):
+    import csv
+    import io
+
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
+
+
+def _write(body, args):
     if args.output:
         try:
             with open(args.output, "w") as fh:
@@ -119,31 +128,35 @@ def cmd_coeffs(args):
         raise UsageError(f"unknown formula {formula!r}; known: {', '.join(sorted(formulas))}")
     table = mac.coefficient_table(family, args.t, args.n, formula)
     mod = args.mod
-    text = [f"# family={family} t={args.t} formula={formula} order={args.n}"
-            + (f" mod={mod}" if mod else "")]
-    rows = []
-    for n, v in enumerate(table.values):
+    if args.format == "json":
+        body = _json({
+            "schema": SCHEMA_VERSION,
+            "command": "coeffs",
+            "family": family,
+            "t": args.t,
+            "order": args.n,
+            "formula": formula,
+            "modulus": mod,
+            "values": [
+                {"n": n, "value": v, **({"residue": v % mod} if mod else {})}
+                for n, v in enumerate(table.values)
+            ],
+        })
+    elif args.format == "csv":
+        header = ["family", "t", "n", "value"] + (["modulus", "residue"] if mod else [])
         if mod:
-            rows.append([family, args.t, n, v, mod, v % mod])
-            text.append(f"{n}\t{v}\t{v % mod}")
+            rows = ([family, args.t, n, v, mod, v % mod] for n, v in enumerate(table.values))
         else:
-            rows.append([family, args.t, n, v])
-            text.append(f"{n}\t{v}")
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "coeffs",
-        "family": family,
-        "t": args.t,
-        "order": args.n,
-        "formula": formula,
-        "modulus": mod,
-        "values": [
-            {"n": n, "value": v, **({"residue": v % mod} if mod else {})}
-            for n, v in enumerate(table.values)
-        ],
-    }
-    header = ["family", "t", "n", "value"] + (["modulus", "residue"] if mod else [])
-    _emit(text, payload, rows, header, args)
+            rows = ([family, args.t, n, v] for n, v in enumerate(table.values))
+        body = _csv(header, rows)
+    else:
+        head = f"# family={family} t={args.t} formula={formula} order={args.n}" + (f" mod={mod}" if mod else "")
+        if mod:
+            lines = [f"{n}\t{v}\t{v % mod}" for n, v in enumerate(table.values)]
+        else:
+            lines = [f"{n}\t{v}" for n, v in enumerate(table.values)]
+        body = _text([head, *lines])
+    _write(body, args)
     return 0
 
 
@@ -161,54 +174,64 @@ def cmd_verify(args):
         reports = registry.run_identity(args.id, grids, args.order)
     except registry.GridError as exc:
         raise UsageError(str(exc)) from None
-    ok = all(r.passed for r in reports)
-    text = []
-    for r in reports:
-        status = "PASS" if r.passed else "FAIL"
-        extra = "" if r.passed else f"  first mismatch at q^{r.mismatch_at}: {r.lhs} vs {r.rhs}"
-        note = f"  ({r.note})" if r.note else ""
-        text.append(f"{status}  {r.ident} {r.params}{note}{extra}")
-    text.append(f"# {sum(r.passed for r in reports)}/{len(reports)} cases passed")
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "verify",
-        "id": args.id,
-        "order": args.order,
-        "results": [r.as_dict() for r in reports],
-    }
-    rows = [
-        [r.ident, json.dumps(r.params, default=str), r.order, r.passed, r.mismatch_at]
-        for r in reports
-    ]
-    _emit(text, payload, rows, ["id", "params", "order", "passed", "mismatch_at"], args)
-    return 0 if ok else 1
+    if args.format == "json":
+        body = _json({
+            "schema": SCHEMA_VERSION,
+            "command": "verify",
+            "id": args.id,
+            "order": args.order,
+            "results": [r.as_dict() for r in reports],
+        })
+    elif args.format == "csv":
+        import json
+
+        body = _csv(
+            ["id", "params", "order", "passed", "mismatch_at"],
+            ([r.ident, json.dumps(r.params, default=str), r.order, r.passed, r.mismatch_at] for r in reports),
+        )
+    else:
+        lines = []
+        for r in reports:
+            status = "PASS" if r.passed else "FAIL"
+            extra = "" if r.passed else f"  first mismatch at q^{r.mismatch_at}: {r.lhs} vs {r.rhs}"
+            note = f"  ({r.note})" if r.note else ""
+            lines.append(f"{status}  {r.ident} {r.params}{note}{extra}")
+        lines.append(f"# {sum(r.passed for r in reports)}/{len(reports)} cases passed")
+        body = _text(lines)
+    _write(body, args)
+    return 0 if all(r.passed for r in reports) else 1
+
+
+_TAGS = {"verified-to-depth": "PASS", "evidence-to-depth": "EVIDENCE", "refuted": "FAIL"}
 
 
 def _claims_output(claims, args, extra=None):
-    text = []
-    for c in claims:
-        tag = {"verified-to-depth": "PASS", "evidence-to-depth": "EVIDENCE", "refuted": "FAIL"}.get(
-            c.status, c.status
+    if args.format == "json":
+        payload = {
+            "schema": SCHEMA_VERSION,
+            "command": "scan",
+            "order": args.order,
+            "results": [c.as_dict() for c in claims],
+        }
+        if extra:
+            payload.update(extra)
+        body = _json(payload)
+    elif args.format == "csv":
+        body = _csv(
+            ["family", "t", "p", "step", "offset", "kind", "depth", "status", "first_violation"],
+            ([c.family, c.t, c.p, c.step, c.offset, c.kind, c.depth, c.status, c.first_violation]
+             for c in claims),
         )
-        viol = "" if c.first_violation is None else f"  first violation at coefficient {c.first_violation}"
-        text.append(
-            f"{tag}  {c.family} t={c.t} p={c.p} progression {c.step}n+{c.offset}"
-            f"  [{c.kind}] depth={c.depth}{viol}  {c.label}"
-        )
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "scan",
-        "order": args.order,
-        "results": [c.as_dict() for c in claims],
-    }
-    if extra:
-        payload.update(extra)
-    rows = [
-        [c.family, c.t, c.p, c.step, c.offset, c.kind, c.depth, c.status, c.first_violation]
-        for c in claims
-    ]
-    header = ["family", "t", "p", "step", "offset", "kind", "depth", "status", "first_violation"]
-    _emit(text, payload, rows, header, args)
+    else:
+        lines = []
+        for c in claims:
+            viol = "" if c.first_violation is None else f"  first violation at coefficient {c.first_violation}"
+            lines.append(
+                f"{_TAGS.get(c.status, c.status)}  {c.family} t={c.t} p={c.p} progression {c.step}n+{c.offset}"
+                f"  [{c.kind}] depth={c.depth}{viol}  {c.label}"
+            )
+        body = _text(lines)
+    _write(body, args)
 
 
 def _require_checked(claims, order):
@@ -268,6 +291,8 @@ def cmd_scan(args):
 
 
 def _recheck(args):
+    import json
+
     try:
         with open(args.input) as fh:
             previous = json.load(fh)
@@ -316,45 +341,63 @@ def _recheck(args):
     return 0 if all(c.status != REFUTED for c in rechecked) else 1
 
 
-def build_parser():
+def _coeffs_arguments(p):
+    p.add_argument("--family", required=True, help="M or MO")
+    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, help="largest index to print")
+    p.add_argument("--mod", type=int, default=None, help="also reduce modulo this integer (>= 2)")
+    p.add_argument("--formula", default=None, help="which formula backs the table")
+
+
+def _verify_arguments(p):
+    p.add_argument("--id", required=True)
+    p.add_argument("--order", type=int, required=True)
+    for name, (domain, _) in registry.GRID_DOMAINS.items():
+        p.add_argument(f"--{name}", default=None, help=f"grid, e.g. 1..4 or 1,3; each value {domain}")
+
+
+def _scan_arguments(p):
+    p.add_argument("--order", type=int, default=None)
+    p.add_argument("--suite", default=None, help="named suite (paper)")
+    p.add_argument("--claim", default=None, help='single claim "family,t,p,step,offset"')
+    p.add_argument("--prospect", action="store_true")
+    p.add_argument("--family", default=None)
+    p.add_argument("--t", default=None, help="t grid for prospecting")
+    p.add_argument("--p", default=None, help="prime list for prospecting")
+    p.add_argument("--input", default=None, help="previous JSON report")
+    p.add_argument("--recheck", action="store_true", help="re-run claims from --input")
+
+
+# subcommand -> (help line, function that adds its own arguments)
+_SUBCOMMANDS = {
+    "coeffs": ("print a coefficient table", _coeffs_arguments),
+    "verify": ("verify a catalogued identity over a grid", _verify_arguments),
+    "scan": ("congruence suite, single claims, or prospecting", _scan_arguments),
+}
+
+
+def build_parser(command):
+    """The argument parser.  Only the subparser named `command` (the first
+    command-line word) gets its arguments: a run parses one subcommand, and
+    the top-level help and its invalid-choice error need only the names and
+    help lines of the others."""
     parser = argparse.ArgumentParser(
         prog="macsums",
         description="exact generalized divisor sums: coefficients, identities, congruences",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_coeffs = sub.add_parser("coeffs", help="print a coefficient table")
-    p_coeffs.add_argument("--family", required=True, help="M or MO")
-    p_coeffs.add_argument("--t", type=int, required=True)
-    p_coeffs.add_argument("--n", type=int, required=True, help="largest index to print")
-    p_coeffs.add_argument("--mod", type=int, default=None, help="also reduce modulo this integer (>= 2)")
-    p_coeffs.add_argument("--formula", default=None, help="which formula backs the table")
-
-    p_verify = sub.add_parser("verify", help="verify a catalogued identity over a grid")
-    p_verify.add_argument("--id", required=True)
-    p_verify.add_argument("--order", type=int, required=True)
-    for name, (domain, _) in registry.GRID_DOMAINS.items():
-        p_verify.add_argument(f"--{name}", default=None, help=f"grid, e.g. 1..4 or 1,3; each value {domain}")
-
-    p_scan = sub.add_parser("scan", help="congruence suite, single claims, or prospecting")
-    p_scan.add_argument("--order", type=int, default=None)
-    p_scan.add_argument("--suite", default=None, help="named suite (paper)")
-    p_scan.add_argument("--claim", default=None, help='single claim "family,t,p,step,offset"')
-    p_scan.add_argument("--prospect", action="store_true")
-    p_scan.add_argument("--family", default=None)
-    p_scan.add_argument("--t", default=None, help="t grid for prospecting")
-    p_scan.add_argument("--p", default=None, help="prime list for prospecting")
-    p_scan.add_argument("--input", default=None, help="previous JSON report")
-    p_scan.add_argument("--recheck", action="store_true", help="re-run claims from --input")
-
-    for p in (p_coeffs, p_verify, p_scan):
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-        p.add_argument("--output", default=None)
+    for name, (help_line, add_arguments) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if name == command:
+            add_arguments(p)
+            p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+            p.add_argument("--output", default=None)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -16,7 +16,6 @@ t = 2, p = 5 claims).
 
 from __future__ import annotations
 
-from dataclasses import replace
 from math import comb
 
 from .divisors import sigma
@@ -72,8 +71,9 @@ def check_claims(claims, order: int) -> list[CongruenceClaim]:
                 status = REFUTED if first_violation is not None else (
                     EVIDENCE if claim.kind == "conjecture" else VERIFIED
                 )
-                results[i] = replace(
-                    claim, status=status, depth=checked - 1, checked=checked, first_violation=first_violation
+                results[i] = CongruenceClaim(
+                    *claim.key(), kind=claim.kind, label=claim.label,
+                    status=status, depth=checked - 1, checked=checked, first_violation=first_violation,
                 )
             del values  # free this table before the next one is built
     return results

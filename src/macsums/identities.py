@@ -351,6 +351,12 @@ def _weak_chain_sum(t: int, n: int, first, rest) -> Fraction:
     return sum((first(k) * tail[k] for k in range(1, n + 1)), Fraction(0))
 
 
+def _check_chain_length(t):
+    """A chain of length t < 1 has no first part, so neither side is defined."""
+    if t < 1:
+        raise ValueError(f"chain length t must be >= 1, got {t}")
+
+
 def _check_poles(n, z, x=None):
     for k in range(1, n + 1):
         if z == -k:
@@ -362,6 +368,7 @@ def _check_poles(n, z, x=None):
 def master_lemma_sides(t: int, n: int, z, a_seq):
     """General form: any sequence a with b defined by the alternating
     binomial transform satisfies the lemma."""
+    _check_chain_length(t)
     z = Fraction(z)
     _check_poles(n, z)
     a = [Fraction(v) for v in a_seq]
@@ -423,6 +430,7 @@ def rational_master_sides(t: int, n: int, z, x):
     Its tails T_r(v) = T_r(v+1) + w_v T_(r-1)(v) stay integers, and over
     b^(n-1) n! P_n, first(k) is k d b^(n-k) (n!/k!) e_1...e_(k-1) (P_n/f_k).
     """
+    _check_chain_length(t)
     z = Fraction(z)
     x = Fraction(x)
     _check_poles(n, z, x)
@@ -433,9 +441,8 @@ def rational_master_sides(t: int, n: int, z, x):
     f = [c + k * d for k in range(n + 1)]
     big_e, big_p = prod(e[1:]), prod(f[1:])
     w = [0] + [big_e // e[v] for v in range(1, n + 1)]
-    levels = max(t - 1, 0)  # the rest factors of a chain of length t
     tail = [1] * (n + 1)
-    for _ in range(levels):
+    for _ in range(t - 1):  # the rest factors of a chain of length t
         acc = 0
         for v in range(n, 0, -1):
             acc += w[v] * tail[v]
@@ -444,8 +451,8 @@ def rational_master_sides(t: int, n: int, z, x):
     for k in range(1, n + 1):
         total += k * b ** (n - k) * (factorial(n) // factorial(k)) * head * (big_p // f[k]) * tail[k]
         head *= e[k]
-    scale = levels + 1  # b/E from each rest factor, and from first(k) over C(z+n, n)
-    return lhs, Fraction(b ** scale * d * total, big_e ** scale * big_p)
+    # b/E from each of the t - 1 rest factors, and from first(k) over C(z+n, n)
+    return lhs, Fraction(b ** t * d * total, big_e ** t * big_p)
 
 
 def rational_master_check(t: int, n: int, z, x) -> IdentityReport:

@@ -20,13 +20,12 @@ inside `multisums`), never multiplied in as a built series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 from operator import add, sub
 
 from .divisors import eisenstein, odd_square_product, sigma_series, theta_moment, umbral_eval
-from .reports import IdentityReport, merge_reports, series_report
+from .reports import FrozenRecord, IdentityReport, merge_reports, series_report
 from .series import Series, euler_function, over_geometric_coeffs
 
 
@@ -355,13 +354,11 @@ DEFAULT_FORMULA = {"M": "single-sum", "MO": "andrews-rose"}
 # coefficient tables
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
-    family: str
-    t: int
-    order: int
-    provenance: str
-    values: tuple
+class CoefficientTable(FrozenRecord):
+    __slots__ = ("family", "t", "order", "provenance", "values")
+
+    def __init__(self, family: str, t: int, order: int, provenance: str, values: tuple):
+        self._freeze(family, t, order, provenance, values)
 
     def __getitem__(self, n):
         return self.values[n]

@@ -18,26 +18,25 @@ is built, so that rebinding those names reaches every call.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import factorial
-from typing import Callable
 
 from . import divisors as div
 from . import identities as ident
 from . import macmahon as mac
 from .qcombo import central_T, central_u
-from .reports import IdentityReport, series_report
+from .reports import FrozenRecord, IdentityReport, series_report
 from .series import Series, q_derivative
 
 
-@dataclass(frozen=True)
-class IdentitySpec:
-    ident: str
-    description: str
-    grids: dict  # grid name -> default values, outermost first
-    case: Callable  # (order, **one value per grid) -> list[IdentityReport]
+class IdentitySpec(FrozenRecord):
+    __slots__ = ("ident", "description", "grids", "case")
+
+    def __init__(self, ident: str, description: str, grids: dict, case):
+        # grids: grid name -> default values, outermost first
+        # case: (order, **one value per grid) -> list[IdentityReport]
+        self._freeze(ident, description, grids, case)
 
 
 class GridError(ValueError):

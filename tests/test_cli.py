@@ -368,3 +368,41 @@ def test_machine_readable_output_is_byte_identical_to_golden(capsys, argv, name)
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert out.encode() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", [None, "coeffs", "verify", "scan"])
+def test_help_is_byte_identical_to_golden(capsys, monkeypatch, command):
+    # each subcommand's parser gets its arguments only when it runs; the help must not show it
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    argv = ["--help"] if command is None else [command, "--help"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN / ("help.txt" if command is None else f"help-{command}.txt")).read_bytes()
+
+
+def test_unknown_command_is_an_invalid_choice(capsys):
+    code, out, err = run_cli(capsys, "bogus", "--order", "5")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: macsums [-h] {coeffs,verify,scan} ...\n")
+    assert "argument command: invalid choice: 'bogus'" in err
+    assert all(name in err.splitlines()[-1] for name in ("coeffs", "verify", "scan"))
+
+
+def test_cli_imports_no_dataclasses_typing_json_or_csv():
+    # the start-up cost of every command: a text-format verify loads none of these either
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {str(src)!r})",
+        "HEAVY = ('dataclasses', 'inspect', 'typing', 'json', 'csv')",
+        "import macsums.cli",
+        "print('import', *[m for m in HEAVY if m in sys.modules])",
+        "rc = macsums.cli.main(['verify', '--id', 'T-inversion', '--order', '10'])",
+        "print('main', rc, *[m for m in HEAVY if m in sys.modules])",
+    ])
+    done = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "import"
+    assert lines[-2] == "# 4/4 cases passed"
+    assert lines[-1] == "main 0"

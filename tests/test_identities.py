@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from macsums.identities import (
+    _master_lhs,
     atid_b_check,
     atid_b_sides,
     certify_rational_equality,
@@ -368,9 +369,25 @@ def oracle_rational_master_lhs(t, n, z, x):
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 4), st.integers(0, 7), q1_param, q1_param)
 def test_rational_master_lhs_matches_gbinom_single_sum(t, n, z, x):
-    got = _sides_or_pole(rational_master_sides, t, n, z, x)
-    want = _sides_or_pole(oracle_rational_master_lhs, t, n, z, x)
-    assert (got if got == "pole" else got[0]) == want
+    if t == 0:
+        # the seed identity's lhs, where z drops out; the master sides need t >= 1
+        z = 0
+        got = _sides_or_pole(_master_lhs, 0, n, Fraction(0), Fraction(x))
+    else:
+        got = _sides_or_pole(rational_master_sides, t, n, z, x)
+        got = got if got == "pole" else got[0]
+    assert got == _sides_or_pole(oracle_rational_master_lhs, t, n, z, x)
+
+
+@pytest.mark.parametrize("t", [0, -1])
+def test_master_sides_need_a_chain_of_length_at_least_one(t):
+    # t = 0 used to run the t = 1 chain on the rhs: lhs 3/4 against rhs 23/48
+    with pytest.raises(ValueError, match="t must be >= 1"):
+        rational_master_sides(t, 3, 1, 1)
+    with pytest.raises(ValueError, match="t must be >= 1"):
+        master_lemma_sides(t, 2, 1, [1, 2])
+    report = rational_master_check(t, 3, 1, 1)
+    assert not report.passed and report.lhs is None and "t must be >= 1" in report.note
 
 
 FRACTION_OPERATORS = (
