@@ -18,7 +18,7 @@ import sys
 from . import congruences as cong
 from . import macmahon as mac
 from . import registry
-from .reports import REFUTED, CongruenceClaim
+from .reports import REFUTED, CongruenceClaim, InputError
 
 SCHEMA_VERSION = 1
 
@@ -28,14 +28,15 @@ class UsageError(Exception):
 
 
 def parse_range(text):
-    """Accept '3', '1..4' or '1,3,5' and return a list of ints; other text is a UsageError."""
+    """Accept '3', '1..4' or '1,3,5' and return a list of ints, or for a..b
+    a range, which is never built; other text is a UsageError."""
     if text is None:
         return None
     text = text.strip()
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
-            return list(range(int(lo), int(hi) + 1))
+            return range(int(lo), int(hi) + 1)
         return [int(v) for v in text.split(",") if v]
     except ValueError:
         raise UsageError(f"{text!r} is not an integer, a range a..b or a list a,b,c") from None
@@ -81,6 +82,24 @@ def _checked_claim(family, t, p, step, offset, **rest):
     if not 0 <= offset < step:
         raise UsageError(f"offset must satisfy 0 <= offset < step, got {offset} with step {step}")
     return CongruenceClaim(family=family, t=t, p=p, step=step, offset=offset, **rest)
+
+
+def _power_of_ten_bound(x):
+    """'< 10^e' for the least integer e with x < 10^e, for a positive
+    Fraction x: e is seeded from the bit lengths (log10(2) ~ 30103/100000)
+    and settled by exact integer comparisons, so no float and no decimal
+    expansion of x is made."""
+    n, d = x.numerator, x.denominator
+
+    def below(e):
+        return n * 10 ** max(-e, 0) < d * 10 ** max(e, 0)
+
+    e = (n.bit_length() - d.bit_length()) * 30103 // 100000
+    while not below(e):
+        e += 1
+    while below(e - 1):
+        e -= 1
+    return f"< 10^{e}"
 
 
 def _text(lines):
@@ -170,10 +189,7 @@ def cmd_verify(args):
         for name in registry.GRID_DOMAINS
         if getattr(args, name) is not None
     }
-    try:
-        reports = registry.run_identity(args.id, grids, args.order)
-    except registry.GridError as exc:
-        raise UsageError(str(exc)) from None
+    reports = registry.run_identity(args.id, grids, args.order)
     if args.format == "json":
         body = _json({
             "schema": SCHEMA_VERSION,
@@ -234,14 +250,6 @@ def _claims_output(claims, args, extra=None):
     _write(body, args)
 
 
-def _require_checked(claims, order):
-    """A claim checked on no coefficient at this order is a UsageError."""
-    try:
-        cong.require_checked(claims, order)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
 def cmd_scan(args):
     modes = [args.input, args.claim, args.prospect, args.suite is not None]
     if sum(map(bool, modes)) > 1:
@@ -255,7 +263,6 @@ def cmd_scan(args):
         except ValueError:
             raise UsageError('claim must be "family,t,p,step,offset", integers after the family') from None
         claim = _checked_claim(family, t, p, step, offset, kind="ad-hoc")
-        _require_checked([claim], args.order)
         checked = cong.check_claim(claim, args.order)
         _claims_output([checked], args)
         return 0 if checked.status != REFUTED else 1
@@ -266,24 +273,23 @@ def cmd_scan(args):
         primes = [3, 5, 7, 11] if args.p is None else parse_range(args.p)
         if not t_values or not primes:
             raise UsageError("--t and --p must not be empty")
-        _at_least(1, t=min(t_values))
+        for t in t_values:
+            _at_least(1, t=t)
         for p in primes:
             _check_prime(p)
-        try:
-            cong.require_distinct(t_values, primes)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        cong.require_distinct(t_values, primes)
+        t_values, primes = list(t_values), list(primes)
         print(f"prospecting family={family} t={t_values} p={primes} order={args.order}", file=sys.stderr)
         result = cong.prospect(family, t_values, primes, args.order)
         _claims_output(
             result.claims, args,
-            extra={"chance_level": result.chance_level, "note": result.note},
+            extra={"chance_level": _power_of_ten_bound(result.chance_level), "note": result.note},
         )
         return 0
     # default: the fixed suite of stated congruence claims
     if args.suite not in (None, "paper"):
         raise UsageError(f"unknown suite {args.suite!r}; available: paper")
-    _require_checked(cong.paper_claims(), args.order)
+    cong.require_checked(cong.paper_claims(), args.order)
     print(f"running congruence suite at order {args.order}", file=sys.stderr)
     claims = cong.verify_paper_suite(args.order)
     _claims_output(claims, args)
@@ -326,7 +332,6 @@ def _recheck(args):
         claims.append(_checked_claim(
             *(d[name] for name in fields), kind=d.get("kind", "theorem"), label=d.get("label", ""),
         ))
-    _require_checked(claims, order)
     rechecked = cong.check_claims(claims, order)
     identical = True
     for d, fresh in zip(results, rechecked):
@@ -418,7 +423,7 @@ def main(argv=None) -> int:
                 raise UsageError("--t, --p and --family apply only to --prospect")
             return cmd_scan(args)
         raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
+    except (UsageError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -157,24 +157,6 @@ def single_sum_forms_check(t: int, n: int, order: int) -> IdentityReport:
     return series_report("G-forms", {"t": t, "n": n}, order, lhs, rhs)
 
 
-def certify_rational_equality(lhs: Series, rhs: Series, bound: int) -> bool:
-    """Promote truncated agreement to rational-function equality.
-
-    Sound when bound dominates deg(numerator) + deg(denominator) of both
-    sides as rational functions: two distinct rational functions of that
-    complexity cannot agree on 2*bound+1 series coefficients.
-    """
-    need = 2 * bound + 1
-    if lhs.order < need or rhs.order < need:
-        raise ValueError(f"insufficient truncation: bound {bound} needs order {need}")
-    return lhs.agrees(rhs, upto=need)
-
-
-def triplet_degree_bound(t: int, n: int) -> int:
-    # conservative: common denominator of every term on either side
-    return 2 * t * sum(range(1, 2 * n + 1))
-
-
 # ---------------------------------------------------------------------------
 # Dilcher-type single-sum identities
 
@@ -334,20 +316,25 @@ def cor53_check(t: int, n: int, z: int, order: int) -> IdentityReport:
 # the rational specializations (q = 1), exact rational arithmetic throughout
 
 
-def _weak_chain_sum(t: int, n: int, first, rest) -> Fraction:
-    """Sum over 1 <= k_1 <= ... <= k_t <= n of first(k_1) rest(k_2)...rest(k_t).
-
-    The tails T_r(v), summed over v <= k_1 <= ... <= k_r <= n of
-    rest(k_1)...rest(k_r), follow T_r(v) = T_r(v+1) + rest(v) T_(r-1)(v)
-    from T_0 = 1; the answer is the sum of first(k) T_(t-1)(k).
-    """
-    w = [None] + [rest(v) for v in range(1, n + 1)]
-    tail = [Fraction(1)] * (n + 1)
-    for _ in range(t - 1):
-        acc = Fraction(0)
-        for v in range(n, 0, -1):
+def _chain_tails(w: list, r: int) -> list:
+    """The tails T_r(v) for v = 1..n (index 0 unused) of the weights
+    w = [_, w_1, ..., w_n]: T_r(v) sums w_(k_1)...w_(k_r) over
+    v <= k_1 <= ... <= k_r <= n, and T_r(v) = T_r(v+1) + w_v T_(r-1)(v)
+    from T_0 = 1.  The sums start from the ints 1 and 0, so integer weights
+    give integer tails."""
+    tail = [1] * len(w)
+    for _ in range(r):
+        acc = 0
+        for v in range(len(w) - 1, 0, -1):
             acc += w[v] * tail[v]
             tail[v] = acc
+    return tail
+
+
+def _weak_chain_sum(t: int, n: int, first, rest) -> Fraction:
+    """Sum over 1 <= k_1 <= ... <= k_t <= n of first(k_1) rest(k_2)...rest(k_t):
+    the sum of first(k) T_(t-1)(k) over the tails of the weights rest(v)."""
+    tail = _chain_tails([None] + [rest(v) for v in range(1, n + 1)], t - 1)
     return sum((first(k) * tail[k] for k in range(1, n + 1)), Fraction(0))
 
 
@@ -363,33 +350,6 @@ def _check_poles(n, z, x=None):
             raise ValueError("parameter hits pole: z + k = 0")
         if x is not None and x == -k:
             raise ValueError("parameter hits pole: x + k = 0")
-
-
-def master_lemma_sides(t: int, n: int, z, a_seq):
-    """General form: any sequence a with b defined by the alternating
-    binomial transform satisfies the lemma."""
-    _check_chain_length(t)
-    z = Fraction(z)
-    _check_poles(n, z)
-    a = [Fraction(v) for v in a_seq]
-    if len(a) < n:
-        raise ValueError("need a_1..a_n")
-    b = []
-    for m in range(1, n + 1):
-        s = Fraction(0)
-        for k in range(1, m + 1):
-            term = comb(m, k) * a[k - 1]
-            s += term if k % 2 else -term
-        b.append(s)
-    lhs = Fraction(0)
-    for k in range(1, n + 1):
-        term = comb(n, k) * a[k - 1] / (z + k) ** t
-        lhs += term if k % 2 else -term
-    denom = gbinom(z + n, n)
-    if denom == 0:
-        raise ValueError("parameter hits pole: C(z+n, n) = 0")
-    first = lambda k: b[k - 1] * gbinom(z + k, k) / (z + k)
-    return lhs, _weak_chain_sum(t, n, first, lambda k: 1 / (z + k)) / denom
 
 
 # The master identity and its seed run on integers.  With z = a/b and
@@ -441,12 +401,7 @@ def rational_master_sides(t: int, n: int, z, x):
     f = [c + k * d for k in range(n + 1)]
     big_e, big_p = prod(e[1:]), prod(f[1:])
     w = [0] + [big_e // e[v] for v in range(1, n + 1)]
-    tail = [1] * (n + 1)
-    for _ in range(t - 1):  # the rest factors of a chain of length t
-        acc = 0
-        for v in range(n, 0, -1):
-            acc += w[v] * tail[v]
-            tail[v] = acc
+    tail = _chain_tails(w, t - 1)  # the rest factors of a chain of length t
     total, head = 0, 1
     for k in range(1, n + 1):
         total += k * b ** (n - k) * (factorial(n) // factorial(k)) * head * (big_p // f[k]) * tail[k]

@@ -419,19 +419,27 @@ def _sigma_combination(order, combos):
     return Series(out, order)
 
 
+# each closed form's name -> the catalog id of its check
+CLOSED_FORMS = {
+    "V2_ode": "closed-form-V2", "V3_ode": "closed-form-V3-ode", "V3_sigma": "closed-form-V3",
+    "U3mV3_sigma": "closed-form-U3-minus-V3", "U4_sigma": "closed-form-U4",
+    "MO251": "sigma1-convolution", "excess_V2U2": "excess-V2-U2", "V1_E2": "V1-eisenstein",
+}
+
+
 def closed_form_check(which: str, order: int) -> IdentityReport:
     """Evaluate both sides of a named closed-form identity exactly."""
-    p = {"which": which}
+    if which not in CLOSED_FORMS:
+        raise ValueError(f"unknown closed form {which!r}")
+    ident_id, p = CLOSED_FORMS[which], {"which": which}
     if which == "V2_ode":
-        v1, v2 = multisums(2, order)
+        v1, lhs = multisums(2, order)
         rhs = ((7 * v1 - 1) * v1 + v1.q_derivative()) * Fraction(1, 10)
-        return series_report("closed-form-V2", p, order, v2, rhs)
-    if which == "V3_ode":
-        v1, v2, v3 = multisums(3, order)
+    elif which == "V3_ode":
+        v1, v2, lhs = multisums(3, order)
         rhs = ((19 * v1 - 3) * v2 - 4 * v1**3 + v1 * v1 + v2.q_derivative()) * Fraction(1, 21)
-        return series_report("closed-form-V3-ode", p, order, v3, rhs)
-    if which == "V3_sigma":
-        v3 = weak_multisum(3, order)
+    elif which == "V3_sigma":
+        lhs = weak_multisum(3, order)
         rhs = _sigma_combination(
             order,
             [
@@ -440,8 +448,7 @@ def closed_form_check(which: str, order: int) -> IdentityReport:
                 (lambda n: 31, 5),
             ],
         ) * Fraction(1, 1920)
-        return series_report("closed-form-V3", p, order, v3, rhs)
-    if which == "U3mV3_sigma":
+    elif which == "U3mV3_sigma":
         lhs = strict_multisum(3, order) - weak_multisum(3, order)
         rhs = _sigma_combination(
             order,
@@ -451,9 +458,8 @@ def closed_form_check(which: str, order: int) -> IdentityReport:
                 (lambda n: -28, 5),
             ],
         ) * Fraction(1, 1920)
-        return series_report("closed-form-U3-minus-V3", p, order, lhs, rhs)
-    if which == "U4_sigma":
-        u4 = strict_multisum(4, order)
+    elif which == "U4_sigma":
+        lhs = strict_multisum(4, order)
         rhs = _sigma_combination(
             order,
             [
@@ -463,25 +469,18 @@ def closed_form_check(which: str, order: int) -> IdentityReport:
                 (lambda n: 5, 7),
             ],
         ) * Fraction(1, 967680)
-        return series_report("closed-form-U4", p, order, u4, rhs)
-    if which == "MO251":
+    elif which == "MO251":
         # convolution identity: 12*sum sigma1(j)sigma1(n-j) = 5 sigma3 + (1-6n) sigma1
         s1 = sigma_series(1, order)
         lhs = 12 * (s1 * s1)
         rhs = _sigma_combination(order, [(lambda n: 1 - 6 * n, 1), (lambda n: 5, 3)])
-        return series_report("sigma1-convolution", p, order, lhs, rhs)
-    if which == "excess_V2U2":
+    elif which == "excess_V2U2":
         lhs = weak_multisum(2, order) - strict_multisum(2, order)
         rhs = (sigma_series(3, order) - sigma_series(1, order)) * Fraction(1, 6)
-        return series_report("excess-V2-U2", p, order, lhs, rhs)
-    if which == "V1_E2":
+    elif which == "V1_E2":
         lhs = weak_multisum(1, order)
         rhs = (Series.one(order) - eisenstein("E2", order)) * Fraction(1, 24)
-        return series_report("V1-eisenstein", p, order, lhs, rhs)
-    raise ValueError(f"unknown closed form {which!r}")
-
-
-CLOSED_FORMS = ("V2_ode", "V3_ode", "V3_sigma", "U3mV3_sigma", "U4_sigma", "MO251", "excess_V2U2", "V1_E2")
+    return series_report(ident_id, p, order, lhs, rhs)
 
 
 def symmetric_relation_check(t: int, order: int) -> IdentityReport:

@@ -11,10 +11,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
+from .reports import FrozenRecord
 from .series import Series, _norm
 
 
-class IntPoly:
+class IntPoly(FrozenRecord):
     """Dense integer-coefficient polynomial in q, trailing zeros trimmed.
 
     The coefficients are a tuple, and the attribute cannot be rebound or
@@ -31,17 +32,7 @@ class IntPoly:
         for c in coeffs:
             if not isinstance(c, int):
                 raise TypeError(f"IntPoly coefficients must be integers, got {c!r}")
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"IntPoly is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"IntPoly is immutable; cannot delete {name!r}")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__, not by setting the slot
-        return IntPoly, (self.coeffs,)
+        self._freeze(tuple(coeffs))
 
     @classmethod
     def zero(cls):
@@ -57,11 +48,6 @@ class IntPoly:
 
     def is_zero(self):
         return not self.coeffs
-
-    def __eq__(self, other):
-        if not isinstance(other, IntPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
 
     __hash__ = None
 
@@ -206,35 +192,3 @@ def gbinom(a, k: int) -> Fraction:
     for i in range(k):
         num *= a - i
     return num / factorial(k)
-
-
-def q_binomial_transform(a, order):
-    """Forward transform b_n = sum_k (-1)^(k-1) qbin(n,k) a_k, as series.
-
-    a is a list [a_1, ..., a_L] of exact scalars or Series; returns the
-    matching list [b_1, ..., b_L] of Series at the given order.
-    """
-    out = []
-    for n in range(1, len(a) + 1):
-        acc = Series.zero(order)
-        for k in range(1, n + 1):
-            term = q_binomial(n, k).to_series(order) * a[k - 1]
-            acc = acc + term if k % 2 else acc - term
-        out.append(acc)
-    return out
-
-
-def q_binomial_inverse_transform(b, order):
-    """Inverse transform a_n = sum_k (-1)^(k-1) q^C(n-k,2) qbin(n,k) b_k."""
-    out = []
-    for n in range(1, len(b) + 1):
-        acc = Series.zero(order)
-        for k in range(1, n + 1):
-            e = (n - k) * (n - k - 1) // 2
-            bk = b[k - 1]
-            if not isinstance(bk, Series):
-                bk = Series.monomial(bk, 0, order)
-            term = (q_binomial(n, k).to_series(order) * bk).shift(e)
-            acc = acc + term if k % 2 else acc - term
-        out.append(acc)
-    return out

@@ -5,11 +5,6 @@ default values, outermost first) and gives one case function that checks a
 single grid point.  One runner walks every spec; the `verify` command
 reaches the catalog only through it.
 
-Not every check is catalogued: `sigma_lemma_a_check`, `sigma_lemma_b_check`,
-`sigma_progression_check`, the `delta_*` checks and `phi_termwise_check` in
-`congruences` take parameters that no grid name carries, so only the test
-suite runs them.
-
 Case functions look library functions up at call time, through their module
 or a global of this module, never through a value captured when the table
 is built, so that rebinding those names reaches every call.
@@ -27,6 +22,7 @@ from . import identities as ident
 from . import macmahon as mac
 from .qcombo import central_T, central_u
 from .reports import FrozenRecord, IdentityReport, series_report
+from .reports import InputError as GridError  # an undeclared or empty grid, or a value outside its domain
 from .series import Series, q_derivative
 
 
@@ -37,10 +33,6 @@ class IdentitySpec(FrozenRecord):
         # grids: grid name -> default values, outermost first
         # case: (order, **one value per grid) -> list[IdentityReport]
         self._freeze(ident, description, grids, case)
-
-
-class GridError(ValueError):
-    """An undeclared grid, an empty grid or a value outside its domain."""
 
 
 # The values each grid name admits in every identity that declares it.  The
@@ -150,10 +142,7 @@ _SPECS = [
                  lambda order, t, n: [ident.rational_triplet_check(t, n)]),
     IdentitySpec("wz-certificates", "all difference certificates on their grids", {}, _wz_certificates),
     *(IdentitySpec(ident_id, f"closed form {which}", {}, partial(_closed_form, which))
-      for which, ident_id in (
-        ("V2_ode", "closed-form-V2"), ("V3_ode", "closed-form-V3-ode"), ("V3_sigma", "closed-form-V3"),
-        ("U3mV3_sigma", "closed-form-U3-minus-V3"), ("U4_sigma", "closed-form-U4"),
-        ("MO251", "sigma1-convolution"), ("excess_V2U2", "excess-V2-U2"), ("V1_E2", "V1-eisenstein"))),
+      for which, ident_id in mac.CLOSED_FORMS.items()),
     IdentitySpec("conjugate-M-form", "smallest-part weighted conjugate sum equals the multisum", _T3,
                  lambda order, t: _by_t("conjugate-M-form", order, t, mac.m_conjugate_form(t, order),
                                         mac.weak_multisum(t, order))),
@@ -207,9 +196,9 @@ def run_identity(ident_id: str, grids: dict, order: int) -> list[IdentityReport]
         domain, admits = GRID_DOMAINS[name]
         if not values:
             raise GridError(f"grid {name} is empty")
-        bad = [v for v in values if not admits(v)]
-        if bad:
-            raise GridError(f"grid {name} takes {domain}, got {bad[0]}")
+        for v in values:
+            if not admits(v):
+                raise GridError(f"grid {name} takes {domain}, got {v}")
     out = []
     for point in itertools.product(*walk):
         out.extend(spec.case(order, **dict(zip(spec.grids, point))))

@@ -12,9 +12,16 @@ every command's start-up than the rest of `import macsums.cli` together.
 from __future__ import annotations
 
 
+class InputError(ValueError):
+    """Input rejected before any work starts: an undeclared or empty grid
+    or a value outside its domain, a claim that checks no coefficient, or a
+    repeated prospect grid value.  The command line reports it as a usage
+    error."""
+
+
 class Record:
     """A record whose fields are its `__slots__`, in constructor order,
-    compared field by field."""
+    compared field by field and listed in that order by `as_dict`."""
 
     __slots__ = ()
 
@@ -31,6 +38,9 @@ class Record:
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__name__}({fields})"
+
+    def as_dict(self):
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 class FrozenRecord(Record):
@@ -73,16 +83,9 @@ class IdentityReport(Record):
         self.note = note
 
     def as_dict(self):
-        return {
-            "id": self.ident,
-            "params": {k: str(v) for k, v in self.params.items()},
-            "order": self.order,
-            "passed": self.passed,
-            "mismatch_at": self.mismatch_at,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "note": self.note,
-        }
+        d = super().as_dict()
+        d["params"] = {k: str(v) for k, v in self.params.items()}
+        return {"id": d.pop("ident"), **d}
 
 
 def series_report(ident, params, order, lhs, rhs, upto=None, note=""):
@@ -165,32 +168,16 @@ class CongruenceClaim(Record):
     def key(self):
         return (self.family, self.t, self.p, self.step, self.offset)
 
-    def as_dict(self):
-        return {
-            "family": self.family,
-            "t": self.t,
-            "p": self.p,
-            "step": self.step,
-            "offset": self.offset,
-            "kind": self.kind,
-            "label": self.label,
-            "status": self.status,
-            "depth": self.depth,
-            "checked": self.checked,
-            "first_violation": self.first_violation,
-        }
-
 
 class ProspectResult(Record):
     """Progressions that survived a vanishing scan, plus the chance baseline."""
 
     __slots__ = ("family", "order", "claims", "chance_level", "note")
 
-    def __init__(self, family: str, order: int, claims: list | None = None, chance_level: float = 0.0,
-                 note: str = ""):
+    def __init__(self, family: str, order: int, claims: list | None = None, chance_level=0, note: str = ""):
         self.family = family
         self.order = order
         self.claims = [] if claims is None else claims
-        # expected number of surviving (t, p, b) triples under uniform residues
+        # expected number of surviving (t, p, b) triples under uniform residues, exact
         self.chance_level = chance_level
         self.note = note

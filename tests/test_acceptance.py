@@ -10,16 +10,9 @@ from fractions import Fraction
 
 from conftest import naive_mul, rand_int_series, rand_rational_series, seeded
 from macsums import registry
-from macsums.congruences import (
-    check_claim,
-    sigma_lemma_a_check,
-    sigma_lemma_b_check,
-    sigma_progression_check,
-    verify_paper_suite,
-)
+from macsums.congruences import check_claim, verify_paper_suite
 from macsums.identities import (
     atid_b_check,
-    certify_rational_equality,
     cor52_check,
     cor53_check,
     dilcher_check,
@@ -29,7 +22,6 @@ from macsums.identities import (
     mss_check,
     qbin_difference_check,
     rational_master_check,
-    triplet_degree_bound,
     wz_cor32_check,
     wz_cor52_check,
     wz_cor53_check,
@@ -44,9 +36,18 @@ from macsums.macmahon import (
     strict_multisum,
     weak_multisum,
 )
-from macsums.qcombo import q_binomial, q_binomial_inverse_transform, q_binomial_transform
+from macsums.qcombo import q_binomial
 from macsums.reports import EVIDENCE, REFUTED, VERIFIED, CongruenceClaim
 from macsums.series import q_derivative
+from paper_checks import (
+    certify_rational_equality,
+    q_binomial_inverse_transform,
+    q_binomial_transform,
+    sigma_lemma_a_check,
+    sigma_lemma_b_check,
+    sigma_progression_check,
+    triplet_degree_bound,
+)
 
 
 def report(number, label, started):

@@ -22,7 +22,7 @@ def run_cli(capsys, *argv):
 
 def test_parse_range():
     assert parse_range("3") == [3]
-    assert parse_range("1..4") == [1, 2, 3, 4]
+    assert parse_range("1..4") == range(1, 5)
     assert parse_range("5,7,11") == [5, 7, 11]
     assert parse_range(None) is None
 
@@ -226,6 +226,9 @@ def test_verify_rejects_non_integer_grid(capsys):
         ["scan", "--order", "-5"],
         ["verify", "--id", "dilcher", "--order", "-1"],
         ["verify", "--id", "mss", "--order", "3", "--n", "4635", "--x", "7"],  # q-Pascal recursion depth
+        # ranges past sys.maxsize: checked value by value, never built as a list
+        ["verify", "--id", "dilcher", "--order", "5", "--t", "1..10000000000000000000"],
+        ["scan", "--prospect", "--t", "1", "--p", "3..10000000000000000000", "--order", "5"],
         ["coeffs", "--family", "M", "--t", "0", "--n", "10"],
     ],
     ids=lambda argv: " ".join(argv),
@@ -360,6 +363,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
         (["coeffs", "--family", "M", "--t", "2", "--n", "30", "--mod", "7", "--format", "json"],
          "coeffs-M-t2-n30-mod7.json"),
         (["scan", "--suite", "paper", "--order", "60", "--format", "csv"], "scan-suite-paper-order60.csv"),
+        (["scan", "--prospect", "--family", "MO", "--t", "1..3", "--p", "5,7", "--order", "60", "--format", "json"],
+         "scan-prospect-MO-t1-3-p5-7-order60.json"),
     ],
     ids=lambda v: v if isinstance(v, str) else None,
 )

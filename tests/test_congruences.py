@@ -1,33 +1,32 @@
 """Tests for the congruence scanner: paper suite, sigma lemmas, termwise
 checks, cross-validation of the scanned tables, and negative controls."""
 
+from fractions import Fraction
+
 import pytest
 
 from macsums import congruences, macmahon
-from macsums.congruences import (
-    check_claim,
-    delta_binomial,
-    delta_residue_check,
-    delta_vanishing_check,
-    exponent_residue_set,
-    paper_claims,
-    phi_termwise_check,
-    prospect,
-    sigma_lemma_a_check,
-    sigma_lemma_b_check,
-    sigma_progression_check,
-    verify_paper_suite,
-)
+from macsums.congruences import check_claim, paper_claims, prospect, verify_paper_suite
 from macsums.macmahon import (
     coefficient_table,
     coefficient_values,
     m_conjugate_form,
     mo_recurrence,
+    single_sum_weights,
     strict_multisum,
     weak_multisum,
 )
 from macsums.reports import EVIDENCE, REFUTED, VERIFIED, CongruenceClaim
 from macsums.series import Series
+from paper_checks import (
+    delta_residue_check,
+    delta_vanishing_check,
+    exponent_residue_set,
+    phi_termwise_check,
+    sigma_lemma_a_check,
+    sigma_lemma_b_check,
+    sigma_progression_check,
+)
 
 
 def test_paper_suite_verifies_to_150():
@@ -193,7 +192,7 @@ def test_phi_termwise_detects_nonvanishing():
 
 
 def test_delta_binomial_value():
-    assert delta_binomial(3, 2) == 27  # C(7,5) + C(6,5)
+    assert single_sum_weights(3, 3)[2] == 27  # delta(3, 2) = C(7,5) + C(6,5)
 
 
 def test_delta_polynomial_forms():
@@ -249,21 +248,20 @@ def test_prospect_reports_only_tested_offsets():
     res = prospect("M", [1], [11], 5)
     assert res.claims and all(c.checked > 0 for c in res.claims)
     assert {c.offset for c in res.claims} <= set(range(6))
-    assert res.chance_level == 6 * 11 ** (-5 / 11)
+    assert res.chance_level == Fraction(6, 11)  # six offsets, one coefficient each
 
 
 def oracle_prospect(family, t_values, primes, order):
     """(t, p, offset, depth, checked) of every survivor, one table per t
     built on its own in the caller's order, then stably sorted by depth;
-    and the chance level summed in the same order."""
-    rows, chance = [], 0.0
+    and the chance level, one Fraction 1/p^checked per (t, p, b)."""
+    rows, chance = [], Fraction(0)
     for t in t_values:
         values = coefficient_table(family, t, order).values
         for p in primes:
-            offsets = range(min(p, order + 1))
-            chance += len(offsets) * p ** (-(order / p))
-            for b in offsets:
+            for b in range(min(p, order + 1)):
                 checked = values[b::p]
+                chance += Fraction(1, p ** len(checked))
                 if all(v % p == 0 for v in checked):
                     rows.append((t, p, b, (order - b) // p, len(checked)))
     rows.sort(key=lambda row: -row[3])
@@ -290,6 +288,14 @@ def test_prospect_builds_widest_slot_first_and_keeps_caller_order(monkeypatch, t
 def test_prospect_rejects_repeated_grid_values(t_values, primes):
     with pytest.raises(ValueError, match="repeats"):
         prospect("MO", t_values, primes, 60)
+
+
+@pytest.mark.parametrize("order", [0, 4, 10, 11, 12, 77, 5000])
+def test_prospect_chance_level_is_exact(order):
+    # at order 5000 the float sum this replaced underflowed to 0.0
+    t_values, primes = [1, 3], [3, 5, 7, 11]
+    res = prospect("MO", t_values, primes, order)
+    assert res.chance_level == oracle_prospect("MO", t_values, primes, order)[1] > 0
 
 
 def test_prospect_chance_level_positive():

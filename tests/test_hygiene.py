@@ -1,14 +1,16 @@
 """Source hygiene: every name a module imports is used in that module, every
-module-level function and class is referenced somewhere, and no module
-multiplies by a geometric factor it built as a series."""
+module-level function and class is used by the program itself or is public
+API (`macsums.__all__`), no module multiplies by a geometric factor it built
+as a series, and no module holds a float."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
+import macsums
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "macsums"
-TESTS = Path(__file__).resolve().parent
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -116,9 +118,39 @@ def test_unreferenced_definitions_are_found():
 
 
 def test_every_definition_is_referenced():
-    trees = {p: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))}
+    # only src/ counts as a reference: a definition that only tests use belongs
+    # in tests/ (paper_checks.py), and macsums.__all__ is the one allow-list
+    trees = {p: ast.parse(p.read_text()) for p in MODULES}
+    public = set(macsums.__all__)
     dead = {
-        path.name: unreferenced_definitions(trees[path], trees.values())
-        for path in sorted(SRC.glob("*.py"))
+        path.name: [name for name in unreferenced_definitions(tree, trees.values()) if name not in public]
+        for path, tree in trees.items()
     }
     assert {name: defs for name, defs in dead.items() if defs} == {}
+
+
+def floats(source):
+    """(line, text) of every float literal and every use of the name
+    `float` in the source: exact arithmetic has no place for either."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append((node.lineno, repr(node.value)))
+        elif isinstance(node, ast.Name) and node.id == "float":
+            found.append((node.lineno, "float"))
+    return sorted(found)
+
+
+def test_floats_are_found():
+    source = (
+        "x = 0.0\n"
+        "def f(level: float = 1e-9): return float(level)\n"
+        "y = 2j + 3 / 4\n"
+        "z = '0.5'\n"
+    )
+    assert floats(source) == [(1, "0.0"), (2, "1e-09"), (2, "float"), (2, "float"), (3, "2j")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_module_holds_no_float(path):
+    assert floats(path.read_text()) == []

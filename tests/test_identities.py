@@ -13,7 +13,6 @@ from macsums.identities import (
     _master_lhs,
     atid_b_check,
     atid_b_sides,
-    certify_rational_equality,
     cor52_check,
     cor53_check,
     dilcher_check,
@@ -22,7 +21,6 @@ from macsums.identities import (
     harmonic_paired_sum,
     harmonic_single_sum,
     harmonic_single_sum_alt,
-    master_lemma_sides,
     mss_check,
     mss_precursor_check,
     mss_precursor_sides,
@@ -35,7 +33,6 @@ from macsums.identities import (
     rational_triplet_check,
     single_sum_forms_check,
     triplet_check,
-    triplet_degree_bound,
     triplet_recurrence_check,
     wz_cor32_check,
     wz_cor52_check,
@@ -46,6 +43,7 @@ from macsums.identities import (
 from macsums.macmahon import weak_multisum
 from macsums.qcombo import gbinom
 from macsums.series import Series
+from paper_checks import certify_rational_equality, master_lemma_sides, triplet_degree_bound
 
 HALF = Fraction(1, 2)
 SEVEN_THIRDS = Fraction(7, 3)

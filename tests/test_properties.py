@@ -54,7 +54,7 @@ def run(argv):
 
 @given(st.integers(-50, 50), st.integers(-50, 50))
 def test_parse_range_round_trips_ranges(lo, hi):
-    assert parse_range(f"{lo}..{hi}") == list(range(lo, hi + 1))
+    assert parse_range(f"{lo}..{hi}") == range(lo, hi + 1)
 
 
 @given(st.lists(st.integers(-10**6, 10**6), max_size=8))

@@ -16,13 +16,12 @@ from macsums.qcombo import (
     gbinom,
     poly_from_roots,
     q_binomial,
-    q_binomial_inverse_transform,
-    q_binomial_transform,
     q_factorial,
     q_int,
     stirling1_unsigned,
 )
 from macsums.series import Series
+from paper_checks import q_binomial_inverse_transform, q_binomial_transform
 
 
 def test_q_int_small():
