@@ -273,8 +273,9 @@ def cmd_scan(args):
         primes = [3, 5, 7, 11] if args.p is None else parse_range(args.p)
         if not t_values or not primes:
             raise UsageError("--t and --p must not be empty")
-        for t in t_values:
+        for t in t_values:  # t by t, so a huge range stops at its first bad t
             _at_least(1, t=t)
+            cong.require_table(family, t, args.order)
         for p in primes:
             _check_prime(p)
         cong.require_distinct(t_values, primes)

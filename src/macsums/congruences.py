@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .macmahon import coefficient_values
+from .macmahon import coefficient_values, leading_window
 from .reports import EVIDENCE, REFUTED, VERIFIED, CongruenceClaim, InputError, ProspectResult
 
 
@@ -123,6 +123,17 @@ def verify_paper_suite(order: int):
     return check_claims(paper_claims(), order)
 
 
+def require_table(family: str, t: int, order: int) -> None:
+    """Raise InputError if the table of t is zero through the order (its
+    leading window passes it), so that a scan would check only zeros."""
+    window = leading_window(family, t)
+    if window > order:
+        raise InputError(
+            f"t = {t}: {family}({t}, n) is 0 for every n <= {order}, so its scan checks only structural zeros;"
+            f" order {window} is the smallest with a nonzero coefficient"
+        )
+
+
 def require_distinct(t_values, primes) -> None:
     """Raise InputError if the prospect grid repeats a t or a prime: a
     repeat would report its survivors twice and count its progressions
@@ -147,8 +158,9 @@ def prospect(family: str, t_values, primes, order: int) -> ProspectResult:
 
     Only offsets b <= order are scanned, so every survivor has at least one
     coefficient checked.  Survivors are reported sorted by evidence depth;
-    ties keep the order of t_values, then of primes, then of offsets.  A
-    repeated t or prime raises InputError (`require_distinct`).  The tables
+    ties keep the order of t_values, then of primes, then of offsets.  The
+    grid is checked t by t (`require_table`), then for repeats
+    (`require_distinct`); a bad grid raises InputError.  The tables
     are built largest t first, as in `check_claims`, so an MO scan puts the
     widest slot on top.
 
@@ -158,7 +170,11 @@ def prospect(family: str, t_values, primes, order: int) -> ProspectResult:
     probability 1/p, so (t, p, b) survives with probability p to the minus
     that count (`_null_survivals`).
     """
-    t_values = list(t_values)
+    grid = []
+    for t in t_values:
+        require_table(family, t, order)
+        grid.append(t)
+    t_values = grid
     require_distinct(t_values, primes)
     known = {c.key(): c.label for c in paper_claims() if c.family == family}
     survivors = {}

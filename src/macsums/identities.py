@@ -2,9 +2,11 @@
 
 Every identity here is verified by computing BOTH sides independently as
 exact truncated series (or exact rationals for the specializations at
-q = 1) and comparing coefficients.  Denominators of the form [k]_q are
-expanded as (1-q) times a geometric series, so every object stays a true
-power series; nothing symbolic is carried along.
+q = 1) and comparing coefficients.  A geometric factor q^a/(1-q^k)^r is
+applied with `Series.over_geometric`; any other q-rational factor is one
+exact division of its numerator polynomial by the product of its
+denominator polynomials, each with constant term 1.  So every object stays
+a true power series, and no inverse series is built or carried along.
 """
 
 from __future__ import annotations
@@ -23,8 +25,9 @@ def one_minus_q_pow(r: int) -> IntPoly:
     return IntPoly([(-1) ** i * comb(r, i) for i in range(r + 1)])
 
 
-def _inv_poly(p: IntPoly, order: int) -> Series:
-    return p.to_series(order).invert()
+def _quotient(num: IntPoly, den: IntPoly, order: int) -> Series:
+    """num/den as a power series: one exact division."""
+    return num.to_series(order) / den.to_series(order)
 
 
 def _alternating_sum(n: int, order: int, exponent, base) -> Series:
@@ -66,10 +69,7 @@ def harmonic_single_sum(t: int, n: int, order: int) -> Series:
     omq = one_minus_q_pow(2 * t)
 
     def base(k):
-        b = (
-            (q_binomial(n, k) * omq).to_series(order).over_geometric(k, 2 * t)
-            * _inv_poly(q_binomial(n + k, k), order)
-        )
+        b = _quotient(q_binomial(n, k) * omq, q_binomial(n + k, k), order).over_geometric(k, 2 * t)
         return b + b.shift(k)
 
     return _alternating_sum(n, order, lambda k: k * (k - 1) // 2 + t * k, base)
@@ -88,7 +88,7 @@ def harmonic_single_sum_alt(t: int, n: int, order: int) -> Series:
         return b + b.shift(k)
 
     acc = _alternating_sum(n, order, lambda k: k * (k - 1) // 2 + t * k, base)
-    return acc * _inv_poly(q_binomial(2 * n, n), order)
+    return acc / q_binomial(2 * n, n).to_series(order)
 
 
 def harmonic_paired_sum(t: int, n: int, order: int) -> Series:
@@ -99,23 +99,16 @@ def harmonic_paired_sum(t: int, n: int, order: int) -> Series:
         return Series.zero(order)
     m = 2 * t
 
-    def fac_a(pos):
-        if pos == 1:
-            return lambda k, s: s.over_geometric(n + k, 1, k)
-        if pos % 2 == 0:
-            return lambda k, s: s.over_geometric(k, 1)
-        return lambda k, s: s.over_geometric(k, 1, k)
+    def fac(pos, shifted):
+        # 1/(1-q^(n+k_1)) at position 1, 1/(1-q^(k_j)) elsewhere; times q^(k_j) if shifted
+        d = n if pos == 1 else 0
+        return lambda k, s: s.over_geometric(d + k, 1, k if shifted else 0)
 
-    def fac_b(pos):
-        if pos == 1:
-            return lambda k, s: s.over_geometric(n + k, 1)
-        if pos % 2 == 0:
-            return lambda k, s: s.over_geometric(k, 1, k)
-        return lambda k, s: s.over_geometric(k, 1)
-
-    weights = [0] * m
-    part_a = chain_series([fac_a(p) for p in range(1, m + 1)], order, max_part=n, exp_weight=weights)
-    part_b = chain_series([fac_b(p) for p in range(1, m + 1)], order, max_part=n, exp_weight=weights)
+    # part a takes q^(k_j) at the odd positions, part b at the even ones
+    part_a, part_b = (
+        chain_series([fac(p, p % 2 == parity) for p in range(1, m + 1)], order, max_part=n, exp_weight=[0] * m)
+        for parity in (1, 0)
+    )
     return (part_a.shift(n) + part_b) * one_minus_q_pow(m).to_series(order)
 
 
@@ -146,8 +139,7 @@ def triplet_recurrence_check(which: str, t: int, n: int, order: int) -> Identity
     """X_t(n) - X_t(n-1) = q^n/[n]_q^2 * X_(t-1)(n) for each of the three sums."""
     fn = TRIPLET[which]
     lhs = fn(t, n, order) - fn(t, n - 1, order)
-    step = one_minus_q_pow(2).to_series(order).over_geometric(n, 2, n)
-    rhs = fn(t - 1, n, order) * step
+    rhs = (fn(t - 1, n, order) * one_minus_q_pow(2).to_series(order)).over_geometric(n, 2, n)
     return series_report("FGH-recurrence", {"which": which, "t": t, "n": n}, order, lhs, rhs)
 
 
@@ -191,7 +183,7 @@ def mss_sides(t: int, n: int, x: int, order: int):
         n, order, lambda k: k * (k - 1) // 2 + t * k,
         lambda k: (q_binomial(n, k) * q_int(k) * omq).to_series(order).over_geometric(x + k, t + 1),
     )
-    rhs = _inv_poly(q_binomial(x + n, n), order) * _bounded_x_multisum(t, n, x, order)
+    rhs = _bounded_x_multisum(t, n, x, order) / q_binomial(x + n, n).to_series(order)
     return lhs, rhs
 
 
@@ -219,16 +211,15 @@ def mss_precursor_sides(t: int, n: int, x: int, order: int, reading: str = "inve
     if reading == "printed":
         ksum = _alternating_sum(
             n, order, exponent,
-            lambda k: (q_binomial(n, k) * q_int(k)).to_series(order) * _inv_poly(q_binomial(x + k, k), order),
+            lambda k: _quotient(q_binomial(n, k) * q_int(k), q_binomial(x + k, k), order),
         )
         lhs = ksum * _bounded_x_multisum(t, n, x, order)
     elif reading == "inverse-pair":
         lhs = _alternating_sum(
             n, order, exponent,
             lambda k: (
-                q_binomial(n, k).to_series(order)
-                * _inv_poly(q_binomial(x + k, k), order)
-                * _bounded_x_multisum(t, k, x, order)
+                _bounded_x_multisum(t, k, x, order) * q_binomial(n, k).to_series(order)
+                / q_binomial(x + k, k).to_series(order)
             ),
         )
     else:
@@ -243,10 +234,9 @@ def mss_precursor_check(t: int, n: int, x: int, order: int) -> IdentityReport:
     lhs, rhs = mss_precursor_sides(t, n, x, order, reading="inverse-pair")
     main = series_report("mss-precursor", p, order, lhs, rhs)
     lit_lhs, lit_rhs = mss_precursor_sides(t, n, x, order, reading="printed")
-    lit_ok = lit_lhs.agrees(lit_rhs)
-    main.note = (
-        "inverse-pair reading; literal printed form "
-        + ("also holds" if lit_ok else f"fails (first mismatch at q^{lit_lhs.first_mismatch(lit_rhs)})")
+    mismatch = lit_lhs.first_mismatch(lit_rhs)
+    main.note = "inverse-pair reading; literal printed form " + (
+        "also holds" if mismatch is None else f"fails (first mismatch at q^{mismatch})"
     )
     return main
 
@@ -255,19 +245,11 @@ def atid_b_sides(t: int, n: int, x: int, order: int):
     omq = one_minus_q_pow(2 * t)
     lhs = _alternating_sum(
         n, order, lambda k: k * (k - 1) // 2 + (x + 2 * t) * k,
-        lambda k: (
-            (q_binomial(n, k) * omq).to_series(order).over_geometric(k, 2 * t)
-            * _inv_poly(q_binomial(x + k, k), order)
-        ),
+        lambda k: _quotient(q_binomial(n, k) * omq, q_binomial(x + k, k), order).over_geometric(k, 2 * t),
     )
-
-    def make(pos):
-        if pos == 1:
-            return lambda k, s: s.over_geometric(x + k, 1, x + k)
-        return lambda k, s: s.over_geometric(k, 1, k)
-
-    core = chain_series([make(p) for p in range(1, 2 * t + 1)], order, max_part=n)
-    rhs = omq.to_series(order) * core
+    first = lambda k, s: s.over_geometric(x + k, 1, x + k)
+    rest = lambda k, s: s.over_geometric(k, 1, k)
+    rhs = omq.to_series(order) * chain_series([first] + [rest] * (2 * t - 1), order, max_part=n)
     return lhs, rhs
 
 
@@ -277,28 +259,19 @@ def atid_b_check(t: int, n: int, x: int, order: int) -> IdentityReport:
 
 
 def cor52_sides(t: int, n: int, x: int, z: int, order: int):
+    omq = one_minus_q_pow(t)
     lhs = _alternating_sum(
         n, order, lambda k: k * (k - 1) // 2 + (x + t) * k,
-        lambda k: (
-            (q_binomial(n, k) * one_minus_q_pow(t)).to_series(order).over_geometric(z + k, t)
-            * _inv_poly(q_binomial(x + k, k), order)
-        ),
+        lambda k: _quotient(q_binomial(n, k) * omq, q_binomial(x + k, k), order).over_geometric(z + k, t),
     )
 
     def pos1(k, s):
         s = (q_int(k) * q_binomial(z + k, k)).to_series(order) * s
         return s.over_geometric(x + k, 1, k).over_geometric(z + k, 1)
 
-    def rest(k, s):
-        return s.over_geometric(z + k, 1, k)
-
-    factors = [pos1] + [rest] * (t - 1)
-    core = chain_series(factors, order, max_part=n)
-    rhs = (
-        _inv_poly(q_binomial(z + n, n), order)
-        * one_minus_q_pow(t + 1).to_series(order)
-        * core
-    ).shift(x)
+    rest = lambda k, s: s.over_geometric(z + k, 1, k)
+    core = chain_series([pos1] + [rest] * (t - 1), order, max_part=n)
+    rhs = (core * one_minus_q_pow(t + 1).to_series(order) / q_binomial(z + n, n).to_series(order)).shift(x)
     return lhs, rhs
 
 
@@ -518,8 +491,7 @@ def wz_cor32_check(x, nmax: int) -> IdentityReport:
 
 
 def _wz_lemma51_F(m, k, z, order):
-    base = (q_binomial(z + k, k) * q_binomial(k, m)).to_series(order) * _inv_poly(q_int(z + k), order)
-    return base.shift(k)
+    return _quotient(q_binomial(z + k, k) * q_binomial(k, m), q_int(z + k), order).shift(k)
 
 
 def _wz_lemma51_G(m, k, z, order):
@@ -527,12 +499,8 @@ def _wz_lemma51_G(m, k, z, order):
     # so this is a genuine power series
     if k <= m:
         return Series.zero(order)
-    base = (
-        (q_binomial(z + k, k) * q_binomial(k, m) * q_int(k - m)).to_series(order)
-        * _inv_poly(q_int(z + k), order)
-        * _inv_poly(q_int(z + m), order)
-    )
-    return base.shift(m)
+    num = q_binomial(z + k, k) * q_binomial(k, m) * q_int(k - m)
+    return _quotient(num, q_int(z + k) * q_int(z + m), order).shift(m)
 
 
 def wz_lemma51_check(z: int, nmax: int, order: int) -> IdentityReport:
@@ -548,10 +516,7 @@ def wz_lemma51_check(z: int, nmax: int, order: int) -> IdentityReport:
                     "wz-lemma51", p, order, False, note=f"pair relation fails at m={m}, k={k}"
                 )
             total = total + F
-            closed = (
-                (q_binomial(z + k, k) * q_binomial(k, m)).to_series(order)
-                * _inv_poly(q_int(z + m), order)
-            ).shift(m)
+            closed = _quotient(q_binomial(z + k, k) * q_binomial(k, m), q_int(z + m), order).shift(m)
             if not total.agrees(closed):
                 return IdentityReport(
                     "wz-lemma51", p, order, False, note=f"telescoped sum fails at m={m}, n={k}"
@@ -565,12 +530,7 @@ def _wz52_F(n, k, x, order):
     if k > n:
         return Series.zero(order)
     e = k * (k - 1) // 2 + x * (k - 1)
-    base = (
-        (q_binomial(n, k) * q_int(x + n)).to_series(order)
-        * _inv_poly(q_binomial(x + k, k), order)
-        * _inv_poly(q_int(n), order)
-    )
-    s = base.shift(e)
+    s = _quotient(q_binomial(n, k) * q_int(x + n), q_binomial(x + k, k) * q_int(n), order).shift(e)
     return s if k % 2 else -s
 
 
@@ -580,13 +540,8 @@ def _wz52_G(n, k, x, order):
     if k < 1 or k > n + 1:
         return Series.zero(order)
     e = k * (k - 1) // 2 + x * (k - 1) + n + 1 - k
-    base = (
-        (q_binomial(n, k - 1) * q_int(x + k) * q_int(k - 1)).to_series(order)
-        * _inv_poly(q_int(k), order)
-        * _inv_poly(q_binomial(x + k, k), order)
-        * _inv_poly(q_int(n), order)
-    )
-    s = base.shift(e)
+    num = q_binomial(n, k - 1) * q_int(x + k) * q_int(k - 1)
+    s = _quotient(num, q_int(k) * q_binomial(x + k, k) * q_int(n), order).shift(e)
     return -s if k % 2 else s
 
 
@@ -618,10 +573,7 @@ def _wz53_F(n, k, z, order):
     if k > n:
         return Series.zero(order)
     e = k * (k - 1) // 2
-    base = (q_binomial(n, k) * q_int(k) * q_binomial(z + n, n)).to_series(order) * _inv_poly(
-        q_int(z + k), order
-    )
-    s = base.shift(e)
+    s = _quotient(q_binomial(n, k) * q_int(k) * q_binomial(z + n, n), q_int(z + k), order).shift(e)
     return s if k % 2 else -s
 
 
@@ -629,10 +581,7 @@ def _wz53_G(n, k, z, order):
     if k < 1 or k > n + 1:
         return Series.zero(order)
     e = k * (k - 1) // 2 + n + 1 - k
-    base = (q_binomial(n, k - 1) * q_int(k - 1) * q_binomial(z + n, n)).to_series(order) * _inv_poly(
-        q_int(n), order
-    )
-    s = base.shift(e)
+    s = _quotient(q_binomial(n, k - 1) * q_int(k - 1) * q_binomial(z + n, n), q_int(n), order).shift(e)
     return -s if k % 2 else s
 
 
@@ -650,13 +599,10 @@ def qbin_difference_check(nmax: int, order: int) -> IdentityReport:
     p = {"nmax": nmax}
     for n in range(1, nmax + 1):
         for k in range(1, n + 1):
-            lhs = q_binomial(n, k).to_series(order) * _inv_poly(q_binomial(n + k, k), order)
-            lhs = lhs - q_binomial(n - 1, k).to_series(order) * _inv_poly(q_binomial(n + k - 1, k), order)
+            lhs = _quotient(q_binomial(n, k), q_binomial(n + k, k), order)
+            lhs = lhs - _quotient(q_binomial(n - 1, k), q_binomial(n + k - 1, k), order)
             num = q_factorial(n - 1) * q_factorial(n - 1) * q_int(k) * q_int(k)
-            rhs = (
-                num.to_series(order)
-                * _inv_poly(q_factorial(n - k) * q_factorial(n + k), order)
-            ).shift(n - k)
+            rhs = _quotient(num, q_factorial(n - k) * q_factorial(n + k), order).shift(n - k)
             if not lhs.agrees(rhs):
                 return IdentityReport(
                     "wz-qbin-diff", p, order, False, note=f"fails at n={n}, k={k}"

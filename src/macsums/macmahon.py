@@ -364,6 +364,12 @@ class CoefficientTable(FrozenRecord):
         return self.values[n]
 
 
+def leading_window(family: str, t: int) -> int:
+    """The smallest n with a nonzero coefficient: the least sum of t parts,
+    t for weak tuples (M) and 1 + 2 + ... + t = t(t+1)/2 for strict (MO)."""
+    return t if family == "M" else t * (t + 1) // 2
+
+
 def coefficient_values(family: str, ts, order: int, formula: str | None = None):
     """Yield (t, integer coefficients of the family through q^order) for
     each t of ts in turn, each table built afresh as a list the caller owns.
@@ -372,8 +378,8 @@ def coefficient_values(family: str, ts, order: int, formula: str | None = None):
     in one packed division (`mo_andrews_rose_many`); every other formula
     builds one t at a time.  No yielded table is kept here, so a caller
     that drops each table before asking for the next holds one at a time.
-    Integrality and the vanishing of the leading window (below t for M,
-    below t(t+1)/2 for MO) are asserted for every table.
+    Integrality and the vanishing of the leading window (every n below
+    `leading_window`) are asserted for every table.
     """
     if family not in ("M", "MO"):
         raise ValueError(f"unknown family {family!r}; use M or MO")
@@ -389,8 +395,7 @@ def coefficient_values(family: str, ts, order: int, formula: str | None = None):
         for n, c in enumerate(vals):
             if not isinstance(c, int):
                 raise ArithmeticError(f"{family}({t},{n}) is not an integer: {c}")
-        window = t if family == "M" else t * (t + 1) // 2
-        for n in range(min(window, order + 1)):
+        for n in range(min(leading_window(family, t), order + 1)):
             if vals[n] != 0:
                 raise ArithmeticError(f"{family}({t},{n}) = {vals[n]} below the minimal partition size")
         yield t, vals

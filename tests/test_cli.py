@@ -223,12 +223,16 @@ def test_verify_rejects_non_integer_grid(capsys):
         ["scan", "--prospect", "--t", "a", "--order", "50"],
         ["scan", "--prospect", "--family", "MO", "--t", "2,2", "--p", "5", "--order", "60"],  # repeated t
         ["scan", "--prospect", "--family", "M", "--t", "1..3", "--p", "5,7,5", "--order", "60"],  # repeated p
+        # a table zero through the order: every offset would survive on structural zeros
+        ["scan", "--prospect", "--family", "M", "--t", "30", "--p", "5", "--order", "20"],
+        ["scan", "--prospect", "--family", "MO", "--t", "6", "--p", "5,7", "--order", "20"],
         ["scan", "--order", "-5"],
         ["verify", "--id", "dilcher", "--order", "-1"],
         ["verify", "--id", "mss", "--order", "3", "--n", "4635", "--x", "7"],  # q-Pascal recursion depth
         # ranges past sys.maxsize: checked value by value, never built as a list
         ["verify", "--id", "dilcher", "--order", "5", "--t", "1..10000000000000000000"],
         ["scan", "--prospect", "--t", "1", "--p", "3..10000000000000000000", "--order", "5"],
+        ["scan", "--prospect", "--family", "M", "--t", "1..100000000", "--p", "5", "--order", "5"],  # stops at t = 6
         ["coeffs", "--family", "M", "--t", "0", "--n", "10"],
     ],
     ids=lambda argv: " ".join(argv),
@@ -365,6 +369,9 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
         (["scan", "--suite", "paper", "--order", "60", "--format", "csv"], "scan-suite-paper-order60.csv"),
         (["scan", "--prospect", "--family", "MO", "--t", "1..3", "--p", "5,7", "--order", "60", "--format", "json"],
          "scan-prospect-MO-t1-3-p5-7-order60.json"),
+        *((["verify", "--id", ident, "--order", "30"], f"verify-{ident}-order30.txt")
+          for ident in ("theorem-FGH", "FGH-recurrence", "G-forms", "mss", "mss-precursor", "atidB", "cor52",
+                        "cor53", "wz-certificates")),
     ],
     ids=lambda v: v if isinstance(v, str) else None,
 )

@@ -1,6 +1,7 @@
 """Tests for the congruence scanner: paper suite, sigma lemmas, termwise
 checks, cross-validation of the scanned tables, and negative controls."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from macsums.congruences import check_claim, paper_claims, prospect, verify_pape
 from macsums.macmahon import (
     coefficient_table,
     coefficient_values,
+    leading_window,
     m_conjugate_form,
     mo_recurrence,
     single_sum_weights,
@@ -292,10 +294,38 @@ def test_prospect_rejects_repeated_grid_values(t_values, primes):
 
 @pytest.mark.parametrize("order", [0, 4, 10, 11, 12, 77, 5000])
 def test_prospect_chance_level_is_exact(order):
-    # at order 5000 the float sum this replaced underflowed to 0.0
+    # at order 5000 the float sum this replaced underflowed to 0.0; below
+    # order 6 = 3*4/2 the table of MO t = 3 (and at order 0 that of t = 1)
+    # holds only structural zeros, so the grid is rejected
     t_values, primes = [1, 3], [3, 5, 7, 11]
+    vacuous = {0: (1, 1), 4: (3, 6)}
+    if order in vacuous:
+        t, window = vacuous[order]
+        with pytest.raises(ValueError, match=rf"^t = {t}: .* order {window} is the smallest with a nonzero"):
+            prospect("MO", t_values, primes, order)
+        return
     res = prospect("MO", t_values, primes, order)
     assert res.chance_level == oracle_prospect("MO", t_values, primes, order)[1] > 0
+
+
+@pytest.mark.parametrize(
+    "family, t_values, order, t, window",
+    [("M", [30], 20, 30, 30), ("MO", [2, 6, 9], 20, 6, 21), ("M", itertools.count(1), 5, 6, 6)],
+)
+def test_prospect_rejects_a_table_that_vanishes_through_the_order(family, t_values, order, t, window):
+    # every offset of such a table survives on zeros alone; the grid is
+    # checked t by t, so even an endless one stops at its first vacuous t
+    message = rf"^t = {t}: {family}\({t}, n\) is 0 for every n <= {order},.* order {window} is the smallest"
+    with pytest.raises(ValueError, match=message):
+        prospect(family, t_values, [5, 7], order)
+
+
+@pytest.mark.parametrize("family, t", [("M", 6), ("MO", 3)])
+def test_prospect_accepts_a_table_whose_window_ends_at_the_order(family, t):
+    # the one nonzero coefficient, 1 at q^6, fails only the progression 5n+1
+    assert leading_window(family, t) == 6
+    res = prospect(family, [t], [5], 6)
+    assert sorted(c.offset for c in res.claims) == [0, 2, 3, 4]
 
 
 def test_prospect_chance_level_positive():

@@ -1,7 +1,7 @@
 """Source hygiene: every name a module imports is used in that module, every
-module-level function and class is used by the program itself or is public
-API (`macsums.__all__`), no module multiplies by a geometric factor it built
-as a series, and no module holds a float."""
+module-level function, class and assigned name is used by the program itself
+or is public API (`macsums.__all__`), no module multiplies by a geometric
+factor it built as a series, and no module holds a float."""
 
 import ast
 from pathlib import Path
@@ -78,16 +78,26 @@ def test_module_multiplies_by_no_built_geometric_factor(path):
 
 
 def unreferenced_definitions(module, trees):
-    """Module-level functions and classes of the parsed module that no
-    name, attribute or import in trees (parsed sources, the module among
-    them) refers to.  A reference inside the definition itself does not
-    count, and dunder names are exempt."""
+    """Module-level functions, classes and assigned names of the parsed
+    module that no name, attribute or import in trees (parsed sources, the
+    module among them) refers to.  A reference inside the defining
+    statement itself does not count, and dunder names are exempt."""
     definitions = {}
     for node in module.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            if not (node.name.startswith("__") and node.name.endswith("__")):
-                definitions[node.name] = node
-    owner = {id(n): name for name, d in definitions.items() for n in ast.walk(d)}
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if not (name.startswith("__") and name.endswith("__")):
+                definitions[name] = node
+    owner = {}  # node id -> the names its defining statement binds
+    for name, d in definitions.items():
+        for n in ast.walk(d):
+            owner.setdefault(id(n), set()).add(name)
     referenced = set()
     for tree in trees:
         for node in ast.walk(tree):
@@ -99,7 +109,7 @@ def unreferenced_definitions(module, trees):
                 names = [alias.name for alias in node.names]
             else:
                 continue
-            referenced.update(name for name in names if name != owner.get(id(node)))
+            referenced.update(name for name in names if name not in owner.get(id(node), ()))
     return sorted(name for name in definitions if name not in referenced)
 
 
@@ -112,9 +122,13 @@ def test_unreferenced_definitions_are_found():
         "class Dead: pass\n"
         "def __getattr__(name): pass\n"
         "x = used()\n"
+        "TABLE = {1: TABLE}\n"
+        "READ: int = 2\n"
+        "left, right = READ, 3\n"
+        "__all__ = ['left']\n"
     )
-    other = ast.parse("import m\nfrom m import imported\nm.by_attribute()\n")
-    assert unreferenced_definitions(module, [module, other]) == ["Dead", "recursive"]
+    other = ast.parse("import m\nfrom m import imported\nm.by_attribute()\nprint(m.left)\n")
+    assert unreferenced_definitions(module, [module, other]) == ["Dead", "TABLE", "recursive", "right", "x"]
 
 
 def test_every_definition_is_referenced():

@@ -92,3 +92,19 @@ def test_symmetric_route_catches_a_corrupted_strict_multisum(monkeypatch):
     reports = registry.run_identity("U-agreement", {}, 40)
     symmetric = {r.params["t"]: r.passed for r in reports if r.params["formula"] == "symmetric"}
     assert symmetric == {1: False, 2: False, 3: False}
+
+
+def test_catalog_builds_no_inverse_series(monkeypatch):
+    # a q-rational term is one exact division of its numerator by its
+    # denominator, never an inverse series multiplied back in
+    calls = []
+    invert = Series.invert
+
+    def counted(self):
+        calls.append(self.order)
+        return invert(self)
+
+    monkeypatch.setattr(Series, "invert", counted)
+    for ident_id in registry.known_ids():
+        assert all(r.passed for r in registry.run_identity(ident_id, {}, 12)), ident_id
+    assert calls == []
