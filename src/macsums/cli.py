@@ -42,6 +42,14 @@ def parse_range(text):
         raise UsageError(f"{text!r} is not an integer, a range a..b or a list a,b,c") from None
 
 
+def _parse_grid(option, text):
+    """parse_range, rejecting a reversed range a..b (a > b), which is empty."""
+    values = parse_range(text)
+    if isinstance(values, range) and not values:
+        raise UsageError(f"{option} {text.strip()} is a reversed range, so it is empty: a..b needs a <= b")
+    return values
+
+
 def _at_least(low, **values):
     for name, value in values.items():
         if value < low:
@@ -185,7 +193,7 @@ def cmd_verify(args):
             f"unknown identity id {args.id!r}; known ids:\n  " + "\n  ".join(registry.known_ids())
         )
     grids = {
-        name: parse_range(getattr(args, name))
+        name: _parse_grid(f"--{name}", getattr(args, name))
         for name in registry.GRID_DOMAINS
         if getattr(args, name) is not None
     }
@@ -269,8 +277,8 @@ def cmd_scan(args):
     if args.prospect:
         family = args.family or "MO"
         _check_family(family)
-        t_values = [1, 2, 3, 4] if args.t is None else parse_range(args.t)
-        primes = [3, 5, 7, 11] if args.p is None else parse_range(args.p)
+        t_values = [1, 2, 3, 4] if args.t is None else _parse_grid("--t", args.t)
+        primes = [3, 5, 7, 11] if args.p is None else _parse_grid("--p", args.p)
         if not t_values or not primes:
             raise UsageError("--t and --p must not be empty")
         for t in t_values:  # t by t, so a huge range stops at its first bad t

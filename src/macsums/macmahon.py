@@ -392,9 +392,9 @@ def coefficient_values(family: str, ts, order: int, formula: str | None = None):
     else:
         tables = ((t, table[formula](t, order).coeffs) for t in ts)
     for t, vals in tables:
-        for n, c in enumerate(vals):
-            if not isinstance(c, int):
-                raise ArithmeticError(f"{family}({t},{n}) is not an integer: {c}")
+        if set(map(type, vals)) != {int}:  # one C-level scan; find the culprit only on failure
+            n, c = next((n, c) for n, c in enumerate(vals) if type(c) is not int)
+            raise ArithmeticError(f"{family}({t},{n}) is not an integer: {c}")
         for n in range(min(leading_window(family, t), order + 1)):
             if vals[n] != 0:
                 raise ArithmeticError(f"{family}({t},{n}) = {vals[n]} below the minimal partition size")

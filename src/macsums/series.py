@@ -10,9 +10,9 @@ series beyond the coefficients it was constructed with.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import comb
-from operator import add
+from operator import add, itemgetter, sub
 
 
 def _norm(c):
@@ -209,8 +209,15 @@ class Series:
         return result
 
     def __truediv__(self, other):
-        """Quotient by a series with a nonzero constant term, in one pass
-        over the divisor's nonzero terms."""
+        """Quotient by a series with a nonzero constant term.
+
+        The quotient is solved divide and conquer over q^0..q^N (`_divide`):
+        solve the lower half, subtract its contributions from the upper
+        half (a Kronecker-packed middle product when both are narrow
+        integers, `_middle_product`), then solve the upper half.  Spans of
+        at most `LEAF` coefficients, and every node that cannot pack, run
+        the term-by-term loop over the divisor's nonzero terms (`_leaf`).
+        """
         if not isinstance(other, Series):
             return NotImplemented
         n = min(self.order, other.order)
@@ -219,14 +226,9 @@ class Series:
             raise ZeroDivisionError("non-unit series: constant term is zero")
         inv0 = _norm(Fraction(1) / Fraction(b[0]))
         tail = [(i, c) for i, c in enumerate(b[1 : n + 1], 1) if c]
-        out = []
-        for m in range(n + 1):
-            acc = a[m]
-            for i, c in tail:
-                if i > m:
-                    break
-                acc -= c * out[m - i]
-            out.append(_norm(acc * inv0) if acc else 0)
+        out = a[: n + 1]  # partial sums, solved in place
+        packable = n >= LEAF and all(type(c) is int for _, c in tail)  # a single leaf never packs
+        _divide(out, tail, inv0, 0, n + 1, packable)
         return Series(out, n)
 
     def invert(self):
@@ -245,6 +247,115 @@ class Series:
 
 def q_derivative(a: Series) -> Series:
     return a.q_derivative()
+
+
+# Series division, measured on the theta quotient at N = 20000 (a 199-term
+# divisor) with Python 3.11 on a 2-core x86-64 host.  At 123-bit quotient
+# values the division time is flat for LEAF from 128 to 512 and about 15%
+# higher at 32.  The whole division with packed middle products, against
+# the term-by-term loop alone, takes 0.45 of the time at 123-bit values,
+# 0.55 at 223, 0.7 at 323, 1.0 at 423 and 1.4 at 1123 bits.  LANE_MAX
+# caps a lane (value bits + bits of the divisor's sum of |c| + a sign bit)
+# at 256 bits, on the winning side of that crossover; it also bounds the
+# packed ints' memory.
+LEAF = 128
+LANE_MAX = 32
+
+
+def _divide(out, tail, inv0, lo, hi, packable):
+    """Solve out[lo:hi] in place for `Series.__truediv__`.
+
+    On entry out[m] holds the dividend's coefficient less the
+    contributions of every solved out[j], j < lo; `tail` lists the
+    divisor's nonzero (i, c), i >= 1, and `packable` says every c is an
+    int.  No closure refers back to this function, so a division leaves
+    no reference cycle behind.
+    """
+    if hi - lo <= LEAF:
+        _leaf(out, tail, inv0, lo, lo, hi)
+        return
+    mid = (lo + hi) // 2
+    _divide(out, tail, inv0, lo, mid, packable)
+    if not (packable and _middle_product(out, tail, lo, mid, hi)):
+        _leaf(out, tail, inv0, lo, mid, hi)
+        return
+    _divide(out, tail, inv0, mid, hi, packable)
+
+
+def _leaf(out, tail, inv0, lo, start, hi):
+    """Solve out[start:hi] term by term, subtracting the contributions of
+    out[lo:m] from each out[m]: one multiply and one subtract per pair."""
+    for m in range(start, hi):
+        acc = out[m]
+        k = m - lo
+        for i, c in tail:
+            if i > k:
+                break
+            acc -= c * out[m - i]
+        out[m] = _norm(acc * inv0) if acc else 0
+
+
+def _middle_product(out, tail, lo, mid, hi):
+    """Subtract sum of c * out[m - i] over lo <= m - i < mid from each
+    out[m], mid <= m < hi, as one sum of shifted packed ints.
+
+    Each solved int out[lo + k] becomes lane k, w bits wide, of
+    x = sum out[lo + k] 2^(kw) (Kronecker substitution).  The divisor term
+    (i, c) adds c * x shifted by i - n_lo lanes, so lane e of the sum is
+    what out[mid + e] needs taken off: one C-level pass per term does a
+    whole run of pairs.  Lanes are signed, and every lane of the sum fits
+    in w bits as value bits + bits of sum |c| + a sign bit.  Returns False,
+    changing nothing, when the lower half is not all int or a lane would be
+    wider than LANE_MAX bytes.
+    """
+    from bisect import bisect_left  # imported here, off the start-up path
+    from struct import unpack
+
+    low = out[lo:mid]
+    if set(map(type, low)) != {int}:
+        return False
+    terms = tail[: bisect_left(tail, hi - lo, key=itemgetter(0))]
+    top = max(max(low), -min(low))
+    if not (top and terms):
+        return True
+    size = (top.bit_length() + sum(abs(c) for _, c in terms).bit_length() + 8) // 8
+    if size > LANE_MAX:
+        return False
+    w = 8 * size
+    bias = 1 << (w - 1)
+    lane = bias.to_bytes(size, "little")
+    n_lo, n_up = mid - lo, hi - mid
+    # pack signed lanes as biased (nonnegative) bytes, then take the bias off
+    biased = map(int.to_bytes, map(add, low, repeat(bias)), repeat(size), repeat("little"))
+    x = int.from_bytes(b"".join(biased), "little") - int.from_bytes(lane * n_lo, "little")
+    signs = x.to_bytes(n_lo * size, "little", signed=True)  # bit 8j - 1 set: the lanes in bytes < j sum negative
+    # x + 2^(n_lo w) is positive, so a right shift is one pass; the extra
+    # 1 in lane n_lo puts c in lane i of each term, taken back out below
+    x += 1 << (n_lo * w)
+    acc = borrow = 0
+    for i, c in terms:
+        if i < n_lo:
+            # x >> cut floors: it is 1 short when the lanes below the cut
+            # sum negative, the sign of the highest nonzero lane below it;
+            # add that borrow back on lane 0
+            cut = (n_lo - i) * size
+            acc += c * (x >> (8 * cut))
+            borrow += c * (signs[cut - 1] >> 7)
+        else:
+            acc += (c * x) << ((i - n_lo) * w)
+    del x, signs
+    # biased, each of the n_up low lanes is nonnegative and reads off as bytes
+    acc += int.from_bytes(lane * n_up, "little")
+    packed = (acc & ((1 << (n_up * w)) - 1)).to_bytes(n_up * size, "little")
+    del acc
+    lanes = map(int.from_bytes, unpack(f"{size}s" * n_up, packed), repeat("little"))
+    out[mid:hi] = map(sub, map(add, out[mid:hi], repeat(bias)), lanes)
+    out[mid] -= borrow
+    for i, c in terms:
+        if i >= n_up:
+            break
+        out[mid + i] += c
+    return True
 
 
 def _check_geometric(k, r, shift):

@@ -207,6 +207,14 @@ def test_verify_rejects_empty_grid(capsys):
     assert "empty" in err
 
 
+@pytest.mark.parametrize("option", ["--t", "--p"])
+def test_prospect_names_a_reversed_range(capsys, option):
+    grids = {"--t": "1..2", "--p": "5,7", option: "3..1"}
+    code, out, err = run_cli(capsys, "scan", "--prospect", *sum(grids.items(), ()), "--order", "60")
+    assert_usage_error(code, out, err)
+    assert f"error: {option} 3..1 is a reversed range" in err
+
+
 def test_verify_rejects_non_integer_grid(capsys):
     code, out, err = run_cli(capsys, "verify", "--id", "dilcher", "--order", "20", "--t", "abc")
     assert_usage_error(code, out, err)

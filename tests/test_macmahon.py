@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_multisum
-from macsums import macmahon
+from macsums import macmahon, series
 from macsums.divisors import eisenstein, sigma_series, theta_moment
 from macsums.macmahon import (
     CLOSED_FORMS,
@@ -148,6 +148,32 @@ def test_packed_theta_quotients_match_single_tables_and_chains(ts, order):
     strict = multisums(max(ts, default=0), order, strict=True)
     for t, values in tables:
         assert values == mo_andrews_rose(t, order).coeffs == strict[t - 1].coeffs, t
+
+
+def test_packed_mo_tables_take_the_loop_and_single_tables_the_packed_middle_product(monkeypatch):
+    # the packed scan quotient is too wide for the middle product's lanes,
+    # so its division runs the loop; one t at a time packs: both agree
+    paths = []
+    real = series._middle_product
+
+    def spy(*args):
+        paths.append(real(*args))
+        return paths[-1]
+
+    monkeypatch.setattr(series, "_middle_product", spy)
+    packed = dict(mo_andrews_rose_many([10, 4, 3, 2], 3000))
+    assert not all(paths)
+    paths.clear()
+    for t, values in packed.items():
+        assert values == mo_andrews_rose(t, 3000).coeffs, t
+    assert paths and all(paths)
+
+
+def test_coefficient_values_names_the_first_non_integer(monkeypatch):
+    table = Series([0, 0, 1, Fraction(1, 2), Fraction(1, 3)], 4)
+    monkeypatch.setitem(macmahon.M_FORMULAS, "non-integral", lambda t, order: table)
+    with pytest.raises(ArithmeticError, match=r"^M\(1,3\) is not an integer: 1/2$"):
+        list(macmahon.coefficient_values("M", [1], 4, "non-integral"))
 
 
 def test_slot_bound_dominates_every_theta_quotient_coefficient():

@@ -1,5 +1,6 @@
 """Tests for exact truncated series arithmetic."""
 
+import gc
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from conftest import (
     seeded,
 )
 from macsums.divisors import eisenstein, sigma_series
-from macsums.series import Series, _norm, euler_function, geometric_pow, q_derivative
+from macsums.series import LEAF, Series, _norm, euler_function, geometric_pow, q_derivative
 
 ONES = lambda n: Series([1] * (n + 1), n)
 
@@ -109,6 +110,68 @@ def test_division_undoes_multiplication_random():
 def test_division_requires_unit_divisor():
     with pytest.raises(ZeroDivisionError):
         Series([1, 2, 3], 5) / Series([0, 1], 5)
+
+
+def _divisor(rng, order, shape, b0):
+    """A sparse theta-like divisor (odd weights of random sign on the
+    triangular numbers) or a dense one, with constant term b0."""
+    if shape == "theta":
+        b = [0] * (order + 1)
+        m = 1
+        while m * (m + 1) // 2 <= order:
+            b[m * (m + 1) // 2] = rng.choice((-1, 1)) * (2 * m + 1)
+            m += 1
+    else:
+        b = [rng.randrange(-9, 10) for _ in range(order + 1)]
+    b[0] = b0
+    return b
+
+
+@pytest.mark.parametrize(
+    "order, shape",
+    [(n, "theta") for n in (LEAF - 1, LEAF, LEAF + 1, 300, 777, 1500)] + [(n, "dense") for n in (LEAF + 1, 300, 777)],
+)
+def test_division_at_depth_matches_the_product_oracle(order, shape):
+    # past LEAF the quotient is solved divide and conquer, up to four levels
+    # here; signed quotients of 3 and 60 bits pack into the middle product's
+    # lanes (where a dropped borrow or lane fix-up shows), 300 bits do not
+    rng = seeded(order)
+    for bits in (3, 60, 300):
+        for b0 in (1, -1):
+            q = [rng.randrange(-(2**bits), 2**bits) for _ in range(order + 1)]
+            b = _divisor(rng, order, shape, b0)
+            a = naive_mul(q, b, order)
+            assert (Series(a, order) / Series(b, order)).coeffs == q, (bits, b0)
+
+
+@pytest.mark.parametrize("b0, fraction_term", [(2, False), (-3, False), (1, True), (-1, True)])
+def test_division_at_depth_by_a_non_unit_or_fraction_divisor(b0, fraction_term):
+    order = 300
+    rng = seeded(b0)
+    b = _divisor(rng, order, "theta", b0)
+    if fraction_term:
+        b[5] = Fraction(1, 3)
+    for q in (
+        [rng.randrange(-(2**20), 2**20) for _ in range(order + 1)],
+        [Fraction(rng.randrange(-50, 51), rng.randrange(1, 5)) for _ in range(order + 1)],
+    ):
+        a = naive_mul(q, b, order)
+        assert (Series(a, order) / Series(b, order)).coeffs == Series(q, order).coeffs
+
+
+def test_division_leaves_no_reference_cycle():
+    rng = seeded(5)
+    order = 2000
+    a = Series([rng.randrange(-(2**40), 2**40) for _ in range(order + 1)], order)
+    b = Series(_divisor(rng, order, "theta", 1), order)
+    gc.collect()
+    gc.disable()
+    try:
+        a / b
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found == 0
 
 
 def test_geometric_pow_simple():
