@@ -13,14 +13,17 @@ functions h_t of the x_k and the MO series their elementary functions e_t:
 one suffix pass (`multisums`) builds either family for every length, and one
 self-inverse transform (`_dual`) solves the relation between them.
 
-Every geometric factor q^a/(1-q^k)^r, x_k included, is applied with the
-strided running sums of `Series.over_geometric` (on plain coefficient lists
-inside `multisums`), never multiplied in as a built series.
+Every geometric factor q^a/(1-q^k)^r is applied with the strided running
+sums of `Series.over_geometric` (on plain coefficient lists inside
+`multisums`), never multiplied in as a built series.  The one exception is
+x_k times the constant 1, the first chain level, which `multisums` writes
+directly as k-strided weights 1, 2, 3, ...
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 from math import comb, factorial
 from operator import add, sub
 
@@ -106,13 +109,22 @@ def multisums(T: int, order: int, strict: bool = False) -> list:
     """
     if T < 0:
         raise ValueError("T >= 0")
-    # row[s] = coefficients of level s at v + 1, then at v; plain lists, so
-    # no intermediate level is normalized as a Series
-    row = [[1] + [0] * order] + [[0] * (order + 1)] * T
+    # row[s] = coefficients of level s at v + 1, then at v, updated in place;
+    # plain lists, so no intermediate level is normalized as a Series.  Only
+    # levels 1..min(T, order) are ever written, so the rest share one list.
+    written = min(T, order)
+    row = [[1] + [0] * order] + [[0] * (order + 1) for _ in range(written)]
+    row += [[0] * (order + 1)] * (T - written)
     for v in range(order, 0, -1):
         levels = range(1, min(T, order // v) + 1)
         for s in reversed(levels) if strict else levels:
-            row[s] = list(map(add, row[s], over_geometric_coeffs(row[s - 1], v, 2, v)))
+            here = row[s]
+            if s == 1:
+                # row[0] is the constant 1, so level 1 gains x_v itself:
+                # m q^(mv) for every m >= 1
+                here[v::v] = map(add, here[v::v], count(1))
+            else:
+                here[:] = map(add, here, over_geometric_coeffs(row[s - 1], v, 2, v))
     return [Series(c, order) for c in row[1:]]
 
 
@@ -379,7 +391,9 @@ def coefficient_values(family: str, ts, order: int, formula: str | None = None):
     builds one t at a time.  No yielded table is kept here, so a caller
     that drops each table before asking for the next holds one at a time.
     Integrality and the vanishing of the leading window (every n below
-    `leading_window`) are asserted for every table.
+    `leading_window`) are asserted for every table.  A t whose leading
+    window passes the order gets the zero table that assertion proves,
+    without running the route: some routes take time growing with t.
     """
     if family not in ("M", "MO"):
         raise ValueError(f"unknown family {family!r}; use M or MO")
@@ -387,11 +401,15 @@ def coefficient_values(family: str, ts, order: int, formula: str | None = None):
     table = M_FORMULAS if family == "M" else MO_FORMULAS
     if formula not in table:
         raise ValueError(f"unknown formula {formula!r} for family {family}; known: {sorted(table)}")
+    ts = list(ts)
+    vanishing = {t for t in ts if t >= 1 and leading_window(family, t) > order}
+    live = [t for t in ts if t not in vanishing]
     if family == "MO" and formula == "andrews-rose":
-        tables = mo_andrews_rose_many(ts, order)
+        tables = mo_andrews_rose_many(live, order)
     else:
-        tables = ((t, table[formula](t, order).coeffs) for t in ts)
-    for t, vals in tables:
+        tables = ((t, table[formula](t, order).coeffs) for t in live)
+    for t in ts:
+        vals = [0] * (order + 1) if t in vanishing else next(tables)[1]
         if set(map(type, vals)) != {int}:  # one C-level scan; find the culprit only on failure
             n, c = next((n, c) for n, c in enumerate(vals) if type(c) is not int)
             raise ArithmeticError(f"{family}({t},{n}) is not an integer: {c}")

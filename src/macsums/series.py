@@ -10,7 +10,7 @@ series beyond the coefficients it was constructed with.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, compress, count, repeat
 from math import comb
 from operator import add, itemgetter, sub
 
@@ -370,22 +370,26 @@ def over_geometric_coeffs(coeffs: list, k: int, r: int, shift: int = 0) -> list:
 
     Dividing by 1-q^k is a running sum with stride k, so the product is a
     shift followed by r strided running sums: O(N) additions per sum, run in
-    C over slices (one `accumulate` per residue class mod k when k^2 <= N+1,
-    otherwise one slice-add per block of k), with no product formed.  The
-    arguments are checked as in `geometric_pow`; a shift past the end
-    gives zeros.
+    C over slices, with no product formed.  The product vanishes below the
+    input's first nonzero coefficient plus the shift, so the sums run only
+    over the tail from there: one `accumulate` per residue class mod k when
+    k^2 is at most the tail's length, otherwise one slice-add per block of
+    k.  The arguments are checked as in `geometric_pow`; a shift past the
+    end gives zeros.
     """
     _check_geometric(k, r, shift)
     n = len(coeffs)
-    if shift >= n:
+    first = next(compress(count(), coeffs), n)  # one C-level scan
+    start = first + shift
+    if start >= n:
         return [0] * n
-    y = [0] * shift + coeffs[: n - shift]
+    y = [0] * start + coeffs[first : n - shift]
     for _ in range(r):
-        if k * k <= n:
-            for res in range(k):
+        if k * k <= n - start:
+            for res in range(start, start + k):
                 y[res::k] = accumulate(y[res::k])
         else:
-            for j in range(k, n, k):
+            for j in range(start + k, n, k):
                 y[j : j + k] = map(add, y[j : j + k], y[j - k : j])
     return y
 

@@ -426,3 +426,31 @@ def test_cli_imports_no_dataclasses_typing_json_or_csv():
     assert lines[0] == "import"
     assert lines[-2] == "# 4/4 cases passed"
     assert lines[-1] == "main 0"
+
+
+def test_coeffs_for_a_t_past_the_order_answer_at_once():
+    # t = 100000 is zero through q^5 on every route, and the route is not
+    # run; the M recurrence and the MO symmetric and umbral routes used to
+    # take time growing with t.  A child runs all nine, so a regression fails
+    # on the timeout instead of hanging the suite.
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = "\n".join([
+        "import contextlib, io, sys, time",
+        f"sys.path.insert(0, {str(src)!r})",
+        "from macsums import cli, macmahon",
+        "for family, table in (('M', macmahon.M_FORMULAS), ('MO', macmahon.MO_FORMULAS)):",
+        "    for formula in table:",
+        "        out = io.StringIO()",
+        "        start = time.perf_counter()",
+        "        with contextlib.redirect_stdout(out):",
+        "            rc = cli.main(['coeffs', '--family', family, '--t', '100000', '--n', '5', '--formula', formula])",
+        "        elapsed = time.perf_counter() - start",
+        "        values = [line.split('\\t')[1] for line in out.getvalue().splitlines()[1:]]",
+        "        print(family, formula, rc, elapsed < 0.5, *values)",
+    ])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=30)
+    assert done.returncode == 0, done.stderr
+    rows = [line.split() for line in done.stdout.splitlines()]
+    assert len(rows) == 9
+    for family, formula, *rest in rows:
+        assert rest == ["0", "True"] + ["0"] * 6, (family, formula)

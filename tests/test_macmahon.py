@@ -1,5 +1,7 @@
 """Tests for the M/MO generating function routes and their agreements."""
 
+import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -128,6 +130,33 @@ def test_multisums_form_no_series_products(monkeypatch):
     multisums(10, 300)
     multisums(10, 300, strict=True)
     assert products == []
+
+
+def test_multisums_write_level_one_without_the_kernel(monkeypatch):
+    # level 1 gains x_v itself; level s >= 2 takes one kernel call at each v
+    # with s*v <= order, on level s - 1, whose weak chains start at q^((s-1)v)
+    levels = []
+    kernel = macmahon.over_geometric_coeffs
+
+    def spy(coeffs, k, r, shift=0):
+        levels.append(next(i for i, c in enumerate(coeffs) if c) // k + 1)
+        return kernel(coeffs, k, r, shift)
+
+    monkeypatch.setattr(macmahon, "over_geometric_coeffs", spy)
+    multisums(3, 800)
+    assert len(levels) == 666
+    assert Counter(levels) == {2: 400, 3: 266}
+
+
+def test_multisums_far_past_the_order():
+    # levels above the order are never written, so they cost one shared list
+    start = time.perf_counter()
+    hs = multisums(100000, 5)
+    elapsed = time.perf_counter() - start
+    assert len(hs) == 100000
+    assert [h.coeffs for h in hs[:5]] == [brute_multisum(t, 5) for t in range(1, 6)]
+    assert all(h.coeffs == [0] * 6 for h in hs[5:])
+    assert elapsed < 1.0
 
 
 def test_scan_routes_match_chains_up_to_t10():

@@ -94,6 +94,27 @@ def test_symmetric_route_catches_a_corrupted_strict_multisum(monkeypatch):
     assert symmetric == {1: False, 2: False, 3: False}
 
 
+@pytest.mark.parametrize("level", [1, 3])
+def test_agreement_catches_a_multisum_level_corrupted_at_depth(monkeypatch, level):
+    # level 1 is written directly and the levels above through the kernel:
+    # one coefficient bumped at q^(order - 1) on either fails every row of
+    # that t, and only those
+    multisums = macmahon.multisums
+
+    def bumped(T, order, strict=False):
+        hs = multisums(T, order, strict)
+        if len(hs) >= level:
+            coeffs = list(hs[level - 1].coeffs)
+            coeffs[order - 1] += 1
+            hs[level - 1] = Series(coeffs, order)
+        return hs
+
+    monkeypatch.setattr(macmahon, "multisums", bumped)
+    reports = registry.run_identity("U-agreement", {}, 60)
+    assert {r.params["t"] for r in reports if not r.passed} == {level}
+    assert all(not r.passed for r in reports if r.params["t"] == level)
+
+
 def test_catalog_builds_no_inverse_series(monkeypatch):
     # a q-rational term is one exact division of its numerator by its
     # denominator, never an inverse series multiplied back in

@@ -2,6 +2,7 @@
 
 import gc
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from conftest import (
     seeded,
 )
 from macsums.divisors import eisenstein, sigma_series
-from macsums.series import LEAF, Series, _norm, euler_function, geometric_pow, q_derivative
+from macsums.series import LEAF, Series, _norm, euler_function, geometric_pow, over_geometric_coeffs, q_derivative
 
 ONES = lambda n: Series([1] * (n + 1), n)
 
@@ -243,6 +244,24 @@ def test_over_geometric_matches_materialized_product(data):
     s = Series(data.draw(st.lists(exact_scalars, min_size=order + 1, max_size=order + 1)), order)
     expected = naive_mul(s.coeffs, geometric_pow(k, r, order, shift).coeffs, order)
     assert s.over_geometric(k, r, shift) == Series(expected, order)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_over_geometric_skips_a_zero_prefix(data):
+    # the running sums start at the first nonzero coefficient plus the shift,
+    # and the branch follows the tail's length: k is drawn half the time with
+    # k^2 <= order + 1, so a long enough prefix flips it to the block branch
+    order = data.draw(st.integers(0, 40), label="order")
+    prefix = data.draw(st.integers(0, order + 1), label="prefix")
+    k = data.draw(st.integers(1, isqrt(order + 1)) | st.integers(1, order + 2), label="k")
+    r = data.draw(st.integers(1, 4), label="r")
+    shift = data.draw(st.integers(0, 2) | st.integers(0, order + 2), label="shift")
+    tail = data.draw(st.lists(exact_scalars, min_size=order + 1 - prefix, max_size=order + 1 - prefix))
+    coeffs = [0] * prefix + tail
+    expected = naive_mul(coeffs, geometric_pow(k, r, order, shift).coeffs, order)
+    assert over_geometric_coeffs(coeffs, k, r, shift) == expected
+    assert coeffs == [0] * prefix + tail  # the input is left alone
 
 
 def test_over_geometric_rejects_what_geometric_pow_rejects():
