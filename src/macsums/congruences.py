@@ -68,7 +68,7 @@ def check_claims(claims, order: int) -> list[CongruenceClaim]:
                 claim = claims[i]
                 first_violation, checked = _first_nonvanishing(values, claim.p, claim.step, claim.offset)
                 status = REFUTED if first_violation is not None else (
-                    EVIDENCE if claim.kind == "conjecture" else VERIFIED
+                    EVIDENCE if claim.kind in ("conjecture", "prospect") else VERIFIED
                 )
                 results[i] = CongruenceClaim(
                     *claim.key(), kind=claim.kind, label=claim.label,
@@ -160,9 +160,9 @@ def prospect(family: str, t_values, primes, order: int) -> ProspectResult:
     coefficient checked.  Survivors are reported sorted by evidence depth;
     ties keep the order of t_values, then of primes, then of offsets.  The
     grid is checked t by t (`require_table`), then for repeats
-    (`require_distinct`); a bad grid raises InputError.  The tables
-    are built largest t first, as in `check_claims`, so an MO scan puts the
-    widest slot on top.
+    (`require_distinct`); a bad grid raises InputError.  Every (t, p, b)
+    is a claim of kind "prospect", checked by `check_claims`, so a survivor
+    carries the status a recheck of its report gives it: evidence-to-depth.
 
     The chance level is the survivor count a uniform-residue null would
     predict over the scanned progressions, as an exact Fraction: offset b
@@ -176,27 +176,16 @@ def prospect(family: str, t_values, primes, order: int) -> ProspectResult:
         grid.append(t)
     t_values = grid
     require_distinct(t_values, primes)
-    known = {c.key(): c.label for c in paper_claims() if c.family == family}
-    survivors = {}
-    for t, values in coefficient_values(family, sorted(t_values, reverse=True), order):
-        found = survivors[t] = []
+    known = {c.key() for c in paper_claims()}
+    claims = []
+    for t in t_values:
         for p in primes:
             for b in range(min(p, order + 1)):
-                first_violation, checked = _first_nonvanishing(values, p, p, b)
-                if first_violation is None:
-                    anchor = known.get((family, t, p, p, b))
-                    label = f"{p} | {family}({t}, {p}n+{b})"
-                    if anchor:
-                        label += "  [known claim]"
-                    found.append(
-                        CongruenceClaim(
-                            family=family, t=t, p=p, step=p, offset=b,
-                            kind="prospect", label=label,
-                            status=EVIDENCE, depth=(order - b) // p, checked=checked,
-                        )
-                    )
-        del values  # free this table before the next one is built
-    claims = [c for t in t_values for c in survivors[t]]
+                label = f"{p} | {family}({t}, {p}n+{b})"
+                if (family, t, p, p, b) in known:
+                    label += "  [known claim]"
+                claims.append(CongruenceClaim(family, t, p, p, b, kind="prospect", label=label))
+    claims = [c for c in check_claims(claims, order) if c.status != REFUTED]
     claims.sort(key=lambda c: -c.depth)
     chance = len(t_values) * sum(_null_survivals(p, order) for p in primes)
     return ProspectResult(

@@ -47,9 +47,13 @@ def chain_series(factors, order, *, strict_after=(), max_part=None, exp_weight=N
     f_i(k) has q-valuation at least k, which is what bounds the enumeration;
     a position whose remaining tail weight is zero needs max_part instead.
 
-    Evaluation runs over states (position, minimum part value) so shared
-    suffixes are computed once; this realizes the tuple enumeration without
-    walking individual tuples.
+    With R_i(v) the sum over the chain tails k_i <= ... <= k_m with k_i >= v,
+    R_i(v) = R_i(v+1) + f_i(v) R_(i+1)(v'), where v' = v+1 after a strict
+    position and v otherwise, and R_(m+1) is the constant 1.  One pass with v
+    falling keeps one running sum per position, as `multisums` does, and
+    walks the positions last to first, so R_(i+1)(v) is already in place;
+    a strict position reads R_(i+1)(v+1) through the reference held before
+    that sum was rebound.  The series is R_1(1).
     """
     m = len(factors)
     strict = set(strict_after)
@@ -70,25 +74,16 @@ def chain_series(factors, order, *, strict_after=(), max_part=None, exp_weight=N
             raise ValueError(f"chain position {i + 1} is unbounded; pass max_part")
         bounds.append(b)
 
-    zero = Series.zero(order)
     one = Series.one(order)
-    nxt_row = None
-    for i in range(m - 1, -1, -1):
-        bi = bounds[i]
-        row = [zero] * (bi + 2)
-        step = 1 if (i + 1) in strict else 0
-        for v in range(bi, 0, -1):
-            if i == m - 1:
-                nxt = one
-            else:
-                vn = v + step
-                nxt = nxt_row[vn] if vn <= bounds[i + 1] else zero
-            here = row[v + 1]
-            if not nxt.is_zero():
-                here = here + factors[i](v, nxt)
-            row[v] = here
-        nxt_row = row
-    return nxt_row[1] if m else one
+    acc = [Series.zero(order)] * m + [one]  # one running sum per position, rebound, never mutated
+    for v in range(max(bounds, default=0), 0, -1):
+        above = one  # acc[i + 1] as it stood at v + 1, read after a strict position
+        for i in range(m - 1, -1, -1):
+            nxt = above if (i + 1) in strict else acc[i + 1]
+            above = acc[i]
+            if v <= bounds[i] and not nxt.is_zero():
+                acc[i] = above + factors[i](v, nxt)
+    return acc[0]
 
 
 # ---------------------------------------------------------------------------

@@ -139,12 +139,12 @@ class CongruenceClaim(Record):
 
     def __init__(
         self,
-        family: str,  # "M", "MO" or "sigma"
+        family: str,  # "M" or "MO"
         t: int | None,
         p: int,
         step: int,
         offset: int,
-        kind: str = "theorem",  # "theorem" | "conjecture" | "control" | "prospect"
+        kind: str = "theorem",  # "theorem" | "conjecture" | "ad-hoc" | "prospect"
         label: str = "",
         status: str = "",
         depth: int = -1,  # largest progression index n that was checked

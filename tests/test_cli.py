@@ -146,6 +146,24 @@ def test_scan_suite_and_recheck_round_trip(capsys, tmp_path):
     assert "conjecture" in out.lower() or "EVIDENCE" in out
 
 
+def test_scan_prospect_report_rechecks_unchanged(capsys, tmp_path):
+    # a prospect survivor is evidence, in its own report and on recheck
+    report = tmp_path / "report.json"
+    code, _, _ = run_cli(
+        capsys, "scan", "--prospect", "--family", "MO", "--t", "2..3", "--p", "5,7",
+        "--order", "200", "--format", "json", "--output", str(report),
+    )
+    assert code == 0
+    results = json.loads(report.read_text())["results"]
+    assert len(results) == 4 and {r["status"] for r in results} == {"evidence-to-depth"}
+
+    code, out, err = run_cli(capsys, "scan", "--input", str(report), "--recheck")
+    assert code == 0
+    assert "status changed" not in err
+    lines = out.splitlines()
+    assert len(lines) == 4 and all(line.startswith("EVIDENCE") for line in lines)
+
+
 def test_scan_prospect(capsys):
     code, out, _ = run_cli(
         capsys, "scan", "--prospect", "--family", "MO", "--t", "2", "--p", "5",

@@ -1,6 +1,7 @@
 """Tests for the M/MO generating function routes and their agreements."""
 
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_multisum
+from conftest import brute_multisum, naive_mul
 from macsums import macmahon, series
 from macsums.divisors import eisenstein, sigma_series, theta_moment
 from macsums.macmahon import (
@@ -72,6 +73,66 @@ def test_weak_multisums_match_chain_series(order, T, strict):
         strict_after = range(1, t) if strict else ()
         ref = chain_series([lambda k, s: s * geometric_pow(k, 2, order, k)] * t, order, strict_after=strict_after)
         assert h == ref, t
+
+
+def chain_walk(shapes, order, strict_after, max_part):
+    """Sum over explicit k-tuples of the products of the factors
+    q^(a k)/(1-q^(k+d))^r named by shapes[i] = (a, d, r), each built with
+    `geometric_pow` and multiplied in with `naive_mul`.  A prefix whose
+    product vanishes through the order is not extended."""
+    top = order if max_part is None else max_part
+    out = [0] * (order + 1)
+
+    def walk(i, lo, acc):
+        if i == len(shapes):
+            for n, c in enumerate(acc):
+                out[n] += c
+            return
+        a, d, r = shapes[i]
+        for k in range(lo, top + 1):
+            nxt = naive_mul(geometric_pow(k + d, r, order, a * k).coeffs, acc, order)
+            if any(nxt):
+                walk(i + 1, k + 1 if i + 1 in strict_after else k, nxt)
+
+    walk(0, 1, [1] + [0] * order)
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_chain_series_matches_a_tuple_walk(data):
+    order = data.draw(st.integers(0, 24), label="order")
+    shapes = data.draw(
+        st.lists(st.tuples(st.integers(0, 1), st.integers(0, 2), st.integers(1, 2)), max_size=4), label="shapes",
+    )
+    m = len(shapes)
+    strict_after = data.draw(st.sets(st.integers(1, m - 1)) if m > 1 else st.just(set()), label="strict_after")
+    weights = [a for a, _, _ in shapes]
+    # a tail weight is 0 exactly when the last position's is
+    bounded = st.integers(1, 8) if m and weights[-1] == 0 else st.none() | st.integers(1, order + 2)
+    max_part = data.draw(bounded, label="max_part")
+    factors = [lambda k, s, a=a, d=d, r=r: s.over_geometric(k + d, r, a * k) for a, d, r in shapes]
+    got = chain_series(factors, order, strict_after=strict_after, max_part=max_part, exp_weight=weights)
+    assert got.coeffs == chain_walk(shapes, order, strict_after, max_part)
+
+
+def test_chain_series_rejects_an_unbounded_or_mismatched_chain():
+    factor = lambda k, s: s.over_geometric(k, 1)
+    with pytest.raises(ValueError, match="position 2 is unbounded"):
+        chain_series([factor, factor], 10, exp_weight=[1, 0])
+    with pytest.raises(ValueError, match="exp_weight must match"):
+        chain_series([factor], 10, exp_weight=[1, 1])
+
+
+def test_chain_series_holds_one_sum_per_position():
+    # the chain state is one series per position, not one per part value
+    tracemalloc.start()
+    try:
+        m_conjugate_form(1, 800)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def count_products(monkeypatch):
