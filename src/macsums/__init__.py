@@ -1,7 +1,7 @@
 """macsums: exact q-series arithmetic for MacMahon-type generalized divisor
 sums, with an identity catalog and a congruence scanner."""
 
-from .series import Series, euler_function, geometric_pow, q_derivative
+from .series import Series, euler_function, geometric_pow
 from .qcombo import IntPoly, q_binomial, q_factorial, q_int, stirling1_unsigned
 from .divisors import eisenstein, sigma, sigma_series, theta_moment
 from .macmahon import (
@@ -24,7 +24,6 @@ __all__ = [
     "m_single_sum",
     "mo_andrews_rose",
     "q_binomial",
-    "q_derivative",
     "q_factorial",
     "q_int",
     "sigma",

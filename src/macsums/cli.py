@@ -281,13 +281,9 @@ def cmd_scan(args):
         primes = [3, 5, 7, 11] if args.p is None else _parse_grid("--p", args.p)
         if not t_values or not primes:
             raise UsageError("--t and --p must not be empty")
-        for t in t_values:  # t by t, so a huge range stops at its first bad t
-            _at_least(1, t=t)
-            cong.require_table(family, t, args.order)
-        for p in primes:
+        for p in primes:  # p by p, so a huge range stops at its first bad p
             _check_prime(p)
-        cong.require_distinct(t_values, primes)
-        t_values, primes = list(t_values), list(primes)
+        t_values, primes = cong.prospect_grid(family, t_values, primes, args.order)
         print(f"prospecting family={family} t={t_values} p={primes} order={args.order}", file=sys.stderr)
         result = cong.prospect(family, t_values, primes, args.order)
         _claims_output(
@@ -434,6 +430,10 @@ def main(argv=None) -> int:
         raise UsageError(f"unknown command {args.command!r}")
     except (UsageError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # every command builds its whole output before writing it, so none was written
+        print("error: out of memory; try a smaller order or grid", file=sys.stderr)
         return 2
 
 

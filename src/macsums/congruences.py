@@ -123,27 +123,33 @@ def verify_paper_suite(order: int):
     return check_claims(paper_claims(), order)
 
 
-def require_table(family: str, t: int, order: int) -> None:
-    """Raise InputError if the table of t is zero through the order (its
-    leading window passes it), so that a scan would check only zeros."""
-    window = leading_window(family, t)
-    if window > order:
-        raise InputError(
-            f"t = {t}: {family}({t}, n) is 0 for every n <= {order}, so its scan checks only structural zeros;"
-            f" order {window} is the smallest with a nonzero coefficient"
-        )
+def prospect_grid(family: str, t_values, primes, order: int) -> tuple[list, list]:
+    """The prospect grid as two lists, or InputError for a bad one.
 
-
-def require_distinct(t_values, primes) -> None:
-    """Raise InputError if the prospect grid repeats a t or a prime: a
-    repeat would report its survivors twice and count its progressions
-    twice in the chance level."""
-    for name, values in (("t", t_values), ("p", primes)):
+    The t are checked one by one, so a huge range stops at its first bad t:
+    a t < 1 has no table, and a table zero through the order (its leading
+    window passes it) would be scanned on structural zeros only.  Then a
+    repeated t or prime would report its survivors twice and count its
+    progressions twice in the chance level.
+    """
+    grid = []
+    for t in t_values:
+        if t < 1:
+            raise InputError(f"t must be >= 1, got {t}")
+        window = leading_window(family, t)
+        if window > order:
+            raise InputError(
+                f"t = {t}: {family}({t}, n) is 0 for every n <= {order}, so its scan checks only structural zeros;"
+                f" order {window} is the smallest with a nonzero coefficient"
+            )
+        grid.append(t)
+    for name, values in (("t", grid), ("p", primes)):
         seen = set()
         for v in values:
             if v in seen:
                 raise InputError(f"{name} grid repeats {v}")
             seen.add(v)
+    return grid, list(primes)
 
 
 def _null_survivals(p: int, order: int) -> Fraction:
@@ -158,9 +164,8 @@ def prospect(family: str, t_values, primes, order: int) -> ProspectResult:
 
     Only offsets b <= order are scanned, so every survivor has at least one
     coefficient checked.  Survivors are reported sorted by evidence depth;
-    ties keep the order of t_values, then of primes, then of offsets.  The
-    grid is checked t by t (`require_table`), then for repeats
-    (`require_distinct`); a bad grid raises InputError.  Every (t, p, b)
+    ties keep the order of t_values, then of primes, then of offsets.  A
+    bad grid raises InputError (`prospect_grid`).  Every (t, p, b)
     is a claim of kind "prospect", checked by `check_claims`, so a survivor
     carries the status a recheck of its report gives it: evidence-to-depth.
 
@@ -170,12 +175,7 @@ def prospect(family: str, t_values, primes, order: int) -> ProspectResult:
     probability 1/p, so (t, p, b) survives with probability p to the minus
     that count (`_null_survivals`).
     """
-    grid = []
-    for t in t_values:
-        require_table(family, t, order)
-        grid.append(t)
-    t_values = grid
-    require_distinct(t_values, primes)
+    t_values, primes = prospect_grid(family, t_values, primes, order)
     known = {c.key() for c in paper_claims()}
     claims = []
     for t in t_values:

@@ -1,7 +1,10 @@
 """Divisor power sums, Eisenstein series, Lambert-type series, and umbral
 evaluation of integer polynomials against series families.
 
-All generating functions return exact integer-coefficient Series.  An umbral
+All generating functions return exact integer-coefficient Series.  The tail
+products of `dilcher_r` and the 1/(q;q)_m of `alternating_tail_quotient`
+are one coefficient list each, taking one signed-kernel step
+(`over_geometric_coeffs`) per m, with no division.  An umbral
 polynomial is a `qcombo.IntPoly` read in one formal symbol X; evaluating it
 replaces each power X^s by the s-th member of a family, which is any function
 (s, order) -> Series such as `sigma_series`, `theta_moment` or `dilcher_r`.
@@ -9,11 +12,12 @@ replaces each power X^s by the s-th member of a family, which is any function
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import isqrt
-from operator import add
+from operator import add, mul, sub
 
 from .qcombo import IntPoly, poly_from_roots
-from .series import Series, geometric_pow
+from .series import Series, geometric_pow, over_geometric_coeffs
 
 
 def sigma(s: int, n: int) -> int:
@@ -65,34 +69,27 @@ def power_lambert(a: int, r: int, order: int) -> Series:
 
 
 def dilcher_r(t: int, order: int) -> Series:
-    """Sum over m >= 1 of m^t q^m * prod_{j>m} (1-q^j).
-
-    Tail products are grown incrementally from m = order down to 1, one
-    sparse multiplication per step.
-    """
-    acc = Series.zero(order)
-    tail = Series.one(order)
+    """Sum over m >= 1 of m^t q^m * prod_{j>m} (1-q^j), the tail product
+    grown from m = order down to 1."""
+    out = [0] * (order + 1)
+    tail = [1] + [0] * order
     for m in range(order, 0, -1):
-        acc = acc + (m**t) * tail.shift(m)
-        tail = tail - tail.shift(m)
-    return acc
+        out[m:] = map(add, out[m:], map(mul, tail, repeat(m**t)))
+        tail = over_geometric_coeffs(tail, m, -1)
+    return Series(out, order)
 
 
 def alternating_tail_quotient(t: int, order: int) -> Series:
-    """Sum over m >= 1 of (-1)^(m-1) q^(m(m+1)/2) / ((1-q^m)^t (q;q)_m).
-
-    The finite product in the denominator runs over (1-q^j) for j <= m.
-    """
-    acc = Series.zero(order)
-    finite_prod = Series.one(order)
-    for m in range(1, order + 1):
-        e = m * (m + 1) // 2
-        if e > order:
-            break
-        finite_prod = finite_prod - finite_prod.shift(m)
-        term = (geometric_pow(m, t, order) / finite_prod).shift(e)
-        acc = acc + term if m % 2 else acc - term
-    return acc
+    """Sum over m >= 1 of (-1)^(m-1) q^(m(m+1)/2) / ((1-q^m)^t (q;q)_m),
+    where (q;q)_m is the product of (1-q^j) for j <= m."""
+    out = [0] * (order + 1)
+    inv = [1] + [0] * order  # 1/(q;q)_m
+    m = 1
+    while m * (m + 1) // 2 <= order:
+        inv = over_geometric_coeffs(inv, m, 1)
+        out[:] = map(add if m % 2 else sub, out, over_geometric_coeffs(inv, m, t, m * (m + 1) // 2))
+        m += 1
+    return Series(out, order)
 
 
 def theta_moment(s: int, order: int) -> Series:

@@ -2,8 +2,10 @@
 
 Every identity here is verified by computing BOTH sides independently as
 exact truncated series (or exact rationals for the specializations at
-q = 1) and comparing coefficients.  A geometric factor q^a/(1-q^k)^r is
-applied with `Series.over_geometric`; any other q-rational factor is one
+q = 1) and comparing coefficients.  The multisums are `chain_series` over
+data factors k^w q^(ck+b) / prod (1-q^(k+d))^r, so their q-integers are
+kernel steps.  In a single-sum term a geometric factor q^a/(1-q^k)^r is
+applied with `Series.over_geometric`, and any other q-rational factor is one
 exact division of its numerator polynomial by the product of its
 denominator polynomials, each with constant term 1.  So every object stays
 a true power series, and no inverse series is built or carried along.
@@ -56,8 +58,7 @@ def harmonic_multisum(t: int, n: int, order: int) -> Series:
         return Series.one(order)
     if n == 0:
         return Series.zero(order)
-    fac = lambda k, s: s.over_geometric(k, 2, k)
-    core = chain_series([fac] * t, order, max_part=n)
+    core = chain_series([(0, 1, 0, ((0, 2),))] * t, order, max_part=n)
     return core * one_minus_q_pow(2 * t).to_series(order)
 
 
@@ -98,15 +99,11 @@ def harmonic_paired_sum(t: int, n: int, order: int) -> Series:
     if n == 0:
         return Series.zero(order)
     m = 2 * t
-
-    def fac(pos, shifted):
-        # 1/(1-q^(n+k_1)) at position 1, 1/(1-q^(k_j)) elsewhere; times q^(k_j) if shifted
-        d = n if pos == 1 else 0
-        return lambda k, s: s.over_geometric(d + k, 1, k if shifted else 0)
-
-    # part a takes q^(k_j) at the odd positions, part b at the even ones
+    # 1/(1-q^(n+k_1)) at position 1, 1/(1-q^(k_j)) elsewhere; part a takes
+    # q^(k_j) at the odd positions, part b at the even ones
     part_a, part_b = (
-        chain_series([fac(p, p % 2 == parity) for p in range(1, m + 1)], order, max_part=n, exp_weight=[0] * m)
+        chain_series([(0, int(p % 2 == parity), 0, ((n if p == 1 else 0, 1),)) for p in range(1, m + 1)],
+                     order, max_part=n)
         for parity in (1, 0)
     )
     return (part_a.shift(n) + part_b) * one_minus_q_pow(m).to_series(order)
@@ -159,8 +156,7 @@ def dilcher_sides(t: int, n: int, order: int):
         n, order, lambda k: k * (k - 1) // 2 + t * k,
         lambda k: (q_binomial(n, k) * omq).to_series(order).over_geometric(k, t),
     )
-    fac = lambda k, s: s.over_geometric(k, 1, k)
-    rhs = chain_series([fac] * t, order, max_part=n) * omq.to_series(order)
+    rhs = chain_series([(0, 1, 0, ((0, 1),))] * t, order, max_part=n) * omq.to_series(order)
     return lhs, rhs
 
 
@@ -170,8 +166,7 @@ def dilcher_check(t: int, n: int, order: int) -> IdentityReport:
 
 
 def _bounded_x_multisum(t, kmax, x, order):
-    fac = lambda k, s: s.over_geometric(x + k, 1, k)
-    core = chain_series([fac] * t, order, max_part=kmax)
+    core = chain_series([(0, 1, 0, ((x, 1),))] * t, order, max_part=kmax)
     return one_minus_q_pow(t).to_series(order) * core
 
 
@@ -247,9 +242,8 @@ def atid_b_sides(t: int, n: int, x: int, order: int):
         n, order, lambda k: k * (k - 1) // 2 + (x + 2 * t) * k,
         lambda k: _quotient(q_binomial(n, k) * omq, q_binomial(x + k, k), order).over_geometric(k, 2 * t),
     )
-    first = lambda k, s: s.over_geometric(x + k, 1, x + k)
-    rest = lambda k, s: s.over_geometric(k, 1, k)
-    rhs = omq.to_series(order) * chain_series([first] + [rest] * (2 * t - 1), order, max_part=n)
+    factors = [(0, 1, x, ((x, 1),))] + [(0, 1, 0, ((0, 1),))] * (2 * t - 1)
+    rhs = omq.to_series(order) * chain_series(factors, order, max_part=n)
     return lhs, rhs
 
 
@@ -264,14 +258,14 @@ def cor52_sides(t: int, n: int, x: int, z: int, order: int):
         n, order, lambda k: k * (k - 1) // 2 + (x + t) * k,
         lambda k: _quotient(q_binomial(n, k) * omq, q_binomial(x + k, k), order).over_geometric(z + k, t),
     )
-
-    def pos1(k, s):
-        s = (q_int(k) * q_binomial(z + k, k)).to_series(order) * s
-        return s.over_geometric(x + k, 1, k).over_geometric(z + k, 1)
-
-    rest = lambda k, s: s.over_geometric(z + k, 1, k)
-    core = chain_series([pos1] + [rest] * (t - 1), order, max_part=n)
-    rhs = (core * one_minus_q_pow(t + 1).to_series(order) / q_binomial(z + n, n).to_series(order)).shift(x)
+    # position 1 is [k]_q qbin(z+k, k) q^k / ((1-q^(x+k)) (1-q^(z+k))), and
+    # [k]_q qbin(z+k, k) = prod_{d=0..z} (1-q^(k+d)) / ((1-q) (q;q)_z): the
+    # (1-q^(k+z)) cancels, and the constant comes out of the chain
+    first = (0, 1, 0, ((x, 1), *((d, -1) for d in range(z))))
+    core = chain_series([first] + [(0, 1, 0, ((z, 1),))] * (t - 1), order, max_part=n)
+    for j in range(1, z + 1):
+        core = core.over_geometric(j, 1)
+    rhs = (core * omq.to_series(order) / q_binomial(z + n, n).to_series(order)).shift(x)
     return lhs, rhs
 
 

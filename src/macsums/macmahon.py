@@ -13,39 +13,44 @@ functions h_t of the x_k and the MO series their elementary functions e_t:
 one suffix pass (`multisums`) builds either family for every length, and one
 self-inverse transform (`_dual`) solves the relation between them.
 
-Every geometric factor q^a/(1-q^k)^r is applied with the strided running
-sums of `Series.over_geometric` (on plain coefficient lists inside
-`multisums`), never multiplied in as a built series.  The one exception is
-x_k times the constant 1, the first chain level, which `multisums` writes
-directly as k-strided weights 1, 2, 3, ...
+Every factor k^w q^a prod (1-q^j)^(e_j) is applied on plain coefficient
+lists by the signed kernel `over_geometric_coeffs` (strided running sums
+for a denominator, strided differences for a numerator), never multiplied
+in as a built series: in `multisums`, in `chain_series`, whose factors are
+data, and on the Jacobi product side.  The one exception is x_k times the
+constant 1, the first chain level, which `multisums` writes directly as
+k-strided weights 1, 2, 3, ...
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count
+from itertools import count, repeat
 from math import comb, factorial
-from operator import add, sub
+from operator import add, mul, sub
 
 from .divisors import eisenstein, odd_square_product, sigma_series, theta_moment, umbral_eval
 from .reports import FrozenRecord, IdentityReport, merge_reports, series_report
-from .series import Series, euler_function, over_geometric_coeffs
+from .series import Series, over_geometric_coeffs
 
 
 # ---------------------------------------------------------------------------
 # chain enumeration
 
 
-def chain_series(factors, order, *, strict_after=(), max_part=None, exp_weight=None):
+def chain_series(factors, order, *, strict_after=(), max_part=None):
     """Truncated sum over chains k_1 <= k_2 <= ... <= k_m of part values >= 1,
     of the product of the factors f_i(k_i).
 
-    factors[i] is a callable (k, s) -> Series that returns s times f_i(k),
-    so a factor q^a/(1-q^k)^r is applied as `s.over_geometric(k, r, a)` and
-    never built as a series of its own.  Positions named in strict_after
-    (1-based) require k_i < k_(i+1).  exp_weight[i-1] = 1 declares that
-    f_i(k) has q-valuation at least k, which is what bounds the enumeration;
-    a position whose remaining tail weight is zero needs max_part instead.
+    factors[i] = (w, c, b, powers) is the factor
+    f_i(k) = k^w q^(c*k + b) / prod over (d, r) in powers of (1-q^(k+d))^r,
+    with c, b >= 0, powers nonempty and each r a nonzero integer, so a
+    negative r is a numerator factor (1-q^(k+d))^|r|.  It is applied to a
+    coefficient list as kernel steps (`over_geometric_coeffs`), never built
+    as a series of its own.  Positions named in strict_after (1-based)
+    require k_i < k_(i+1).  f_i(k) has q-valuation at least c*k, and the sum of the
+    c of positions i..m is what bounds the enumeration at position i; a
+    position whose remaining sum is zero needs max_part instead.
 
     With R_i(v) the sum over the chain tails k_i <= ... <= k_m with k_i >= v,
     R_i(v) = R_i(v+1) + f_i(v) R_(i+1)(v'), where v' = v+1 after a strict
@@ -57,14 +62,9 @@ def chain_series(factors, order, *, strict_after=(), max_part=None, exp_weight=N
     """
     m = len(factors)
     strict = set(strict_after)
-    if exp_weight is None:
-        exp_weight = [1] * m
-    if len(exp_weight) != m:
-        raise ValueError("exp_weight must match the number of positions")
-
     tailw = [0] * (m + 1)
     for i in range(m - 1, -1, -1):
-        tailw[i] = tailw[i + 1] + exp_weight[i]
+        tailw[i] = tailw[i + 1] + factors[i][1]
     bounds = []
     for i in range(m):
         b = max_part
@@ -74,16 +74,20 @@ def chain_series(factors, order, *, strict_after=(), max_part=None, exp_weight=N
             raise ValueError(f"chain position {i + 1} is unbounded; pass max_part")
         bounds.append(b)
 
-    one = Series.one(order)
-    acc = [Series.zero(order)] * m + [one]  # one running sum per position, rebound, never mutated
+    one = [1] + [0] * order
+    acc = [[0] * (order + 1)] * m + [one]  # one running sum per position, rebound, never mutated
     for v in range(max(bounds, default=0), 0, -1):
         above = one  # acc[i + 1] as it stood at v + 1, read after a strict position
         for i in range(m - 1, -1, -1):
             nxt = above if (i + 1) in strict else acc[i + 1]
             above = acc[i]
-            if v <= bounds[i] and not nxt.is_zero():
-                acc[i] = above + factors[i](v, nxt)
-    return acc[0]
+            if v <= bounds[i] and any(nxt):
+                w, c, b, ((d, r), *rest) = factors[i]
+                nxt = over_geometric_coeffs(nxt, v + d, r, c * v + b)
+                for d, r in rest:
+                    nxt = over_geometric_coeffs(nxt, v + d, r)
+                acc[i] = list(map(add, above, nxt if w == 0 else map(mul, nxt, repeat(v**w))))
+    return Series(acc[0], order)
 
 
 # ---------------------------------------------------------------------------
@@ -181,18 +185,8 @@ def m_conjugate_form(t: int, order: int) -> Series:
     q^(k_j)/(1-q^(k_j)) at odd positions and 1/(1-q^(k_j)) at even ones."""
     if t < 1:
         raise ValueError("t >= 1")
-    m = 2 * t - 1
-
-    def make(pos):
-        if pos == 1:
-            return lambda k, s: k * s.over_geometric(k, 1, k)
-        if pos % 2 == 1:
-            return lambda k, s: s.over_geometric(k, 1, k)
-        return lambda k, s: s.over_geometric(k, 1)
-
-    factors = [make(pos) for pos in range(1, m + 1)]
-    weights = [1 if pos % 2 == 1 else 0 for pos in range(1, m + 1)]
-    return chain_series(factors, order, exp_weight=weights)
+    odd, even = (0, 1, 0, ((0, 1),)), (0, 0, 0, ((0, 1),))
+    return chain_series([(1, 1, 0, ((0, 1),))] + [even, odd] * (t - 1), order)
 
 
 def mo_slot_bound(t: int, order: int) -> int:
@@ -522,15 +516,23 @@ _JACOBI_DENOMS = {
     1: lambda m, order: Series.one(order) - Series.monomial(1, m, order) + Series.monomial(1, 2 * m, order),
 }
 
+# (1-q^m)^2 / _JACOBI_DENOMS[c](m) as kernel steps (j, r), each 1/(1-q^(jm))^r
+_JACOBI_PRODUCT_STEPS = {
+    4: ((1, -4), (2, 2)),  # (1-q^m)^4 / (1-q^2m)^2
+    2: ((1, -2), (2, -1), (4, 1)),  # (1-q^m)^2 (1-q^2m) / (1-q^4m)
+    1: ((1, -1), (2, -1), (3, -1), (6, 1)),  # (1-q^m)(1-q^2m)(1-q^3m) / (1-q^6m)
+}
+
 
 def jacobi_product_side(c: int, order: int) -> Series:
     """Product over m of (1-q^m)^2 / (1 - 2 cos(2x) q^m + q^(2m)) at the
-    specialization with 4 sin^2(x) = c."""
-    num = euler_function(order) ** 2
-    den = Series.one(order)
+    specialization with 4 sin^2(x) = c: one coefficient list taking the
+    steps of `_JACOBI_PRODUCT_STEPS` for each m, with no division."""
+    out = [1] + [0] * order
     for m in range(1, order + 1):
-        den = den * _JACOBI_DENOMS[c](m, order)
-    return num / den
+        for j, r in _JACOBI_PRODUCT_STEPS[c]:
+            out = over_geometric_coeffs(out, j * m, r)
+    return Series(out, order)
 
 
 def jacobi_theta_side(c: int, order: int) -> Series:
@@ -586,17 +588,10 @@ def conjugate_chain_m_form(t: int, order: int) -> Series:
     if t < 1:
         raise ValueError("t >= 1")
     m = 2 * t - 1
-
-    def make(pos):
-        # ascending position pos holds original index m + 1 - pos
-        if pos == m:
-            return lambda k, s: s.over_geometric(k, 2, k)
-        return lambda k, s: s.over_geometric(k, 1)
-
-    factors = [make(pos) for pos in range(1, m + 1)]
-    weights = [1 if pos == m else 0 for pos in range(1, m + 1)]
+    # ascending position pos holds original index m + 1 - pos
+    factors = [(0, 0, 0, ((0, 1),))] * (m - 1) + [(0, 1, 0, ((0, 2),))]
     strict = [pos for pos in range(1, m) if (m + 1 - pos) % 2 == 0]
-    return chain_series(factors, order, strict_after=strict, exp_weight=weights)
+    return chain_series(factors, order, strict_after=strict)
 
 
 def conjugate_chain_check(t: int, order: int) -> IdentityReport:

@@ -23,7 +23,7 @@ from . import macmahon as mac
 from .qcombo import central_T, central_u
 from .reports import FrozenRecord, IdentityReport, series_report
 from .reports import InputError as GridError  # an undeclared or empty grid, or a value outside its domain
-from .series import Series, q_derivative
+from .series import Series
 
 
 class IdentitySpec(FrozenRecord):
@@ -102,8 +102,8 @@ def _t_inversion(order, t):
 
 def _eisenstein_ramanujan(order):
     e2, e4, e6 = (div.eisenstein(which, order) for which in ("E2", "E4", "E6"))
-    sides = (("E2", 12 * q_derivative(e2), e2 * e2 - e4), ("E4", 3 * q_derivative(e4), e2 * e4 - e6),
-             ("E6", 2 * q_derivative(e6), e2 * e6 - e4 * e4))
+    sides = (("E2", 12 * e2.q_derivative(), e2 * e2 - e4), ("E4", 3 * e4.q_derivative(), e2 * e4 - e6),
+             ("E6", 2 * e6.q_derivative(), e2 * e6 - e4 * e4))
     return [series_report("eisenstein-ramanujan", {"which": w}, order, lhs, rhs) for w, lhs, rhs in sides]
 
 

@@ -245,10 +245,6 @@ class Series:
         return Series(over_geometric_coeffs(self.coeffs, k, r, shift), self.order)
 
 
-def q_derivative(a: Series) -> Series:
-    return a.q_derivative()
-
-
 # Series division, measured on the theta quotient at N = 20000 (a 199-term
 # divisor) with Python 3.11 on a 2-core x86-64 host.  At 123-bit quotient
 # values the division time is flat for LEAF from 128 to 512 and about 15%
@@ -358,32 +354,39 @@ def _middle_product(out, tail, lo, mid, hi):
     return True
 
 
-def _check_geometric(k, r, shift):
-    if k < 1 or r < 1:
-        raise ValueError("a geometric factor q^shift/(1-q^k)^r needs k >= 1 and r >= 1")
+def _check_stride_shift(k, shift):
+    if k < 1:
+        raise ValueError("a geometric factor q^shift/(1-q^k)^r needs k >= 1")
     if shift < 0:
         raise ValueError("negative shifts would leave the power-series ring")
 
 
 def over_geometric_coeffs(coeffs: list, k: int, r: int, shift: int = 0) -> list:
-    """The coefficient list times q^shift/(1-q^k)^r, truncated to its length.
+    """The coefficient list times q^shift/(1-q^k)^r, truncated to its length;
+    a negative r multiplies by q^shift (1-q^k)^|r|.
 
     Dividing by 1-q^k is a running sum with stride k, so the product is a
     shift followed by r strided running sums: O(N) additions per sum, run in
-    C over slices, with no product formed.  The product vanishes below the
-    input's first nonzero coefficient plus the shift, so the sums run only
-    over the tail from there: one `accumulate` per residue class mod k when
-    k^2 is at most the tail's length, otherwise one slice-add per block of
-    k.  The arguments are checked as in `geometric_pow`; a shift past the
-    end gives zeros.
+    C over slices, with no product formed.  Multiplying by 1-q^k is one
+    strided difference, a single slice-subtract.  The product vanishes below
+    the input's first nonzero coefficient plus the shift, so the passes run
+    only over the tail from there: each running sum is one `accumulate` per
+    residue class mod k when k^2 is at most the tail's length, otherwise one
+    slice-add per block of k.  k and the shift are checked as in
+    `geometric_pow`, and r may be any nonzero integer; a shift past the end
+    gives zeros.
     """
-    _check_geometric(k, r, shift)
+    if r == 0:
+        raise ValueError("a geometric factor q^shift/(1-q^k)^r needs r != 0")
+    _check_stride_shift(k, shift)
     n = len(coeffs)
     first = next(compress(count(), coeffs), n)  # one C-level scan
     start = first + shift
     if start >= n:
         return [0] * n
     y = [0] * start + coeffs[first : n - shift]
+    for _ in range(-r):
+        y[start + k :] = map(sub, y[start + k :], y[start : n - k])  # the right side is read before the write
     for _ in range(r):
         if k * k <= n - start:
             for res in range(start, start + k):
@@ -397,7 +400,9 @@ def over_geometric_coeffs(coeffs: list, k: int, r: int, shift: int = 0) -> list:
 def geometric_pow(k: int, r: int, order: int, shift: int = 0) -> Series:
     """Series for q^shift/(1-q^k)^r: the coefficient of q^(shift+k*m) is
     C(m+r-1, r-1)."""
-    _check_geometric(k, r, shift)
+    if r < 1:
+        raise ValueError("a geometric factor q^shift/(1-q^k)^r needs r >= 1")
+    _check_stride_shift(k, shift)
     out = [0] * (order + 1)
     for m in range((order - shift) // k + 1):
         out[shift + k * m] = comb(m + r - 1, r - 1)

@@ -7,9 +7,10 @@ oracles or were checked by hand.
 """
 
 from fractions import Fraction
+from math import comb
 import random
 
-from macsums.series import Series
+from macsums.series import Series, geometric_pow
 
 
 def naive_mul(a, b, order):
@@ -20,6 +21,19 @@ def naive_mul(a, b, order):
             continue
         for j, d in enumerate(b[: order + 1 - i]):
             out[i + j] += c * d
+    return out
+
+
+def geometric_factor(k, r, order, shift=0):
+    """q^shift/(1-q^k)^r through q^order, materialized: the closed form
+    `geometric_pow` for r >= 1, and for r <= -1 the binomial theorem,
+    (-1)^i C(|r|, i) at q^(shift + k*i)."""
+    if r > 0:
+        return geometric_pow(k, r, order, shift).coeffs
+    out = [0] * (order + 1)
+    for i in range(-r + 1):
+        if shift + k * i <= order:
+            out[shift + k * i] = (-1) ** i * comb(-r, i)
     return out
 
 

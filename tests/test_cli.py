@@ -472,3 +472,32 @@ def test_coeffs_for_a_t_past_the_order_answer_at_once():
     assert len(rows) == 9
     for family, formula, *rest in rows:
         assert rest == ["0", "True"] + ["0"] * 6, (family, formula)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coeffs", "--family", "M", "--t", "2", "--n", "100000000000"],
+        ["scan", "--suite", "paper", "--order", "100000000000"],
+        ["verify", "--id", "dilcher", "--order", "100000000000"],
+        ["scan", "--prospect", "--family", "MO", "--t", "1..3", "--p", "5", "--order", "100000000000"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_memory_exhaustion_exits_2_without_traceback(argv):
+    # an order too large for memory is a usage error, not a refutation (exit
+    # 1); the child alone runs under a 512 MB address-space limit, and every
+    # command builds its output whole, so nothing reaches stdout
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = "\n".join([
+        "import resource, sys",
+        "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))",
+        f"sys.path.insert(0, {str(src)!r})",
+        "from macsums import cli",
+        "sys.exit(cli.main(sys.argv[1:]))",
+    ])
+    done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (2, ""), done.stderr
+    errors = [line for line in done.stderr.splitlines() if line.startswith("error: ")]
+    assert errors == ["error: out of memory; try a smaller order or grid"]
+    assert "Traceback" not in done.stderr

@@ -19,7 +19,7 @@ from macsums.divisors import (
     umbral_eval,
 )
 from macsums.qcombo import IntPoly, central_T, central_u
-from macsums.series import Series, euler_function, geometric_pow, q_derivative
+from macsums.series import Series, euler_function, geometric_pow
 
 
 def test_sigma_values():
@@ -73,9 +73,9 @@ def test_eisenstein_first_coefficients():
 def test_eisenstein_ramanujan_derivatives():
     n = 40
     e2, e4, e6 = (eisenstein(w, n) for w in ("E2", "E4", "E6"))
-    assert 12 * q_derivative(e2) == e2 * e2 - e4
-    assert 3 * q_derivative(e4) == e2 * e4 - e6
-    assert 2 * q_derivative(e6) == e2 * e6 - e4 * e4
+    assert 12 * e2.q_derivative() == e2 * e2 - e4
+    assert 3 * e4.q_derivative() == e2 * e4 - e6
+    assert 2 * e6.q_derivative() == e2 * e6 - e4 * e4
 
 
 def test_lambert_series_classics():

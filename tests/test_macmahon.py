@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_multisum, naive_mul
+from conftest import brute_multisum, geometric_factor, naive_mul
 from macsums import macmahon, series
 from macsums.divisors import eisenstein, sigma_series, theta_moment
 from macsums.macmahon import (
@@ -71,26 +71,32 @@ def test_weak_multisums_match_chain_series(order, T, strict):
     assert len(hs) == T
     for t, h in enumerate(hs, 1):
         strict_after = range(1, t) if strict else ()
-        ref = chain_series([lambda k, s: s * geometric_pow(k, 2, order, k)] * t, order, strict_after=strict_after)
+        ref = chain_series([(0, 1, 0, ((0, 2),))] * t, order, strict_after=strict_after)
         assert h == ref, t
 
 
-def chain_walk(shapes, order, strict_after, max_part):
+def chain_walk(factors, order, strict_after, max_part):
     """Sum over explicit k-tuples of the products of the factors
-    q^(a k)/(1-q^(k+d))^r named by shapes[i] = (a, d, r), each built with
-    `geometric_pow` and multiplied in with `naive_mul`.  A prefix whose
-    product vanishes through the order is not extended."""
+    k^w q^(c k + b) / prod (1-q^(k+d))^r named by factors[i] = (w, c, b, powers),
+    each (d, r) built with `geometric_pow` (or by the binomial theorem for
+    r < 0, `geometric_factor`) and multiplied in with `naive_mul`.  A prefix
+    whose product vanishes through the order is not extended."""
     top = order if max_part is None else max_part
     out = [0] * (order + 1)
 
     def walk(i, lo, acc):
-        if i == len(shapes):
+        if i == len(factors):
             for n, c in enumerate(acc):
                 out[n] += c
             return
-        a, d, r = shapes[i]
+        w, c, b, powers = factors[i]
         for k in range(lo, top + 1):
-            nxt = naive_mul(geometric_pow(k + d, r, order, a * k).coeffs, acc, order)
+            nxt = [0] * (order + 1)
+            if c * k + b <= order:
+                nxt[c * k + b] = k**w
+            for d, r in powers:
+                nxt = naive_mul(nxt, geometric_factor(k + d, r, order), order)
+            nxt = naive_mul(nxt, acc, order)
             if any(nxt):
                 walk(i + 1, k + 1 if i + 1 in strict_after else k, nxt)
 
@@ -101,27 +107,32 @@ def chain_walk(shapes, order, strict_after, max_part):
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_chain_series_matches_a_tuple_walk(data):
+    # factors k^w q^(c k + b) / prod (1-q^(k+d))^r, numerator powers (r < 0)
+    # among them
     order = data.draw(st.integers(0, 24), label="order")
-    shapes = data.draw(
-        st.lists(st.tuples(st.integers(0, 1), st.integers(0, 2), st.integers(1, 2)), max_size=4), label="shapes",
+    powers = st.lists(st.tuples(st.integers(0, 2), st.integers(1, 2) | st.integers(-2, -1)), min_size=1, max_size=2)
+    factors = data.draw(
+        st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(0, 2), powers.map(tuple)), max_size=4),
+        label="factors",
     )
-    m = len(shapes)
+    m = len(factors)
     strict_after = data.draw(st.sets(st.integers(1, m - 1)) if m > 1 else st.just(set()), label="strict_after")
-    weights = [a for a, _, _ in shapes]
-    # a tail weight is 0 exactly when the last position's is
-    bounded = st.integers(1, 8) if m and weights[-1] == 0 else st.none() | st.integers(1, order + 2)
+    # the valuation weights c sum to 0 over a tail exactly when the last position's is 0
+    bounded = st.integers(1, 8) if m and factors[-1][1] == 0 else st.none() | st.integers(1, order + 2)
     max_part = data.draw(bounded, label="max_part")
-    factors = [lambda k, s, a=a, d=d, r=r: s.over_geometric(k + d, r, a * k) for a, d, r in shapes]
-    got = chain_series(factors, order, strict_after=strict_after, max_part=max_part, exp_weight=weights)
-    assert got.coeffs == chain_walk(shapes, order, strict_after, max_part)
+    got = chain_series(factors, order, strict_after=strict_after, max_part=max_part)
+    assert got.coeffs == chain_walk(factors, order, strict_after, max_part)
 
 
 def test_chain_series_rejects_an_unbounded_or_mismatched_chain():
-    factor = lambda k, s: s.over_geometric(k, 1)
+    factor = (0, 0, 0, ((0, 1),))
     with pytest.raises(ValueError, match="position 2 is unbounded"):
-        chain_series([factor, factor], 10, exp_weight=[1, 0])
-    with pytest.raises(ValueError, match="exp_weight must match"):
-        chain_series([factor], 10, exp_weight=[1, 1])
+        chain_series([(0, 1, 0, ((0, 1),)), factor], 10)
+    # a factor needs a power, and a power r = 0 is none, as in the kernel
+    with pytest.raises(ValueError, match="not enough values"):
+        chain_series([(0, 1, 0, ())], 10)
+    with pytest.raises(ValueError, match="r != 0"):
+        chain_series([(0, 1, 0, ((0, 0),))], 10)
 
 
 def test_chain_series_holds_one_sum_per_position():
@@ -438,6 +449,20 @@ def test_jacobi_sides_are_nontrivial():
     assert not prod.is_zero() and prod[0] == 1
     assert jacobi_theta_side(2, 12)[0] == 1
     assert jacobi_weak_sum_side(1, 12)[0] == 1
+
+
+@pytest.mark.parametrize("c", [4, 2, 1])
+def test_jacobi_product_steps_are_each_load_bearing(monkeypatch, c):
+    # the theta side keeps its own denominators, so a corrupted step of the
+    # product table fails the product against the theta sum
+    steps = macmahon._JACOBI_PRODUCT_STEPS[c]
+    for i, (j, r) in enumerate(steps):
+        for bad in ((j + 1, r), (j, -r)):
+            monkeypatch.setitem(macmahon._JACOBI_PRODUCT_STEPS, c, steps[:i] + (bad,) + steps[i + 1 :])
+            report = jacobi_specialization_check(c, 30)
+            assert not report.passed and report.note == "product vs theta", (i, bad)
+    monkeypatch.setitem(macmahon._JACOBI_PRODUCT_STEPS, c, steps)
+    assert jacobi_specialization_check(c, 30).passed
 
 
 def test_conjugate_chain_supports_weak_family():

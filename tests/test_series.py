@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    geometric_factor,
     naive_mul,
     naive_product_euler,
     partition_counts,
@@ -16,7 +17,7 @@ from conftest import (
     seeded,
 )
 from macsums.divisors import eisenstein, sigma_series
-from macsums.series import LEAF, Series, _norm, euler_function, geometric_pow, over_geometric_coeffs, q_derivative
+from macsums.series import LEAF, Series, _norm, euler_function, geometric_pow, over_geometric_coeffs
 
 ONES = lambda n: Series([1] * (n + 1), n)
 
@@ -230,19 +231,21 @@ def test_geometric_pow_shift_matches_materialized_factors():
 
 
 exact_scalars = st.integers(-50, 50) | st.fractions(min_value=-20, max_value=20, max_denominator=12)
+signed_powers = st.integers(1, 6) | st.integers(-6, -1)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_over_geometric_matches_materialized_product(data):
     # k runs past sqrt(order + 1) and past order, so both the per-residue
-    # and the block branch of the running sums are exercised
+    # and the block branch of the running sums are exercised; a negative r
+    # takes strided differences instead
     order = data.draw(st.integers(0, 60), label="order")
     k = data.draw(st.integers(1, order + 2), label="k")
-    r = data.draw(st.integers(1, 6), label="r")
+    r = data.draw(signed_powers, label="r")
     shift = data.draw(st.integers(0, order + 2), label="shift")
     s = Series(data.draw(st.lists(exact_scalars, min_size=order + 1, max_size=order + 1)), order)
-    expected = naive_mul(s.coeffs, geometric_pow(k, r, order, shift).coeffs, order)
+    expected = naive_mul(s.coeffs, geometric_factor(k, r, order, shift), order)
     assert s.over_geometric(k, r, shift) == Series(expected, order)
 
 
@@ -255,22 +258,26 @@ def test_over_geometric_skips_a_zero_prefix(data):
     order = data.draw(st.integers(0, 40), label="order")
     prefix = data.draw(st.integers(0, order + 1), label="prefix")
     k = data.draw(st.integers(1, isqrt(order + 1)) | st.integers(1, order + 2), label="k")
-    r = data.draw(st.integers(1, 4), label="r")
+    r = data.draw(signed_powers, label="r")
     shift = data.draw(st.integers(0, 2) | st.integers(0, order + 2), label="shift")
     tail = data.draw(st.lists(exact_scalars, min_size=order + 1 - prefix, max_size=order + 1 - prefix))
     coeffs = [0] * prefix + tail
-    expected = naive_mul(coeffs, geometric_pow(k, r, order, shift).coeffs, order)
+    expected = naive_mul(coeffs, geometric_factor(k, r, order, shift), order)
     assert over_geometric_coeffs(coeffs, k, r, shift) == expected
     assert coeffs == [0] * prefix + tail  # the input is left alone
 
 
 def test_over_geometric_rejects_what_geometric_pow_rejects():
     s = Series([1, 2, 3], 2)
-    for k, r, shift in [(0, 1, 0), (1, 0, 0), (1, 1, -1)]:
+    for k, r, shift in [(0, 1, 0), (1, 0, 0), (1, 1, -1), (0, -1, 0), (1, -1, -1)]:
         with pytest.raises(ValueError):
             geometric_pow(k, r, 2, shift)
         with pytest.raises(ValueError):
             s.over_geometric(k, r, shift)
+    # a negative r is a numerator power for the kernel only
+    with pytest.raises(ValueError):
+        geometric_pow(1, -1, 2)
+    assert s.over_geometric(1, -1) == Series([1, 1, 1], 2)
 
 
 def test_euler_function_prefix():
@@ -288,11 +295,11 @@ def test_euler_function_inverse_pair():
 
 
 def test_q_derivative_constant():
-    assert q_derivative(Series.one(9)).is_zero()
+    assert Series.one(9).q_derivative().is_zero()
 
 
 def test_q_derivative_weights_sigma():
-    d = q_derivative(sigma_series(1, 8))
+    d = sigma_series(1, 8).q_derivative()
     assert d[4] == 28  # 4 * sigma_1(4)
 
 
@@ -300,7 +307,7 @@ def test_q_derivative_eisenstein_relation():
     n = 40
     e2 = eisenstein("E2", n)
     e4 = eisenstein("E4", n)
-    assert q_derivative(e2) * 12 == e2 * e2 - e4
+    assert e2.q_derivative() * 12 == e2 * e2 - e4
 
 
 def test_ring_axioms_random():
@@ -320,7 +327,7 @@ def test_derivation_rule_random():
     for _ in range(100):
         a = rand_rational_series(rng, 25)
         b = rand_rational_series(rng, 25)
-        assert q_derivative(a * b) == q_derivative(a) * b + a * q_derivative(b)
+        assert (a * b).q_derivative() == a.q_derivative() * b + a * b.q_derivative()
 
 
 def test_shift_and_truncate():
