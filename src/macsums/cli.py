@@ -5,15 +5,18 @@ Exit codes: 0 every requested check passed, 1 a refutation or mismatch was
 found, 2 usage or configuration error.  Standard output stays machine
 parseable; progress notes go to standard error.
 
-A command loads only what it prints: `json` for the json format and for
-reading a report, `csv` for the csv format; and the parser gives arguments
-only to the subcommand that runs.
+The command line is read from one option table, COMMANDS.  Each option is
+spelled in full, as `--name value` or `--name=value`, and any parse error is
+one `error:` line and exit 2.  `argparse` loads only to print `-h`/`--help`,
+from the same table; its import and set-up cost more than a short command's
+own work.  A command loads only what it prints: `json` for the json format
+and for reading a report, `csv` for the csv format.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 from . import congruences as cong
 from . import macmahon as mac
@@ -351,83 +354,144 @@ def _recheck(args):
     return 0 if all(c.status != REFUTED for c in rechecked) else 1
 
 
-def _coeffs_arguments(p):
-    p.add_argument("--family", required=True, help="M or MO")
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--n", type=int, required=True, help="largest index to print")
-    p.add_argument("--mod", type=int, default=None, help="also reduce modulo this integer (>= 2)")
-    p.add_argument("--formula", default=None, help="which formula backs the table")
-
-
-def _verify_arguments(p):
-    p.add_argument("--id", required=True)
-    p.add_argument("--order", type=int, required=True)
-    for name, (domain, _) in registry.GRID_DOMAINS.items():
-        p.add_argument(f"--{name}", default=None, help=f"grid, e.g. 1..4 or 1,3; each value {domain}")
-
-
-def _scan_arguments(p):
-    p.add_argument("--order", type=int, default=None)
-    p.add_argument("--suite", default=None, help="named suite (paper)")
-    p.add_argument("--claim", default=None, help='single claim "family,t,p,step,offset"')
-    p.add_argument("--prospect", action="store_true")
-    p.add_argument("--family", default=None)
-    p.add_argument("--t", default=None, help="t grid for prospecting")
-    p.add_argument("--p", default=None, help="prime list for prospecting")
-    p.add_argument("--input", default=None, help="previous JSON report")
-    p.add_argument("--recheck", action="store_true", help="re-run claims from --input")
-
-
-# subcommand -> (help line, function that adds its own arguments)
-_SUBCOMMANDS = {
-    "coeffs": ("print a coefficient table", _coeffs_arguments),
-    "verify": ("verify a catalogued identity over a grid", _verify_arguments),
-    "scan": ("congruence suite, single claims, or prospecting", _scan_arguments),
+_OUTPUT_OPTIONS = {
+    "format": (("text", "json", "csv"), False, "text", None),
+    "output": (str, False, None, None),
 }
 
+# command -> (help line, options); an option is name -> (kind, required,
+# default, help line), where the kind is int, str, bool for a flag that
+# takes no value, or the tuple of the values allowed
+COMMANDS = {
+    "coeffs": ("print a coefficient table", {
+        "family": (str, True, None, "M or MO"),
+        "t": (int, True, None, None),
+        "n": (int, True, None, "largest index to print"),
+        "mod": (int, False, None, "also reduce modulo this integer (>= 2)"),
+        "formula": (str, False, None, "which formula backs the table"),
+        **_OUTPUT_OPTIONS,
+    }),
+    "verify": ("verify a catalogued identity over a grid", {
+        "id": (str, True, None, None),
+        "order": (int, True, None, None),
+        **{name: (str, False, None, f"grid, e.g. 1..4 or 1,3; each value {domain}")
+           for name, (domain, _) in registry.GRID_DOMAINS.items()},
+        **_OUTPUT_OPTIONS,
+    }),
+    "scan": ("congruence suite, single claims, or prospecting", {
+        "order": (int, False, None, None),
+        "suite": (str, False, None, "named suite (paper)"),
+        "claim": (str, False, None, 'single claim "family,t,p,step,offset"'),
+        "prospect": (bool, False, False, None),
+        "family": (str, False, None, None),
+        "t": (str, False, None, "t grid for prospecting"),
+        "p": (str, False, None, "prime list for prospecting"),
+        "input": (str, False, None, "previous JSON report"),
+        "recheck": (bool, False, False, "re-run claims from --input"),
+        **_OUTPUT_OPTIONS,
+    }),
+}
 
-def build_parser(command):
-    """The argument parser.  Only the subparser named `command` (the first
-    command-line word) gets its arguments: a run parses one subcommand, and
-    the top-level help and its invalid-choice error need only the names and
-    help lines of the others."""
-    parser = argparse.ArgumentParser(
-        prog="macsums",
-        description="exact generalized divisor sums: coefficients, identities, congruences",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, add_arguments) in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=help_line)
-        if name == command:
-            add_arguments(p)
-            p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-            p.add_argument("--output", default=None)
+_HELP = ("-h", "--help")
+
+
+def parse_args(argv):
+    """The command named by argv[0] and its options, one attribute per
+    option, or None once `-h`/`--help` has printed help.
+
+    An option is spelled in full, as `--name value` or `--name=value`; a flag
+    takes no value.  A repeated option keeps its last value, and a separate
+    value that starts with `--` counts as missing, while `-5` is a value.
+    argv is read from left to right, so help or an error comes from the
+    first word that asks for it, as with argparse."""
+    command = argv[0] if argv else None
+    if command in _HELP:
+        build_parser().print_help()
+        return None
+    if command not in COMMANDS:
+        given = "no command given" if command is None else f"unknown command {command!r}"
+        raise UsageError(f"{given}; choose from {', '.join(COMMANDS)}")
+    options = COMMANDS[command][1]
+    values = {name: default for name, (_, _, default, _) in options.items()}
+    missing = [name for name, (_, required, _, _) in options.items() if required]
+    words = iter(argv[1:])
+    for word in words:
+        if word in _HELP:
+            build_parser(command).print_help()
+            return None
+        name, eq, value = word[2:].partition("=")
+        if not word.startswith("--") or name not in options:
+            known = ", ".join(f"--{option}" for option in options)
+            raise UsageError(f"unknown argument {word!r} to {command}; its options are {known}")
+        kind = options[name][0]
+        if kind is bool:
+            if eq:
+                raise UsageError(f"--{name} takes no value, got {word!r}")
+            values[name] = True
+            continue
+        if not eq:
+            value = next(words, None)
+            if value is None or value.startswith("--"):
+                raise UsageError(f"--{name} needs a value")
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise UsageError(f"--{name} needs an integer, got {value!r}") from None
+        elif kind is not str and value not in kind:
+            raise UsageError(f"--{name} must be one of {', '.join(kind)}, got {value!r}")
+        values[name] = value
+        if name in missing:
+            missing.remove(name)
+    if missing:
+        raise UsageError(f"{command} needs {', '.join(f'--{name}' for name in missing)}")
+    return SimpleNamespace(command=command, **values)
+
+
+def build_parser(command=None):
+    """The argparse parser that prints help, built from COMMANDS: with no
+    command the top-level parser, which lists the commands and their help
+    lines, otherwise that command's own."""
+    import argparse
+
+    if command is None:
+        parser = argparse.ArgumentParser(
+            prog="macsums",
+            description="exact generalized divisor sums: coefficients, identities, congruences",
+        )
+        sub = parser.add_subparsers(dest="command", required=True)
+        for name, (help_line, _) in COMMANDS.items():
+            sub.add_parser(name, help=help_line)
+        return parser
+    parser = argparse.ArgumentParser(prog=f"macsums {command}")
+    for name, (kind, required, default, help_line) in COMMANDS[command][1].items():
+        if kind is bool:
+            parser.add_argument(f"--{name}", action="store_true", help=help_line)
+        else:
+            typed = {"type": kind} if kind in (int, str) else {"choices": kind}
+            parser.add_argument(f"--{name}", required=required, default=default, help=help_line, **typed)
     return parser
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv[0] if argv else None)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        args = parse_args(sys.argv[1:] if argv is None else list(argv))
+        if args is None:
+            return 0  # help was printed
         if args.command == "coeffs":
             return cmd_coeffs(args)
-        if getattr(args, "order", None) is not None:
+        if args.order is not None:
             _at_least(0, order=args.order)
         if args.command == "verify":
             return cmd_verify(args)
-        if args.command == "scan":
-            if args.recheck and not args.input:
-                raise UsageError("--recheck applies only to --input")
-            if args.order is None and not args.input:
-                raise UsageError("scan needs an explicit --order")
-            if not args.prospect and (args.t, args.p, args.family) != (None, None, None):
-                raise UsageError("--t, --p and --family apply only to --prospect")
-            return cmd_scan(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        # scan
+        if args.recheck and not args.input:
+            raise UsageError("--recheck applies only to --input")
+        if args.order is None and not args.input:
+            raise UsageError("scan needs an explicit --order")
+        if not args.prospect and (args.t, args.p, args.family) != (None, None, None):
+            raise UsageError("--t, --p and --family apply only to --prospect")
+        return cmd_scan(args)
     except (UsageError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

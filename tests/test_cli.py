@@ -418,12 +418,56 @@ def test_help_is_byte_identical_to_golden(capsys, monkeypatch, command):
     assert out.encode() == (GOLDEN / ("help.txt" if command is None else f"help-{command}.txt")).read_bytes()
 
 
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["verify", "--id", "dilcher", "--help"], "help-verify.txt"),
+        (["coeffs", "--family=M", "--t", "-2", "-h"], "help-coeffs.txt"),
+        (["scan", "--prospect", "--order", "5", "--help", "--bogus"], "help-scan.txt"),
+        (["-h", "verify"], "help.txt"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_help_after_other_options_is_the_command_help(capsys, monkeypatch, argv, golden):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN / golden).read_bytes()
+
+
 def test_unknown_command_is_an_invalid_choice(capsys):
     code, out, err = run_cli(capsys, "bogus", "--order", "5")
-    assert (code, out) == (2, "")
-    assert err.startswith("usage: macsums [-h] {coeffs,verify,scan} ...\n")
-    assert "argument command: invalid choice: 'bogus'" in err
-    assert all(name in err.splitlines()[-1] for name in ("coeffs", "verify", "scan"))
+    assert_usage_error(code, out, err)
+    assert "'bogus'" in err
+    assert all(name in err for name in ("coeffs", "verify", "scan"))
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        ([], "no command"),
+        (["--order", "5", "verify"], "'--order'"),
+        (["verify", "--id", "dilcher", "--ord", "20"], "'--ord'"),  # no abbreviations
+        (["verify", "--id", "dilcher", "--order", "20", "--bogus=1"], "'--bogus=1'"),
+        (["verify", "-i", "dilcher", "--order", "20"], "'-i'"),
+        (["verify", "--id", "dilcher", "--order"], "--order needs a value"),
+        (["verify", "--id", "--order", "20"], "--id needs a value"),
+        (["verify", "--id", "dilcher", "--order", "x"], "'x'"),
+        (["coeffs", "--family", "M", "--t=2.5", "--n", "4"], "'2.5'"),
+        (["verify", "--id", "dilcher", "--order", "20", "--format", "xml"], "'xml'"),
+        (["verify", "--order", "20"], "--id"),
+        (["coeffs", "--family", "M"], "--t, --n"),
+        (["scan", "--prospect=yes", "--order", "20"], "--prospect"),
+        (["scan", "--input", "report.json", "--recheck=1"], "--recheck"),
+        (["verify", "stray", "--id", "dilcher", "--order", "20"], "'stray'"),
+        (["verify", "--id", "dilcher", "--order", "20", "stray"], "'stray'"),
+    ],
+    ids=lambda v: (" ".join(v) or "no command") if isinstance(v, list) else None,
+)
+def test_parse_errors_are_one_error_line(capsys, argv, named):
+    code, out, err = run_cli(capsys, *argv)
+    assert_usage_error(code, out, err)
+    assert named in err
 
 
 def test_cli_imports_no_dataclasses_typing_json_or_csv():
@@ -432,7 +476,7 @@ def test_cli_imports_no_dataclasses_typing_json_or_csv():
     script = "\n".join([
         "import sys",
         f"sys.path.insert(0, {str(src)!r})",
-        "HEAVY = ('dataclasses', 'inspect', 'typing', 'json', 'csv')",
+        "HEAVY = ('dataclasses', 'inspect', 'typing', 'json', 'csv', 'argparse', 'gettext', 'locale')",
         "import macsums.cli",
         "print('import', *[m for m in HEAVY if m in sys.modules])",
         "rc = macsums.cli.main(['verify', '--id', 'T-inversion', '--order', '10'])",

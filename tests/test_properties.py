@@ -9,7 +9,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from macsums import registry
-from macsums.cli import main, parse_range
+from macsums.cli import COMMANDS, build_parser, main, parse_args, parse_range
 
 # Grid values are small, or beyond the grids' cap of 16: a valid value near the
 # cap makes one case take minutes.  Free text always holds a letter, so it
@@ -50,6 +50,43 @@ def run(argv):
     event(f"exit {code}")
     if code == 2:
         assert err.getvalue().startswith("error: "), argv
+
+
+def option_value(kind):
+    """A valid value of an option of this kind, as a command-line word: an
+    int may be negative; text never starts with '-', which argparse would
+    read as an option."""
+    if kind is int:
+        return st.integers(-10**6, 10**6).map(str)
+    if kind is str:
+        return st.text(alphabet="aMO019.,=_- ", max_size=6).filter(lambda s: not s.startswith("-"))
+    return st.sampled_from(kind)
+
+
+@st.composite
+def valid_argv(draw, command):
+    # every required option at least once, any option repeated, in any order,
+    # each value as `--name value` or `--name=value`
+    options = COMMANDS[command][1]
+    names = [name for name, (_, required, _, _) in options.items() if required]
+    names += draw(st.lists(st.sampled_from(sorted(options)), max_size=8))
+    argv = [command]
+    for name in draw(st.permutations(names)):
+        kind = options[name][0]
+        if kind is bool:
+            argv.append(f"--{name}")
+            continue
+        value = draw(option_value(kind))
+        argv += [f"--{name}={value}"] if draw(st.booleans()) else [f"--{name}", value]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(COMMANDS)).flatmap(valid_argv))
+def test_parser_matches_argparse_on_valid_argv(argv):
+    # argparse, built from the same option table, is the reference
+    expected = vars(build_parser(argv[0]).parse_args(argv[1:]))
+    assert vars(parse_args(argv)) == dict(expected, command=argv[0])
 
 
 @given(st.integers(-50, 50), st.integers(-50, 50))
