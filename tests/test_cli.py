@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface and the registry."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -406,6 +407,26 @@ def test_machine_readable_output_is_byte_identical_to_golden(capsys, argv, name)
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert out.encode() == (GOLDEN / name).read_bytes()
+
+
+# sha256 of the json output of every catalog id at order 40, in id order
+CATALOG_JSON_SHA256 = "a50a68e25b01e367670d16ea2fc1373c56efa075dcd865fe13c7a39e306976b9"
+
+
+def test_catalog_output_is_byte_identical_to_golden(capsys):
+    # every id at its default grids: the text is the golden, the json (which
+    # alone shows each report's order) is pinned by its digest
+    text, digest = [], hashlib.sha256()
+    for ident in registry.known_ids():
+        argv = ["verify", "--id", ident, "--order", "40"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, ident
+        text.append(f"$ macsums {' '.join(argv)}\n{out}")
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0, ident
+        digest.update(out.encode())
+    assert "".join(text).encode() == (GOLDEN / "verify-catalog-order40.txt").read_bytes()
+    assert digest.hexdigest() == CATALOG_JSON_SHA256
 
 
 @pytest.mark.parametrize("command", [None, "coeffs", "verify", "scan"])
