@@ -192,9 +192,7 @@ def cmd_coeffs(args):
 
 def cmd_verify(args):
     if args.id not in registry.REGISTRY:
-        raise UsageError(
-            f"unknown identity id {args.id!r}; known ids:\n  " + "\n  ".join(registry.known_ids())
-        )
+        raise UsageError(f"unknown identity id {args.id!r}; known ids: {', '.join(registry.known_ids())}")
     grids = {
         name: _parse_grid(f"--{name}", getattr(args, name))
         for name in registry.GRID_DOMAINS

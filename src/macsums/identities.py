@@ -1,14 +1,17 @@
-"""Finite q-identity catalog and certificate checks.
+"""Both sides of the finite q-identities, and the WZ certificate walks.
 
-Every identity here is verified by computing BOTH sides independently as
-exact truncated series (or exact rationals for the specializations at
-q = 1) and comparing coefficients.  The multisums are `chain_series` over
-data factors k^w q^(ck+b) / prod (1-q^(k+d))^r, so their q-integers are
-kernel steps.  In a single-sum term a geometric factor q^a/(1-q^k)^r is
-applied with `Series.over_geometric`, and any other q-rational factor is one
-exact division of its numerator polynomial by the product of its
-denominator polynomials, each with constant term 1.  So every object stays
-a true power series, and no inverse series is built or carried along.
+Each identity's two sides are computed independently, as exact truncated
+series (or exact rationals for the specializations at q = 1); the catalog in
+`registry` compares them.  A WZ walk compares its own steps and returns its
+first failure, a note naming the step, or None.
+
+The multisums are `chain_series` over data factors
+k^w q^(ck+b) / prod (1-q^(k+d))^r, so their q-integers are kernel steps.
+In a single-sum term a geometric factor q^a/(1-q^k)^r is applied with
+`Series.over_geometric`, and any other q-rational factor is one exact
+division of its numerator polynomial by the product of its denominator
+polynomials, each with constant term 1.  So every object stays a true
+power series, and no inverse series is built or carried along.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from math import comb, factorial, prod
 
 from .macmahon import chain_series
 from .qcombo import IntPoly, gbinom, q_binomial, q_factorial, q_int
-from .reports import IdentityReport, merge_reports, series_report, value_report
 from .series import Series
 
 
@@ -116,34 +118,12 @@ TRIPLET = {
 }
 
 
-def triplet_check(t: int, n: int, order: int) -> IdentityReport:
-    p = {"t": t, "n": n}
-    f = harmonic_multisum(t, n, order)
-    g = harmonic_single_sum(t, n, order)
-    h = harmonic_paired_sum(t, n, order)
-    return merge_reports(
-        "theorem-FGH",
-        p,
-        order,
-        [
-            series_report("", p, order, f, g, note="multisum vs single-sum"),
-            series_report("", p, order, g, h, note="single-sum vs paired-sum"),
-        ],
-    )
-
-
-def triplet_recurrence_check(which: str, t: int, n: int, order: int) -> IdentityReport:
+def triplet_recurrence_sides(which: str, t: int, n: int, order: int):
     """X_t(n) - X_t(n-1) = q^n/[n]_q^2 * X_(t-1)(n) for each of the three sums."""
     fn = TRIPLET[which]
     lhs = fn(t, n, order) - fn(t, n - 1, order)
     rhs = (fn(t - 1, n, order) * one_minus_q_pow(2).to_series(order)).over_geometric(n, 2, n)
-    return series_report("FGH-recurrence", {"which": which, "t": t, "n": n}, order, lhs, rhs)
-
-
-def single_sum_forms_check(t: int, n: int, order: int) -> IdentityReport:
-    lhs = harmonic_single_sum(t, n, order)
-    rhs = harmonic_single_sum_alt(t, n, order)
-    return series_report("G-forms", {"t": t, "n": n}, order, lhs, rhs)
+    return lhs, rhs
 
 
 # ---------------------------------------------------------------------------
@@ -158,11 +138,6 @@ def dilcher_sides(t: int, n: int, order: int):
     )
     rhs = chain_series([(0, 1, 0, ((0, 1),))] * t, order, max_part=n) * omq.to_series(order)
     return lhs, rhs
-
-
-def dilcher_check(t: int, n: int, order: int) -> IdentityReport:
-    lhs, rhs = dilcher_sides(t, n, order)
-    return series_report("dilcher", {"t": t, "n": n}, order, lhs, rhs)
 
 
 def _bounded_x_multisum(t, kmax, x, order):
@@ -180,11 +155,6 @@ def mss_sides(t: int, n: int, x: int, order: int):
     )
     rhs = _bounded_x_multisum(t, n, x, order) / q_binomial(x + n, n).to_series(order)
     return lhs, rhs
-
-
-def mss_check(t: int, n: int, x: int, order: int) -> IdentityReport:
-    lhs, rhs = mss_sides(t, n, x, order)
-    return series_report("mss", {"t": t, "n": n, "x": x}, order, lhs, rhs)
 
 
 def mss_precursor_sides(t: int, n: int, x: int, order: int, reading: str = "inverse-pair"):
@@ -222,20 +192,6 @@ def mss_precursor_sides(t: int, n: int, x: int, order: int, reading: str = "inve
     return lhs, rhs
 
 
-def mss_precursor_check(t: int, n: int, x: int, order: int) -> IdentityReport:
-    """Check the inverse-pair reading; the note records what the literal
-    display does at the same parameters."""
-    p = {"t": t, "n": n, "x": x}
-    lhs, rhs = mss_precursor_sides(t, n, x, order, reading="inverse-pair")
-    main = series_report("mss-precursor", p, order, lhs, rhs)
-    lit_lhs, lit_rhs = mss_precursor_sides(t, n, x, order, reading="printed")
-    mismatch = lit_lhs.first_mismatch(lit_rhs)
-    main.note = "inverse-pair reading; literal printed form " + (
-        "also holds" if mismatch is None else f"fails (first mismatch at q^{mismatch})"
-    )
-    return main
-
-
 def atid_b_sides(t: int, n: int, x: int, order: int):
     omq = one_minus_q_pow(2 * t)
     lhs = _alternating_sum(
@@ -245,11 +201,6 @@ def atid_b_sides(t: int, n: int, x: int, order: int):
     factors = [(0, 1, x, ((x, 1),))] + [(0, 1, 0, ((0, 1),))] * (2 * t - 1)
     rhs = omq.to_series(order) * chain_series(factors, order, max_part=n)
     return lhs, rhs
-
-
-def atid_b_check(t: int, n: int, x: int, order: int) -> IdentityReport:
-    lhs, rhs = atid_b_sides(t, n, x, order)
-    return series_report("atidB", {"t": t, "n": n, "x": x}, order, lhs, rhs)
 
 
 def cor52_sides(t: int, n: int, x: int, z: int, order: int):
@@ -267,16 +218,6 @@ def cor52_sides(t: int, n: int, x: int, z: int, order: int):
         core = core.over_geometric(j, 1)
     rhs = (core * omq.to_series(order) / q_binomial(z + n, n).to_series(order)).shift(x)
     return lhs, rhs
-
-
-def cor52_check(t: int, n: int, x: int, z: int, order: int) -> IdentityReport:
-    lhs, rhs = cor52_sides(t, n, x, z, order)
-    return series_report("cor52", {"t": t, "n": n, "x": x, "z": z}, order, lhs, rhs)
-
-
-def cor53_check(t: int, n: int, z: int, order: int) -> IdentityReport:
-    lhs, rhs = mss_sides(t, n, z, order)
-    return series_report("cor53", {"t": t, "n": n, "z": z}, order, lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -377,26 +318,14 @@ def rational_master_sides(t: int, n: int, z, x):
     return lhs, Fraction(b ** t * d * total, big_e ** t * big_p)
 
 
-def rational_master_check(t: int, n: int, z, x) -> IdentityReport:
-    try:
-        lhs, rhs = rational_master_sides(t, n, z, x)
-    except ValueError as exc:
-        return IdentityReport(
-            "rational-master", {"t": t, "n": n, "z": str(z), "x": str(x)}, None, False, note=str(exc)
-        )
-    return value_report("rational-master", {"t": t, "n": n, "z": str(z), "x": str(x)}, lhs, rhs)
-
-
-def rational_hypothesis_check(n: int, x) -> IdentityReport:
+def rational_hypothesis_sides(n: int, x):
     """The seed identity: alternating sum of C(n,k)/C(x+k,k) equals n/(x+n).
     Its lhs is the master lhs at t = 0, where z drops out."""
     x = Fraction(x)
-    lhs = _master_lhs(0, n, Fraction(0), x)
-    rhs = Fraction(n) / (x + n)
-    return value_report("rational-hypothesis", {"n": n, "x": str(x)}, lhs, rhs)
+    return _master_lhs(0, n, Fraction(0), x), Fraction(n) / (x + n)
 
 
-def rational_triplet_check(t: int, n: int) -> IdentityReport:
+def rational_triplet_sums(t: int, n: int):
     """The q = 1 shadow of the triplet (set x = n in the master corollary):
     multisum of 1/(k_1^2...k_t^2) equals twice the alternating single sum,
     equals the paired 2t-fold sum."""
@@ -407,22 +336,14 @@ def rational_triplet_check(t: int, n: int) -> IdentityReport:
         term = Fraction(2 * comb(n, k), k ** (2 * t) * comb(n + k, k))
         s2 += term if k % 2 else -term
     s3 = _weak_chain_sum(2 * t, n, lambda k: Fraction(2, n + k), lambda k: Fraction(1, k))
-    return merge_reports(
-        "rational-FGH-limit",
-        {"t": t, "n": n},
-        None,
-        [
-            value_report("", {}, s1, s2, note="multisum vs single sum"),
-            value_report("", {}, s2, s3, note="single sum vs paired sum"),
-        ],
-    )
+    return s1, s2, s3
 
 
 # ---------------------------------------------------------------------------
-# WZ certificate checks
+# WZ certificate walks: each returns its first failing step, or None
 
 
-def wz_master_check(z, nmax: int) -> IdentityReport:
+def wz_master_failure(z, nmax: int) -> str | None:
     """Certificate for the binomial sum used by the master lemma:
     F(m,k) = C(z+k,k)/(z+k) * C(k,m), G(m,k) = F(m,k)(k-m)/(z+m)."""
     z = Fraction(z)
@@ -433,29 +354,22 @@ def wz_master_check(z, nmax: int) -> IdentityReport:
     def G(m, k):
         return F(m, k) * (k - m) / (z + m)
 
-    p = {"z": str(z), "nmax": nmax}
     for m in range(1, nmax + 1):
         if z + m == 0:
-            return IdentityReport("wz-master", p, None, False, note="z + m = 0 pole")
+            return "z + m = 0 pole"
         total = Fraction(0)
         for k in range(m, nmax + 1):
             if F(m, k) != G(m, k + 1) - G(m, k):
-                return IdentityReport(
-                    "wz-master", p, None, False,
-                    note=f"pair relation fails at m={m}, k={k}",
-                )
+                return f"pair relation fails at m={m}, k={k}"
             total += F(m, k)
             # telescoping closed form at every endpoint n = k
             closed = gbinom(z + k, k) / (z + m) * comb(k, m)
             if total != closed:
-                return IdentityReport(
-                    "wz-master", p, None, False,
-                    note=f"telescoped sum fails at m={m}, n={k}",
-                )
-    return IdentityReport("wz-master", p, None, True)
+                return f"telescoped sum fails at m={m}, n={k}"
+    return None
 
 
-def wz_cor32_check(x, nmax: int) -> IdentityReport:
+def wz_cor32_failure(x, nmax: int) -> str | None:
     """Certificate for the seed identity of the master corollary.
 
     As printed the pair relation is garbled; the relation that holds is
@@ -470,18 +384,15 @@ def wz_cor32_check(x, nmax: int) -> IdentityReport:
     def G(n, k):
         return (x + k) / (x + n) * F(n, k)
 
-    p = {"x": str(x), "nmax": nmax}
     for n in range(1, nmax + 1):
         total = Fraction(0)
         for k in range(1, n + 1):
             if F(n, k) != G(n, k) - G(n, k + 1):
-                return IdentityReport(
-                    "wz-cor32", p, None, False, note=f"pair relation fails at n={n}, k={k}"
-                )
+                return f"pair relation fails at n={n}, k={k}"
             total += F(n, k)
         if total != Fraction(n) / (x + n):
-            return IdentityReport("wz-cor32", p, None, False, note=f"sum wrong at n={n}")
-    return IdentityReport("wz-cor32", p, None, True)
+            return f"sum wrong at n={n}"
+    return None
 
 
 def _wz_lemma51_F(m, k, z, order):
@@ -497,25 +408,20 @@ def _wz_lemma51_G(m, k, z, order):
     return _quotient(num, q_int(z + k) * q_int(z + m), order).shift(m)
 
 
-def wz_lemma51_check(z: int, nmax: int, order: int) -> IdentityReport:
+def wz_lemma51_failure(z: int, nmax: int, order: int) -> str | None:
     """q-certificate behind the z-shifted transform lemma."""
-    p = {"z": z, "nmax": nmax}
     for m in range(1, nmax + 1):
         total = Series.zero(order)
         for k in range(m, nmax + 1):
             F = _wz_lemma51_F(m, k, z, order)
             diff = _wz_lemma51_G(m, k + 1, z, order) - _wz_lemma51_G(m, k, z, order)
             if not F.agrees(diff):
-                return IdentityReport(
-                    "wz-lemma51", p, order, False, note=f"pair relation fails at m={m}, k={k}"
-                )
+                return f"pair relation fails at m={m}, k={k}"
             total = total + F
             closed = _quotient(q_binomial(z + k, k) * q_binomial(k, m), q_int(z + m), order).shift(m)
             if not total.agrees(closed):
-                return IdentityReport(
-                    "wz-lemma51", p, order, False, note=f"telescoped sum fails at m={m}, n={k}"
-                )
-    return IdentityReport("wz-lemma51", p, order, True)
+                return f"telescoped sum fails at m={m}, n={k}"
+    return None
 
 
 def _wz52_F(n, k, x, order):
@@ -539,7 +445,7 @@ def _wz52_G(n, k, x, order):
     return -s if k % 2 else s
 
 
-def _wz_row_check(ident_id, p, F, G, shift, nmax, order) -> IdentityReport:
+def _wz_row_failure(F, G, shift, nmax, order) -> str | None:
     """Rows n = 1..nmax of a normalized WZ pair F(n, k, shift, order),
     G(n, k, shift, order): each row sum of F is 1 (the transform hypothesis
     itself), and F(n+1,k) - F(n,k) equals G(n,k+1) - G(n,k) for k = 1..n+1."""
@@ -548,18 +454,16 @@ def _wz_row_check(ident_id, p, F, G, shift, nmax, order) -> IdentityReport:
         for k in range(1, n + 1):
             total = total + F(n, k, shift, order)
         if not total.agrees(Series.one(order)):
-            return IdentityReport(ident_id, p, order, False, note=f"row sum differs from 1 at n={n}")
+            return f"row sum differs from 1 at n={n}"
         for k in range(1, n + 2):
             lhs = F(n + 1, k, shift, order) - F(n, k, shift, order)
             if not lhs.agrees(G(n, k + 1, shift, order) - G(n, k, shift, order)):
-                return IdentityReport(
-                    ident_id, p, order, False, note=f"pair relation fails at n={n}, k={k}"
-                )
-    return IdentityReport(ident_id, p, order, True)
+                return f"pair relation fails at n={n}, k={k}"
+    return None
 
 
-def wz_cor52_check(x: int, nmax: int, order: int) -> IdentityReport:
-    return _wz_row_check("wz-cor52", {"x": x, "nmax": nmax}, _wz52_F, _wz52_G, x, nmax, order)
+def wz_cor52_failure(x: int, nmax: int, order: int) -> str | None:
+    return _wz_row_failure(_wz52_F, _wz52_G, x, nmax, order)
 
 
 def _wz53_F(n, k, z, order):
@@ -579,18 +483,17 @@ def _wz53_G(n, k, z, order):
     return -s if k % 2 else s
 
 
-def wz_cor53_check(z: int, nmax: int, order: int) -> IdentityReport:
-    return _wz_row_check("wz-cor53", {"z": z, "nmax": nmax}, _wz53_F, _wz53_G, z, nmax, order)
+def wz_cor53_failure(z: int, nmax: int, order: int) -> str | None:
+    return _wz_row_failure(_wz53_F, _wz53_G, z, nmax, order)
 
 
-def qbin_difference_check(nmax: int, order: int) -> IdentityReport:
+def qbin_difference_failure(nmax: int, order: int) -> str | None:
     """Finite-difference lemma used to prove the single-sum recurrence:
     qbin(n,k)/qbin(n+k,k) - qbin(n-1,k)/qbin(n+k-1,k)
       = [n-1]!^2 [k]_q^2 q^(n-k) / ([n-k]! [n+k]!).
 
     The numerator factor is [k]_q^2: expanding the factorial ratio gives
     ([n]^2 - [n-k][n+k]) = q^(n-k) (1-q^k)^2 / (1-q)^2."""
-    p = {"nmax": nmax}
     for n in range(1, nmax + 1):
         for k in range(1, n + 1):
             lhs = _quotient(q_binomial(n, k), q_binomial(n + k, k), order)
@@ -598,7 +501,5 @@ def qbin_difference_check(nmax: int, order: int) -> IdentityReport:
             num = q_factorial(n - 1) * q_factorial(n - 1) * q_int(k) * q_int(k)
             rhs = _quotient(num, q_factorial(n - k) * q_factorial(n + k), order).shift(n - k)
             if not lhs.agrees(rhs):
-                return IdentityReport(
-                    "wz-qbin-diff", p, order, False, note=f"fails at n={n}, k={k}"
-                )
-    return IdentityReport("wz-qbin-diff", p, order, True)
+                return f"fails at n={n}, k={k}"
+    return None

@@ -30,7 +30,7 @@ from math import comb, factorial
 from operator import add, mul, sub
 
 from .divisors import eisenstein, odd_square_product, sigma_series, theta_moment, umbral_eval
-from .reports import FrozenRecord, IdentityReport, merge_reports, series_report
+from .reports import FrozenRecord
 from .series import Series, over_geometric_coeffs
 
 
@@ -431,79 +431,53 @@ def _sigma_combination(order, combos):
     return Series(out, order)
 
 
-# each closed form's name -> the catalog id of its check
+def _ode_v2(order):
+    v1, v2 = multisums(2, order)
+    return v2, ((7 * v1 - 1) * v1 + v1.q_derivative()) * Fraction(1, 10)
+
+
+def _ode_v3(order):
+    v1, v2, v3 = multisums(3, order)
+    return v3, ((19 * v1 - 3) * v2 - 4 * v1**3 + v1 * v1 + v2.q_derivative()) * Fraction(1, 21)
+
+
+def _sigma1_convolution(order):
+    # 12*sum sigma1(j)sigma1(n-j) = 5 sigma3 + (1-6n) sigma1
+    s1 = sigma_series(1, order)
+    return 12 * (s1 * s1), _sigma_combination(order, [(lambda n: 1 - 6 * n, 1), (lambda n: 5, 3)])
+
+
+# each named closed-form identity -> (order -> its two sides, exactly)
 CLOSED_FORMS = {
-    "V2_ode": "closed-form-V2", "V3_ode": "closed-form-V3-ode", "V3_sigma": "closed-form-V3",
-    "U3mV3_sigma": "closed-form-U3-minus-V3", "U4_sigma": "closed-form-U4",
-    "MO251": "sigma1-convolution", "excess_V2U2": "excess-V2-U2", "V1_E2": "V1-eisenstein",
+    "V2_ode": _ode_v2,
+    "V3_ode": _ode_v3,
+    "V3_sigma": lambda order: (weak_multisum(3, order), _sigma_combination(order, [
+        (lambda n: 40 * n * n + 60 * n + 9, 1), (lambda n: -70 * (n + 1), 3), (lambda n: 31, 5),
+    ]) * Fraction(1, 1920)),
+    "U3mV3_sigma": lambda order: (strict_multisum(3, order) - weak_multisum(3, order), _sigma_combination(
+        order, [(lambda n: -160 * n + 28, 1), (lambda n: 40 * n + 120, 3), (lambda n: -28, 5)],
+    ) * Fraction(1, 1920)),
+    "U4_sigma": lambda order: (strict_multisum(4, order), _sigma_combination(order, [
+        (lambda n: -840 * n**3 + 5880 * n**2 - 9870 * n + 3229, 1), (lambda n: 756 * n**2 - 4410 * n + 4935, 3),
+        (lambda n: -126 * n + 441, 5), (lambda n: 5, 7),
+    ]) * Fraction(1, 967680)),
+    "MO251": _sigma1_convolution,
+    "excess_V2U2": lambda order: (weak_multisum(2, order) - strict_multisum(2, order),
+                                  (sigma_series(3, order) - sigma_series(1, order)) * Fraction(1, 6)),
+    "V1_E2": lambda order: (weak_multisum(1, order),
+                            (Series.one(order) - eisenstein("E2", order)) * Fraction(1, 24)),
 }
 
 
-def closed_form_check(which: str, order: int) -> IdentityReport:
-    """Evaluate both sides of a named closed-form identity exactly."""
-    if which not in CLOSED_FORMS:
-        raise ValueError(f"unknown closed form {which!r}")
-    ident_id, p = CLOSED_FORMS[which], {"which": which}
-    if which == "V2_ode":
-        v1, lhs = multisums(2, order)
-        rhs = ((7 * v1 - 1) * v1 + v1.q_derivative()) * Fraction(1, 10)
-    elif which == "V3_ode":
-        v1, v2, lhs = multisums(3, order)
-        rhs = ((19 * v1 - 3) * v2 - 4 * v1**3 + v1 * v1 + v2.q_derivative()) * Fraction(1, 21)
-    elif which == "V3_sigma":
-        lhs = weak_multisum(3, order)
-        rhs = _sigma_combination(
-            order,
-            [
-                (lambda n: 40 * n * n + 60 * n + 9, 1),
-                (lambda n: -70 * (n + 1), 3),
-                (lambda n: 31, 5),
-            ],
-        ) * Fraction(1, 1920)
-    elif which == "U3mV3_sigma":
-        lhs = strict_multisum(3, order) - weak_multisum(3, order)
-        rhs = _sigma_combination(
-            order,
-            [
-                (lambda n: -160 * n + 28, 1),
-                (lambda n: 40 * n + 120, 3),
-                (lambda n: -28, 5),
-            ],
-        ) * Fraction(1, 1920)
-    elif which == "U4_sigma":
-        lhs = strict_multisum(4, order)
-        rhs = _sigma_combination(
-            order,
-            [
-                (lambda n: -840 * n**3 + 5880 * n**2 - 9870 * n + 3229, 1),
-                (lambda n: 756 * n**2 - 4410 * n + 4935, 3),
-                (lambda n: -126 * n + 441, 5),
-                (lambda n: 5, 7),
-            ],
-        ) * Fraction(1, 967680)
-    elif which == "MO251":
-        # convolution identity: 12*sum sigma1(j)sigma1(n-j) = 5 sigma3 + (1-6n) sigma1
-        s1 = sigma_series(1, order)
-        lhs = 12 * (s1 * s1)
-        rhs = _sigma_combination(order, [(lambda n: 1 - 6 * n, 1), (lambda n: 5, 3)])
-    elif which == "excess_V2U2":
-        lhs = weak_multisum(2, order) - strict_multisum(2, order)
-        rhs = (sigma_series(3, order) - sigma_series(1, order)) * Fraction(1, 6)
-    elif which == "V1_E2":
-        lhs = weak_multisum(1, order)
-        rhs = (Series.one(order) - eisenstein("E2", order)) * Fraction(1, 24)
-    return series_report(ident_id, p, order, lhs, rhs)
-
-
-def symmetric_relation_check(t: int, order: int) -> IdentityReport:
-    """Alternating sum of strict times weak series over total weight t is zero."""
+def symmetric_relation_sides(t: int, order: int):
+    """Alternating sum of strict times weak series over total weight t, and zero."""
     e = [Series.one(order)] + multisums(t, order, strict=True)
     h = [Series.one(order)] + multisums(t, order)
     acc = Series.zero(order)
     for i in range(t + 1):
         term = e[i] * h[t - i]
         acc = acc - term if i % 2 else acc + term
-    return series_report("symmetric-relation", {"t": t}, order, acc, Series.zero(order))
+    return acc, Series.zero(order)
 
 
 # ---------------------------------------------------------------------------
@@ -556,24 +530,6 @@ def jacobi_weak_sum_side(c: int, order: int) -> Series:
     return acc
 
 
-def jacobi_specialization_check(c: int, order: int) -> IdentityReport:
-    if c not in (4, 2, 1):
-        raise ValueError("specializations exist for c in {4, 2, 1}")
-    p = {"c": c}
-    prod = jacobi_product_side(c, order)
-    theta = jacobi_theta_side(c, order)
-    weak = jacobi_weak_sum_side(c, order)
-    return merge_reports(
-        "jacobi-specialization",
-        p,
-        order,
-        [
-            series_report("", p, order, prod, theta, note="product vs theta"),
-            series_report("", p, order, theta, weak, note="theta vs weak sum"),
-        ],
-    )
-
-
 # ---------------------------------------------------------------------------
 # the conjugate chain with alternating strict and weak inequalities
 
@@ -592,28 +548,3 @@ def conjugate_chain_m_form(t: int, order: int) -> Series:
     factors = [(0, 0, 0, ((0, 1),))] * (m - 1) + [(0, 1, 0, ((0, 2),))]
     strict = [pos for pos in range(1, m) if (m + 1 - pos) % 2 == 0]
     return chain_series(factors, order, strict_after=strict)
-
-
-def conjugate_chain_check(t: int, order: int) -> IdentityReport:
-    """Test the alternating-inequality chain against both multisum families
-    and report which family's coefficients it reproduces."""
-    chain = conjugate_chain_m_form(t, order)
-    weak = weak_multisum(t, order)
-    if chain.agrees(weak):
-        return IdentityReport(
-            "conjugate-chain", {"t": t}, order, True,
-            note="chain matches the weak (M-family) series",
-        )
-    strict = strict_multisum(t, order)
-    if chain.agrees(strict):
-        return IdentityReport(
-            "conjugate-chain", {"t": t}, order, False,
-            mismatch_at=chain.first_mismatch(weak),
-            note="chain matches the strict (MO-family) series, not the weak one",
-        )
-    idx = chain.first_mismatch(weak)
-    return IdentityReport(
-        "conjugate-chain", {"t": t}, order, False, mismatch_at=idx,
-        lhs=str(chain[idx]), rhs=str(weak[idx]),
-        note="chain matches neither multisum family",
-    )

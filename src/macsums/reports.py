@@ -2,7 +2,8 @@
 
 An IdentityReport carries its own case data (identity id, parameters,
 truncation order) next to the outcome, so a failing report is a complete,
-reproducible instance on its own.
+reproducible instance on its own.  Only the catalog's runner in `registry`
+builds one, from the two sides a case computed.
 
 The records are plain `__slots__` classes rather than dataclasses: the
 `dataclasses` module imports `inspect`, `ast` and `dis`, which took more of
@@ -86,44 +87,6 @@ class IdentityReport(Record):
         d = super().as_dict()
         d["params"] = {k: str(v) for k, v in self.params.items()}
         return {"id": d.pop("ident"), **d}
-
-
-def series_report(ident, params, order, lhs, rhs, upto=None, note=""):
-    """Compare two series coefficientwise and wrap the outcome."""
-    idx = lhs.first_mismatch(rhs, upto)
-    if idx is None:
-        return IdentityReport(ident, dict(params), order, True, note=note)
-    return IdentityReport(
-        ident,
-        dict(params),
-        order,
-        False,
-        mismatch_at=idx,
-        lhs=str(lhs[idx]),
-        rhs=str(rhs[idx]),
-        note=note,
-    )
-
-
-def value_report(ident, params, lhs, rhs, note=""):
-    """Compare two exact scalars and wrap the outcome."""
-    if lhs == rhs:
-        return IdentityReport(ident, dict(params), None, True, note=note)
-    return IdentityReport(
-        ident, dict(params), None, False, mismatch_at=None, lhs=str(lhs), rhs=str(rhs), note=note
-    )
-
-
-def merge_reports(ident, params, order, reports, note=""):
-    """Collapse pairwise sub-reports into one, keeping the first failure."""
-    for r in reports:
-        if not r.passed:
-            out = IdentityReport(
-                ident, dict(params), order, False, r.mismatch_at, r.lhs, r.rhs,
-                note=(r.note if not note else f"{note}; {r.note}"),
-            )
-            return out
-    return IdentityReport(ident, dict(params), order, True, note=note)
 
 
 VERIFIED = "verified-to-depth"

@@ -3,14 +3,24 @@
 Everything here is deliberately naive and independent of the library's own
 algorithms: dense polynomial products, direct tuple enumeration, recursive
 partition counting.  Expected values in the tests either come from these
-oracles or were checked by hand.
+oracles or were checked by hand.  `failed_cases` is the one shortcut into
+the library: the identity catalog's runner, narrowed to its failures.
 """
 
 from fractions import Fraction
 from math import comb
 import random
 
+from macsums import registry
 from macsums.series import Series, geometric_pow
+
+
+def failed_cases(ident_id, order, **grids):
+    """The failing reports among every case of one catalog id over the given
+    grids (declared defaults for the rest); at least one case must run."""
+    reports = registry.run_identity(ident_id, grids, order)
+    assert reports, ident_id
+    return [r for r in reports if not r.passed]
 
 
 def naive_mul(a, b, order):

@@ -8,31 +8,24 @@ equality); the only numeric budgets are the stated runtimes.
 import time
 from fractions import Fraction
 
-from conftest import naive_mul, rand_int_series, rand_rational_series, seeded
+from conftest import failed_cases, naive_mul, rand_int_series, rand_rational_series, seeded
 from macsums import registry
 from macsums.congruences import check_claim, verify_paper_suite
 from macsums.identities import (
-    atid_b_check,
-    cor52_check,
-    cor53_check,
-    dilcher_check,
     harmonic_multisum,
     harmonic_paired_sum,
     harmonic_single_sum,
-    mss_check,
-    qbin_difference_check,
-    rational_master_check,
-    wz_cor32_check,
-    wz_cor52_check,
-    wz_cor53_check,
-    wz_lemma51_check,
-    wz_master_check,
+    qbin_difference_failure,
+    rational_master_sides,
+    wz_cor32_failure,
+    wz_cor52_failure,
+    wz_cor53_failure,
+    wz_lemma51_failure,
+    wz_master_failure,
 )
 from macsums.macmahon import (
     M_FORMULAS,
     MO_FORMULAS,
-    closed_form_check,
-    jacobi_specialization_check,
     strict_multisum,
     weak_multisum,
 )
@@ -101,10 +94,9 @@ def test_criterion_03_multiway_agreement():
 
 def test_criterion_04_closed_forms():
     started = time.time()
-    for which in ("V3_sigma", "U3mV3_sigma", "U4_sigma", "MO251", "excess_V2U2",
-                  "V2_ode", "V3_ode", "V1_E2"):
-        r = closed_form_check(which, 50)
-        assert r.passed, which
+    for ident in ("closed-form-V3", "closed-form-U3-minus-V3", "closed-form-U4", "sigma1-convolution",
+                  "excess-V2-U2", "closed-form-V2", "closed-form-V3-ode", "V1-eisenstein"):
+        assert failed_cases(ident, 50) == [], ident
     report(4, "sigma closed forms, convolution identity, recurrences, order 50", started)
 
 
@@ -135,32 +127,28 @@ def test_criterion_05_stirling_umbral_suite():
 def test_criterion_06_q_identities_and_certificates():
     started = time.time()
     params = (0, 1, 2, 3)
-    for t in range(1, 5):
-        for n in range(1, 5):
-            assert dilcher_check(t, n, 50).passed, (t, n)
-            for x in params:
-                assert mss_check(t, n, x, 50).passed, (t, n, x)
-                assert atid_b_check(t, n, x, 50).passed, (t, n, x)
-            for z in params:
-                assert cor53_check(t, n, z, 50).passed, (t, n, z)
-            for x in params:
-                for z in params:
-                    assert cor52_check(t, n, x, z, 50).passed, (t, n, x, z)
+    t, n = range(1, 5), range(1, 5)
+    assert failed_cases("dilcher", 50, t=t, n=n) == []
+    assert failed_cases("mss", 50, t=t, n=n, x=params) == []
+    assert failed_cases("atidB", 50, t=t, n=n, x=params) == []
+    assert failed_cases("cor53", 50, t=t, n=n, z=params) == []
+    assert failed_cases("cor52", 50, t=t, n=n, x=params, z=params) == []
     rational_params = (0, 1, 2, Fraction(1, 2), Fraction(7, 3))
     for t in range(1, 5):
         for n in range(1, 9):
             for z in rational_params:
                 for x in rational_params:
-                    assert rational_master_check(t, n, z, x).passed, (t, n, z, x)
+                    lhs, rhs = rational_master_sides(t, n, z, x)
+                    assert lhs == rhs, (t, n, z, x)
     for z in (0, 1, Fraction(1, 2)):
-        assert wz_master_check(z, 6).passed
+        assert wz_master_failure(z, 6) is None
     for x in (Fraction(1, 2), 2, Fraction(7, 3)):
-        assert wz_cor32_check(x, 6).passed
+        assert wz_cor32_failure(x, 6) is None
     for v in (0, 1, 2):
-        assert wz_lemma51_check(v, 4, 40).passed
-        assert wz_cor52_check(v, 3, 40).passed
-        assert wz_cor53_check(v, 3, 40).passed
-    assert qbin_difference_check(5, 40).passed
+        assert wz_lemma51_failure(v, 4, 40) is None
+        assert wz_cor52_failure(v, 3, 40) is None
+        assert wz_cor53_failure(v, 3, 40) is None
+    assert qbin_difference_failure(5, 40) is None
     report(6, "Dilcher/MSS/ATidB/52/53 grids at order 50; rational grids; WZ certificates", started)
 
 
@@ -186,8 +174,7 @@ def test_criterion_07_congruence_suite_depth_300():
 
 def test_criterion_08_jacobi_specializations():
     started = time.time()
-    for c in (4, 2, 1):
-        assert jacobi_specialization_check(c, 30).passed, c
+    assert failed_cases("jacobi-specialization", 30, c=(4, 2, 1)) == []
     report(8, "Jacobi product specializations c in {4,2,1} to order 30", started)
 
 

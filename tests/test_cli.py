@@ -93,9 +93,10 @@ def test_verify_conjugate_form(capsys):
 
 
 def test_verify_unknown_id_lists_registry(capsys):
-    code, _, err = run_cli(capsys, "verify", "--id", "no-such-thing", "--order", "10")
-    assert code == 2
-    assert "theorem-FGH" in err and "dilcher" in err
+    # one error line, the ids comma-separated on it
+    code, out, err = run_cli(capsys, "verify", "--id", "no-such-thing", "--order", "10")
+    assert_usage_error(code, out, err)
+    assert f"known ids: {', '.join(registry.known_ids())}\n" in err
 
 
 def test_verify_json_reports(capsys):

@@ -1,7 +1,8 @@
 """Source hygiene: every name a module imports is used in that module, every
 module-level function, class and assigned name is used by the program itself
 or is public API (`macsums.__all__`), no module multiplies by a geometric
-factor it built as a series, and no module holds a float."""
+factor it built as a series, no module holds a float, and only the
+registry builds identity reports or names catalog ids."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import macsums
+from macsums import registry
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "macsums"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -168,3 +170,34 @@ def test_floats_are_found():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_module_holds_no_float(path):
     assert floats(path.read_text()) == []
+
+
+def catalog_judges(source, ids):
+    """(line, what) of every IdentityReport construction and every string
+    constant that is a catalog id: a module that does either judges cases."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            f = node.func
+            if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "IdentityReport":
+                found.append((node.lineno, "IdentityReport"))
+        elif isinstance(node, ast.Constant) and node.value in ids:
+            found.append((node.lineno, node.value))
+    return sorted(found)
+
+
+def test_catalog_judges_are_found():
+    source = (
+        "r = IdentityReport('x', {}, 1, True)\n"
+        "s = reports.IdentityReport('y', {}, 1, True)\n"
+        "k = {'dilcher': 1, 'dilcher_r': 2}\n"
+        "cls = IdentityReport\n"
+    )
+    assert catalog_judges(source, {"dilcher"}) == [(1, "IdentityReport"), (2, "IdentityReport"), (3, "dilcher")]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "registry.py"], ids=lambda p: p.name)
+def test_only_the_registry_judges_catalog_cases(path):
+    # identities and macmahon compute sides; turning them into reports is
+    # the registry's alone (reports.py defines the class and builds none)
+    assert catalog_judges(path.read_text(), set(registry.known_ids())) == []

@@ -9,36 +9,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import failed_cases
+from macsums import registry
 from macsums.identities import (
     _master_lhs,
-    atid_b_check,
     atid_b_sides,
-    cor52_check,
-    cor53_check,
-    dilcher_check,
     dilcher_sides,
     harmonic_multisum,
     harmonic_paired_sum,
     harmonic_single_sum,
     harmonic_single_sum_alt,
-    mss_check,
-    mss_precursor_check,
     mss_precursor_sides,
     mss_sides,
     one_minus_q_pow,
-    qbin_difference_check,
-    rational_hypothesis_check,
-    rational_master_check,
+    qbin_difference_failure,
+    rational_hypothesis_sides,
     rational_master_sides,
-    rational_triplet_check,
-    single_sum_forms_check,
-    triplet_check,
-    triplet_recurrence_check,
-    wz_cor32_check,
-    wz_cor52_check,
-    wz_cor53_check,
-    wz_lemma51_check,
-    wz_master_check,
+    rational_triplet_sums,
+    wz_cor32_failure,
+    wz_cor52_failure,
+    wz_cor53_failure,
+    wz_lemma51_failure,
+    wz_master_failure,
 )
 from macsums.macmahon import weak_multisum
 from macsums.qcombo import gbinom
@@ -67,22 +59,16 @@ def test_initial_values_at_n1_are_monomials():
 
 
 def test_triplet_equality_grid():
-    for t in (1, 2, 3):
-        for n in (1, 2, 3, 4):
-            assert triplet_check(t, n, 40).passed
+    assert failed_cases("theorem-FGH", 40, t=(1, 2, 3), n=(1, 2, 3, 4)) == []
 
 
 def test_triplet_recurrences():
-    for which in ("multisum", "single-sum", "paired-sum"):
-        for t in (1, 2):
-            for n in (1, 2, 3):
-                assert triplet_recurrence_check(which, t, n, 30).passed
+    # each case checks the multisum, the single sum and the paired sum in turn
+    assert failed_cases("FGH-recurrence", 30, t=(1, 2), n=(1, 2, 3)) == []
 
 
 def test_single_sum_two_forms_agree():
-    for t in (1, 2, 3):
-        for n in (1, 2, 3):
-            assert single_sum_forms_check(t, n, 40).passed
+    assert failed_cases("G-forms", 40, t=(1, 2, 3), n=(1, 2, 3)) == []
 
 
 def test_multisum_converges_to_weak_family():
@@ -124,9 +110,7 @@ def test_certify_adversarial_bound():
 
 
 def test_dilcher_identity_grid():
-    for t in (1, 2, 3, 4):
-        for n in (1, 2, 3, 4):
-            assert dilcher_check(t, n, 50).passed
+    assert failed_cases("dilcher", 50, t=(1, 2, 3, 4), n=(1, 2, 3, 4)) == []
 
 
 def test_dilcher_t1_n1_is_q():
@@ -156,10 +140,7 @@ def test_dilcher_rational_specialization():
 
 
 def test_mss_identity_grid():
-    for t in (1, 2, 3):
-        for n in (1, 2, 3):
-            for x in (0, 1, 2):
-                assert mss_check(t, n, x, 40).passed
+    assert failed_cases("mss", 40, t=(1, 2, 3), n=(1, 2, 3), x=(0, 1, 2)) == []
 
 
 def test_mss_x0_reduces_to_dilcher():
@@ -172,13 +153,10 @@ def test_mss_x0_reduces_to_dilcher():
 
 
 def test_mss_precursor_inverse_pair_reading():
-    r = mss_precursor_check(1, 2, 1, 40)
+    (r,) = registry.run_identity("mss-precursor", {"t": [1], "n": [2], "x": [1]}, 40)
     assert r.passed
     assert "fails" in r.note  # the literal printed form does not hold
-    for t in (1, 2):
-        for n in (1, 2, 3):
-            for x in (0, 1, 2):
-                assert mss_precursor_check(t, n, x, 40).passed
+    assert failed_cases("mss-precursor", 40, t=(1, 2), n=(1, 2, 3), x=(0, 1, 2)) == []
 
 
 def test_mss_precursor_printed_form_fails():
@@ -187,11 +165,8 @@ def test_mss_precursor_printed_form_fails():
 
 
 def test_atid_b_grid():
-    assert atid_b_check(1, 2, 0, 40).passed
-    for t in (1, 2, 3):
-        for n in (1, 2, 3):
-            for x in (0, 1, 2):
-                assert atid_b_check(t, n, x, 40).passed
+    assert failed_cases("atidB", 40, t=[1], n=[2], x=[0]) == []
+    assert failed_cases("atidB", 40, t=(1, 2, 3), n=(1, 2, 3), x=(0, 1, 2)) == []
 
 
 def test_atid_b_x0_reduces_to_paired_structure():
@@ -201,20 +176,13 @@ def test_atid_b_x0_reduces_to_paired_structure():
 
 
 def test_cor52_grid():
-    assert cor52_check(1, 2, 1, 1, 40).passed
-    for t in (1, 2):
-        for n in (1, 2, 3):
-            for x in (0, 1):
-                for z in (0, 1):
-                    assert cor52_check(t, n, x, z, 40).passed
+    assert failed_cases("cor52", 40, t=[1], n=[2], x=[1], z=[1]) == []
+    assert failed_cases("cor52", 40, t=(1, 2), n=(1, 2, 3), x=(0, 1), z=(0, 1)) == []
 
 
 def test_cor53_grid():
-    assert cor53_check(2, 3, 1, 40).passed
-    for t in (1, 2, 3):
-        for n in (1, 2, 3):
-            for z in (0, 1, 2):
-                assert cor53_check(t, n, z, 40).passed
+    assert failed_cases("cor53", 40, t=[2], n=[3], z=[1]) == []
+    assert failed_cases("cor53", 40, t=(1, 2, 3), n=(1, 2, 3), z=(0, 1, 2)) == []
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +190,8 @@ def test_cor53_grid():
 
 
 def test_rational_master_reduces_at_zero():
-    assert rational_master_check(2, 3, 0, 0).passed
+    lhs, rhs = rational_master_sides(2, 3, 0, 0)
+    assert lhs == rhs
 
 
 def test_rational_master_single_term():
@@ -237,12 +206,13 @@ def test_rational_master_grid():
         for n in (1, 2, 4, 6, 8):
             for z in (0, 1, 2, HALF, SEVEN_THIRDS):
                 for x in (0, 1, HALF, SEVEN_THIRDS):
-                    assert rational_master_check(t, n, z, x).passed
+                    lhs, rhs = rational_master_sides(t, n, z, x)
+                    assert lhs == rhs, (t, n, z, x)
 
 
 def test_rational_master_pole_detection():
-    r = rational_master_check(1, 3, -2, 0)
-    assert not r.passed and "pole" in r.note
+    with pytest.raises(ValueError, match="pole"):
+        rational_master_sides(1, 3, -2, 0)
 
 
 def test_master_lemma_with_random_sequences():
@@ -261,13 +231,12 @@ def test_master_lemma_with_random_sequences():
 def test_rational_hypothesis():
     for n in range(1, 7):
         for x in (HALF, 2, SEVEN_THIRDS):
-            assert rational_hypothesis_check(n, x).passed
+            lhs, rhs = rational_hypothesis_sides(n, x)
+            assert lhs == rhs, (n, x)
 
 
 def test_rational_triplet_limit():
-    for t in (1, 2, 3):
-        for n in range(1, 7):
-            assert rational_triplet_check(t, n).passed
+    assert failed_cases("rational-FGH-limit", 40, t=(1, 2, 3), n=range(1, 7)) == []
 
 
 # Tuple-walk oracles for the q = 1 chain sums: every weak t-tuple of parts in
@@ -384,8 +353,6 @@ def test_master_sides_need_a_chain_of_length_at_least_one(t):
         rational_master_sides(t, 3, 1, 1)
     with pytest.raises(ValueError, match="t must be >= 1"):
         master_lemma_sides(t, 2, 1, [1, 2])
-    report = rational_master_check(t, 3, 1, 1)
-    assert not report.passed and report.lhs is None and "t must be >= 1" in report.note
 
 
 FRACTION_OPERATORS = (
@@ -436,7 +403,7 @@ def test_rational_triplet_multisums_match_tuple_walk(t, n):
         Fraction((-1) ** (k - 1) * 2 * comb(n, k), k ** (2 * t) * comb(n + k, k)) for k in range(1, n + 1)
     )
     assert oracle_triplet_multisums(t, n) == (s2, s2)
-    assert rational_triplet_check(t, n).passed
+    assert rational_triplet_sums(t, n) == (s2, s2, s2)
 
 
 # ---------------------------------------------------------------------------
@@ -445,28 +412,28 @@ def test_rational_triplet_multisums_match_tuple_walk(t, n):
 
 def test_wz_master():
     for z in (0, 1, HALF):
-        assert wz_master_check(z, 6).passed
+        assert wz_master_failure(z, 6) is None
 
 
 def test_wz_cor32():
     for x in (HALF, 2, SEVEN_THIRDS):
-        assert wz_cor32_check(x, 6).passed
+        assert wz_cor32_failure(x, 6) is None
 
 
 def test_wz_lemma51():
     for z in (0, 1, 2):
-        assert wz_lemma51_check(z, 4, 40).passed
+        assert wz_lemma51_failure(z, 4, 40) is None
 
 
 def test_wz_cor52():
     for x in (0, 1, 2):
-        assert wz_cor52_check(x, 3, 40).passed
+        assert wz_cor52_failure(x, 3, 40) is None
 
 
 def test_wz_cor53():
     for z in (0, 1, 2):
-        assert wz_cor53_check(z, 3, 40).passed
+        assert wz_cor53_failure(z, 3, 40) is None
 
 
 def test_qbin_difference_lemma():
-    assert qbin_difference_check(5, 40).passed
+    assert qbin_difference_failure(5, 40) is None

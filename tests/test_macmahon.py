@@ -9,20 +9,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_multisum, geometric_factor, naive_mul
-from macsums import macmahon, series
+from conftest import brute_multisum, failed_cases, geometric_factor, naive_mul
+from macsums import macmahon, registry, series
 from macsums.divisors import eisenstein, sigma_series, theta_moment
 from macsums.macmahon import (
     CLOSED_FORMS,
     M_FORMULAS,
     MO_FORMULAS,
     chain_series,
-    closed_form_check,
     coefficient_table,
-    conjugate_chain_check,
     conjugate_chain_m_form,
     jacobi_product_side,
-    jacobi_specialization_check,
     jacobi_theta_side,
     jacobi_weak_sum_side,
     _dual,
@@ -37,7 +34,7 @@ from macsums.macmahon import (
     mo_umbral,
     multisums,
     strict_multisum,
-    symmetric_relation_check,
+    symmetric_relation_sides,
     weak_multisum,
 )
 from macsums.series import Series, geometric_pow
@@ -192,7 +189,7 @@ def test_symmetric_route_shares_chain_levels(monkeypatch):
     mo_from_m(4, 40)
     assert chains == [] and 0 < len(products) <= 20
     products.clear()
-    symmetric_relation_check(4, 40)
+    symmetric_relation_sides(4, 40)
     assert chains == [] and 0 < len(products) < 250
 
 
@@ -392,12 +389,14 @@ def test_recurrence_routes():
 
 
 def test_u4_closed_form_to_40():
-    assert closed_form_check("U4_sigma", 40).passed
+    lhs, rhs = CLOSED_FORMS["U4_sigma"](40)
+    assert lhs == rhs
 
 
 def test_symmetric_relation():
     for t in (1, 2, 3, 4):
-        assert symmetric_relation_check(t, 40).passed
+        acc, zero = symmetric_relation_sides(t, 40)
+        assert acc == zero, t
 
 
 def test_weak_recurrence_restated():
@@ -408,7 +407,8 @@ def test_weak_recurrence_restated():
 
 def test_all_closed_forms_pass_at_50():
     for which in CLOSED_FORMS:
-        assert closed_form_check(which, 50).passed, which
+        lhs, rhs = CLOSED_FORMS[which](50)
+        assert lhs == rhs, which
 
 
 def test_sigma1_convolution_value_at_4():
@@ -420,20 +420,18 @@ def test_sigma1_convolution_value_at_4():
 
 
 def test_excess_coefficient_q2():
-    r = closed_form_check("excess_V2U2", 10)
-    assert r.passed
+    lhs, rhs = CLOSED_FORMS["excess_V2U2"](10)
+    assert lhs == rhs
     lhs = weak_multisum(2, 4) - strict_multisum(2, 4)
     assert lhs[2] == 1  # (sigma_3(2) - sigma_1(2))/6 = 1
 
 
 def test_jacobi_specializations():
-    for c in (4, 2, 1):
-        assert jacobi_specialization_check(c, 30).passed
+    assert failed_cases("jacobi-specialization", 30, c=(4, 2, 1)) == []
 
 
 def test_jacobi_specializations_at_order_60():
-    for c in (4, 2, 1):
-        assert jacobi_specialization_check(c, 60).passed
+    assert failed_cases("jacobi-specialization", 60, c=(4, 2, 1)) == []
 
 
 def test_jacobi_weak_sum_shares_chain_levels(monkeypatch):
@@ -459,17 +457,28 @@ def test_jacobi_product_steps_are_each_load_bearing(monkeypatch, c):
     for i, (j, r) in enumerate(steps):
         for bad in ((j + 1, r), (j, -r)):
             monkeypatch.setitem(macmahon._JACOBI_PRODUCT_STEPS, c, steps[:i] + (bad,) + steps[i + 1 :])
-            report = jacobi_specialization_check(c, 30)
+            (report,) = registry.run_identity("jacobi-specialization", {"c": [c]}, 30)
             assert not report.passed and report.note == "product vs theta", (i, bad)
     monkeypatch.setitem(macmahon._JACOBI_PRODUCT_STEPS, c, steps)
-    assert jacobi_specialization_check(c, 30).passed
+    assert failed_cases("jacobi-specialization", 30, c=[c]) == []
 
 
 def test_conjugate_chain_supports_weak_family():
     for t in (1, 2, 3):
         assert conjugate_chain_m_form(t, 30) == weak_multisum(t, 30)
-        r = conjugate_chain_check(t, 30)
+        (r,) = registry.run_identity("conjugate-chain", {"t": [t]}, 30)
         assert r.passed and "weak" in r.note
+
+
+def test_conjugate_chain_matching_the_strict_family_names_both_coefficients(monkeypatch):
+    # such a chain fails against the weak family, and like every other
+    # failure its report names the two coefficients where they differ
+    monkeypatch.setattr(macmahon, "conjugate_chain_m_form", strict_multisum)
+    (r,) = registry.run_identity("conjugate-chain", {"t": [2]}, 30)
+    strict, weak = strict_multisum(2, 30), weak_multisum(2, 30)
+    at = strict.first_mismatch(weak)
+    assert (r.passed, r.mismatch_at, r.lhs, r.rhs) == (False, at, str(strict[at]), str(weak[at]))
+    assert r.note == "chain matches the strict (MO-family) series, not the weak one"
 
 
 def test_coefficient_table_basics():

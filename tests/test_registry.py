@@ -2,7 +2,7 @@
 
 import pytest
 
-from macsums import macmahon, registry
+from macsums import identities, macmahon, registry
 from macsums.series import Series
 
 # Cases each id runs on its default grids; a changed default grid shows here.
@@ -129,3 +129,58 @@ def test_catalog_builds_no_inverse_series(monkeypatch):
     for ident_id in registry.known_ids():
         assert all(r.passed for r in registry.run_identity(ident_id, {}, 12)), ident_id
     assert calls == []
+
+
+def bumped(module, name, at=0):
+    """Install one corrupted route: `module.name` returning one more at q^at
+    of its series, or one more for a scalar."""
+    def install(monkeypatch):
+        fn = getattr(module, name)
+
+        def route(*args, **kwargs):
+            value = fn(*args, **kwargs)
+            if not isinstance(value, Series):
+                return value + 1
+            coeffs = list(value.coeffs)
+            coeffs[at] += 1
+            return Series(coeffs, value.order)
+
+        monkeypatch.setattr(module, name, route)
+    return install
+
+
+def jacobi_step_doubled(monkeypatch):
+    monkeypatch.setitem(macmahon._JACOBI_PRODUCT_STEPS, 4, ((1, -4), (3, 2)))
+
+
+# (id, grids, order, corruption, first failing report: id, params, order, mismatch_at, lhs, rhs, note)
+FAILURES = {
+    "merged-series-pair": (
+        "theorem-FGH", {"t": [2], "n": [3]}, 30, bumped(identities, "harmonic_paired_sum", 9),
+        ("theorem-FGH", {"t": 2, "n": 3}, 30, 9, "-39", "-38", "single-sum vs paired-sum")),
+    "jacobi-product-step": (
+        "jacobi-specialization", {"c": [4]}, 30, jacobi_step_doubled,
+        ("jacobi-specialization", {"c": 4}, 30, 2, "2", "4", "product vs theta")),
+    "merged-scalar-pair": (
+        "rational-FGH-limit", {"t": [2], "n": [3]}, 40, bumped(identities, "_weak_chain_sum"),
+        ("rational-FGH-limit", {"t": 2, "n": 3}, None, None, "3193/1296", "1897/1296", "multisum vs single sum")),
+    "wz-walk": (
+        "wz-certificates", {}, 30, bumped(identities, "_wz52_F"),
+        ("wz-cor52", {"x": 0, "nmax": 3}, 30, None, None, None, "row sum differs from 1 at n=1")),
+    "case-note": (
+        "mss-precursor", {"t": [1], "n": [2], "x": [1]}, 30, bumped(identities, "_bounded_x_multisum", 7),
+        ("mss-precursor", {"t": 1, "n": 2, "x": 1}, 30, 9, "-1", "-2",
+         "inverse-pair reading; literal printed form fails (first mismatch at q^6)")),
+}
+
+
+@pytest.mark.parametrize("ident_id, grids, order, corrupt, expected", FAILURES.values(), ids=FAILURES)
+def test_a_corrupted_route_fails_its_case_with_both_values(monkeypatch, ident_id, grids, order, corrupt,
+                                                           expected):
+    # a failing series pair names the coefficients where it differs and a
+    # scalar pair both values; a WZ walk names only its failing step
+    corrupt(monkeypatch)
+    failed = [r for r in registry.run_identity(ident_id, grids, order) if not r.passed]
+    first = failed[0]
+    got = (first.ident, first.params, first.order, first.mismatch_at, first.lhs, first.rhs, first.note)
+    assert got == expected
