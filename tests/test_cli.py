@@ -430,6 +430,19 @@ def test_catalog_output_is_byte_identical_to_golden(capsys):
     assert digest.hexdigest() == CATALOG_JSON_SHA256
 
 
+# the same digest at order 120: a term shifted past order 40 shows only here
+CATALOG_JSON_SHA256_ORDER120 = "7a386aeac5261112c878452b56c95456f521517104a492a2227729179e982d7f"
+
+
+def test_catalog_json_at_order_120_is_pinned(capsys):
+    digest = hashlib.sha256()
+    for ident in registry.known_ids():
+        code, out, _ = run_cli(capsys, "verify", "--id", ident, "--order", "120", "--format", "json")
+        assert code == 0, ident
+        digest.update(out.encode())
+    assert digest.hexdigest() == CATALOG_JSON_SHA256_ORDER120
+
+
 @pytest.mark.parametrize("command", [None, "coeffs", "verify", "scan"])
 def test_help_is_byte_identical_to_golden(capsys, monkeypatch, command):
     # each subcommand's parser gets its arguments only when it runs; the help must not show it
