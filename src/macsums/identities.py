@@ -5,13 +5,13 @@ series (or exact rationals for the specializations at q = 1); the catalog in
 `registry` compares them.  A WZ walk compares its own steps and returns its
 first failure, a note naming the step, or None.
 
-The multisums are `chain_series` over data factors
-k^w q^(ck+b) / prod (1-q^(k+d))^r, so their q-integers are kernel steps.
-In a single-sum term a geometric factor q^a/(1-q^k)^r is applied with
-`Series.over_geometric`, and any other q-rational factor is one exact
-division of its numerator polynomial by the product of its denominator
-polynomials, each with constant term 1.  So every object stays a true
-power series, and no inverse series is built or carried along.
+Every q-rational factor here is a tuple of kernel steps (j, r), each
+meaning 1/(1-q^j)^r (r < 0 is a numerator factor), built by `_q_int`,
+`_qbin`, `_q_factorial`, `_one_minus_q` and `_one_plus`.  `_term` merges a
+term's steps per j, so qbin(n,k)/qbin(n+k,k) cancels before any pass, and
+applies the rest with `over_geometric_coeffs` to q^e or to a base series,
+such as a multisum side's `chain_series`.  So a term is one integer
+coefficient list: no polynomial product, no series division.
 """
 
 from __future__ import annotations
@@ -20,32 +20,62 @@ from fractions import Fraction
 from math import comb, factorial, prod
 
 from .macmahon import chain_series
-from .qcombo import IntPoly, gbinom, q_binomial, q_factorial, q_int
-from .series import Series
+from .qcombo import gbinom
+from .series import Series, over_geometric_coeffs
 
 
-def one_minus_q_pow(r: int) -> IntPoly:
-    """The polynomial (1-q)^r."""
-    return IntPoly([(-1) ** i * comb(r, i) for i in range(r + 1)])
+def _q_int(k: int, p: int = 1) -> tuple:
+    """[k]_q^p = (1-q^k)^p / (1-q)^p; [0]_q = 0 is no step product."""
+    if k < 1:
+        raise ValueError(f"[{k}]_q is not a product of kernel steps")
+    return ((k, -p), (1, p))
 
 
-def _quotient(num: IntPoly, den: IntPoly, order: int) -> Series:
-    """num/den as a power series: one exact division."""
-    return num.to_series(order) / den.to_series(order)
+def _q_factorial(n: int, p: int = 1) -> tuple:
+    """[n]_q!^p = prod_(i=1..n) (1-q^i)^p / (1-q)^(np), for n >= 0."""
+    if n < 0:
+        raise ValueError(f"[{n}]_q! is not a product of kernel steps")
+    return (*((i, -p) for i in range(1, n + 1)), (1, n * p))
 
 
-def _alternating_sum(n: int, order: int, exponent, base) -> Series:
-    """Sum over k = 1..n of (-1)^(k-1) q^exponent(k) base(k).
+def _qbin(n: int, k: int, p: int = 1) -> tuple:
+    """qbin(n,k)^p = ([n]_q! / ([k]_q! [n-k]_q!))^p, for 0 <= k <= n."""
+    return _q_factorial(n, p) + _q_factorial(k, -p) + _q_factorial(n - k, -p)
 
-    exponent(k) is a nonnegative integer and base(k) a Series; a term whose
-    shift passes the order is skipped before its base is built.
-    """
+
+def _one_minus_q(p: int) -> tuple:
+    return ((1, -p),)
+
+
+def _one_plus(k: int) -> tuple:
+    """1+q^k = [2k]_q / [k]_q, for k >= 1."""
+    return _q_int(2 * k) + _q_int(k, -1)
+
+
+def _term(order: int, *factors, e: int = 0, base: Series | None = None) -> Series:
+    """q^e times base (default 1) times the product of the step tuples.
+    Steps are merged per j first, so a factor and its inverse cancel before
+    any pass; a step with j past the order changes nothing and is skipped."""
+    merged = {}
+    for steps in factors:
+        for j, r in steps:
+            merged[j] = merged.get(j, 0) + r
+    out = (Series.monomial(1, e, order) if base is None else base.shift(e)).coeffs
+    for j, r in merged.items():
+        if r and j <= order:
+            out = over_geometric_coeffs(out, j, r)
+    return Series(out, order)
+
+
+def _alternating_sum(n: int, order: int, exponent, factors, base=None) -> Series:
+    """Sum over k = 1..n of (-1)^(k-1) `_term`(*factors(k), e=exponent(k),
+    base=base(k)); a term whose shift passes the order is skipped first."""
     acc = Series.zero(order)
     for k in range(1, n + 1):
         e = exponent(k)
         if e > order:
             continue
-        term = base(k).shift(e)
+        term = _term(order, *factors(k), e=e, base=base(k) if base else None)
         acc = acc + term if k % 2 else acc - term
     return acc
 
@@ -61,7 +91,7 @@ def harmonic_multisum(t: int, n: int, order: int) -> Series:
     if n == 0:
         return Series.zero(order)
     core = chain_series([(0, 1, 0, ((0, 2),))] * t, order, max_part=n)
-    return core * one_minus_q_pow(2 * t).to_series(order)
+    return _term(order, _one_minus_q(2 * t), base=core)
 
 
 def harmonic_single_sum(t: int, n: int, order: int) -> Series:
@@ -69,29 +99,16 @@ def harmonic_single_sum(t: int, n: int, order: int) -> Series:
     multisum for every t, n."""
     if t == 0:
         return Series.one(order)
-    omq = one_minus_q_pow(2 * t)
-
-    def base(k):
-        b = _quotient(q_binomial(n, k) * omq, q_binomial(n + k, k), order).over_geometric(k, 2 * t)
-        return b + b.shift(k)
-
-    return _alternating_sum(n, order, lambda k: k * (k - 1) // 2 + t * k, base)
+    return _alternating_sum(n, order, lambda k: k * (k - 1) // 2 + t * k,
+                            lambda k: (_qbin(n, k), _qbin(n + k, k, -1), _one_plus(k), _q_int(k, -2 * t)))
 
 
 def harmonic_single_sum_alt(t: int, n: int, order: int) -> Series:
     """Second displayed shape of the single sum, normalized by qbin(2n, n)."""
     if t == 0:
         return Series.one(order)
-    if n == 0:
-        return Series.zero(order)
-    omq = one_minus_q_pow(2 * t)
-
-    def base(k):
-        b = (q_binomial(2 * n, n - k) * omq).to_series(order).over_geometric(k, 2 * t)
-        return b + b.shift(k)
-
-    acc = _alternating_sum(n, order, lambda k: k * (k - 1) // 2 + t * k, base)
-    return acc / q_binomial(2 * n, n).to_series(order)
+    return _alternating_sum(n, order, lambda k: k * (k - 1) // 2 + t * k,
+                            lambda k: (_qbin(2 * n, n - k), _qbin(2 * n, n, -1), _one_plus(k), _q_int(k, -2 * t)))
 
 
 def harmonic_paired_sum(t: int, n: int, order: int) -> Series:
@@ -108,22 +125,17 @@ def harmonic_paired_sum(t: int, n: int, order: int) -> Series:
                      order, max_part=n)
         for parity in (1, 0)
     )
-    return (part_a.shift(n) + part_b) * one_minus_q_pow(m).to_series(order)
+    return _term(order, _one_minus_q(m), base=part_a.shift(n) + part_b)
 
 
-TRIPLET = {
-    "multisum": harmonic_multisum,
-    "single-sum": harmonic_single_sum,
-    "paired-sum": harmonic_paired_sum,
-}
+TRIPLET = {"multisum": harmonic_multisum, "single-sum": harmonic_single_sum, "paired-sum": harmonic_paired_sum}
 
 
 def triplet_recurrence_sides(which: str, t: int, n: int, order: int):
     """X_t(n) - X_t(n-1) = q^n/[n]_q^2 * X_(t-1)(n) for each of the three sums."""
     fn = TRIPLET[which]
     lhs = fn(t, n, order) - fn(t, n - 1, order)
-    rhs = (fn(t - 1, n, order) * one_minus_q_pow(2).to_series(order)).over_geometric(n, 2, n)
-    return lhs, rhs
+    return lhs, _term(order, _q_int(n, -2), e=n, base=fn(t - 1, n, order))
 
 
 # ---------------------------------------------------------------------------
@@ -131,29 +143,22 @@ def triplet_recurrence_sides(which: str, t: int, n: int, order: int):
 
 
 def dilcher_sides(t: int, n: int, order: int):
-    omq = one_minus_q_pow(t)
-    lhs = _alternating_sum(
-        n, order, lambda k: k * (k - 1) // 2 + t * k,
-        lambda k: (q_binomial(n, k) * omq).to_series(order).over_geometric(k, t),
-    )
-    rhs = chain_series([(0, 1, 0, ((0, 1),))] * t, order, max_part=n) * omq.to_series(order)
+    lhs = _alternating_sum(n, order, lambda k: k * (k - 1) // 2 + t * k, lambda k: (_qbin(n, k), _q_int(k, -t)))
+    rhs = _term(order, _one_minus_q(t), base=chain_series([(0, 1, 0, ((0, 1),))] * t, order, max_part=n))
     return lhs, rhs
 
 
 def _bounded_x_multisum(t, kmax, x, order):
     core = chain_series([(0, 1, 0, ((x, 1),))] * t, order, max_part=kmax)
-    return one_minus_q_pow(t).to_series(order) * core
+    return _term(order, _one_minus_q(t), base=core)
 
 
 def mss_sides(t: int, n: int, x: int, order: int):
     """The x-shifted single sum and multisum; Cor. 5.3 is the same identity
     with the shift named z."""
-    omq = one_minus_q_pow(t + 1)
-    lhs = _alternating_sum(
-        n, order, lambda k: k * (k - 1) // 2 + t * k,
-        lambda k: (q_binomial(n, k) * q_int(k) * omq).to_series(order).over_geometric(x + k, t + 1),
-    )
-    rhs = _bounded_x_multisum(t, n, x, order) / q_binomial(x + n, n).to_series(order)
+    lhs = _alternating_sum(n, order, lambda k: k * (k - 1) // 2 + t * k,
+                           lambda k: (_qbin(n, k), _q_int(k), _one_minus_q(t + 1), ((x + k, t + 1),)))
+    rhs = _term(order, _qbin(x + n, n, -1), base=_bounded_x_multisum(t, n, x, order))
     return lhs, rhs
 
 
@@ -169,54 +174,37 @@ def mss_precursor_sides(t: int, n: int, x: int, order: int, reading: str = "inve
     multiple sum inside it is bounded by the summation index k; this is
     the inverse q-binomial transform applied to the companion identity.
     """
-    base_shift = n * (n - 1)
-    rhs = (q_int(n) * one_minus_q_pow(t + 1)).to_series(order)
-    rhs = rhs.over_geometric(x + n, t + 1, t * n + base_shift)
+    rhs = _term(order, _q_int(n), _one_minus_q(t + 1), ((x + n, t + 1),), e=t * n + n * (n - 1))
     exponent = lambda k: k * (k - 1) // 2 + (n - k) * (n - 1)
     if reading == "printed":
-        ksum = _alternating_sum(
-            n, order, exponent,
-            lambda k: _quotient(q_binomial(n, k) * q_int(k), q_binomial(x + k, k), order),
-        )
+        ksum = _alternating_sum(n, order, exponent, lambda k: (_qbin(n, k), _q_int(k), _qbin(x + k, k, -1)))
         lhs = ksum * _bounded_x_multisum(t, n, x, order)
     elif reading == "inverse-pair":
-        lhs = _alternating_sum(
-            n, order, exponent,
-            lambda k: (
-                _bounded_x_multisum(t, k, x, order) * q_binomial(n, k).to_series(order)
-                / q_binomial(x + k, k).to_series(order)
-            ),
-        )
+        lhs = _alternating_sum(n, order, exponent, lambda k: (_qbin(n, k), _qbin(x + k, k, -1)),
+                               lambda k: _bounded_x_multisum(t, k, x, order))
     else:
         raise ValueError(f"unknown reading {reading!r}")
     return lhs, rhs
 
 
 def atid_b_sides(t: int, n: int, x: int, order: int):
-    omq = one_minus_q_pow(2 * t)
-    lhs = _alternating_sum(
-        n, order, lambda k: k * (k - 1) // 2 + (x + 2 * t) * k,
-        lambda k: _quotient(q_binomial(n, k) * omq, q_binomial(x + k, k), order).over_geometric(k, 2 * t),
-    )
+    lhs = _alternating_sum(n, order, lambda k: k * (k - 1) // 2 + (x + 2 * t) * k,
+                           lambda k: (_qbin(n, k), _qbin(x + k, k, -1), _q_int(k, -2 * t)))
     factors = [(0, 1, x, ((x, 1),))] + [(0, 1, 0, ((0, 1),))] * (2 * t - 1)
-    rhs = omq.to_series(order) * chain_series(factors, order, max_part=n)
+    rhs = _term(order, _one_minus_q(2 * t), base=chain_series(factors, order, max_part=n))
     return lhs, rhs
 
 
 def cor52_sides(t: int, n: int, x: int, z: int, order: int):
-    omq = one_minus_q_pow(t)
-    lhs = _alternating_sum(
-        n, order, lambda k: k * (k - 1) // 2 + (x + t) * k,
-        lambda k: _quotient(q_binomial(n, k) * omq, q_binomial(x + k, k), order).over_geometric(z + k, t),
-    )
+    lhs = _alternating_sum(n, order, lambda k: k * (k - 1) // 2 + (x + t) * k,
+                           lambda k: (_qbin(n, k), _qbin(x + k, k, -1), _one_minus_q(t), ((z + k, t),)))
     # position 1 is [k]_q qbin(z+k, k) q^k / ((1-q^(x+k)) (1-q^(z+k))), and
     # [k]_q qbin(z+k, k) = prod_{d=0..z} (1-q^(k+d)) / ((1-q) (q;q)_z): the
-    # (1-q^(k+z)) cancels, and the constant comes out of the chain
+    # (1-q^(k+z)) cancels, and the constant 1/(q;q)_z = (1-q)^(-z)/[z]_q!
+    # comes out of the chain
     first = (0, 1, 0, ((x, 1), *((d, -1) for d in range(z))))
     core = chain_series([first] + [(0, 1, 0, ((z, 1),))] * (t - 1), order, max_part=n)
-    for j in range(1, z + 1):
-        core = core.over_geometric(j, 1)
-    rhs = (core * omq.to_series(order) / q_binomial(z + n, n).to_series(order)).shift(x)
+    rhs = _term(order, _q_factorial(z, -1), _one_minus_q(t - z), _qbin(z + n, n, -1), e=x, base=core)
     return lhs, rhs
 
 
@@ -396,16 +384,15 @@ def wz_cor32_failure(x, nmax: int) -> str | None:
 
 
 def _wz_lemma51_F(m, k, z, order):
-    return _quotient(q_binomial(z + k, k) * q_binomial(k, m), q_int(z + k), order).shift(k)
+    return _term(order, _qbin(z + k, k), _qbin(k, m), _q_int(z + k, -1), e=k)
 
 
 def _wz_lemma51_G(m, k, z, order):
     # F(m,k) [k-m]_q q^(m-k) / [z+m]_q; the q^k inside F cancels down to q^m,
-    # so this is a genuine power series
+    # so this is a genuine power series, and [k-m]_q = 0 for k = m
     if k <= m:
         return Series.zero(order)
-    num = q_binomial(z + k, k) * q_binomial(k, m) * q_int(k - m)
-    return _quotient(num, q_int(z + k) * q_int(z + m), order).shift(m)
+    return _term(order, _qbin(z + k, k), _qbin(k, m), _q_int(k - m), _q_int(z + k, -1), _q_int(z + m, -1), e=m)
 
 
 def wz_lemma51_failure(z: int, nmax: int, order: int) -> str | None:
@@ -418,7 +405,7 @@ def wz_lemma51_failure(z: int, nmax: int, order: int) -> str | None:
             if not F.agrees(diff):
                 return f"pair relation fails at m={m}, k={k}"
             total = total + F
-            closed = _quotient(q_binomial(z + k, k) * q_binomial(k, m), q_int(z + m), order).shift(m)
+            closed = _term(order, _qbin(z + k, k), _qbin(k, m), _q_int(z + m, -1), e=m)
             if not total.agrees(closed):
                 return f"telescoped sum fails at m={m}, n={k}"
     return None
@@ -430,18 +417,19 @@ def _wz52_F(n, k, x, order):
     if k > n:
         return Series.zero(order)
     e = k * (k - 1) // 2 + x * (k - 1)
-    s = _quotient(q_binomial(n, k) * q_int(x + n), q_binomial(x + k, k) * q_int(n), order).shift(e)
+    s = _term(order, _qbin(n, k), _q_int(x + n), _qbin(x + k, k, -1), _q_int(n, -1), e=e)
     return s if k % 2 else -s
 
 
 def _wz52_G(n, k, x, order):
     # -F(n,k) [x+k][k-1] q^(n+1-k) / ([x+n][n+1-k]), written with
-    # qbin(n,k)/[n+1-k] = qbin(n,k-1)/[k] so the k = n+1 boundary is regular
-    if k < 1 or k > n + 1:
+    # qbin(n,k)/[n+1-k] = qbin(n,k-1)/[k] so the k = n+1 boundary is regular;
+    # [k-1]_q = 0 at k = 1
+    if k < 2 or k > n + 1:
         return Series.zero(order)
     e = k * (k - 1) // 2 + x * (k - 1) + n + 1 - k
-    num = q_binomial(n, k - 1) * q_int(x + k) * q_int(k - 1)
-    s = _quotient(num, q_int(k) * q_binomial(x + k, k) * q_int(n), order).shift(e)
+    s = _term(order, _qbin(n, k - 1), _q_int(x + k), _q_int(k - 1), _q_int(k, -1), _qbin(x + k, k, -1),
+              _q_int(n, -1), e=e)
     return -s if k % 2 else s
 
 
@@ -470,16 +458,16 @@ def _wz53_F(n, k, z, order):
     # a_k = [k]_q q^C(k,2)/[z+k]_q, b_k = 1/qbin(z+k,k)
     if k > n:
         return Series.zero(order)
-    e = k * (k - 1) // 2
-    s = _quotient(q_binomial(n, k) * q_int(k) * q_binomial(z + n, n), q_int(z + k), order).shift(e)
+    s = _term(order, _qbin(n, k), _q_int(k), _qbin(z + n, n), _q_int(z + k, -1), e=k * (k - 1) // 2)
     return s if k % 2 else -s
 
 
 def _wz53_G(n, k, z, order):
-    if k < 1 or k > n + 1:
+    # [k-1]_q = 0 at k = 1
+    if k < 2 or k > n + 1:
         return Series.zero(order)
     e = k * (k - 1) // 2 + n + 1 - k
-    s = _quotient(q_binomial(n, k - 1) * q_int(k - 1) * q_binomial(z + n, n), q_int(n), order).shift(e)
+    s = _term(order, _qbin(n, k - 1), _q_int(k - 1), _qbin(z + n, n), _q_int(n, -1), e=e)
     return -s if k % 2 else s
 
 
@@ -493,13 +481,15 @@ def qbin_difference_failure(nmax: int, order: int) -> str | None:
       = [n-1]!^2 [k]_q^2 q^(n-k) / ([n-k]! [n+k]!).
 
     The numerator factor is [k]_q^2: expanding the factorial ratio gives
-    ([n]^2 - [n-k][n+k]) = q^(n-k) (1-q^k)^2 / (1-q)^2."""
+    ([n]^2 - [n-k][n+k]) = q^(n-k) (1-q^k)^2 / (1-q)^2.  At k = n the
+    second term drops out, since qbin(n-1, n) = 0."""
     for n in range(1, nmax + 1):
         for k in range(1, n + 1):
-            lhs = _quotient(q_binomial(n, k), q_binomial(n + k, k), order)
-            lhs = lhs - _quotient(q_binomial(n - 1, k), q_binomial(n + k - 1, k), order)
-            num = q_factorial(n - 1) * q_factorial(n - 1) * q_int(k) * q_int(k)
-            rhs = _quotient(num, q_factorial(n - k) * q_factorial(n + k), order).shift(n - k)
+            lhs = _term(order, _qbin(n, k), _qbin(n + k, k, -1))
+            if k < n:
+                lhs = lhs - _term(order, _qbin(n - 1, k), _qbin(n + k - 1, k, -1))
+            rhs = _term(order, _q_factorial(n - 1, 2), _q_int(k, 2), _q_factorial(n - k, -1),
+                        _q_factorial(n + k, -1), e=n - k)
             if not lhs.agrees(rhs):
                 return f"fails at n={n}, k={k}"
     return None

@@ -40,9 +40,8 @@ class IdentitySpec(FrozenRecord):
 
 
 # The values each grid name admits in every identity that declares it.  The
-# cap keeps one case within memory and recursion limits: the q-binomial table
-# behind the shifted identities holds about (n*x)^2 coefficients, and the
-# q-Pascal recursion that fills it is x + n calls deep.
+# cap keeps one case small: a term of a shifted identity takes up to about
+# 2(n + x) kernel passes over the order, and a multisum side t chain levels.
 _CAP = 16
 GRID_DOMAINS = {
     "t": (f"an integer in 1..{_CAP}", lambda v: 1 <= v <= _CAP),

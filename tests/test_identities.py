@@ -13,6 +13,14 @@ from conftest import failed_cases
 from macsums import registry
 from macsums.identities import (
     _master_lhs,
+    _one_minus_q,
+    _one_plus,
+    _q_factorial,
+    _q_int,
+    _qbin,
+    _term,
+    _wz52_G,
+    _wz53_G,
     atid_b_sides,
     dilcher_sides,
     harmonic_multisum,
@@ -21,7 +29,6 @@ from macsums.identities import (
     harmonic_single_sum_alt,
     mss_precursor_sides,
     mss_sides,
-    one_minus_q_pow,
     qbin_difference_failure,
     rational_hypothesis_sides,
     rational_master_sides,
@@ -33,7 +40,7 @@ from macsums.identities import (
     wz_master_failure,
 )
 from macsums.macmahon import weak_multisum
-from macsums.qcombo import gbinom
+from macsums.qcombo import IntPoly, gbinom, q_binomial, q_factorial, q_int
 from macsums.series import Series
 from paper_checks import certify_rational_equality, master_lemma_sides, triplet_degree_bound
 
@@ -76,7 +83,7 @@ def test_multisum_converges_to_weak_family():
     t, n, order = 2, 12, 12
     f = harmonic_multisum(t, n, order)
     v = weak_multisum(t, order)
-    recovered = f * one_minus_q_pow(2 * t).to_series(order).invert()
+    recovered = f.over_geometric(1, 2 * t)
     assert recovered.agrees(v, upto=n)
 
 
@@ -437,3 +444,58 @@ def test_wz_cor53():
 
 def test_qbin_difference_lemma():
     assert qbin_difference_failure(5, 40) is None
+
+
+# ---------------------------------------------------------------------------
+# kernel-step builders of the q-rational factors, against q-Pascal polynomials
+
+BUILDER_ORDERS = (0, 1, 5, 17, 40)
+
+
+def inverse(steps):
+    return tuple((j, -r) for j, r in steps)
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_step_builders_match_q_pascal_polynomials(n):
+    for order in BUILDER_ORDERS:
+        assert _term(order, _q_factorial(n)) == q_factorial(n).to_series(order)
+        if n:
+            assert _term(order, _q_int(n)) == q_int(n).to_series(order)
+            assert _term(order, _one_plus(n)) == (IntPoly.one() + IntPoly.one().shift(n)).to_series(order)
+        omq = IntPoly.one()
+        for _ in range(n):
+            omq = omq * IntPoly([1, -1])
+        assert _term(order, _one_minus_q(n)) == omq.to_series(order)
+        for k in range(n + 1):
+            assert _term(order, _qbin(n, k)) == q_binomial(n, k).to_series(order)
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_step_builders_times_their_inverses_are_one(n):
+    # p = -1 is the inverse, and applied in a second pass it undoes the first
+    factors = [(_q_factorial(n), _q_factorial(n, -1)), (_one_minus_q(n), _one_minus_q(-n))]
+    if n:
+        factors += [(_q_int(n), _q_int(n, -1)), (_one_plus(n), inverse(_one_plus(n)))]
+    factors += [(_qbin(n, k), _qbin(n, k, -1)) for k in range(n + 1)]
+    for steps, inv in factors:
+        assert inv == inverse(steps)
+        for order in BUILDER_ORDERS:
+            assert _term(order, steps, inv) == Series.one(order)
+            assert _term(order, inv, base=_term(order, steps)) == Series.one(order)
+
+
+@pytest.mark.parametrize("build", [lambda: _q_int(0), lambda: _qbin(3, 4), lambda: _qbin(3, -1),
+                                   lambda: _qbin(0, 1), lambda: _one_plus(0), lambda: _q_factorial(-1)])
+def test_zero_factors_are_no_step_products(build):
+    # [0]_q, qbin(n,k) off 0..n and 1+q^0 = 2 are not products of (1-q^j)^(+-1)
+    with pytest.raises(ValueError, match="not a product of kernel steps"):
+        _term(10, build())
+
+
+def test_certificate_terms_with_a_zero_factor_are_zero():
+    # [k-1]_q vanishes at k = 1, so the G terms are zero there without a builder call
+    for n in (1, 2, 3):
+        for shift in (0, 1, 2):
+            assert _wz52_G(n, 1, shift, 40).is_zero()
+            assert _wz53_G(n, 1, shift, 40).is_zero()

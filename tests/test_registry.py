@@ -1,5 +1,9 @@
 """The identity catalog's shape and its grid contract."""
 
+import sys
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
 from macsums import identities, macmahon, registry
@@ -131,6 +135,23 @@ def test_catalog_builds_no_inverse_series(monkeypatch):
     assert calls == []
 
 
+def test_identities_divide_no_series(monkeypatch):
+    # a finite identity's q-rational term is kernel steps on one coefficient
+    # list; the divisions left are macmahon's theta quotients (6) and its
+    # Jacobi theta side (15)
+    callers = Counter()
+    divide = Series.__truediv__
+
+    def recorded(self, other):
+        callers[Path(sys._getframe(1).f_code.co_filename).name] += 1
+        return divide(self, other)
+
+    monkeypatch.setattr(Series, "__truediv__", recorded)
+    for ident_id in registry.known_ids():
+        assert all(r.passed for r in registry.run_identity(ident_id, {}, 12)), ident_id
+    assert dict(callers) == {"macmahon.py": 21}
+
+
 def bumped(module, name, at=0):
     """Install one corrupted route: `module.name` returning one more at q^at
     of its series, or one more for a scalar."""
@@ -153,6 +174,13 @@ def jacobi_step_doubled(monkeypatch):
     monkeypatch.setitem(macmahon._JACOBI_PRODUCT_STEPS, 4, ((1, -4), (3, 2)))
 
 
+def qbin_step_dropped(monkeypatch):
+    # qbin(n,k)^p loses its last step, the (1-q)^((n-k)p) of 1/[n-k]_q!^p;
+    # in qbin(n,k)/qbin(n+k,k) the two lost steps differ unless k = 0
+    qbin = identities._qbin
+    monkeypatch.setattr(identities, "_qbin", lambda *args: qbin(*args)[:-1])
+
+
 # (id, grids, order, corruption, first failing report: id, params, order, mismatch_at, lhs, rhs, note)
 FAILURES = {
     "merged-series-pair": (
@@ -161,6 +189,9 @@ FAILURES = {
     "jacobi-product-step": (
         "jacobi-specialization", {"c": [4]}, 30, jacobi_step_doubled,
         ("jacobi-specialization", {"c": 4}, 30, 2, "2", "4", "product vs theta")),
+    "qbin-builder-step": (
+        "theorem-FGH", {"t": [2], "n": [3]}, 30, qbin_step_dropped,
+        ("theorem-FGH", {"t": 2, "n": 3}, 30, 3, "1", "0", "multisum vs single-sum")),
     "merged-scalar-pair": (
         "rational-FGH-limit", {"t": [2], "n": [3]}, 40, bumped(identities, "_weak_chain_sum"),
         ("rational-FGH-limit", {"t": 2, "n": 3}, None, None, "3193/1296", "1897/1296", "multisum vs single sum")),
