@@ -207,7 +207,7 @@ _SPECS = [
                  {"t": (1, 2), "n": (1, 2, 3), "x": (0, 1), "z": (0, 1)},
                  _sides(lambda order, t, n, x, z: ident.cor52_sides(t, n, x, z, order))),
     IdentitySpec("cor53", "z-shifted recovery of the x-shifted identity",
-                 {"t": (1, 2, 3), "n": (1, 2, 3), "z": (0, 1, 2)},
+                 {"t": (1, 2, 3), "n": (1, 2, 3), "z": (3, 4, 5)},  # z past mss's x grid
                  _sides(lambda order, t, n, z: ident.mss_sides(t, n, z, order))),
     IdentitySpec("rational-master", "exact rational master identity at q = 1",
                  {"t": (1, 2, 3, 4), "n": (1, 2, 4, 6, 8)},

@@ -411,7 +411,7 @@ def test_machine_readable_output_is_byte_identical_to_golden(capsys, argv, name)
 
 
 # sha256 of the json output of every catalog id at order 40, in id order
-CATALOG_JSON_SHA256 = "a50a68e25b01e367670d16ea2fc1373c56efa075dcd865fe13c7a39e306976b9"
+CATALOG_JSON_SHA256 = "1ca419db74446476be2928bf11605d36dbd37304092a445cb22086d5f2767aa4"
 
 
 def test_catalog_output_is_byte_identical_to_golden(capsys):
@@ -431,7 +431,7 @@ def test_catalog_output_is_byte_identical_to_golden(capsys):
 
 
 # the same digest at order 120: a term shifted past order 40 shows only here
-CATALOG_JSON_SHA256_ORDER120 = "7a386aeac5261112c878452b56c95456f521517104a492a2227729179e982d7f"
+CATALOG_JSON_SHA256_ORDER120 = "c52c2f64f4bb8a651293468552e703944fbdca72b5a70a5bd7b600d0a0f1f9b6"
 
 
 def test_catalog_json_at_order_120_is_pinned(capsys):

@@ -74,6 +74,12 @@ def test_bad_grid_is_rejected_before_any_case_runs(probe, grids, message):
     assert probe == []
 
 
+def test_cor53_runs_points_mss_does_not():
+    # cor53 is `mss_sides` with the shift named z, so a default z grid
+    # inside mss's x grid would only compute mss's cases again
+    assert not set(registry.REGISTRY["cor53"].grids["z"]) & set(registry.REGISTRY["mss"].grids["x"])
+
+
 def test_every_declared_grid_has_a_domain():
     for spec in registry.REGISTRY.values():
         assert set(spec.grids) <= set(registry.GRID_DOMAINS), spec.ident
