@@ -128,7 +128,11 @@ def harmonic_paired_sum(t: int, n: int, order: int) -> Series:
     return _term(order, _one_minus_q(m), base=part_a.shift(n) + part_b)
 
 
-TRIPLET = {"multisum": harmonic_multisum, "single-sum": harmonic_single_sum, "paired-sum": harmonic_paired_sum}
+TRIPLET = {
+    "multisum": harmonic_multisum,
+    "single-sum": harmonic_single_sum,
+    "paired-sum": harmonic_paired_sum,
+}
 
 
 def triplet_recurrence_sides(which: str, t: int, n: int, order: int):
