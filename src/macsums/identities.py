@@ -90,7 +90,7 @@ def harmonic_multisum(t: int, n: int, order: int) -> Series:
         return Series.one(order)
     if n == 0:
         return Series.zero(order)
-    core = chain_series([(0, 1, 0, ((0, 2),))] * t, order, max_part=n)
+    core = chain_series([(0, 1, 0, ((0, 2),))] * t, order, max_part=n)[0]
     return _term(order, _one_minus_q(2 * t), base=core)
 
 
@@ -122,7 +122,7 @@ def harmonic_paired_sum(t: int, n: int, order: int) -> Series:
     # q^(k_j) at the odd positions, part b at the even ones
     part_a, part_b = (
         chain_series([(0, int(p % 2 == parity), 0, ((n if p == 1 else 0, 1),)) for p in range(1, m + 1)],
-                     order, max_part=n)
+                     order, max_part=n)[0]
         for parity in (1, 0)
     )
     return _term(order, _one_minus_q(m), base=part_a.shift(n) + part_b)
@@ -148,12 +148,12 @@ def triplet_recurrence_sides(which: str, t: int, n: int, order: int):
 
 def dilcher_sides(t: int, n: int, order: int):
     lhs = _alternating_sum(n, order, lambda k: k * (k - 1) // 2 + t * k, lambda k: (_qbin(n, k), _q_int(k, -t)))
-    rhs = _term(order, _one_minus_q(t), base=chain_series([(0, 1, 0, ((0, 1),))] * t, order, max_part=n))
+    rhs = _term(order, _one_minus_q(t), base=chain_series([(0, 1, 0, ((0, 1),))] * t, order, max_part=n)[0])
     return lhs, rhs
 
 
 def _bounded_x_multisum(t, kmax, x, order):
-    core = chain_series([(0, 1, 0, ((x, 1),))] * t, order, max_part=kmax)
+    core = chain_series([(0, 1, 0, ((x, 1),))] * t, order, max_part=kmax)[0]
     return _term(order, _one_minus_q(t), base=core)
 
 
@@ -195,7 +195,7 @@ def atid_b_sides(t: int, n: int, x: int, order: int):
     lhs = _alternating_sum(n, order, lambda k: k * (k - 1) // 2 + (x + 2 * t) * k,
                            lambda k: (_qbin(n, k), _qbin(x + k, k, -1), _q_int(k, -2 * t)))
     factors = [(0, 1, x, ((x, 1),))] + [(0, 1, 0, ((0, 1),))] * (2 * t - 1)
-    rhs = _term(order, _one_minus_q(2 * t), base=chain_series(factors, order, max_part=n))
+    rhs = _term(order, _one_minus_q(2 * t), base=chain_series(factors, order, max_part=n)[0])
     return lhs, rhs
 
 
@@ -207,7 +207,7 @@ def cor52_sides(t: int, n: int, x: int, z: int, order: int):
     # (1-q^(k+z)) cancels, and the constant 1/(q;q)_z = (1-q)^(-z)/[z]_q!
     # comes out of the chain
     first = (0, 1, 0, ((x, 1), *((d, -1) for d in range(z))))
-    core = chain_series([first] + [(0, 1, 0, ((z, 1),))] * (t - 1), order, max_part=n)
+    core = chain_series([first] + [(0, 1, 0, ((z, 1),))] * (t - 1), order, max_part=n)[0]
     rhs = _term(order, _q_factorial(z, -1), _one_minus_q(t - z), _qbin(z + n, n, -1), e=x, base=core)
     return lhs, rhs
 

@@ -10,41 +10,45 @@ main correctness instrument of this package.
 
 With x_k = q^k/(1-q^k)^2, the M series are the complete homogeneous
 functions h_t of the x_k and the MO series their elementary functions e_t:
-one suffix pass (`multisums`) builds either family for every length, and one
-self-inverse transform (`_dual`) solves the relation between them.
+one chain pass (`chain_series`, as `multisums`) builds either family for
+every length, and one self-inverse transform (`_dual`) solves the relation
+between them.
 
 Every factor k^w q^a prod (1-q^j)^(e_j) is applied on plain coefficient
 lists by the signed kernel `over_geometric_coeffs` (strided running sums
 for a denominator, strided differences for a numerator), never multiplied
-in as a built series: in `multisums`, in `chain_series`, whose factors are
-data, and on the Jacobi product side.  The one exception is x_k times the
-constant 1, the first chain level, which `multisums` writes directly as
-k-strided weights 1, 2, 3, ...
+in as a built series: in `chain_series`, whose factors are data, and on the
+Jacobi product side.  The exception is a chain's last position, which
+multiplies the constant 1: a factor there with one denominator power r is
+written directly as strided binomial weights C(j+r-1, r-1), so x_k, the
+first level of `multisums`, is the weights 1, 2, 3, ... at stride k.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
-from itertools import count, repeat
+from itertools import accumulate, repeat
 from math import comb, factorial
 from operator import add, mul, sub
 
 from .divisors import eisenstein, odd_square_product, sigma_series, theta_moment, umbral_eval
 from .reports import FrozenRecord
-from .series import Series, over_geometric_coeffs
+from .series import Series, geometric_pow, over_geometric_coeffs
 
 
 # ---------------------------------------------------------------------------
 # chain enumeration
 
 
-def chain_series(factors, order, *, strict_after=(), max_part=None):
-    """Truncated sum over chains k_1 <= k_2 <= ... <= k_m of part values >= 1,
-    of the product of the factors f_i(k_i).
+def chain_series(factors, order, *, strict_after=(), max_part=None) -> list:
+    """Every tail [R_1(1), ..., R_m(1), 1] of the truncated sum over chains
+    k_1 <= k_2 <= ... <= k_m of part values >= 1 of the product of the
+    factors f_i(k_i): the whole chain first, down to the empty chain.
 
     factors[i] = (w, c, b, powers) is the factor
     f_i(k) = k^w q^(c*k + b) / prod over (d, r) in powers of (1-q^(k+d))^r,
-    with c, b >= 0, powers nonempty and each r a nonzero integer, so a
+    with c, b, d >= 0, powers nonempty and each r a nonzero integer, so a
     negative r is a numerator factor (1-q^(k+d))^|r|.  It is applied to a
     coefficient list as kernel steps (`over_geometric_coeffs`), never built
     as a series of its own.  Positions named in strict_after (1-based)
@@ -55,39 +59,53 @@ def chain_series(factors, order, *, strict_after=(), max_part=None):
     With R_i(v) the sum over the chain tails k_i <= ... <= k_m with k_i >= v,
     R_i(v) = R_i(v+1) + f_i(v) R_(i+1)(v'), where v' = v+1 after a strict
     position and v otherwise, and R_(m+1) is the constant 1.  One pass with v
-    falling keeps one running sum per position, as `multisums` does, and
-    walks the positions last to first, so R_(i+1)(v) is already in place;
-    a strict position reads R_(i+1)(v+1) through the reference held before
-    that sum was rebound.  The series is R_1(1).
+    falling keeps one running sum per position and walks the positions last
+    to first, so R_(i+1)(v) is already in place; a strict position reads
+    R_(i+1)(v+1) through the reference held before that sum was rebound.
+    The bounds never fall along the chain, so the positions still live at v
+    are a suffix, and the finished ones before it are not visited.
+
+    The last position multiplies the constant 1.  When its factor has one
+    power (d, r) with r >= 1, f_m(v) is v^w C(j+r-1, r-1) at q^(c*v+b+j*(v+d))
+    for j >= 0: one strided add into R_m, in place and with no kernel call,
+    made after position m-1 has read R_m(v+1) when that position is strict.
     """
     m = len(factors)
     strict = set(strict_after)
-    tailw = [0] * (m + 1)
-    for i in range(m - 1, -1, -1):
-        tailw[i] = tailw[i + 1] + factors[i][1]
-    bounds = []
-    for i in range(m):
-        b = max_part
-        if tailw[i] > 0:
-            b = order // tailw[i] if b is None else min(b, order // tailw[i])
-        if b is None:
-            raise ValueError(f"chain position {i + 1} is unbounded; pass max_part")
-        bounds.append(b)
+    tailw = list(accumulate(f[1] for f in reversed(factors)))[::-1]
+    if max_part is None and 0 in tailw:
+        raise ValueError(f"chain position {tailw.index(0) + 1} is unbounded; pass max_part")
+    cap = order if max_part is None else max_part
+    bounds = [min(cap, order // w) if w else cap for w in tailw]
 
-    one = [1] + [0] * order
-    acc = [[0] * (order + 1)] * m + [one]  # one running sum per position, rebound, never mutated
+    acc = [[0] * (order + 1)] * m + [[1] + [0] * order]  # one running sum per position
+    direct = m > 0 and len(factors[-1][3]) == 1 and factors[-1][3][0][1] >= 1
+    if direct:
+        lw, lc, lb, ((ld, lr),) = factors[-1]
+        weights = geometric_pow(1, lr, order).coeffs
+        last = acc[m - 1] = [0] * (order + 1)  # the one sum written in place
+
+    def write_last(v):
+        s, k = lc * v + lb, v + ld
+        last[s::k] = map(add, last[s::k], weights if lw == 0 else map(mul, weights, repeat(v**lw)))
+
+    late = direct and (m - 1) in strict
     for v in range(max(bounds, default=0), 0, -1):
-        above = one  # acc[i + 1] as it stood at v + 1, read after a strict position
-        for i in range(m - 1, -1, -1):
+        if direct and not late:
+            write_last(v)
+        above = acc[m - direct]  # acc[i + 1] as it stood at v + 1, read after a strict position
+        for i in range(m - 1 - direct, bisect_left(bounds, v) - 1, -1):
             nxt = above if (i + 1) in strict else acc[i + 1]
             above = acc[i]
-            if v <= bounds[i] and any(nxt):
+            if any(nxt):
                 w, c, b, ((d, r), *rest) = factors[i]
                 nxt = over_geometric_coeffs(nxt, v + d, r, c * v + b)
                 for d, r in rest:
                     nxt = over_geometric_coeffs(nxt, v + d, r)
                 acc[i] = list(map(add, above, nxt if w == 0 else map(mul, nxt, repeat(v**w))))
-    return Series(acc[0], order)
+        if late:
+            write_last(v)
+    return [Series(a, order) for a in acc]
 
 
 # ---------------------------------------------------------------------------
@@ -96,35 +114,12 @@ def chain_series(factors, order, *, strict_after=(), max_part=None):
 
 def multisums(T: int, order: int, strict: bool = False) -> list:
     """[h_1, ..., h_T] (weak chains, the M family), or [e_1, ..., e_T]
-    (strict chains, the MO family) when strict is set, from one suffix pass
-    over the chain states.
-
-    With x_k = q^k/(1-q^k)^2, H_s(v) sums x_(k_1)...x_(k_s) over
-    v <= k_1 <= ... <= k_s and E_s(v) over v <= k_1 < ... < k_s:
-    H_s(v) = H_s(v+1) + x_v H_(s-1)(v) and E_s(v) = E_s(v+1) + x_v E_(s-1)(v+1),
-    so the levels s are updated upward for weak chains and downward for
-    strict ones.  Both vanish through q^order once s*v > order; the series
-    are the levels at v = 1.
-    """
+    (strict chains, the MO family) when strict is set: the tails of one
+    `chain_series` pass over T factors x_k = q^k/(1-q^k)^2, in reverse and
+    without the empty chain.  Level 1 is the chain's direct last write."""
     if T < 0:
         raise ValueError("T >= 0")
-    # row[s] = coefficients of level s at v + 1, then at v, updated in place;
-    # plain lists, so no intermediate level is normalized as a Series.  Only
-    # levels 1..min(T, order) are ever written, so the rest share one list.
-    written = min(T, order)
-    row = [[1] + [0] * order] + [[0] * (order + 1) for _ in range(written)]
-    row += [[0] * (order + 1)] * (T - written)
-    for v in range(order, 0, -1):
-        levels = range(1, min(T, order // v) + 1)
-        for s in reversed(levels) if strict else levels:
-            here = row[s]
-            if s == 1:
-                # row[0] is the constant 1, so level 1 gains x_v itself:
-                # m q^(mv) for every m >= 1
-                here[v::v] = map(add, here[v::v], count(1))
-            else:
-                here[:] = map(add, here, over_geometric_coeffs(row[s - 1], v, 2, v))
-    return [Series(c, order) for c in row[1:]]
+    return chain_series([(0, 1, 0, ((0, 2),))] * T, order, strict_after=range(1, T) if strict else ())[-2::-1]
 
 
 def weak_multisum(t: int, order: int) -> Series:
@@ -186,7 +181,7 @@ def m_conjugate_form(t: int, order: int) -> Series:
     if t < 1:
         raise ValueError("t >= 1")
     odd, even = (0, 1, 0, ((0, 1),)), (0, 0, 0, ((0, 1),))
-    return chain_series([(1, 1, 0, ((0, 1),))] + [even, odd] * (t - 1), order)
+    return chain_series([(1, 1, 0, ((0, 1),))] + [even, odd] * (t - 1), order)[0]
 
 
 def mo_slot_bound(t: int, order: int) -> int:
@@ -547,4 +542,4 @@ def conjugate_chain_m_form(t: int, order: int) -> Series:
     # ascending position pos holds original index m + 1 - pos
     factors = [(0, 0, 0, ((0, 1),))] * (m - 1) + [(0, 1, 0, ((0, 2),))]
     strict = [pos for pos in range(1, m) if (m + 1 - pos) % 2 == 0]
-    return chain_series(factors, order, strict_after=strict)
+    return chain_series(factors, order, strict_after=strict)[0]

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_multisum, failed_cases, geometric_factor, naive_mul
-from macsums import macmahon, registry, series
+from macsums import identities, macmahon, registry, series
 from macsums.divisors import eisenstein, sigma_series, theta_moment
 from macsums.macmahon import (
     CLOSED_FORMS,
@@ -60,16 +60,16 @@ def test_weak_multisum_matches_brute_force():
 
 @pytest.mark.parametrize("order, T, strict", [
     pytest.param(order, T, strict, id=f"{order}-{T}" + ("-strict" if strict else ""))
-    for order, T in [(0, 3), (1, 4), (30, 34), (60, 8)]
+    for order, T in [(0, 3), (1, 4), (12, 14), (16, 8)]
     for strict in (False, True)
 ])
 def test_weak_multisums_match_chain_series(order, T, strict):
+    # multisums is one chain_series pass, so the reference is the tuple walk
+    # of conftest, with levels past the order (T > order) among them
     hs = multisums(T, order, strict=strict)
     assert len(hs) == T
     for t, h in enumerate(hs, 1):
-        strict_after = range(1, t) if strict else ()
-        ref = chain_series([(0, 1, 0, ((0, 2),))] * t, order, strict_after=strict_after)
-        assert h == ref, t
+        assert h.coeffs == brute_multisum(t, order, strict), t
 
 
 def chain_walk(factors, order, strict_after, max_part):
@@ -105,20 +105,27 @@ def chain_walk(factors, order, strict_after, max_part):
 @given(st.data())
 def test_chain_series_matches_a_tuple_walk(data):
     # factors k^w q^(c k + b) / prod (1-q^(k+d))^r, numerator powers (r < 0)
-    # among them
+    # among them; every tail is the walk of its own factors
     order = data.draw(st.integers(0, 24), label="order")
-    powers = st.lists(st.tuples(st.integers(0, 2), st.integers(1, 2) | st.integers(-2, -1)), min_size=1, max_size=2)
-    factors = data.draw(
-        st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(0, 2), powers.map(tuple)), max_size=4),
-        label="factors",
-    )
+    power = st.tuples(st.integers(0, 2), st.integers(1, 2) | st.integers(-2, -1))
+    factor = lambda powers, low=0: st.tuples(st.integers(low, 2), st.integers(0, 1), st.integers(low, 2), powers)
+    # a last factor with one power r >= 1 is written directly (here with w, b,
+    # d > 0), one with two powers or r < 0 through the kernel
+    direct = factor(st.tuples(st.tuples(st.integers(1, 2), st.integers(1, 3))), low=1)
+    kernel = factor(st.tuples(power, power) | st.tuples(st.tuples(st.integers(0, 2), st.integers(-2, -1))))
+    powers = st.lists(power, min_size=1, max_size=2).map(tuple)
+    factors = data.draw(st.lists(factor(powers), max_size=3), label="factors")
+    factors += data.draw(st.lists(direct | kernel, max_size=1), label="last")
     m = len(factors)
     strict_after = data.draw(st.sets(st.integers(1, m - 1)) if m > 1 else st.just(set()), label="strict_after")
     # the valuation weights c sum to 0 over a tail exactly when the last position's is 0
     bounded = st.integers(1, 8) if m and factors[-1][1] == 0 else st.none() | st.integers(1, order + 2)
     max_part = data.draw(bounded, label="max_part")
-    got = chain_series(factors, order, strict_after=strict_after, max_part=max_part)
-    assert got.coeffs == chain_walk(factors, order, strict_after, max_part)
+    tails = chain_series(factors, order, strict_after=strict_after, max_part=max_part)
+    assert len(tails) == m + 1 and tails[-1] == Series.one(order)
+    for i in range(m):
+        shifted = {p - i for p in strict_after if p > i}
+        assert tails[i].coeffs == chain_walk(factors[i:], order, shifted, max_part), i
 
 
 def test_chain_series_rejects_an_unbounded_or_mismatched_chain():
@@ -158,11 +165,12 @@ def count_products(monkeypatch):
 
 
 def count_chain_series(monkeypatch):
+    """Record whether each chain_series call from here on is strict."""
     calls = []
     chain = macmahon.chain_series
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls.append(bool(kwargs.get("strict_after")))
         return chain(*args, **kwargs)
 
     monkeypatch.setattr(macmahon, "chain_series", counted)
@@ -183,14 +191,15 @@ def test_dual_is_an_involution(order_rows):
 def test_symmetric_route_shares_chain_levels(monkeypatch):
     # mo_from_m solves e from the single sums: T(T+1)/2 products and no
     # chain walk; rebuilding every m_recurrence(s) took 10 chain_series
-    # calls and 599 products
+    # calls and 599 products.  The relation takes every level of one weak
+    # and one strict pass.
     chains = count_chain_series(monkeypatch)
     products = count_products(monkeypatch)
     mo_from_m(4, 40)
     assert chains == [] and 0 < len(products) <= 20
     products.clear()
     symmetric_relation_sides(4, 40)
-    assert chains == [] and 0 < len(products) < 250
+    assert sorted(chains) == [False, True] and 0 < len(products) < 250
 
 
 def test_multisums_form_no_series_products(monkeypatch):
@@ -215,6 +224,22 @@ def test_multisums_write_level_one_without_the_kernel(monkeypatch):
     multisums(3, 800)
     assert len(levels) == 666
     assert Counter(levels) == {2: 400, 3: 266}
+
+
+def test_identity_chains_write_the_last_position_without_the_kernel(monkeypatch):
+    # the last position multiplies the constant 1, so a kernel call there
+    # would read a nonzero constant term; the positions before it read
+    # chains with valuation >= v
+    constants = []
+    kernel = macmahon.over_geometric_coeffs
+
+    def spy(coeffs, k, r, shift=0):
+        constants.append(coeffs[0])
+        return kernel(coeffs, k, r, shift)
+
+    monkeypatch.setattr(macmahon, "over_geometric_coeffs", spy)
+    identities.harmonic_multisum(3, 8, 200)
+    assert constants and not any(constants)
 
 
 def test_multisums_far_past_the_order():

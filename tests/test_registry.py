@@ -125,6 +125,25 @@ def test_agreement_catches_a_multisum_level_corrupted_at_depth(monkeypatch, leve
     assert all(not r.passed for r in reports if r.params["t"] == level)
 
 
+def test_agreement_catches_a_corrupted_direct_chain_write(monkeypatch):
+    # the chain engine writes its last position from the binomial weights
+    # C(j+r-1, r-1); one bumped low weight changes h_1 at q^2 and every level
+    # above it, and the conjugate chain's own last write.  The single-sum and
+    # theta routes share no code with the engine, so they catch it at every t.
+    weights = macmahon.geometric_pow
+
+    def bumped(k, r, order, shift=0):
+        coeffs = list(weights(k, r, order, shift).coeffs)
+        coeffs[1] += 1
+        return Series(coeffs, order)
+
+    monkeypatch.setattr(macmahon, "geometric_pow", bumped)
+    for ident_id, independent in (("V-agreement", "single-sum"), ("U-agreement", "andrews-rose")):
+        reports = registry.run_identity(ident_id, {}, 60)
+        rows = {r.params["t"]: r.passed for r in reports if r.params["formula"] == independent}
+        assert rows == {1: False, 2: False, 3: False}, ident_id
+
+
 def test_catalog_builds_no_inverse_series(monkeypatch):
     # a q-rational term is one exact division of its numerator by its
     # denominator, never an inverse series multiplied back in
