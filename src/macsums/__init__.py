@@ -1,8 +1,8 @@
 """macsums: exact q-series arithmetic for MacMahon-type generalized divisor
 sums, with an identity catalog and a congruence scanner."""
 
-from .series import Series, euler_function, geometric_pow
-from .qcombo import IntPoly, q_binomial, q_factorial, q_int, stirling1_unsigned
+from .series import Series, geometric_pow
+from .qcombo import stirling1_unsigned
 from .divisors import eisenstein, sigma, sigma_series, theta_moment
 from .macmahon import (
     coefficient_table,
@@ -15,17 +15,12 @@ from .macmahon import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "IntPoly",
     "Series",
     "coefficient_table",
     "eisenstein",
-    "euler_function",
     "geometric_pow",
     "m_single_sum",
     "mo_andrews_rose",
-    "q_binomial",
-    "q_factorial",
-    "q_int",
     "sigma",
     "sigma_series",
     "stirling1_unsigned",

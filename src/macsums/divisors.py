@@ -5,7 +5,8 @@ All generating functions return exact integer-coefficient Series.  The tail
 products of `dilcher_r` and the 1/(q;q)_m of `alternating_tail_quotient`
 are one coefficient list each, taking one signed-kernel step
 (`over_geometric_coeffs`) per m, with no division.  An umbral
-polynomial is a `qcombo.IntPoly` read in one formal symbol X; evaluating it
+polynomial is a tuple of integer coefficients, constant term first
+(`qcombo.poly_from_roots`), read in one formal symbol X; evaluating it
 replaces each power X^s by the s-th member of a family, which is any function
 (s, order) -> Series such as `sigma_series`, `theta_moment` or `dilcher_r`.
 """
@@ -16,7 +17,7 @@ from itertools import repeat
 from math import isqrt
 from operator import add, mul, sub
 
-from .qcombo import IntPoly, poly_from_roots
+from .qcombo import poly_from_roots
 from .series import Series, geometric_pow, over_geometric_coeffs
 
 
@@ -107,34 +108,35 @@ def theta_moment(s: int, order: int) -> Series:
 # umbral evaluation
 
 
-def umbral_eval(p: IntPoly, family, order: int) -> Series:
+def umbral_eval(p: tuple, family, order: int) -> Series:
     """Replace each X^s in the polynomial p by family(s, order) and sum.
 
-    The variable of p is read as the umbral symbol X; its products have
-    already been multiplied out, so only the coefficients reach the series.
+    p is a tuple of integer coefficients, constant term first, read in the
+    umbral symbol X; its products have already been multiplied out, so only
+    the coefficients reach the series.
     """
     acc = Series.zero(order)
-    for s, c in enumerate(p.coeffs):
+    for s, c in enumerate(p):
         if c:
             acc = acc + family(s, order) * c
     return acc
 
 
-def odd_square_product(t: int) -> IntPoly:
+def odd_square_product(t: int) -> tuple:
     """X*(X^2-1^2)(X^2-3^2)...(X^2-(2t-1)^2), degree 2t+1."""
     return poly_from_roots([0, *(s * (2 * i - 1) for i in range(1, t + 1) for s in (1, -1))])
 
 
-def square_product(t: int) -> IntPoly:
+def square_product(t: int) -> tuple:
     """X*(X^2-1^2)(X^2-2^2)...(X^2-(t-1)^2), degree 2t-1."""
     return poly_from_roots([0, *(s * i for i in range(1, t) for s in (1, -1))])
 
 
-def lower_factorial(t: int) -> IntPoly:
+def lower_factorial(t: int) -> tuple:
     """(X-1)(X-2)...(X-(t-1)); the empty product for t = 1."""
     return poly_from_roots(range(1, t))
 
 
-def raising_factorial(t: int) -> IntPoly:
+def raising_factorial(t: int) -> tuple:
     """X(X+1)(X+2)...(X+t-1), t factors."""
     return poly_from_roots(range(0, -t, -1))

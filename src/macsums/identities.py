@@ -20,7 +20,6 @@ from fractions import Fraction
 from math import comb, factorial, prod
 
 from .macmahon import chain_series
-from .qcombo import gbinom
 from .series import Series, over_geometric_coeffs
 
 
@@ -335,13 +334,23 @@ def rational_triplet_sums(t: int, n: int):
 # WZ certificate walks: each returns its first failing step, or None
 
 
+def _running_binomials(z: Fraction, kmax: int) -> list:
+    """[C(z+k, k) for k = 0..kmax], each from the one before:
+    C(z+k, k) = C(z+k-1, k-1) (z+k)/k."""
+    out = [Fraction(1)]
+    for k in range(1, kmax + 1):
+        out.append(out[-1] * (z + k) / k)
+    return out
+
+
 def wz_master_failure(z, nmax: int) -> str | None:
     """Certificate for the binomial sum used by the master lemma:
     F(m,k) = C(z+k,k)/(z+k) * C(k,m), G(m,k) = F(m,k)(k-m)/(z+m)."""
     z = Fraction(z)
+    binom = _running_binomials(z, nmax + 1)
 
     def F(m, k):
-        return gbinom(z + k, k) / (z + k) * comb(k, m)
+        return binom[k] / (z + k) * comb(k, m)
 
     def G(m, k):
         return F(m, k) * (k - m) / (z + m)
@@ -355,7 +364,7 @@ def wz_master_failure(z, nmax: int) -> str | None:
                 return f"pair relation fails at m={m}, k={k}"
             total += F(m, k)
             # telescoping closed form at every endpoint n = k
-            closed = gbinom(z + k, k) / (z + m) * comb(k, m)
+            closed = binom[k] / (z + m) * comb(k, m)
             if total != closed:
                 return f"telescoped sum fails at m={m}, n={k}"
     return None
@@ -368,9 +377,10 @@ def wz_cor32_failure(x, nmax: int) -> str | None:
     F(n,k) = G(n,k) - G(n,k+1) with G(n,k) = (x+k)/(x+n) F(n,k).
     """
     x = Fraction(x)
+    binom = _running_binomials(x, nmax + 1)
 
     def F(n, k):
-        s = Fraction(comb(n, k)) / gbinom(x + k, k)
+        s = comb(n, k) / binom[k]
         return s if k % 2 else -s
 
     def G(n, k):

@@ -27,14 +27,13 @@ first level of `multisums`, is the weights 1, 2, 3, ... at stride k.
 from __future__ import annotations
 
 from bisect import bisect_left
-from fractions import Fraction
 from itertools import accumulate, repeat
 from math import comb, factorial
 from operator import add, mul, sub
 
 from .divisors import eisenstein, odd_square_product, sigma_series, theta_moment, umbral_eval
 from .reports import FrozenRecord
-from .series import Series, geometric_pow, over_geometric_coeffs
+from .series import Series, geometric_pow, inexact_quotient, over_geometric_coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +241,7 @@ def mo_andrews_rose_many(ts, order: int):
         for i, c in enumerate(packed):
             v, rem = divmod(c >> shift, 2 * t + 1)
             if rem:
-                raise ArithmeticError(
-                    f"non-integer coefficient {Fraction(c >> shift, 2 * t + 1)} at q^{i}: formula transcription error"
-                )
+                raise inexact_quotient(c >> shift, 2 * t + 1, i)
             out.append(v)
             if mask is not None:
                 packed[i] = c & mask
@@ -266,22 +263,17 @@ def mo_andrews_rose(t: int, order: int) -> Series:
 
 def mo_umbral(t: int, order: int) -> Series:
     """Umbral route for the MO family: expand X(X^2-1^2)...(X^2-(2t-1)^2),
-    substitute the theta family, divide by its first member, and scale by
-    (-1)^t / (4^t (2t+1)!)."""
+    substitute the theta family, divide by its first member, and divide
+    exactly by (-1)^t 4^t (2t+1)!; a remainder is a transcription error."""
     if t < 1:
         raise ValueError("t >= 1")
     combo = umbral_eval(odd_square_product(t), theta_moment, order)
-    scale = Fraction((-1) ** t, 4**t * factorial(2 * t + 1))
-    out = combo / theta_moment(1, order) * scale
-    for i, c in enumerate(out.coeffs):
-        if not isinstance(c, int):
-            raise ArithmeticError(f"non-integer coefficient {c} at q^{i}: formula transcription error")
-    return out
+    return combo / theta_moment(1, order) / ((-1) ** t * 4**t * factorial(2 * t + 1))
 
 
 def mo_recurrence(t: int, order: int) -> Series:
     """Closed first-order recurrence for the MO family, seeded with the
-    divisor-sum series at t = 1."""
+    divisor-sum series at t = 1; each step divides exactly by 2s(2s+1)."""
     if t < 1:
         raise ValueError("t >= 1")
     u = sigma_series(1, order)
@@ -289,7 +281,7 @@ def mo_recurrence(t: int, order: int) -> Series:
         return u
     u1 = u
     for s in range(2, t + 1):
-        u = ((6 * u1 + s * (s - 1)) * u - 2 * u.q_derivative()) * Fraction(1, 2 * s * (2 * s + 1))
+        u = ((6 * u1 + s * (s - 1)) * u - 2 * u.q_derivative()) / (2 * s * (2 * s + 1))
     return u
 
 
@@ -374,10 +366,12 @@ def coefficient_values(family: str, ts, order: int, formula: str | None = None):
     in one packed division (`mo_andrews_rose_many`); every other formula
     builds one t at a time.  No yielded table is kept here, so a caller
     that drops each table before asking for the next holds one at a time.
-    Integrality and the vanishing of the leading window (every n below
-    `leading_window`) are asserted for every table.  A t whose leading
-    window passes the order gets the zero table that assertion proves,
-    without running the route: some routes take time growing with t.
+    The values are ints by construction, since every exact division in a
+    route raises on a remainder; the vanishing of the leading window
+    (every n below `leading_window`) is asserted for every table.  A t
+    whose leading window passes the order gets the zero table that
+    assertion proves, without running the route: some routes take time
+    growing with t.
     """
     if family not in ("M", "MO"):
         raise ValueError(f"unknown family {family!r}; use M or MO")
@@ -394,9 +388,6 @@ def coefficient_values(family: str, ts, order: int, formula: str | None = None):
         tables = ((t, table[formula](t, order).coeffs) for t in live)
     for t in ts:
         vals = [0] * (order + 1) if t in vanishing else next(tables)[1]
-        if set(map(type, vals)) != {int}:  # one C-level scan; find the culprit only on failure
-            n, c = next((n, c) for n, c in enumerate(vals) if type(c) is not int)
-            raise ArithmeticError(f"{family}({t},{n}) is not an integer: {c}")
         for n in range(min(leading_window(family, t), order + 1)):
             if vals[n] != 0:
                 raise ArithmeticError(f"{family}({t},{n}) = {vals[n]} below the minimal partition size")
@@ -428,12 +419,12 @@ def _sigma_combination(order, combos):
 
 def _ode_v2(order):
     v1, v2 = multisums(2, order)
-    return v2, ((7 * v1 - 1) * v1 + v1.q_derivative()) * Fraction(1, 10)
+    return v2, ((7 * v1 - 1) * v1 + v1.q_derivative()) / 10
 
 
 def _ode_v3(order):
     v1, v2, v3 = multisums(3, order)
-    return v3, ((19 * v1 - 3) * v2 - 4 * v1**3 + v1 * v1 + v2.q_derivative()) * Fraction(1, 21)
+    return v3, ((19 * v1 - 3) * v2 - 4 * v1**3 + v1 * v1 + v2.q_derivative()) / 21
 
 
 def _sigma1_convolution(order):
@@ -448,19 +439,19 @@ CLOSED_FORMS = {
     "V3_ode": _ode_v3,
     "V3_sigma": lambda order: (weak_multisum(3, order), _sigma_combination(order, [
         (lambda n: 40 * n * n + 60 * n + 9, 1), (lambda n: -70 * (n + 1), 3), (lambda n: 31, 5),
-    ]) * Fraction(1, 1920)),
+    ]) / 1920),
     "U3mV3_sigma": lambda order: (strict_multisum(3, order) - weak_multisum(3, order), _sigma_combination(
         order, [(lambda n: -160 * n + 28, 1), (lambda n: 40 * n + 120, 3), (lambda n: -28, 5)],
-    ) * Fraction(1, 1920)),
+    ) / 1920),
     "U4_sigma": lambda order: (strict_multisum(4, order), _sigma_combination(order, [
         (lambda n: -840 * n**3 + 5880 * n**2 - 9870 * n + 3229, 1), (lambda n: 756 * n**2 - 4410 * n + 4935, 3),
         (lambda n: -126 * n + 441, 5), (lambda n: 5, 7),
-    ]) * Fraction(1, 967680)),
+    ]) / 967680),
     "MO251": _sigma1_convolution,
     "excess_V2U2": lambda order: (weak_multisum(2, order) - strict_multisum(2, order),
-                                  (sigma_series(3, order) - sigma_series(1, order)) * Fraction(1, 6)),
+                                  (sigma_series(3, order) - sigma_series(1, order)) / 6),
     "V1_E2": lambda order: (weak_multisum(1, order),
-                            (Series.one(order) - eisenstein("E2", order)) * Fraction(1, 24)),
+                            (Series.one(order) - eisenstein("E2", order)) / 24),
 }
 
 

@@ -260,7 +260,9 @@ def known_ids():
 def run_identity(ident_id: str, grids: dict, order: int) -> list[IdentityReport]:
     """Every case of one identity over the product of its grids: the values
     passed in `grids`, the declared defaults for grids not passed.  The grids
-    are checked before any case runs; a bad one raises GridError."""
+    are checked before any case runs; a bad one raises GridError.  A case
+    whose exact division leaves a remainder (ArithmeticError, not a zero
+    division or an overflow) fails with the error's message as its note."""
     spec = REGISTRY[ident_id]
     undeclared = sorted(set(grids) - set(spec.grids))
     if undeclared:
@@ -277,6 +279,12 @@ def run_identity(ident_id: str, grids: dict, order: int) -> list[IdentityReport]
     out = []
     for values in itertools.product(*walk):
         point = dict(zip(spec.grids, values))
+        try:
+            comparisons = spec.case(order, **point)
+        except (ZeroDivisionError, OverflowError):
+            raise
+        except ArithmeticError as exc:  # an exact division left a remainder: a side is not what it claims
+            comparisons = [dict(failure=str(exc))]
         out.extend(_report(**{"ident": ident_id, "order": order, "params": point, **comparison})
-                   for comparison in spec.case(order, **point))
+                   for comparison in comparisons)
     return out

@@ -1,41 +1,37 @@
 """Exact truncated power series in one variable q.
 
 A Series stores the coefficients of q^0..q^N for an explicit truncation
-order N.  Coefficients are exact rationals (Python int, or Fraction when a
-value is not integral); nothing is ever rounded.  Binary operations
-truncate to the smaller operand order, and no operation silently extends a
-series beyond the coefficients it was constructed with.
+order N.  Coefficients are Python ints: the paper's series all have
+integer coefficients, and an exact division that would leave a remainder
+raises instead of producing a rational.  Binary operations truncate to the
+smaller operand order, and no operation silently extends a series beyond
+the coefficients it was constructed with.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate, compress, count, repeat
-from math import comb
+from math import comb, gcd
 from operator import add, itemgetter, sub
 
 
-def _norm(c):
-    # collapse integral Fractions so equality stays structural
-    if type(c) is Fraction and c.denominator == 1:
-        return c.numerator
-    return c
-
-
-def _is_exact_scalar(c):
-    return isinstance(c, (int, Fraction)) and not isinstance(c, bool)
+def inexact_quotient(value: int, d: int, at: int) -> ArithmeticError:
+    """The error of an exact division whose quotient value/d at q^at is not
+    an integer; it names that quotient in lowest terms."""
+    g = gcd(value, d) if d > 0 else -gcd(value, d)
+    return ArithmeticError(f"non-integer coefficient {value // g}/{d // g} at q^{at}")
 
 
 class Series:
-    """Coefficient prefix of a formal power series, with exact arithmetic."""
+    """Coefficient prefix of a formal power series with integer coefficients."""
 
     __slots__ = ("coeffs", "order")
 
     def __init__(self, coeffs, order=None):
         coeffs = list(coeffs)
-        # one C-level type scan: a list of plain ints has nothing to normalise
-        if set(map(type, coeffs)) != {int}:
-            coeffs = [_norm(c) for c in coeffs]
+        if not set(map(type, coeffs)) <= {int}:  # one C-level type scan; find the culprit only on failure
+            i, c = next((i, c) for i, c in enumerate(coeffs) if type(c) is not int)
+            raise TypeError(f"Series coefficients are ints; got {c!r} at q^{i}")
         if order is None:
             if not coeffs:
                 raise ValueError("empty coefficient list needs an explicit order")
@@ -75,16 +71,6 @@ class Series:
     def __getitem__(self, n):
         return self.coeffs[n]
 
-    def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
-
-    def valuation(self):
-        """Lowest exponent with a nonzero coefficient, or None for zero."""
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        return None
-
     def __eq__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
@@ -120,12 +106,7 @@ class Series:
         return f"Series({body}; order={self.order})"
 
     # ------------------------------------------------------------------
-    # truncation and shifts (always explicit)
-
-    def truncate(self, order):
-        if order > self.order:
-            raise ValueError("cannot extend a series by truncation")
-        return Series(self.coeffs[: order + 1], order)
+    # shifts (always explicit)
 
     def shift(self, k):
         """Multiply by q^k; order is preserved, the top k coefficients drop."""
@@ -142,7 +123,7 @@ class Series:
     # ring operations
 
     def __add__(self, other):
-        if _is_exact_scalar(other):
+        if type(other) is int:
             c = list(self.coeffs)
             c[0] = c[0] + other
             return Series(c, self.order)
@@ -155,7 +136,7 @@ class Series:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if _is_exact_scalar(other):
+        if type(other) is int:
             return self.__add__(-other)
         if not isinstance(other, Series):
             return NotImplemented
@@ -170,7 +151,7 @@ class Series:
         return Series([-c for c in self.coeffs], self.order)
 
     def __mul__(self, other):
-        if _is_exact_scalar(other):
+        if type(other) is int:
             if other == 0:
                 return Series.zero(self.order)
             return Series([c * other for c in self.coeffs], self.order)
@@ -209,40 +190,43 @@ class Series:
         return result
 
     def __truediv__(self, other):
-        """Quotient by a series with a nonzero constant term.
+        """Exact quotient by a nonzero int, or by a series with a nonzero
+        constant term d; a coefficient that would not be an integer raises
+        ArithmeticError naming its q^i.
 
-        The quotient is solved divide and conquer over q^0..q^N (`_divide`):
-        solve the lower half, subtract its contributions from the upper
-        half (a Kronecker-packed middle product when both are narrow
-        integers, `_middle_product`), then solve the upper half.  Spans of
-        at most `LEAF` coefficients, and every node that cannot pack, run
-        the term-by-term loop over the divisor's nonzero terms (`_leaf`).
+        The series quotient is solved divide and conquer over q^0..q^N
+        (`_divide`): solve the lower half, subtract its contributions from
+        the upper half (a Kronecker-packed middle product, `_middle_product`),
+        then solve the upper half.  Spans of at most `LEAF` coefficients, and
+        every node whose lanes would be too wide to pack, run the term-by-term
+        loop over the divisor's nonzero terms (`_leaf`).  Signs are moved so
+        that d > 0; a unit divisor (d = 1) then needs no division at all, and
+        any other d divides each solved coefficient exactly.
         """
+        if type(other) is int:
+            if other == 0:
+                raise ZeroDivisionError("division of a series by zero")
+            out = [c // other for c in self.coeffs]
+            for i, (c, v) in enumerate(zip(self.coeffs, out)):
+                if v * other != c:
+                    raise inexact_quotient(c, other, i)
+            return Series(out, self.order)
         if not isinstance(other, Series):
             return NotImplemented
         n = min(self.order, other.order)
         a, b = self.coeffs, other.coeffs
-        if b[0] == 0:
+        d = b[0]
+        if d == 0:
             raise ZeroDivisionError("non-unit series: constant term is zero")
-        inv0 = _norm(Fraction(1) / Fraction(b[0]))
-        tail = [(i, c) for i, c in enumerate(b[1 : n + 1], 1) if c]
-        out = a[: n + 1]  # partial sums, solved in place
-        packable = n >= LEAF and all(type(c) is int for _, c in tail)  # a single leaf never packs
-        _divide(out, tail, inv0, 0, n + 1, packable)
+        s = -1 if d < 0 else 1  # a / b = (s a) / (s b)
+        tail = [(i, s * c) for i, c in enumerate(b[1 : n + 1], 1) if c]
+        out = a[: n + 1] if s == 1 else [-c for c in a[: n + 1]]  # partial sums, solved in place
+        _divide(out, tail, s * d, 0, n + 1)
         return Series(out, n)
-
-    def invert(self):
-        """Multiplicative inverse; requires a nonzero constant term."""
-        return Series.one(self.order) / self
 
     def q_derivative(self):
         """Apply q*d/dq: the coefficient of q^n becomes n times itself."""
         return Series([i * c for i, c in enumerate(self.coeffs)], self.order)
-
-    def over_geometric(self, k, r, shift=0):
-        """self * q^shift/(1-q^k)^r, without building the factor; see
-        `over_geometric_coeffs`."""
-        return Series(over_geometric_coeffs(self.coeffs, k, r, shift), self.order)
 
 
 # Series division, measured on the theta quotient at N = 20000 (a 199-term
@@ -258,29 +242,30 @@ LEAF = 128
 LANE_MAX = 32
 
 
-def _divide(out, tail, inv0, lo, hi, packable):
+def _divide(out, tail, d, lo, hi):
     """Solve out[lo:hi] in place for `Series.__truediv__`.
 
     On entry out[m] holds the dividend's coefficient less the
     contributions of every solved out[j], j < lo; `tail` lists the
-    divisor's nonzero (i, c), i >= 1, and `packable` says every c is an
-    int.  No closure refers back to this function, so a division leaves
-    no reference cycle behind.
+    divisor's nonzero (i, c), i >= 1, and d > 0 is its constant term.  No
+    closure refers back to this function, so a division leaves no
+    reference cycle behind.
     """
     if hi - lo <= LEAF:
-        _leaf(out, tail, inv0, lo, lo, hi)
+        _leaf(out, tail, d, lo, lo, hi)
         return
     mid = (lo + hi) // 2
-    _divide(out, tail, inv0, lo, mid, packable)
-    if not (packable and _middle_product(out, tail, lo, mid, hi)):
-        _leaf(out, tail, inv0, lo, mid, hi)
+    _divide(out, tail, d, lo, mid)
+    if not _middle_product(out, tail, lo, mid, hi):
+        _leaf(out, tail, d, lo, mid, hi)
         return
-    _divide(out, tail, inv0, mid, hi, packable)
+    _divide(out, tail, d, mid, hi)
 
 
-def _leaf(out, tail, inv0, lo, start, hi):
+def _leaf(out, tail, d, lo, start, hi):
     """Solve out[start:hi] term by term, subtracting the contributions of
-    out[lo:m] from each out[m]: one multiply and one subtract per pair."""
+    out[lo:m] from each out[m]: one multiply and one subtract per pair, then
+    the exact division by d unless d = 1."""
     for m in range(start, hi):
         acc = out[m]
         k = m - lo
@@ -288,7 +273,12 @@ def _leaf(out, tail, inv0, lo, start, hi):
             if i > k:
                 break
             acc -= c * out[m - i]
-        out[m] = _norm(acc * inv0) if acc else 0
+        if d != 1:
+            q, rem = divmod(acc, d)
+            if rem:
+                raise inexact_quotient(acc, d, m)
+            acc = q
+        out[m] = acc
 
 
 def _middle_product(out, tail, lo, mid, hi):
@@ -301,15 +291,12 @@ def _middle_product(out, tail, lo, mid, hi):
     what out[mid + e] needs taken off: one C-level pass per term does a
     whole run of pairs.  Lanes are signed, and every lane of the sum fits
     in w bits as value bits + bits of sum |c| + a sign bit.  Returns False,
-    changing nothing, when the lower half is not all int or a lane would be
-    wider than LANE_MAX bytes.
+    changing nothing, when a lane would be wider than LANE_MAX bytes.
     """
     from bisect import bisect_left  # imported here, off the start-up path
     from struct import unpack
 
     low = out[lo:mid]
-    if set(map(type, low)) != {int}:
-        return False
     terms = tail[: bisect_left(tail, hi - lo, key=itemgetter(0))]
     top = max(max(low), -min(low))
     if not (top and terms):
@@ -406,22 +393,4 @@ def geometric_pow(k: int, r: int, order: int, shift: int = 0) -> Series:
     out = [0] * (order + 1)
     for m in range((order - shift) // k + 1):
         out[shift + k * m] = comb(m + r - 1, r - 1)
-    return Series(out, order)
-
-
-def euler_function(order: int) -> Series:
-    """Product of (1-q^k) for k >= 1, via the pentagonal number expansion."""
-    out = [0] * (order + 1)
-    out[0] = 1
-    m = 1
-    while True:
-        g = m * (3 * m - 1) // 2
-        if g > order:
-            break
-        s = -1 if m % 2 else 1
-        out[g] += s
-        g2 = m * (3 * m + 1) // 2
-        if g2 <= order:
-            out[g2] += s
-        m += 1
     return Series(out, order)

@@ -2,16 +2,20 @@
 
 Everything here is deliberately naive and independent of the library's own
 algorithms: dense polynomial products, direct tuple enumeration, recursive
-partition counting.  Expected values in the tests either come from these
-oracles or were checked by hand.  `failed_cases` is the one shortcut into
-the library: the identity catalog's runner, narrowed to its failures.
+partition counting, the pentagonal expansion of the Euler product, and the
+q-Pascal reference (`IntPoly`, `q_int`, `q_factorial`, `q_binomial`) that
+the kernel-step builders of the q-rational factors are checked against.
+Expected values in the tests either come from these oracles or were checked
+by hand.  `failed_cases` is the one shortcut into the library: the identity
+catalog's runner, narrowed to its failures.
 """
 
-from fractions import Fraction
+from functools import lru_cache
 from math import comb
 import random
 
 from macsums import registry
+from macsums.reports import FrozenRecord
 from macsums.series import Series, geometric_pow
 
 
@@ -105,16 +109,144 @@ def brute_multisum(t, order, strict=False):
     return out
 
 
-def rand_rational_series(rng, order, span=6):
-    return Series(
-        [Fraction(rng.randrange(-span, span + 1), rng.randrange(1, 5)) for _ in range(order + 1)],
-        order,
-    )
-
-
 def rand_int_series(rng, order, span=9):
     return Series([rng.randrange(-span, span + 1) for _ in range(order + 1)], order)
 
 
 def seeded(seed):
     return random.Random(seed)
+
+
+def euler_function(order):
+    """Product of (1-q^k) for k >= 1, via the pentagonal number expansion."""
+    out = [0] * (order + 1)
+    out[0] = 1
+    m = 1
+    while True:
+        g = m * (3 * m - 1) // 2
+        if g > order:
+            break
+        s = -1 if m % 2 else 1
+        out[g] += s
+        g2 = m * (3 * m + 1) // 2
+        if g2 <= order:
+            out[g2] += s
+        m += 1
+    return Series(out, order)
+
+
+# ---------------------------------------------------------------------------
+# the q-Pascal reference
+
+
+class IntPoly(FrozenRecord):
+    """Dense integer-coefficient polynomial in q, trailing zeros trimmed.
+
+    The coefficients are a tuple, and the attribute cannot be rebound or
+    deleted after construction, so a polynomial handed out by a cached table
+    (`q_binomial`, `q_factorial`) cannot be changed by its caller.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs):
+        coeffs = list(coeffs)
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        for c in coeffs:
+            if type(c) is not int:
+                raise TypeError(f"IntPoly coefficients must be integers, got {c!r}")
+        self._freeze(tuple(coeffs))
+
+    @classmethod
+    def zero(cls):
+        return cls([])
+
+    @classmethod
+    def one(cls):
+        return cls([1])
+
+    @property
+    def degree(self):
+        return len(self.coeffs) - 1
+
+    def is_zero(self):
+        return not self.coeffs
+
+    __hash__ = None
+
+    def __repr__(self):
+        if not self.coeffs:
+            return "IntPoly(0)"
+        terms = [f"{c}*q^{i}" if i else str(c) for i, c in enumerate(self.coeffs) if c]
+        return "IntPoly(" + " + ".join(terms) + ")"
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        n = max(len(a), len(b))
+        return IntPoly([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
+
+    def __sub__(self, other):
+        a, b = self.coeffs, other.coeffs
+        n = max(len(a), len(b))
+        return IntPoly([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)])
+
+    def __neg__(self):
+        return IntPoly([-c for c in self.coeffs])
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return IntPoly([c * other for c in self.coeffs])
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return IntPoly([])
+        return IntPoly(naive_mul(a, b, len(a) + len(b) - 2))
+
+    __rmul__ = __mul__
+
+    def shift(self, k):
+        """Multiply by q^k."""
+        if k < 0:
+            raise ValueError("negative shifts would leave the polynomial ring")
+        if self.is_zero():
+            return self
+        return IntPoly((0,) * k + self.coeffs)
+
+    def __call__(self, x):
+        """Evaluate at an integer (Horner)."""
+        acc = 0
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def to_series(self, order):
+        return Series(self.coeffs[: order + 1], order)
+
+
+def q_int(n):
+    """The q-integer 1 + q + ... + q^(n-1); zero for n = 0."""
+    if n < 0:
+        raise ValueError("q_int takes a nonnegative argument")
+    return IntPoly([1] * n)
+
+
+@lru_cache(maxsize=None)
+def q_factorial(n):
+    if n < 0:
+        raise ValueError("q_factorial takes a nonnegative argument")
+    if n == 0:
+        return IntPoly.one()
+    return q_factorial(n - 1) * q_int(n)
+
+
+@lru_cache(maxsize=None)
+def q_binomial(n, k):
+    """Gaussian binomial coefficient as an integer polynomial, by the q-Pascal
+    rule (no division); zero for k > n, as for the ordinary binomial."""
+    if n < 0 or k < 0:
+        raise ValueError("q_binomial takes nonnegative arguments")
+    if k > n:
+        return IntPoly.zero()
+    if k == 0 or k == n:
+        return IntPoly.one()
+    return q_binomial(n - 1, k - 1) + q_binomial(n - 1, k).shift(k)

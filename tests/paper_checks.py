@@ -8,13 +8,13 @@ from the library's own routes.
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
+from conftest import q_binomial
 from macsums.congruences import _first_nonvanishing
 from macsums.divisors import sigma
 from macsums.identities import _check_chain_length, _check_poles, _weak_chain_sum
 from macsums.macmahon import add_single_sum_term, single_sum_weights
-from macsums.qcombo import gbinom, q_binomial
 from macsums.reports import IdentityReport
 from macsums.series import Series
 
@@ -190,6 +190,17 @@ def triplet_degree_bound(t: int, n: int) -> int:
 # the Master Lemma for a general sequence
 
 
+def gbinom(a, k: int) -> Fraction:
+    """Generalized binomial C(a, k) = a(a-1)...(a-k+1)/k! for exact rational a."""
+    if k < 0:
+        raise ValueError("gbinom needs k >= 0")
+    num = Fraction(1)
+    a = Fraction(a)
+    for i in range(k):
+        num *= a - i
+    return num / factorial(k)
+
+
 def master_lemma_sides(t: int, n: int, z, a_seq):
     """General form: any sequence a with b defined by the alternating
     binomial transform satisfies the lemma."""
@@ -224,7 +235,7 @@ def master_lemma_sides(t: int, n: int, z, a_seq):
 def q_binomial_transform(a, order):
     """Forward transform b_n = sum_k (-1)^(k-1) qbin(n,k) a_k, as series.
 
-    a is a list [a_1, ..., a_L] of exact scalars or Series; returns the
+    a is a list [a_1, ..., a_L] of ints or Series; returns the
     matching list [b_1, ..., b_L] of Series at the given order.
     """
     out = []

@@ -3,7 +3,7 @@ umbral machinery."""
 
 from math import comb, factorial, gcd, prod
 
-from conftest import naive_mul
+from conftest import IntPoly, euler_function, naive_mul
 from macsums.divisors import (
     alternating_tail_quotient,
     dilcher_r,
@@ -18,8 +18,8 @@ from macsums.divisors import (
     theta_moment,
     umbral_eval,
 )
-from macsums.qcombo import IntPoly, central_T, central_u
-from macsums.series import Series, euler_function, geometric_pow
+from macsums.qcombo import central_T, central_u
+from macsums.series import Series, geometric_pow
 
 
 def test_sigma_values():
@@ -158,8 +158,8 @@ def test_theta_moment_cube_identity():
 
 def test_umbral_symbol_linearity():
     x = IntPoly([0, 1])
-    assert umbral_eval(x, theta_moment, 20) == theta_moment(1, 20)
-    assert umbral_eval(x * x * 2 + IntPoly([-3]), sigma_series, 15) == (
+    assert umbral_eval(x.coeffs, theta_moment, 20) == theta_moment(1, 20)
+    assert umbral_eval((x * x * 2 + IntPoly([-3])).coeffs, sigma_series, 15) == (
         2 * sigma_series(2, 15) - 3 * sigma_series(0, 15)
     )
 
@@ -167,12 +167,13 @@ def test_umbral_symbol_linearity():
 def test_umbral_builders_evaluate_to_their_products():
     for t in range(1, 7):
         for v in range(-4, 9):
-            assert odd_square_product(t)(v) == v * prod(v * v - (2 * i - 1) ** 2 for i in range(1, t + 1))
-            assert square_product(t)(v) == v * prod(v * v - i * i for i in range(1, t))
-            assert lower_factorial(t)(v) == prod(v - j for j in range(1, t))
-            assert raising_factorial(t)(v) == prod(v + j for j in range(t))
-        assert odd_square_product(t).degree == 2 * t + 1
-        assert square_product(t).degree == 2 * t - 1
+            assert IntPoly(odd_square_product(t))(v) == v * prod(v * v - (2 * i - 1) ** 2 for i in range(1, t + 1))
+            assert IntPoly(square_product(t))(v) == v * prod(v * v - i * i for i in range(1, t))
+            assert IntPoly(lower_factorial(t))(v) == prod(v - j for j in range(1, t))
+            assert IntPoly(raising_factorial(t))(v) == prod(v + j for j in range(t))
+        assert type(odd_square_product(t)) is tuple  # a caller cannot change it
+        assert IntPoly(odd_square_product(t)).degree == 2 * t + 1
+        assert IntPoly(square_product(t)).degree == 2 * t - 1
 
 
 def test_umbral_square_product_matches_binomial_lambert():

@@ -1,8 +1,9 @@
 """Source hygiene: every name a module imports is used in that module, every
 module-level function, class and assigned name is used by the program itself
-or is public API (`macsums.__all__`), no module multiplies by a geometric
-factor it built as a series, no module holds a float, and only the
-registry builds identity reports or names catalog ids."""
+or is public API (`macsums.__all__`), every method is called by the program
+itself, `series.py` imports nothing from `fractions`, no module multiplies
+by a geometric factor it built as a series, no module holds a float, and
+only the registry builds identity reports or names catalog ids."""
 
 import ast
 from pathlib import Path
@@ -82,9 +83,12 @@ def test_module_multiplies_by_no_built_geometric_factor(path):
 def unreferenced_definitions(module, trees):
     """Module-level functions, classes and assigned names of the parsed
     module that no name, attribute or import in trees (parsed sources, the
-    module among them) refers to.  A reference inside the defining
-    statement itself does not count, and dunder names are exempt."""
-    definitions = {}
+    module among them) refers to, and the methods of its classes, named
+    `Class.method`, that no attribute in trees refers to.  A reference
+    inside the defining statement or method itself does not count, and
+    dunder names are exempt."""
+    dunder = lambda name: name.startswith("__") and name.endswith("__")
+    definitions, methods = {}, {}
     for node in module.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -94,13 +98,17 @@ def unreferenced_definitions(module, trees):
         else:
             continue
         for name in names:
-            if not (name.startswith("__") and name.endswith("__")):
+            if not dunder(name):
                 definitions[name] = node
-    owner = {}  # node id -> the names its defining statement binds
-    for name, d in definitions.items():
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not dunder(item.name):
+                    methods[f"{node.name}.{item.name}"] = item
+    owner = {}  # node id -> the names its defining statement or method binds
+    for name, d in [*definitions.items(), *((key.split(".")[1], m) for key, m in methods.items())]:
         for n in ast.walk(d):
             owner.setdefault(id(n), set()).add(name)
-    referenced = set()
+    referenced, attributes = set(), set()
     for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
@@ -111,8 +119,12 @@ def unreferenced_definitions(module, trees):
                 names = [alias.name for alias in node.names]
             else:
                 continue
-            referenced.update(name for name in names if name not in owner.get(id(node), ()))
-    return sorted(name for name in definitions if name not in referenced)
+            names = [name for name in names if name not in owner.get(id(node), ())]
+            referenced.update(names)
+            if isinstance(node, ast.Attribute):
+                attributes.update(names)
+    return sorted([name for name in definitions if name not in referenced]
+                  + [key for key in methods if key.split(".")[1] not in attributes])
 
 
 def test_unreferenced_definitions_are_found():
@@ -133,9 +145,33 @@ def test_unreferenced_definitions_are_found():
     assert unreferenced_definitions(module, [module, other]) == ["Dead", "TABLE", "recursive", "right", "x"]
 
 
+def test_unreferenced_methods_are_found():
+    module = ast.parse(
+        "class Box:\n"
+        "    def __init__(self): self.used()\n"
+        "    def used(self): pass\n"
+        "    def recursive(self): return self.recursive()\n"
+        "    def named_only(self): pass\n"
+        "    @property\n"
+        "    def size(self): pass\n"
+        "    @classmethod\n"
+        "    def make(cls): pass\n"
+        "    def _private(self): pass\n"
+        "    def elsewhere(self): pass\n"
+        "    __radd__ = __init__\n"
+        "def helper(box): return box.size, named_only\n"
+        "print(Box.make(), helper)\n"
+    )
+    other = ast.parse("def f(b): return b.elsewhere()\n")
+    assert unreferenced_definitions(module, [module, other]) == [
+        "Box._private", "Box.named_only", "Box.recursive"]
+
+
 def test_every_definition_is_referenced():
     # only src/ counts as a reference: a definition that only tests use belongs
-    # in tests/ (paper_checks.py), and macsums.__all__ is the one allow-list
+    # in tests/ (conftest.py or paper_checks.py), and macsums.__all__ is the
+    # one allow-list, for module-level names only: a public class's methods
+    # still need a caller in src/
     trees = {p: ast.parse(p.read_text()) for p in MODULES}
     public = set(macsums.__all__)
     dead = {
@@ -143,6 +179,14 @@ def test_every_definition_is_referenced():
         for path, tree in trees.items()
     }
     assert {name: defs for name, defs in dead.items() if defs} == {}
+
+
+def test_series_imports_nothing_from_fractions():
+    # a Series holds ints only; an exact division that leaves a remainder raises
+    tree = ast.parse((SRC / "series.py").read_text())
+    modules = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    modules += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    assert "fractions" not in modules
 
 
 def floats(source):

@@ -1,5 +1,6 @@
-"""Tests for q-integers, Gaussian binomials, Stirling and central factorial
-numbers."""
+"""Tests for polynomials from roots, Stirling and central factorial numbers,
+and for the tests' q-Pascal reference (q-integers, q-factorials, Gaussian
+binomials) and generalized binomials."""
 
 import copy
 from fractions import Fraction
@@ -8,20 +9,10 @@ from math import factorial
 
 import pytest
 
-from conftest import naive_mul, rand_rational_series, seeded
-from macsums.qcombo import (
-    IntPoly,
-    central_T,
-    central_u,
-    gbinom,
-    poly_from_roots,
-    q_binomial,
-    q_factorial,
-    q_int,
-    stirling1_unsigned,
-)
+from conftest import IntPoly, naive_mul, q_binomial, q_factorial, q_int, seeded
+from macsums.qcombo import central_T, central_u, poly_from_roots, stirling1_unsigned
 from macsums.series import Series
-from paper_checks import q_binomial_inverse_transform, q_binomial_transform
+from paper_checks import gbinom, q_binomial_inverse_transform, q_binomial_transform
 
 
 def test_q_int_small():
@@ -135,7 +126,7 @@ def test_central_u_base():
 def test_central_u_t2_by_expansion():
     # u(2,0) x^3 - u(2,1) x = (x+1) x (x-1) = x^3 - x
     expanded = poly_from_roots([-1, 0, 1])
-    assert expanded == IntPoly([0, -1, 0, 1])
+    assert expanded == (0, -1, 0, 1)
     assert central_u(2, 1) == 1
 
 
@@ -145,7 +136,7 @@ def test_central_u_polynomial_identity():
         for k in range(t):
             mono = IntPoly([0] * (2 * t - 1 - 2 * k) + [central_u(t, k)])
             acc = acc + mono if k % 2 == 0 else acc - mono
-        assert acc == poly_from_roots(range(-(t - 1), t))
+        assert acc.coeffs == poly_from_roots(range(-(t - 1), t))
 
 
 def test_central_T_small():
@@ -173,7 +164,7 @@ def test_central_T_generating_function():
         for i in range(1, k + 1):
             factor = [1, -i * i] + [0] * (tmax - 1)
             denom = naive_mul(denom, factor, tmax)
-        inv = Series([Fraction(c) for c in denom], tmax).invert()
+        inv = Series.one(tmax) / Series(denom, tmax)
         series = Series([0] * (tmax + 1), tmax).coeffs
         for t in range(k, tmax + 1):
             series[t] = central_T(t, k)
@@ -194,7 +185,7 @@ def test_q_binomial_transform_round_trip():
     order = 40
     for _ in range(100):
         length = rng.randrange(1, 9)
-        a = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 6)) for _ in range(length)]
+        a = [rng.randrange(-9, 10) for _ in range(length)]
         b = q_binomial_transform(a, order)
         back = q_binomial_inverse_transform(b, order)
         for orig, rec in zip(a, back):

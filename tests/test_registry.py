@@ -146,15 +146,17 @@ def test_agreement_catches_a_corrupted_direct_chain_write(monkeypatch):
 
 def test_catalog_builds_no_inverse_series(monkeypatch):
     # a q-rational term is one exact division of its numerator by its
-    # denominator, never an inverse series multiplied back in
+    # denominator, never an inverse series (the constant 1 divided by a
+    # series) multiplied back in
     calls = []
-    invert = Series.invert
+    divide = Series.__truediv__
 
-    def counted(self):
-        calls.append(self.order)
-        return invert(self)
+    def counted(self, other):
+        if self.coeffs[0] == 1 and not any(self.coeffs[1:]):
+            calls.append(self.order)
+        return divide(self, other)
 
-    monkeypatch.setattr(Series, "invert", counted)
+    monkeypatch.setattr(Series, "__truediv__", counted)
     for ident_id in registry.known_ids():
         assert all(r.passed for r in registry.run_identity(ident_id, {}, 12)), ident_id
     assert calls == []
@@ -162,13 +164,14 @@ def test_catalog_builds_no_inverse_series(monkeypatch):
 
 def test_identities_divide_no_series(monkeypatch):
     # a finite identity's q-rational term is kernel steps on one coefficient
-    # list; the divisions left are macmahon's theta quotients (6) and its
-    # Jacobi theta side (15)
+    # list; the series divisions left are macmahon's theta quotients (6) and
+    # its Jacobi theta side (15).  Exact divisions by an int are not counted.
     callers = Counter()
     divide = Series.__truediv__
 
     def recorded(self, other):
-        callers[Path(sys._getframe(1).f_code.co_filename).name] += 1
+        if isinstance(other, Series):
+            callers[Path(sys._getframe(1).f_code.co_filename).name] += 1
         return divide(self, other)
 
     monkeypatch.setattr(Series, "__truediv__", recorded)
@@ -199,6 +202,27 @@ def jacobi_step_doubled(monkeypatch):
     monkeypatch.setitem(macmahon._JACOBI_PRODUCT_STEPS, 4, ((1, -4), (3, 2)))
 
 
+def binomial_step_doubled(monkeypatch):
+    # the running binomials C(z+k, k) take one wrong step at k = 3, which
+    # every later one inherits
+    running = identities._running_binomials
+    monkeypatch.setattr(identities, "_running_binomials",
+                        lambda z, kmax: [b * 2 if k >= 3 else b for k, b in enumerate(running(z, kmax))])
+
+
+def theta_moment_3_bumped(monkeypatch):
+    # the umbral route's weight-3 theta series gains 1 at q^5: its exact
+    # division by 4^t (2t+1)! then leaves a remainder there
+    theta = macmahon.theta_moment
+
+    def bumped(s, order):
+        coeffs = list(theta(s, order).coeffs)
+        coeffs[5] += s == 3
+        return Series(coeffs, order)
+
+    monkeypatch.setattr(macmahon, "theta_moment", bumped)
+
+
 def qbin_step_dropped(monkeypatch):
     # qbin(n,k)^p loses its last step, the (1-q)^((n-k)p) of 1/[n-k]_q!^p;
     # in qbin(n,k)/qbin(n+k,k) the two lost steps differ unless k = 0
@@ -223,6 +247,12 @@ FAILURES = {
     "wz-walk": (
         "wz-certificates", {}, 30, bumped(identities, "_wz52_F"),
         ("wz-cor52", {"x": 0, "nmax": 3}, 30, None, None, None, "row sum differs from 1 at n=1")),
+    "wz-running-binomial": (
+        "wz-certificates", {}, 30, binomial_step_doubled,
+        ("wz-master", {"z": "0", "nmax": 6}, None, None, None, None, "pair relation fails at m=1, k=2")),
+    "inexact-division": (
+        "U-agreement", {}, 20, theta_moment_3_bumped,
+        ("U-agreement", {"t": 1}, 20, None, None, None, "non-integer coefficient 143/24 at q^5")),
     "case-note": (
         "mss-precursor", {"t": [1], "n": [2], "x": [1]}, 30, bumped(identities, "_bounded_x_multisum", 7),
         ("mss-precursor", {"t": 1, "n": 2, "x": 1}, 30, 9, "-1", "-2",
@@ -240,3 +270,25 @@ def test_a_corrupted_route_fails_its_case_with_both_values(monkeypatch, ident_id
     first = failed[0]
     got = (first.ident, first.params, first.order, first.mismatch_at, first.lhs, first.rhs, first.note)
     assert got == expected
+
+
+def test_an_inexact_division_is_a_refutation(monkeypatch, capsys):
+    # the failing case is reported, and verify exits 1, not with a traceback
+    from macsums.cli import main
+
+    theta_moment_3_bumped(monkeypatch)
+    assert main(["verify", "--id", "U-agreement", "--order", "20"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  U-agreement {'t': 1}  (non-integer coefficient 143/24 at q^5)" in out
+
+
+@pytest.mark.parametrize("error", [ZeroDivisionError, OverflowError, ValueError])
+def test_other_errors_in_a_case_propagate(monkeypatch, error):
+    # only a remainder left by an exact division fails a case; a zero
+    # division or any other error is a fault of the program, not a refutation
+    def case(order, t):
+        raise error("raised by the case")
+
+    monkeypatch.setitem(registry.REGISTRY, "raiser", registry.IdentitySpec("raiser", "raises", {"t": (1,)}, case))
+    with pytest.raises(error, match="raised by the case"):
+        registry.run_identity("raiser", {}, 10)
