@@ -3,7 +3,9 @@ catalog id, congruence suites and prospecting.
 
 Exit codes: 0 every requested check passed, 1 a refutation or mismatch was
 found, 2 usage or configuration error.  Standard output stays machine
-parseable; progress notes go to standard error.
+parseable; progress notes go to standard error.  A route whose exact
+division leaves a remainder is not what it claims: `verify` fails that
+case, and `coeffs` and `scan` print one `error:` line and exit 1.
 
 The command line is read from one option table, COMMANDS.  Each option is
 spelled in full, as `--name value` or `--name=value`, and any parse error is
@@ -12,8 +14,6 @@ from the same table; its import and set-up cost more than a short command's
 own work.  A command loads only what it prints: `json` for the json format
 and for reading a report, `csv` for the csv format.
 """
-
-from __future__ import annotations
 
 import sys
 from types import SimpleNamespace
@@ -218,7 +218,13 @@ def cmd_verify(args):
         lines = []
         for r in reports:
             status = "PASS" if r.passed else "FAIL"
-            extra = "" if r.passed else f"  first mismatch at q^{r.mismatch_at}: {r.lhs} vs {r.rhs}"
+            # a failed WZ walk or inexact division has only its note; a scalar pair has no index
+            if r.passed or r.lhs is None:
+                extra = ""
+            elif r.mismatch_at is None:
+                extra = f"  {r.lhs} vs {r.rhs}"
+            else:
+                extra = f"  first mismatch at q^{r.mismatch_at}: {r.lhs} vs {r.rhs}"
             note = f"  ({r.note})" if r.note else ""
             lines.append(f"{status}  {r.ident} {r.params}{note}{extra}")
         lines.append(f"# {sum(r.passed for r in reports)}/{len(reports)} cases passed")
@@ -497,6 +503,12 @@ def main(argv=None) -> int:
         # every command builds its whole output before writing it, so none was written
         print("error: out of memory; try a smaller order or grid", file=sys.stderr)
         return 2
+    except (ZeroDivisionError, OverflowError):
+        raise
+    except ArithmeticError as exc:
+        # a route's exact division left a remainder (as in registry.run_identity); nothing was written
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -11,12 +11,9 @@ packed quotient, whose slot widths come from the proven bound
 MO(t, n) <= C(n+2t-1, 3t-1) / t! (`macmahon.mo_slot_bound`), plus the one
 table unpacked from it.  The theta quotient divides by 2t+1 exactly, so
 its tables stay defined even when p divides 2t+1 (as it does for the
-t = 2, p = 5 claims).
+t = 2, p = 5 claims).  Only a prospect's chance level is a rational, so
+only `prospect` loads `fractions`.
 """
-
-from __future__ import annotations
-
-from fractions import Fraction
 
 from .macmahon import coefficient_values, leading_window
 from .reports import EVIDENCE, REFUTED, VERIFIED, CongruenceClaim, InputError, ProspectResult
@@ -152,9 +149,13 @@ def prospect_grid(family: str, t_values, primes, order: int) -> tuple[list, list
     return grid, list(primes)
 
 
-def _null_survivals(p: int, order: int) -> Fraction:
+def _null_survivals(p: int, order: int) -> "Fraction":
     """Sum over the offsets b < p, b <= order, of p^-((order - b)//p + 1):
-    one integer numerator over p^C, for the largest count C (at b = 0)."""
+    one integer numerator over p^C, for the largest count C (at b = 0).
+    It runs once per prime of a prospect, the one use of `fractions` in a
+    scan, so the import is made here."""
+    from fractions import Fraction
+
     c = order // p + 1
     return Fraction(sum(p ** (c - 1 - (order - b) // p) for b in range(min(p, order + 1))), p ** c)
 

@@ -11,8 +11,6 @@ replaces each power X^s by the s-th member of a family, which is any function
 (s, order) -> Series such as `sigma_series`, `theta_moment` or `dilcher_r`.
 """
 
-from __future__ import annotations
-
 from itertools import repeat
 from math import isqrt
 from operator import add, mul, sub

@@ -24,8 +24,6 @@ written directly as strided binomial weights C(j+r-1, r-1), so x_k, the
 first level of `multisums`, is the weights 1, 2, 3, ... at stride k.
 """
 
-from __future__ import annotations
-
 from bisect import bisect_left
 from itertools import accumulate, repeat
 from math import comb, factorial

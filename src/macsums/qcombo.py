@@ -6,11 +6,8 @@ umbral builders in `divisors` read it in one formal symbol.  Stirling and
 central factorial values are memoized in triangular tables.
 """
 
-from __future__ import annotations
-
-from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 
 def poly_from_roots(roots) -> tuple:
@@ -46,13 +43,16 @@ def central_u(t: int, k: int) -> int:
 
 @lru_cache(maxsize=None)
 def central_T(t: int, k: int) -> int:
-    """Central factorial number of the second kind; always an integer."""
+    """Central factorial number of the second kind, always an integer:
+    T(t, k) = 2 sum_(i=1..k) (-1)^(k-i) i^(2t) C(2k, k-i) / (2k)!, one
+    integer numerator divided exactly by (2k)!."""
     if not (1 <= k <= t):
         raise ValueError("central_T needs 1 <= k <= t")
-    total = Fraction(0)
+    total = 0
     for i in range(1, k + 1):
-        term = Fraction(2 * i ** (2 * t), factorial(k - i) * factorial(k + i))
+        term = 2 * i ** (2 * t) * comb(2 * k, k - i)
         total += -term if (k - i) % 2 else term
-    if total.denominator != 1:
-        raise ArithmeticError(f"central_T({t},{k}) failed to reduce to an integer: {total}")
-    return total.numerator
+    value, remainder = divmod(total, factorial(2 * k))
+    if remainder:
+        raise ArithmeticError(f"central_T({t},{k}) failed to reduce to an integer: {total}/{factorial(2 * k)}")
+    return value

@@ -11,13 +11,13 @@ walks every spec and turns each comparison into an IdentityReport with
 
 Case functions look library functions up at call time, through their module
 or a global of this module, never through a value captured when the table
-is built, so that rebinding those names reaches every call.
+is built, so that rebinding those names reaches every call.  The four q = 1
+cases import `rational`, and with it `fractions`, when they run; their
+rational grid values are the strings their reports print, which
+`Fraction` parses, so no other id loads `fractions`.
 """
 
-from __future__ import annotations
-
 import itertools
-from fractions import Fraction
 from functools import partial
 from math import factorial
 
@@ -51,8 +51,8 @@ GRID_DOMAINS = {
     "c": ("one of 4, 2, 1", lambda v: v in (4, 2, 1)),
 }
 
-_HALF = Fraction(1, 2)
-_RATIONAL_PARAMS = (0, 1, 2, _HALF, Fraction(7, 3))
+_HALF = "1/2"
+_RATIONAL_PARAMS = (0, 1, 2, _HALF, "7/3")
 _T3 = {"t": (1, 2, 3)}
 _T4 = {"t": (1, 2, 3, 4)}
 _TN3 = {"t": (1, 2, 3), "n": (1, 2, 3)}
@@ -110,18 +110,36 @@ def _mss_precursor(order, t, n, x):
     return [dict(pairs=[sides], note=f"inverse-pair reading; literal printed form {held}")]
 
 
+def _rational_master(order, t, n):
+    """Each grid value is parsed once per point: the point makes 25 pairs."""
+    from . import rational
+
+    values = [(str(v), rational.Fraction(v)) for v in _RATIONAL_PARAMS]
+    return [dict(params={"t": t, "n": n, "z": zs, "x": xs}, pairs=[rational.rational_master_sides(t, n, z, x)])
+            for zs, z in values for xs, x in values]
+
+
+def _rational_hypothesis(order, n):
+    from . import rational
+
+    return [dict(params={"n": n, "x": str(x)}, pairs=[rational.rational_hypothesis_sides(n, x)])
+            for x in _RATIONAL_PARAMS]
+
+
 def _rational_triplet(order, t, n):
-    s1, s2, s3 = ident.rational_triplet_sums(t, n)
+    from . import rational
+
+    s1, s2, s3 = rational.rational_triplet_sums(t, n)
     return [dict(pairs=[(s1, s2, "multisum vs single sum"), (s2, s3, "single sum vs paired sum")])]
 
 
 def _wz_certificates(order):
     """Each walk compares its own steps and returns its first failure, or None."""
+    from . import rational
+
     walks = [
-        *(("wz-master", {"z": str(Fraction(z)), "nmax": 6}, None, ident.wz_master_failure(z, 6))
-          for z in (0, 1, _HALF)),
-        *(("wz-cor32", {"x": str(Fraction(x)), "nmax": 6}, None, ident.wz_cor32_failure(x, 6))
-          for x in (_HALF, 2, Fraction(7, 3))),
+        *(("wz-master", {"z": str(z), "nmax": 6}, None, rational.wz_master_failure(z, 6)) for z in (0, 1, _HALF)),
+        *(("wz-cor32", {"x": str(x), "nmax": 6}, None, rational.wz_cor32_failure(x, 6)) for x in (_HALF, 2, "7/3")),
         ("wz-lemma51", {"z": 1, "nmax": 4}, order, ident.wz_lemma51_failure(1, 4, order)),
         *(("wz-cor52", {"x": x, "nmax": 3}, order, ident.wz_cor52_failure(x, 3, order)) for x in (0, 1)),
         *(("wz-cor53", {"z": z, "nmax": 3}, order, ident.wz_cor53_failure(z, 3, order)) for z in (0, 1)),
@@ -210,14 +228,9 @@ _SPECS = [
                  {"t": (1, 2, 3), "n": (1, 2, 3), "z": (3, 4, 5)},  # z past mss's x grid
                  _sides(lambda order, t, n, z: ident.mss_sides(t, n, z, order))),
     IdentitySpec("rational-master", "exact rational master identity at q = 1",
-                 {"t": (1, 2, 3, 4), "n": (1, 2, 4, 6, 8)},
-                 lambda order, t, n: [dict(params={"t": t, "n": n, "z": str(z), "x": str(x)},
-                                           pairs=[ident.rational_master_sides(t, n, z, x)])
-                                      for z in _RATIONAL_PARAMS for x in _RATIONAL_PARAMS]),
+                 {"t": (1, 2, 3, 4), "n": (1, 2, 4, 6, 8)}, _rational_master),
     IdentitySpec("rational-hypothesis", "alternating binomial seed identity", {"n": (1, 2, 3, 4, 5, 6)},
-                 lambda order, n: [dict(params={"n": n, "x": str(x)},
-                                        pairs=[ident.rational_hypothesis_sides(n, x)])
-                                   for x in _RATIONAL_PARAMS]),
+                 _rational_hypothesis),
     IdentitySpec("rational-FGH-limit", "the q = 1 shadow of the triplet",
                  {"t": (1, 2, 3), "n": (1, 2, 3, 4, 5, 6)}, _rational_triplet),
     IdentitySpec("wz-certificates", "all difference certificates on their grids", {}, _wz_certificates),

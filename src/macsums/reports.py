@@ -10,8 +10,6 @@ The records are plain `__slots__` classes rather than dataclasses: the
 every command's start-up than the rest of `import macsums.cli` together.
 """
 
-from __future__ import annotations
-
 
 class InputError(ValueError):
     """Input rejected before any work starts: an undeclared or empty grid

@@ -8,8 +8,6 @@ smaller operand order, and no operation silently extends a series beyond
 the coefficients it was constructed with.
 """
 
-from __future__ import annotations
-
 from itertools import accumulate, compress, count, repeat
 from math import comb, gcd
 from operator import add, itemgetter, sub

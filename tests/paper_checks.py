@@ -13,8 +13,8 @@ from math import comb, factorial
 from conftest import q_binomial
 from macsums.congruences import _first_nonvanishing
 from macsums.divisors import sigma
-from macsums.identities import _check_chain_length, _check_poles, _weak_chain_sum
 from macsums.macmahon import add_single_sum_term, single_sum_weights
+from macsums.rational import _check_chain_length, _check_poles, _weak_chain_sum
 from macsums.reports import IdentityReport
 from macsums.series import Series
 

@@ -16,12 +16,9 @@ from macsums.identities import (
     harmonic_paired_sum,
     harmonic_single_sum,
     qbin_difference_failure,
-    rational_master_sides,
-    wz_cor32_failure,
     wz_cor52_failure,
     wz_cor53_failure,
     wz_lemma51_failure,
-    wz_master_failure,
 )
 from macsums.macmahon import (
     M_FORMULAS,
@@ -30,6 +27,7 @@ from macsums.macmahon import (
     weak_multisum,
 )
 from macsums.qcombo import central_T, central_u, poly_from_roots
+from macsums.rational import rational_master_sides, wz_cor32_failure, wz_master_failure
 from macsums.reports import EVIDENCE, REFUTED, VERIFIED, CongruenceClaim
 from paper_checks import (
     certify_rational_equality,

@@ -506,23 +506,32 @@ def test_parse_errors_are_one_error_line(capsys, argv, named):
 
 
 def test_cli_imports_no_dataclasses_typing_json_or_csv():
-    # the start-up cost of every command: a text-format verify loads none of these either
+    # the start-up cost of every command: a text-format verify, coeffs table
+    # or suite scan loads none of these either; only a command that computes
+    # an exact rational loads fractions, and with it decimal and numbers
     src = Path(__file__).resolve().parent.parent / "src"
     script = "\n".join([
         "import sys",
         f"sys.path.insert(0, {str(src)!r})",
-        "HEAVY = ('dataclasses', 'inspect', 'typing', 'json', 'csv', 'argparse', 'gettext', 'locale')",
+        "HEAVY = ('dataclasses', 'inspect', 'typing', 'json', 'csv', 'argparse', 'gettext', 'locale',",
+        "         'fractions', 'decimal', 'numbers', '__future__')",
         "import macsums.cli",
         "print('import', *[m for m in HEAVY if m in sys.modules])",
-        "rc = macsums.cli.main(['verify', '--id', 'T-inversion', '--order', '10'])",
-        "print('main', rc, *[m for m in HEAVY if m in sys.modules])",
+        "for argv in (['verify', '--id', 'T-inversion', '--order', '10'],",
+        "             ['coeffs', '--family', 'MO', '--t', '2', '--n', '50'],",
+        "             ['scan', '--suite', 'paper', '--order', '200']):",
+        "    rc = macsums.cli.main(argv)",
+        "    print('main', argv[0], rc, *[m for m in HEAVY if m in sys.modules])",
+        "rc = macsums.cli.main(['verify', '--id', 'rational-hypothesis', '--order', '10'])",
+        "print('rational', rc)",
     ])
     done = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert lines[0] == "import"
-    assert lines[-2] == "# 4/4 cases passed"
-    assert lines[-1] == "main 0"
+    assert "# 4/4 cases passed" in lines
+    assert [line for line in lines if line.startswith("main")] == ["main verify 0", "main coeffs 0", "main scan 0"]
+    assert lines[-2:] == ["# 30/30 cases passed", "rational 0"]
 
 
 def test_coeffs_for_a_t_past_the_order_answer_at_once():

@@ -1,9 +1,11 @@
 """Source hygiene: every name a module imports is used in that module, every
 module-level function, class and assigned name is used by the program itself
 or is public API (`macsums.__all__`), every method is called by the program
-itself, `series.py` imports nothing from `fractions`, no module multiplies
-by a geometric factor it built as a series, no module holds a float, and
-only the registry builds identity reports or names catalog ids."""
+itself, `series.py` imports nothing from `fractions`, no module but
+`rational.py` imports `fractions` at its top, no module imports from
+`__future__`, no module multiplies by a geometric factor it built as a
+series, no module holds a float, and only the registry builds identity
+reports or names catalog ids."""
 
 import ast
 from pathlib import Path
@@ -187,6 +189,36 @@ def test_series_imports_nothing_from_fractions():
     modules = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
     modules += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
     assert "fractions" not in modules
+
+
+def top_level_imports(source):
+    """The modules a source imports in its top-level statements."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ImportFrom):
+            found.append(node.module)
+        elif isinstance(node, ast.Import):
+            found.extend(alias.name for alias in node.names)
+    return found
+
+
+def test_top_level_imports_are_found():
+    source = "import os, sys\nfrom math import comb\ndef f():\n    from fractions import Fraction\n"
+    assert top_level_imports(source) == ["os", "sys", "math"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "rational.py"], ids=lambda p: p.name)
+def test_only_rational_imports_fractions_at_its_top(path):
+    # importing fractions loads decimal, numbers and re, about half of a
+    # fresh `import macsums.cli`; the commands that compute an exact
+    # rational import it when they run
+    assert "fractions" not in top_level_imports(path.read_text())
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_module_imports_nothing_from_future(path):
+    # `from __future__ import annotations` is a real module import at start-up
+    assert "__future__" not in top_level_imports(path.read_text())
 
 
 def floats(source):

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from conftest import IntPoly, failed_cases, q_binomial, q_factorial, q_int
 from macsums import registry
 from macsums.identities import (
-    _master_lhs,
     _one_minus_q,
     _one_plus,
     _q_factorial,
@@ -30,16 +29,19 @@ from macsums.identities import (
     mss_precursor_sides,
     mss_sides,
     qbin_difference_failure,
+    wz_cor52_failure,
+    wz_cor53_failure,
+    wz_lemma51_failure,
+)
+from macsums.macmahon import weak_multisum
+from macsums.rational import (
+    _master_lhs,
     rational_hypothesis_sides,
     rational_master_sides,
     rational_triplet_sums,
     wz_cor32_failure,
-    wz_cor52_failure,
-    wz_cor53_failure,
-    wz_lemma51_failure,
     wz_master_failure,
 )
-from macsums.macmahon import weak_multisum
 from macsums.series import Series, over_geometric_coeffs
 from paper_checks import certify_rational_equality, gbinom, master_lemma_sides, triplet_degree_bound
 

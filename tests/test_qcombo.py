@@ -10,6 +10,7 @@ from math import factorial
 import pytest
 
 from conftest import IntPoly, naive_mul, q_binomial, q_factorial, q_int, seeded
+from macsums import qcombo
 from macsums.qcombo import central_T, central_u, poly_from_roots, stirling1_unsigned
 from macsums.series import Series
 from paper_checks import gbinom, q_binomial_inverse_transform, q_binomial_transform
@@ -143,6 +144,31 @@ def test_central_T_small():
     assert central_T(1, 1) == 1
     for t in range(1, 7):
         assert central_T(t, t) == 1
+
+
+def rational_central_T(t, k):
+    """T(t, k) = sum_(i=1..k) (-1)^(k-i) 2 i^(2t) / ((k-i)! (k+i)!), summed
+    term by term in Fraction."""
+    total = Fraction(0)
+    for i in range(1, k + 1):
+        term = Fraction(2 * i ** (2 * t), factorial(k - i) * factorial(k + i))
+        total += -term if (k - i) % 2 else term
+    return total
+
+
+def test_central_T_matches_the_rational_sum():
+    # every t and k the catalog's grid cap admits
+    for t in range(1, 17):
+        for k in range(1, t + 1):
+            assert central_T(t, k) == rational_central_T(t, k), (t, k)
+
+
+def test_central_T_raises_on_a_remainder(monkeypatch):
+    # a wrong binomial makes the numerator miss a multiple of (2k)!
+    comb = qcombo.comb
+    monkeypatch.setattr(qcombo, "comb", lambda n, k: comb(n, k) + ((n, k) == (4, 1)))
+    with pytest.raises(ArithmeticError, match=r"central_T\(3,2\) failed to reduce to an integer"):
+        central_T.__wrapped__(3, 2)
 
 
 def test_central_T_polynomial_identity():

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from macsums import identities, macmahon, registry
+from macsums import identities, macmahon, rational, registry
 from macsums.series import Series
 
 # Cases each id runs on its default grids; a changed default grid shows here.
@@ -205,8 +205,8 @@ def jacobi_step_doubled(monkeypatch):
 def binomial_step_doubled(monkeypatch):
     # the running binomials C(z+k, k) take one wrong step at k = 3, which
     # every later one inherits
-    running = identities._running_binomials
-    monkeypatch.setattr(identities, "_running_binomials",
+    running = rational._running_binomials
+    monkeypatch.setattr(rational, "_running_binomials",
                         lambda z, kmax: [b * 2 if k >= 3 else b for k, b in enumerate(running(z, kmax))])
 
 
@@ -242,7 +242,7 @@ FAILURES = {
         "theorem-FGH", {"t": [2], "n": [3]}, 30, qbin_step_dropped,
         ("theorem-FGH", {"t": 2, "n": 3}, 30, 3, "1", "0", "multisum vs single-sum")),
     "merged-scalar-pair": (
-        "rational-FGH-limit", {"t": [2], "n": [3]}, 40, bumped(identities, "_weak_chain_sum"),
+        "rational-FGH-limit", {"t": [2], "n": [3]}, 40, bumped(rational, "_weak_chain_sum"),
         ("rational-FGH-limit", {"t": 2, "n": 3}, None, None, "3193/1296", "1897/1296", "multisum vs single sum")),
     "wz-walk": (
         "wz-certificates", {}, 30, bumped(identities, "_wz52_F"),
@@ -280,6 +280,71 @@ def test_an_inexact_division_is_a_refutation(monkeypatch, capsys):
     assert main(["verify", "--id", "U-agreement", "--order", "20"]) == 1
     out = capsys.readouterr().out
     assert "FAIL  U-agreement {'t': 1}  (non-integer coefficient 143/24 at q^5)" in out
+
+
+@pytest.mark.parametrize("row", ["merged-scalar-pair", "wz-running-binomial", "inexact-division"])
+def test_a_failure_without_a_coefficient_index_prints_no_none(monkeypatch, capsys, row):
+    # a scalar pair prints its two values and no q^i; a failed WZ walk or an
+    # inexact division prints only its note
+    from macsums.cli import main
+
+    ident_id, grids, order, corrupt, (first_id, params, _, _, lhs, rhs, note) = FAILURES[row]
+    corrupt(monkeypatch)
+    argv = ["verify", "--id", ident_id, "--order", str(order)]
+    for name, values in grids.items():
+        argv += [f"--{name}", ",".join(map(str, values))]
+    assert main(argv) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if "None" in line] == []
+    values = "" if lhs is None else f"  {lhs} vs {rhs}"
+    assert next(line for line in lines if line.startswith("FAIL")) == f"FAIL  {first_id} {params}  ({note}){values}"
+
+
+def theta_constant_doubled(monkeypatch):
+    # the weight-1 theta series, the MO theta quotient's divisor, gets the
+    # constant term 2: the first nonzero numerator, 5 at q^3 for t = 2, is odd
+    theta = macmahon.theta_moment
+
+    def doubled(s, order):
+        coeffs = list(theta(s, order).coeffs)
+        coeffs[0] += s == 1
+        return Series(coeffs, order)
+
+    monkeypatch.setattr(macmahon, "theta_moment", doubled)
+
+
+@pytest.mark.parametrize(
+    "argv, corrupt, message",
+    [
+        (["coeffs", "--family", "MO", "--t", "1", "--n", "20", "--formula", "umbral"], theta_moment_3_bumped,
+         "non-integer coefficient 143/24 at q^5"),
+        (["scan", "--claim", "MO,2,5,5,1", "--order", "50"], theta_constant_doubled,
+         "non-integer coefficient 5/2 at q^3"),
+    ],
+    ids=["coeffs-umbral", "scan-claim"],
+)
+def test_a_route_left_with_a_remainder_is_one_error_line(monkeypatch, capsys, argv, corrupt, message):
+    # coeffs and scan have no case to fail: the command prints one error
+    # line and exits 1, the code of a refutation, with nothing on stdout
+    from macsums.cli import main
+
+    corrupt(monkeypatch)
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("error", [ZeroDivisionError, OverflowError])
+def test_a_zero_division_or_overflow_in_a_command_propagates(monkeypatch, error):
+    from macsums.cli import main
+
+    def table(*args):
+        raise error("raised by the route")
+
+    monkeypatch.setattr(macmahon, "coefficient_table", table)
+    with pytest.raises(error, match="raised by the route"):
+        main(["coeffs", "--family", "M", "--t", "1", "--n", "5"])
 
 
 @pytest.mark.parametrize("error", [ZeroDivisionError, OverflowError, ValueError])
