@@ -259,7 +259,7 @@ def _claims_output(claims, args, extra=None):
             viol = "" if c.first_violation is None else f"  first violation at coefficient {c.first_violation}"
             lines.append(
                 f"{_TAGS.get(c.status, c.status)}  {c.family} t={c.t} p={c.p} progression {c.step}n+{c.offset}"
-                f"  [{c.kind}] depth={c.depth}{viol}  {c.label}"
+                f"  [{c.kind}] depth={c.depth}{viol}" + (f"  {c.label}" if c.label else "")
             )
         body = _text(lines)
     _write(body, args)

@@ -8,7 +8,8 @@ are checked.  The M tables are built one t at a time, so an M scan holds
 one table.  The MO tables of every t come from one packed division by the
 theta series (`macmahon.mo_andrews_rose_many`), so an MO scan holds that
 packed quotient, whose slot widths come from the proven bound
-MO(t, n) <= C(n+2t-1, 3t-1) / t! (`macmahon.mo_slot_bound`), plus the one
+MO(t, n) <= H^t C(n+t-1, 2t-1) / t!, H = order.bit_length() + 1
+(`macmahon.mo_slot_bound`), plus the one
 table unpacked from it.  The theta quotient divides by 2t+1 exactly, so
 its tables stay defined even when p divides 2t+1 (as it does for the
 t = 2, p = 5 claims).  Only a prospect's chance level is a rational, so

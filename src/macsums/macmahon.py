@@ -189,17 +189,23 @@ def mo_slot_bound(t: int, order: int) -> int:
     x_k = q^k/(1-q^k)^2 has nonnegative coefficients.  Expanding
     p_1^t = (x_1 + x_2 + ...)^t gives every product of t distinct x_k
     exactly t! times and only nonnegative terms besides, so t! e_t <= p_1^t
-    coefficientwise.  p_1 = sum sigma(m) q^m, and sigma(m) <= 1 + 2 + ... + m
-    = C(m+1, 2), the q^m coefficient of q/(1-q)^3; so p_1^t <= q^t/(1-q)^(3t)
-    coefficientwise, and
+    coefficientwise.  p_1 = sum sigma(m) q^m, and for m <= N = order
 
-        MO(t, n) <= C(n+2t-1, 3t-1) / t!.
+        sigma(m) = m * (sum of 1/d over the divisors d of m) <= m H_N <= m H,
+
+    where H_N = 1 + 1/2 + ... + 1/N <= 1 + ln N <= 1 + log2 N, and
+    log2 N < N.bit_length(), so the integer H = N.bit_length() + 1 bounds
+    it.  m is the q^m coefficient of q/(1-q)^2, so through q^N,
+    p_1^t <= H^t q^t/(1-q)^(2t) coefficientwise, and
+
+        MO(t, n) <= H^t C(n+t-1, 2t-1) / t!.
 
     The right side grows with n, so its value at n = order bounds every
     n <= order, and as MO(t, n) is an integer the floor of 2t+1 times it
     does too.
     """
-    return (2 * t + 1) * comb(order + 2 * t - 1, 3 * t - 1) // factorial(t)
+    h = order.bit_length() + 1
+    return (2 * t + 1) * h**t * comb(order + t - 1, 2 * t - 1) // factorial(t)
 
 
 def mo_andrews_rose_many(ts, order: int):

@@ -8,9 +8,10 @@ smaller operand order, and no operation silently extends a series beyond
 the coefficients it was constructed with.
 """
 
-from itertools import accumulate, compress, count, repeat
+from bisect import bisect_left
+from itertools import accumulate, compress, count, islice, repeat
 from math import comb, gcd
-from operator import add, itemgetter, sub
+from operator import add, and_, itemgetter, lshift, rshift, sub
 
 
 def inexact_quotient(value: int, d: int, at: int) -> ArithmeticError:
@@ -194,12 +195,12 @@ class Series:
 
         The series quotient is solved divide and conquer over q^0..q^N
         (`_divide`): solve the lower half, subtract its contributions from
-        the upper half (a Kronecker-packed middle product, `_middle_product`),
-        then solve the upper half.  Spans of at most `LEAF` coefficients, and
-        every node whose lanes would be too wide to pack, run the term-by-term
-        loop over the divisor's nonzero terms (`_leaf`).  Signs are moved so
-        that d > 0; a unit divisor (d = 1) then needs no division at all, and
-        any other d divides each solved coefficient exactly.
+        the upper half (a Kronecker-packed middle product, `_middle_product`,
+        at any lane width), then solve the upper half.  Spans of at most
+        `LEAF` coefficients run the term-by-term loop over the divisor's
+        nonzero terms (`_leaf`).  Signs are moved so that d > 0; a unit
+        divisor (d = 1) then needs no division at all, and any other d
+        divides each solved coefficient exactly.
         """
         if type(other) is int:
             if other == 0:
@@ -227,45 +228,50 @@ class Series:
         return Series([i * c for i, c in enumerate(self.coeffs)], self.order)
 
 
-# Series division, measured on the theta quotient at N = 20000 (a 199-term
-# divisor) with Python 3.11 on a 2-core x86-64 host.  At 123-bit quotient
-# values the division time is flat for LEAF from 128 to 512 and about 15%
-# higher at 32.  The whole division with packed middle products, against
-# the term-by-term loop alone, takes 0.45 of the time at 123-bit values,
-# 0.55 at 223, 0.7 at 323, 1.0 at 423 and 1.4 at 1123 bits.  LANE_MAX
-# caps a lane (value bits + bits of the divisor's sum of |c| + a sign bit)
-# at 256 bits, on the winning side of that crossover; it also bounds the
-# packed ints' memory.
+# Series division, measured on the theta quotients of the MO scans and
+# tables (a 199-term divisor at N = 20000) with Python 3.11 on a 2-core
+# x86-64 host, best of seven or more in-process runs.  Against the
+# term-by-term loop alone, the packed division takes 0.76 of the time on
+# the suite's four-slot quotient (N = 20000, 417-bit values), 0.87 on a
+# prospect's six-slot one (N = 5000, 426 bits) and 0.38 on a single-t
+# table (N = 20000, 123 bits).  LEAF from 96 to 256 moves these by under
+# 4%.  PIECE bounds the bytes objects and the struct format that a pack
+# or an unpack holds at once, and the lanes it pads a node's output to: 64
+# and 256 lanes take the same time, 1024 takes 1.2 times as long on the
+# single-t table, and 64 keeps the formats struct caches smallest.  PACK
+# bounds the packed ints: at 2^18 bytes the suite's top middle product is
+# cut into two bit slices, which costs 2% of the suite's division against
+# no cut (2^17: 12%) and lowers the suite command's peak RSS from 21.2 to
+# 19.7 MB.
 LEAF = 128
-LANE_MAX = 32
+PIECE = 64
+PACK = 1 << 18
 
 
-def _divide(out, tail, d, lo, hi):
+def _divide(out, tail, d, lo, hi, off=0):
     """Solve out[lo:hi] in place for `Series.__truediv__`.
 
-    On entry out[m] holds the dividend's coefficient less the
+    On entry out[m] + off holds the dividend's coefficient less the
     contributions of every solved out[j], j < lo; `tail` lists the
-    divisor's nonzero (i, c), i >= 1, and d > 0 is its constant term.  No
-    closure refers back to this function, so a division leaves no
-    reference cycle behind.
+    divisor's nonzero (i, c), i >= 1, and d > 0 is its constant term.  A
+    middle product leaves its upper half short by the bias it returns, and
+    that bias is carried down to the leaves.  No closure refers back to
+    this function, so a division leaves no reference cycle behind.
     """
     if hi - lo <= LEAF:
-        _leaf(out, tail, d, lo, lo, hi)
+        _leaf(out, tail, d, lo, hi, off)
         return
     mid = (lo + hi) // 2
-    _divide(out, tail, d, lo, mid)
-    if not _middle_product(out, tail, lo, mid, hi):
-        _leaf(out, tail, d, lo, mid, hi)
-        return
-    _divide(out, tail, d, mid, hi)
+    _divide(out, tail, d, lo, mid, off)
+    _divide(out, tail, d, mid, hi, off + _middle_product(out, tail, lo, mid, hi))
 
 
-def _leaf(out, tail, d, lo, start, hi):
-    """Solve out[start:hi] term by term, subtracting the contributions of
-    out[lo:m] from each out[m]: one multiply and one subtract per pair, then
-    the exact division by d unless d = 1."""
-    for m in range(start, hi):
-        acc = out[m]
+def _leaf(out, tail, d, lo, hi, off):
+    """Solve out[lo:hi] term by term, subtracting the contributions of
+    out[lo:m] from each out[m] + off: one multiply and one subtract per
+    pair, then the exact division by d unless d = 1."""
+    for m in range(lo, hi):
+        acc = out[m] + off
         k = m - lo
         for i, c in tail:
             if i > k:
@@ -281,62 +287,108 @@ def _leaf(out, tail, d, lo, start, hi):
 
 def _middle_product(out, tail, lo, mid, hi):
     """Subtract sum of c * out[m - i] over lo <= m - i < mid from each
-    out[m], mid <= m < hi, as one sum of shifted packed ints.
+    out[m], mid <= m < hi, and return the bias by which each out[m] is
+    then short.
 
-    Each solved int out[lo + k] becomes lane k, w bits wide, of
-    x = sum out[lo + k] 2^(kw) (Kronecker substitution).  The divisor term
-    (i, c) adds c * x shifted by i - n_lo lanes, so lane e of the sum is
-    what out[mid + e] needs taken off: one C-level pass per term does a
-    whole run of pairs.  Lanes are signed, and every lane of the sum fits
-    in w bits as value bits + bits of sum |c| + a sign bit.  Returns False,
-    changing nothing, when a lane would be wider than LANE_MAX bytes.
+    The solved ints out[lo:mid] are cut into as few bit slices as keep
+    each packed int near PACK bytes, and `_packed_pass` takes each slice's
+    contributions off: the product is linear in the ints, so the slices'
+    contributions, shifted into place, sum to the whole.  Every slice but
+    the top one is nonnegative; the top one keeps the sign.
     """
-    from bisect import bisect_left  # imported here, off the start-up path
-    from struct import unpack
-
-    low = out[lo:mid]
     terms = tail[: bisect_left(tail, hi - lo, key=itemgetter(0))]
+    low = out[lo:mid]
     top = max(max(low), -min(low))
     if not (top and terms):
-        return True
-    size = (top.bit_length() + sum(abs(c) for _, c in terms).bit_length() + 8) // 8
-    if size > LANE_MAX:
-        return False
-    w = 8 * size
-    bias = 1 << (w - 1)
-    lane = bias.to_bytes(size, "little")
-    n_lo, n_up = mid - lo, hi - mid
-    # pack signed lanes as biased (nonnegative) bytes, then take the bias off
-    biased = map(int.to_bytes, map(add, low, repeat(bias)), repeat(size), repeat("little"))
-    x = int.from_bytes(b"".join(biased), "little") - int.from_bytes(lane * n_lo, "little")
-    signs = x.to_bytes(n_lo * size, "little", signed=True)  # bit 8j - 1 set: the lanes in bytes < j sum negative
-    # x + 2^(n_lo w) is positive, so a right shift is one pass; the extra
-    # 1 in lane n_lo puts c in lane i of each term, taken back out below
-    x += 1 << (n_lo * w)
-    acc = borrow = 0
-    for i, c in terms:
-        if i < n_lo:
-            # x >> cut floors: it is 1 short when the lanes below the cut
-            # sum negative, the sign of the highest nonzero lane below it;
-            # add that borrow back on lane 0
-            cut = (n_lo - i) * size
-            acc += c * (x >> (8 * cut))
-            borrow += c * (signs[cut - 1] >> 7)
+        return 0
+    b = top.bit_length()
+    spread = sum(abs(c) for _, c in terms).bit_length() + 2
+    cut = -(-b // -(-(mid - lo) * (b + spread) // (8 * PACK)))
+    bias = 0
+    for j in range(0, b, cut):
+        if j + cut < b:
+            part, width = map(and_, map(rshift, low, repeat(j)), repeat((1 << cut) - 1)), cut
         else:
-            acc += (c * x) << ((i - n_lo) * w)
-    del x, signs
-    # biased, each of the n_up low lanes is nonnegative and reads off as bytes
-    acc += int.from_bytes(lane * n_up, "little")
-    packed = (acc & ((1 << (n_up * w)) - 1)).to_bytes(n_up * size, "little")
+            part, width = (map(rshift, low, repeat(j)) if j else low), b - j
+        bias += _packed_pass(out, terms, part, width, spread, lo, mid, hi, j) << j
+    return bias
+
+
+def _packed_pass(out, terms, low, b, spread, lo, mid, hi, shift):
+    """Subtract sum of c * low[m - i - lo] << shift from each out[m],
+    mid <= m < hi, over the divisor terms (i, c) with lo <= m - i < mid,
+    as sums of shifted packed ints, where -2^b <= low[k] < 2^b; return the
+    bias h by which each out[m] is then short, before the shift.
+
+    Each int low[k] + 2^b becomes lane k, w bits wide, of x (Kronecker
+    substitution).  The lanes are nonnegative, so a right shift drops
+    whole lanes exactly.  Output lane e is what out[mid + e] needs taken
+    off, and the term (i, c) adds c * low[n_lo + e - i] to it for e in
+    [max(0, i - n_lo), min(i, n_up)).  For i <= n_lo that is
+    c * (x >> (n_lo - i) lanes), i lanes wide; for i > n_lo it is c times
+    the low hi - lo - i lanes of x, shifted up by i - n_lo lanes and summed
+    Horner fashion from the largest i.  So each term costs the lanes it
+    writes, and at most four ints as wide as x are live at once.  Each
+    term also adds c 2^b to every lane it covers; a constant whose lanes
+    are h = 2^(w-1) less those sums makes every lane of the result
+    nonnegative, and the lanes are packed and read off PIECE at a time.
+    Every lane fits in w bits as b + `spread` (bits of sum |c|, plus 2)
+    bits.
+    """
+    from struct import unpack_from  # imported here, off the start-up path
+
+    n_lo, n_up = mid - lo, hi - mid
+    size = (b + spread + 7) // 8
+    w = 8 * size
+    buf = bytearray(n_lo * size)
+    low = iter(low)
+    for j in range(0, n_lo * size, PIECE * size):
+        lanes = map(add, islice(low, PIECE), repeat(1 << b))
+        buf[j : j + PIECE * size] = b"".join(map(int.to_bytes, lanes, repeat(size), repeat("little")))
+    x = int.from_bytes(buf, "little")
+    del buf
+    steps = {0: 0}  # lane e is covered by terms whose c sum to the steps at or below e
+    split = bisect_left(terms, n_lo + 1, key=itemgetter(0))
+    acc = 0
+    if split < len(terms):
+        prev = terms[-1][0]
+        for i, c in reversed(terms[split:]):
+            acc <<= (prev - i) * w
+            acc += c * (x & ((1 << ((hi - lo - i) * w)) - 1))
+            prev = i
+            steps[i - n_lo] = steps.get(i - n_lo, 0) + c
+        acc <<= (prev - n_lo) * w
+    # the Horner part joins the sum once that is half as wide, which keeps
+    # four ints live rather than five
+    part, acc = acc, 0
+    fold = bisect_left(terms, n_lo // 2 + 1, key=itemgetter(0))
+    for j, (i, c) in enumerate(terms[:split]):
+        if j == fold and part:
+            acc, part = acc + part, 0
+        acc += c * (x >> ((n_lo - i) * w))
+        steps[0] += c
+        steps[i] = steps.get(i, 0) - c
+    del x
+    if part:
+        acc += part
+    del part
+    h = 1 << (w - 1)
+    at = sorted(steps)
+    level = 0
+    fill = []
+    for e, f in zip(at, [*at[1:], n_up]):
+        level += steps[e]
+        fill.append((h - (level << b)).to_bytes(size, "little") * (f - e))
+    acc += int.from_bytes(b"".join(fill), "little")
+    packed = acc.to_bytes(-(-n_up // PIECE) * PIECE * size, "little")  # whole pieces: one struct format per size
     del acc
-    lanes = map(int.from_bytes, unpack(f"{size}s" * n_up, packed), repeat("little"))
-    out[mid:hi] = map(sub, map(add, out[mid:hi], repeat(bias)), lanes)
-    out[mid] -= borrow
-    for i, c in terms:
-        if i >= n_up:
-            break
-        out[mid + i] += c
-    return True
+    piece = f"{size}s" * PIECE
+    for j in range(mid, hi, PIECE):
+        lanes = map(int.from_bytes, unpack_from(piece, packed, (j - mid) * size), repeat("little"))
+        if shift:
+            lanes = map(lshift, lanes, repeat(shift))
+        out[j : j + PIECE] = map(sub, out[j : j + PIECE], lanes)
+    return h
 
 
 def _check_stride_shift(k, shift):

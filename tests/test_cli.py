@@ -187,6 +187,25 @@ def test_scan_prospect_wide_grid_includes_mod11_claim(capsys):
     assert any(r["t"] == 4 and r["p"] == 11 and r["offset"] == 6 for r in payload["results"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--suite", "paper", "--order", "120"],
+        ["scan", "--prospect", "--family", "MO", "--t", "1..3", "--p", "5,7", "--order", "120"],
+        ["scan", "--claim", "MO,1,5,5,1", "--order", "7"],
+        ["scan", "--claim", "M,3,7,8,4", "--order", "200"],
+    ],
+    ids=["suite", "prospect", "claim-refuted", "claim-passed"],
+)
+def test_scan_text_lines_end_without_whitespace(capsys, argv):
+    # an ad-hoc claim has no label, and its line used to end in the two
+    # spaces that separate one
+    code, out, _ = run_cli(capsys, *argv)
+    assert code in (0, 1)
+    lines = out.splitlines()
+    assert lines and [line for line in lines if line != line.rstrip()] == []
+
+
 def test_scan_rejects_unknown_suite(capsys):
     code, _, err = run_cli(capsys, "scan", "--suite", "everything", "--order", "50")
     assert code == 2
@@ -508,7 +527,9 @@ def test_parse_errors_are_one_error_line(capsys, argv, named):
 def test_cli_imports_no_dataclasses_typing_json_or_csv():
     # the start-up cost of every command: a text-format verify, coeffs table
     # or suite scan loads none of these either; only a command that computes
-    # an exact rational loads fractions, and with it decimal and numbers
+    # an exact rational loads fractions, and with it decimal and numbers.
+    # The import loads no struct either: only a division's packed middle
+    # product uses it (site start-up would load it, hence -S)
     src = Path(__file__).resolve().parent.parent / "src"
     script = "\n".join([
         "import sys",
@@ -516,7 +537,7 @@ def test_cli_imports_no_dataclasses_typing_json_or_csv():
         "HEAVY = ('dataclasses', 'inspect', 'typing', 'json', 'csv', 'argparse', 'gettext', 'locale',",
         "         'fractions', 'decimal', 'numbers', '__future__')",
         "import macsums.cli",
-        "print('import', *[m for m in HEAVY if m in sys.modules])",
+        "print('import', *[m for m in HEAVY + ('struct',) if m in sys.modules])",
         "for argv in (['verify', '--id', 'T-inversion', '--order', '10'],",
         "             ['coeffs', '--family', 'MO', '--t', '2', '--n', '50'],",
         "             ['scan', '--suite', 'paper', '--order', '200']):",

@@ -1,5 +1,6 @@
 """Tests for the M/MO generating function routes and their agreements."""
 
+import sys
 import time
 import tracemalloc
 from collections import Counter
@@ -272,23 +273,47 @@ def test_packed_theta_quotients_match_single_tables_and_chains(ts, order):
         assert values == mo_andrews_rose(t, order).coeffs == strict[t - 1].coeffs, t
 
 
-def test_packed_mo_tables_take_the_loop_and_single_tables_the_packed_middle_product(monkeypatch):
-    # the packed scan quotient is too wide for the middle product's lanes,
-    # so its division runs the loop; one t at a time packs: both agree
-    paths = []
+def test_packed_and_single_mo_tables_pack_every_middle_product(monkeypatch):
+    # the wide packed scan quotient and each narrow single-t one pack every
+    # middle product (a nonzero bias is returned), and both agree
+    biases = []
     real = series._middle_product
 
     def spy(*args):
-        paths.append(real(*args))
-        return paths[-1]
+        biases.append(real(*args))
+        return biases[-1]
 
     monkeypatch.setattr(series, "_middle_product", spy)
     packed = dict(mo_andrews_rose_many([10, 4, 3, 2], 3000))
-    assert not all(paths)
-    paths.clear()
+    assert biases and all(biases)
+    biases.clear()
     for t, values in packed.items():
         assert values == mo_andrews_rose(t, 3000).coeffs, t
-    assert paths and all(paths)
+    assert biases and all(biases)
+
+
+def test_packed_mo_division_peak_is_a_small_multiple_of_its_quotient(monkeypatch):
+    # the packed middle products' temporaries stay within a small multiple
+    # of the packed quotient: the whole scan peaks at 2.71 times its size
+    # with the term-by-term loop and 3.07 packed, where packing every lane at
+    # once, as an earlier prototype did, reached 3.82
+    sizes = []
+    divide = Series.__truediv__
+
+    def measured(self, other):
+        quotient = divide(self, other)
+        sizes.append(sys.getsizeof(quotient.coeffs) + sum(map(sys.getsizeof, quotient.coeffs)))
+        return quotient
+
+    monkeypatch.setattr(Series, "__truediv__", measured)
+    tracemalloc.start()
+    try:
+        list(mo_andrews_rose_many([10, 4, 3, 2], 3000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (size,) = sizes
+    assert peak < 3.4 * size
 
 
 def test_coefficient_values_names_the_first_non_integer(monkeypatch):
@@ -299,11 +324,18 @@ def test_coefficient_values_names_the_first_non_integer(monkeypatch):
 
 
 def test_slot_bound_dominates_every_theta_quotient_coefficient():
+    # sigma(m) <= m (N.bit_length() + 1) bounds every (2t+1) MO(t, n), n <= N
     strict = multisums(10, 1000, strict=True)
     for t in range(1, 11):
         quotients = [(2 * t + 1) * c for c in strict[t - 1].coeffs]
         assert mo_slot_bound(t, 1000) >= max(quotients), t
         assert all(mo_slot_bound(t, n) >= c for n, c in enumerate(quotients)), t
+    for t in (2, 3, 4):
+        quotients = [(2 * t + 1) * c for c in mo_andrews_rose(t, 5000).coeffs]
+        assert all(mo_slot_bound(t, n) >= c for n, c in enumerate(quotients)), t
+    # the suite's slots at order 20000, 28 to 16 bits narrower than the
+    # C(m+1, 2) bound on sigma(m) made them
+    assert [mo_slot_bound(t, 20000).bit_length() for t in (4, 3, 2)] == [103, 77, 50]
 
 
 def test_strict_multisum_matches_brute_force():

@@ -18,6 +18,7 @@ from conftest import (
     rand_int_series,
     seeded,
 )
+from macsums import series
 from macsums.divisors import eisenstein, sigma_series
 from macsums.series import LEAF, Series, geometric_pow, over_geometric_coeffs
 
@@ -123,34 +124,70 @@ def test_division_requires_unit_divisor():
 
 def _divisor(rng, order, shape, b0):
     """A sparse theta-like divisor (odd weights of random sign on the
-    triangular numbers) or a dense one, with constant term b0."""
-    if shape == "theta":
-        b = [0] * (order + 1)
+    triangular numbers), a dense one, or a sparse one whose sum of |c|
+    passes 2^20 ("heavy"), with constant term b0."""
+    b = [0] * (order + 1)
+    if shape == "dense":
+        b = [rng.randrange(-9, 10) for _ in range(order + 1)]
+    else:
         m = 1
         while m * (m + 1) // 2 <= order:
-            b[m * (m + 1) // 2] = rng.choice((-1, 1)) * (2 * m + 1)
+            weight = rng.randrange(2**18, 2**19) if shape == "heavy" else 2 * m + 1
+            b[m * (m + 1) // 2] = rng.choice((-1, 1)) * weight
             m += 1
-    else:
-        b = [rng.randrange(-9, 10) for _ in range(order + 1)]
     b[0] = b0
     return b
 
 
 @pytest.mark.parametrize(
     "order, shape",
-    [(n, "theta") for n in (LEAF - 1, LEAF, LEAF + 1, 300, 777, 1500)] + [(n, "dense") for n in (LEAF + 1, 300, 777)],
+    [(n, "theta") for n in (LEAF - 1, LEAF, LEAF + 1, 300, 777, 1500)]
+    + [(n, "dense") for n in (LEAF + 1, 300, 777)]
+    + [(n, "heavy") for n in (LEAF + 1, 2 * LEAF + 1, 777)],
 )
 def test_division_at_depth_matches_the_product_oracle(order, shape):
     # past LEAF the quotient is solved divide and conquer, up to four levels
-    # here; signed quotients of 3 and 60 bits pack into the middle product's
-    # lanes (where a dropped borrow or lane fix-up shows), 300 bits do not
+    # here, and every middle product packs: signed quotients of 3 to 1200
+    # bits, over divisors with constant term +-1, +-2 or +-3 whose sum of |c|
+    # passes 2^20 when heavy (a dropped bias, lane, fold or slice shows)
     rng = seeded(order)
-    for bits in (3, 60, 300):
-        for b0 in (1, -1):
+    b0s = (1, -3) if shape == "dense" else (1, -1, 2, -2, 3, -3)
+    for bits in (3, 60, 300, 600, 1200):
+        for b0 in b0s:
             q = [rng.randrange(-(2**bits), 2**bits) for _ in range(order + 1)]
             b = _divisor(rng, order, shape, b0)
-            a = naive_mul(q, b, order)
+            a = naive_mul(b, q, order)
             assert (Series(a, order) / Series(b, order)).coeffs == q, (bits, b0)
+            if abs(b0) > 1:
+                # a planted remainder raises at its own coefficient
+                m = rng.randrange(order + 1)
+                a[m] += 1
+                with pytest.raises(ArithmeticError, match=rf"at q\^{m}$"):
+                    Series(a, order) / Series(b, order)
+
+
+def test_division_cut_into_bit_slices_matches_the_product_oracle(monkeypatch):
+    # a middle product whose packed ints would pass PACK bytes cuts the
+    # solved ints into bit slices, one packed pass each: the low slices are
+    # nonnegative, the top one keeps the sign
+    monkeypatch.setattr(series, "PACK", 1 << 12)
+    passes = []
+    real = series._packed_pass
+
+    def spy(*args):
+        passes.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(series, "_packed_pass", spy)
+    rng = seeded(12)
+    order = 600
+    for bits in (60, 1200):
+        for b0 in (1, -2):
+            q = [rng.randrange(-(2**bits), 2**bits) for _ in range(order + 1)]
+            b = _divisor(rng, order, "theta", b0)
+            a = naive_mul(b, q, order)
+            assert (Series(a, order) / Series(b, order)).coeffs == q, (bits, b0)
+    assert max(passes) > 0  # some pass ran on a slice above the lowest
 
 
 @pytest.mark.parametrize("b0, fraction_term", [(2, False), (-3, False), (1, True), (-1, True)])
@@ -360,13 +397,15 @@ def test_construction_rejects_what_is_not_an_int(coeffs, at):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_integer_contract(data):
-    # quotients drawn on both sides of LEAF and at widths that do and do not
-    # pack; divisors with constant term in {+-1, +-2, +-3}
+    # quotients drawn on both sides of LEAF and 3 to 1200 bits wide, all of
+    # which pack; divisors with constant term in {+-1, +-2, +-3} and a sum
+    # of |c| that may pass 2^20
     order = data.draw(st.integers(0, LEAF - 1) | st.integers(LEAF + 1, 2 * LEAF + 40), label="order")
-    bits = data.draw(st.sampled_from((3, 60, 300)), label="bits")
+    bits = data.draw(st.sampled_from((3, 60, 300, 600, 1200)), label="bits")
     q = data.draw(st.lists(st.integers(-(2**bits), 2**bits), min_size=order + 1, max_size=order + 1), label="q")
     b0 = data.draw(st.sampled_from((1, -1, 2, -2, 3, -3)), label="b0")
-    rest = data.draw(st.lists(st.integers(-9, 9), min_size=order, max_size=order), label="divisor")
+    spread = data.draw(st.sampled_from((9, 2**20)), label="spread")
+    rest = data.draw(st.lists(st.integers(-spread, spread), min_size=order, max_size=order), label="divisor")
     b = Series([b0, *rest], order)
     a = naive_mul(q, b.coeffs, order)
     assert Series(a, order) / b == Series(q, order)
