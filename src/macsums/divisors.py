@@ -2,9 +2,8 @@
 evaluation of integer polynomials against series families.
 
 All generating functions return exact integer-coefficient Series.  The tail
-products of `dilcher_r` and the 1/(q;q)_m of `alternating_tail_quotient`
-are one coefficient list each, taking one signed-kernel step
-(`over_geometric_coeffs`) per m, with no division.  An umbral
+product of `dilcher_r` is one coefficient list, taking one signed-kernel
+step (`over_geometric_coeffs`) per m, with no division.  An umbral
 polynomial is a tuple of integer coefficients, constant term first
 (`qcombo.poly_from_roots`), read in one formal symbol X; evaluating it
 replaces each power X^s by the s-th member of a family, which is any function
@@ -13,7 +12,7 @@ replaces each power X^s by the s-th member of a family, which is any function
 
 from itertools import repeat
 from math import isqrt
-from operator import add, mul, sub
+from operator import add, mul
 
 from .qcombo import poly_from_roots
 from .series import Series, geometric_pow, over_geometric_coeffs
@@ -75,19 +74,6 @@ def dilcher_r(t: int, order: int) -> Series:
     for m in range(order, 0, -1):
         out[m:] = map(add, out[m:], map(mul, tail, repeat(m**t)))
         tail = over_geometric_coeffs(tail, m, -1)
-    return Series(out, order)
-
-
-def alternating_tail_quotient(t: int, order: int) -> Series:
-    """Sum over m >= 1 of (-1)^(m-1) q^(m(m+1)/2) / ((1-q^m)^t (q;q)_m),
-    where (q;q)_m is the product of (1-q^j) for j <= m."""
-    out = [0] * (order + 1)
-    inv = [1] + [0] * order  # 1/(q;q)_m
-    m = 1
-    while m * (m + 1) // 2 <= order:
-        inv = over_geometric_coeffs(inv, m, 1)
-        out[:] = map(add if m % 2 else sub, out, over_geometric_coeffs(inv, m, t, m * (m + 1) // 2))
-        m += 1
     return Series(out, order)
 
 

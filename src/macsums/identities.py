@@ -13,10 +13,13 @@ meaning 1/(1-q^j)^r (r < 0 is a numerator factor), built by `_q_int`,
 term's steps per j, so qbin(n,k)/qbin(n+k,k) cancels before any pass, and
 applies the rest with `over_geometric_coeffs` to q^e or to a base series,
 such as a multisum side's `chain_series`.  So a term is one integer
-coefficient list: no polynomial product, no series division.
+coefficient list: no polynomial product, no series division.  The Jacobi
+product and theta sides and the alternating tail quotient are step sums
+here too, and one telescoping walk serves the WZ certificates at q and at
+q = 1.
 """
 
-from .macmahon import chain_series
+from .macmahon import chain_series, multisums
 from .series import Series, over_geometric_coeffs
 
 
@@ -74,6 +77,56 @@ def _alternating_sum(n: int, order: int, exponent, factors, base=None) -> Series
         term = _term(order, *factors(k), e=e, base=base(k) if base else None)
         acc = acc + term if k % 2 else acc - term
     return acc
+
+
+# ---------------------------------------------------------------------------
+# specializations of Jacobi's product identity, and the alternating tail
+# quotient of the umbral-tail identity
+
+# (1-q^m)^2 / D_c(m) as kernel steps (j, r), each 1/(1-q^(jm))^r, where
+# D_c(m) = 1 - 2 cos(2x) q^m + q^(2m) at 4 sin^2(x) = c
+_JACOBI_PRODUCT_STEPS = {
+    4: ((1, -4), (2, 2)),  # (1-q^m)^4 / (1-q^2m)^2
+    2: ((1, -2), (2, -1), (4, 1)),  # (1-q^m)^2 (1-q^2m) / (1-q^4m)
+    1: ((1, -1), (2, -1), (3, -1), (6, 1)),  # (1-q^m)(1-q^2m)(1-q^3m) / (1-q^6m)
+}
+
+# (1-q^m)(1-q^2m) / D_c(m) as kernel steps, a table apart from the product's
+# so that one wrong table cannot fool both sides; each row's comment writes
+# its D_c(m) as steps
+_JACOBI_THETA_STEPS = {
+    4: ((1, -3), (2, 1)),  # D_4 = (1+q^m)^2 = (1-q^2m)^2 / (1-q^m)^2
+    2: ((1, -1), (2, -2), (4, 1)),  # D_2 = 1+q^2m = (1-q^4m) / (1-q^2m)
+    1: ((2, -2), (3, -1), (6, 1)),  # D_1 = 1-q^m+q^2m = (1-q^m)(1-q^6m) / ((1-q^2m)(1-q^3m))
+}
+
+
+def jacobi_product_side(c: int, order: int) -> Series:
+    """Product over m of (1-q^m)^2 / (1 - 2 cos(2x) q^m + q^(2m)) at the
+    specialization with 4 sin^2(x) = c: one `_term` over every m's steps."""
+    return _term(order, [(j * m, r) for m in range(1, order + 1) for j, r in _JACOBI_PRODUCT_STEPS[c]])
+
+
+def jacobi_theta_side(c: int, order: int) -> Series:
+    """Single theta-style sum for the same specialization: terms
+    (-1)^(m-1) q^(m(m-1)/2) (1-q^m)(1-q^2m) / D_c(m)."""
+    return _alternating_sum(order + 1, order, lambda m: m * (m - 1) // 2,
+                            lambda m: ([(j * m, r) for j, r in _JACOBI_THETA_STEPS[c]],))
+
+
+def jacobi_weak_sum_side(c: int, order: int) -> Series:
+    """Sum over n of (-c)^n times the weak n-tuple enumeration."""
+    acc = Series.one(order)
+    for n, h in enumerate(multisums(order, order), 1):
+        acc = acc + (-c) ** n * h
+    return acc
+
+
+def alternating_tail_quotient(t: int, order: int) -> Series:
+    """Sum over m >= 1 of (-1)^(m-1) q^(m(m+1)/2) / ((1-q^m)^t (q;q)_m),
+    where (q;q)_m = [m]_q! (1-q)^m is the product of (1-q^j) for j <= m."""
+    return _alternating_sum(order, order, lambda m: m * (m + 1) // 2,
+                            lambda m: (_q_factorial(m, -1), _one_minus_q(-m), ((m, t),)))
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +265,24 @@ def cor52_sides(t: int, n: int, x: int, z: int, order: int):
 # q-series WZ certificate walks: each returns its first failing step, or None
 
 
+def telescoping_failure(F, G, closed, nmax) -> str | None:
+    """Walk a WZ pair F(m, k), G(m, k) for m = 1..nmax and k = m..nmax:
+    F(m,k) equals G(m,k+1) - G(m,k), and the sum of F(m,m..k) equals
+    closed(m, k) at every endpoint k.  Values are compared with == and !=,
+    so the pair may be series or exact rationals."""
+    for m in range(1, nmax + 1):
+        g = G(m, m)
+        for k in range(m, nmax + 1):
+            f, g_next = F(m, k), G(m, k + 1)
+            if f != g_next - g:
+                return f"pair relation fails at m={m}, k={k}"
+            total = f if k == m else total + f
+            if total != closed(m, k):
+                return f"telescoped sum fails at m={m}, n={k}"
+            g = g_next
+    return None
+
+
 def _wz_lemma51_F(m, k, z, order):
     return _term(order, _qbin(z + k, k), _qbin(k, m), _q_int(z + k, -1), e=k)
 
@@ -226,18 +297,10 @@ def _wz_lemma51_G(m, k, z, order):
 
 def wz_lemma51_failure(z: int, nmax: int, order: int) -> str | None:
     """q-certificate behind the z-shifted transform lemma."""
-    for m in range(1, nmax + 1):
-        total = Series.zero(order)
-        for k in range(m, nmax + 1):
-            F = _wz_lemma51_F(m, k, z, order)
-            diff = _wz_lemma51_G(m, k + 1, z, order) - _wz_lemma51_G(m, k, z, order)
-            if not F.agrees(diff):
-                return f"pair relation fails at m={m}, k={k}"
-            total = total + F
-            closed = _term(order, _qbin(z + k, k), _qbin(k, m), _q_int(z + m, -1), e=m)
-            if not total.agrees(closed):
-                return f"telescoped sum fails at m={m}, n={k}"
-    return None
+    return telescoping_failure(lambda m, k: _wz_lemma51_F(m, k, z, order),
+                               lambda m, k: _wz_lemma51_G(m, k, z, order),
+                               lambda m, k: _term(order, _qbin(z + k, k), _qbin(k, m), _q_int(z + m, -1), e=m),
+                               nmax)
 
 
 def _wz52_F(n, k, x, order):

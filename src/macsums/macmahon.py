@@ -14,14 +14,14 @@ one chain pass (`chain_series`, as `multisums`) builds either family for
 every length, and one self-inverse transform (`_dual`) solves the relation
 between them.
 
-Every factor k^w q^a prod (1-q^j)^(e_j) is applied on plain coefficient
-lists by the signed kernel `over_geometric_coeffs` (strided running sums
-for a denominator, strided differences for a numerator), never multiplied
-in as a built series: in `chain_series`, whose factors are data, and on the
-Jacobi product side.  The exception is a chain's last position, which
-multiplies the constant 1: a factor there with one denominator power r is
-written directly as strided binomial weights C(j+r-1, r-1), so x_k, the
-first level of `multisums`, is the weights 1, 2, 3, ... at stride k.
+Every chain factor k^w q^a prod (1-q^j)^(e_j) is data, applied on plain
+coefficient lists by the signed kernel `over_geometric_coeffs` (strided
+running sums for a denominator, strided differences for a numerator),
+never multiplied in as a built series.  The exception is a chain's last
+position, which multiplies the constant 1: a factor there with one
+denominator power r is written directly as strided binomial weights
+C(j+r-1, r-1), so x_k, the first level of `multisums`, is the weights
+1, 2, 3, ... at stride k.
 """
 
 from bisect import bisect_left
@@ -468,56 +468,6 @@ def symmetric_relation_sides(t: int, order: int):
         term = e[i] * h[t - i]
         acc = acc - term if i % 2 else acc + term
     return acc, Series.zero(order)
-
-
-# ---------------------------------------------------------------------------
-# specializations of Jacobi's product identity
-
-
-_JACOBI_DENOMS = {
-    4: lambda m, order: Series.one(order) + 2 * Series.monomial(1, m, order) + Series.monomial(1, 2 * m, order),
-    2: lambda m, order: Series.one(order) + Series.monomial(1, 2 * m, order),
-    1: lambda m, order: Series.one(order) - Series.monomial(1, m, order) + Series.monomial(1, 2 * m, order),
-}
-
-# (1-q^m)^2 / _JACOBI_DENOMS[c](m) as kernel steps (j, r), each 1/(1-q^(jm))^r
-_JACOBI_PRODUCT_STEPS = {
-    4: ((1, -4), (2, 2)),  # (1-q^m)^4 / (1-q^2m)^2
-    2: ((1, -2), (2, -1), (4, 1)),  # (1-q^m)^2 (1-q^2m) / (1-q^4m)
-    1: ((1, -1), (2, -1), (3, -1), (6, 1)),  # (1-q^m)(1-q^2m)(1-q^3m) / (1-q^6m)
-}
-
-
-def jacobi_product_side(c: int, order: int) -> Series:
-    """Product over m of (1-q^m)^2 / (1 - 2 cos(2x) q^m + q^(2m)) at the
-    specialization with 4 sin^2(x) = c: one coefficient list taking the
-    steps of `_JACOBI_PRODUCT_STEPS` for each m, with no division."""
-    out = [1] + [0] * order
-    for m in range(1, order + 1):
-        for j, r in _JACOBI_PRODUCT_STEPS[c]:
-            out = over_geometric_coeffs(out, j * m, r)
-    return Series(out, order)
-
-
-def jacobi_theta_side(c: int, order: int) -> Series:
-    """Single theta-style sum for the same specialization."""
-    acc = Series.zero(order)
-    m = 1
-    while m * (m - 1) // 2 <= order:
-        num = Series.one(order) - Series.monomial(1, m, order)
-        num = num * (Series.one(order) - Series.monomial(1, 2 * m, order))
-        term = (num / _JACOBI_DENOMS[c](m, order)).shift(m * (m - 1) // 2)
-        acc = acc - term if m % 2 == 0 else acc + term
-        m += 1
-    return acc
-
-
-def jacobi_weak_sum_side(c: int, order: int) -> Series:
-    """Sum over n of (-c)^n times the weak n-tuple enumeration."""
-    acc = Series.one(order)
-    for n, h in enumerate(multisums(order, order), 1):
-        acc = acc + (-c) ** n * h
-    return acc
 
 
 # ---------------------------------------------------------------------------

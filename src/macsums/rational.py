@@ -3,15 +3,18 @@ two q = 1 WZ certificate walks.
 
 These are the q = 1 shadows of the q-series identities in `identities`:
 the master identity and its seed, the triplet limit, and the telescoping
-certificates of the master lemma and of the seed.  It is the one module
-that imports `fractions` at its top, and the registry imports it only
-inside its four q = 1 cases, so the other catalog ids, `coeffs` and the
-congruence suite never load `fractions`.  A WZ walk compares its own steps
-and returns its first failure, a note naming the step, or None.
+certificates of the master lemma (walked by `identities.telescoping_failure`)
+and of the seed.  It is the one module that imports `fractions` at its
+top, and the registry imports it only inside its four q = 1 cases, so the
+other catalog ids, `coeffs` and the congruence suite never load
+`fractions`.  A WZ walk compares its own steps and returns its first
+failure, a note naming the step, or None.
 """
 
 from fractions import Fraction
 from math import comb, factorial, prod
+
+from .identities import telescoping_failure
 
 
 def _chain_tails(w: list, r: int) -> list:
@@ -42,7 +45,7 @@ def _check_chain_length(t):
         raise ValueError(f"chain length t must be >= 1, got {t}")
 
 
-def _check_poles(n, z, x=None):
+def _check_poles(n, z=None, x=None):
     for k in range(1, n + 1):
         if z == -k:
             raise ValueError("parameter hits pole: z + k = 0")
@@ -118,16 +121,12 @@ def rational_hypothesis_sides(n: int, x):
 def rational_triplet_sums(t: int, n: int):
     """The q = 1 shadow of the triplet (set x = n in the master corollary):
     multisum of 1/(k_1^2...k_t^2) equals twice the alternating single sum,
-    equals the paired 2t-fold sum."""
+    the master lhs with exponent 2t at z = 0, x = n, equals the paired
+    2t-fold sum."""
     inverse_square = lambda k: Fraction(1, k * k)
     s1 = _weak_chain_sum(t, n, inverse_square, inverse_square)
-    s2 = Fraction(0)
-    for k in range(1, n + 1):
-        term = Fraction(2 * comb(n, k), k ** (2 * t) * comb(n + k, k))
-        s2 += term if k % 2 else -term
     s3 = _weak_chain_sum(2 * t, n, lambda k: Fraction(2, n + k), lambda k: Fraction(1, k))
-    return s1, s2, s3
-
+    return s1, 2 * _master_lhs(2 * t, n, 0, n), s3
 
 
 # ---------------------------------------------------------------------------
@@ -145,29 +144,14 @@ def _running_binomials(z: Fraction, kmax: int) -> list:
 
 def wz_master_failure(z, nmax: int) -> str | None:
     """Certificate for the binomial sum used by the master lemma:
-    F(m,k) = C(z+k,k)/(z+k) * C(k,m), G(m,k) = F(m,k)(k-m)/(z+m)."""
+    F(m,k) = C(z+k,k)/(z+k) * C(k,m), G(m,k) = F(m,k)(k-m)/(z+m), and the
+    sum of F(m,m..n) is C(z+n,n)/(z+m) * C(n,m)."""
     z = Fraction(z)
+    _check_poles(nmax + 1, z)
     binom = _running_binomials(z, nmax + 1)
-
-    def F(m, k):
-        return binom[k] / (z + k) * comb(k, m)
-
-    def G(m, k):
-        return F(m, k) * (k - m) / (z + m)
-
-    for m in range(1, nmax + 1):
-        if z + m == 0:
-            return "z + m = 0 pole"
-        total = Fraction(0)
-        for k in range(m, nmax + 1):
-            if F(m, k) != G(m, k + 1) - G(m, k):
-                return f"pair relation fails at m={m}, k={k}"
-            total += F(m, k)
-            # telescoping closed form at every endpoint n = k
-            closed = binom[k] / (z + m) * comb(k, m)
-            if total != closed:
-                return f"telescoped sum fails at m={m}, n={k}"
-    return None
+    F = lambda m, k: binom[k] / (z + k) * comb(k, m)
+    return telescoping_failure(F, lambda m, k: F(m, k) * (k - m) / (z + m),
+                               lambda m, k: binom[k] / (z + m) * comb(k, m), nmax)
 
 
 def wz_cor32_failure(x, nmax: int) -> str | None:
@@ -177,6 +161,7 @@ def wz_cor32_failure(x, nmax: int) -> str | None:
     F(n,k) = G(n,k) - G(n,k+1) with G(n,k) = (x+k)/(x+n) F(n,k).
     """
     x = Fraction(x)
+    _check_poles(nmax + 1, x=x)
     binom = _running_binomials(x, nmax + 1)
 
     def F(n, k):

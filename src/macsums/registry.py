@@ -166,17 +166,19 @@ def _conjugate_chain(order, t):
 
 
 def _jacobi(order, c):
-    prod = mac.jacobi_product_side(c, order)
-    theta = mac.jacobi_theta_side(c, order)
-    weak = mac.jacobi_weak_sum_side(c, order)
+    prod = ident.jacobi_product_side(c, order)
+    theta = ident.jacobi_theta_side(c, order)
+    weak = ident.jacobi_weak_sum_side(c, order)
     return [dict(pairs=[(prod, theta, "product vs theta"), (theta, weak, "theta vs weak sum")])]
 
 
-def _agreement(family, routes, order, t):
-    """The defining multisum, built once per t, against each other route."""
+def _agreement(family, order, t):
+    """The defining multisum, built once per t, against every other route of
+    the family's formula table, in its order."""
     base = mac.strict_multisum(t, order) if family == "MO" else mac.weak_multisum(t, order)
     formulas = mac.MO_FORMULAS if family == "MO" else mac.M_FORMULAS
-    return [dict(params={"t": t, "formula": name}, pairs=[(base, formulas[name](t, order))]) for name in routes]
+    return [dict(params={"t": t, "formula": name}, pairs=[(base, route(t, order))])
+            for name, route in formulas.items() if name != "multisum"]
 
 
 def _stirling_lambert(order, t):
@@ -241,10 +243,8 @@ _SPECS = [
     IdentitySpec("conjugate-chain", "alternating-inequality chain vs both multisum families", _T3,
                  _conjugate_chain),
     IdentitySpec("jacobi-specialization", "product = theta sum = signed weak sums", {"c": (4, 2, 1)}, _jacobi),
-    IdentitySpec("U-agreement", "five formula routes for the strict family agree", _T3, partial(
-        _agreement, "MO", ("andrews-rose", "umbral", "recurrence", "symmetric"))),
-    IdentitySpec("V-agreement", "four formula routes for the weak family agree", _T3, partial(
-        _agreement, "M", ("single-sum", "conjugate", "recurrence"))),
+    IdentitySpec("U-agreement", "five formula routes for the strict family agree", _T3, partial(_agreement, "MO")),
+    IdentitySpec("V-agreement", "four formula routes for the weak family agree", _T3, partial(_agreement, "M")),
     IdentitySpec("symmetric-relation", "alternating strict/weak convolution vanishes", _T4,
                  _sides(lambda order, t: mac.symmetric_relation_sides(t, order))),
     IdentitySpec("stirling-lambert", "binomial Lambert series as a Stirling combination", _T4,
@@ -258,7 +258,7 @@ _SPECS = [
         lambda order, t: (div.power_lambert(t, t, order) * factorial(t - 1),
                           div.umbral_eval(div.lower_factorial(t), div.sigma_series, order)))),
     IdentitySpec("umbral-tail", "alternating theta quotient as an umbral rising product", _T4, _sides(
-        lambda order, t: (div.alternating_tail_quotient(t, order) * factorial(t),
+        lambda order, t: (ident.alternating_tail_quotient(t, order) * factorial(t),
                           div.umbral_eval(div.raising_factorial(t), div.dilcher_r, order)))),
     IdentitySpec("eisenstein-ramanujan", "the three modular derivative identities", {}, _eisenstein_ramanujan),
 ]

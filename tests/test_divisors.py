@@ -5,7 +5,6 @@ from math import comb, factorial, gcd, prod
 
 from conftest import IntPoly, euler_function, naive_mul
 from macsums.divisors import (
-    alternating_tail_quotient,
     dilcher_r,
     eisenstein,
     lower_factorial,
@@ -18,6 +17,7 @@ from macsums.divisors import (
     theta_moment,
     umbral_eval,
 )
+from macsums.identities import alternating_tail_quotient
 from macsums.qcombo import central_T, central_u
 from macsums.series import Series, geometric_pow
 

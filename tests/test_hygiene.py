@@ -4,8 +4,9 @@ or is public API (`macsums.__all__`), every method is called by the program
 itself, `series.py` imports nothing from `fractions`, no module but
 `rational.py` imports `fractions` at its top, no module imports from
 `__future__`, no module multiplies by a geometric factor it built as a
-series, no module holds a float, and only the registry builds identity
-reports or names catalog ids."""
+series or multiplies or divides by a polynomial it built from monomials,
+no module holds a float, and only the registry builds identity reports or
+names catalog ids."""
 
 import ast
 from pathlib import Path
@@ -44,26 +45,32 @@ def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def geometric_products(source):
-    """Lines where a `geometric_pow(...)` call is an operand of `*` or `*=`:
-    such a factor is applied with `over_geometric`, never multiplied in."""
-    def is_builder(node):
-        if not isinstance(node, ast.Call):
-            return False
-        f = node.func
-        return (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "geometric_pow"
+def built_factor_operands(source, builder, ops):
+    """Lines where an operand of a binary or augmented operation in ops
+    calls `builder` (by name or attribute), however deeply nested."""
+    def calls_builder(node):
+        return any(isinstance(n, ast.Call) and (n.func.id if isinstance(n.func, ast.Name)
+                                                else getattr(n.func, "attr", None)) == builder
+                   for n in ast.walk(node))
 
     lines = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ops):
             operands = (node.left, node.right)
-        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Mult):
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ops):
             operands = (node.value,)
         else:
             continue
-        if any(is_builder(op) for op in operands):
+        if any(calls_builder(op) for op in operands):
             lines.append(node.lineno)
-    return sorted(lines)
+    return sorted(set(lines))
+
+
+def geometric_products(source):
+    """Lines where a `geometric_pow(...)` call is in an operand of `*` or
+    `*=`: such a factor is applied with `over_geometric_coeffs`, never
+    multiplied in."""
+    return built_factor_operands(source, "geometric_pow", ast.Mult)
 
 
 def test_geometric_products_are_found():
@@ -80,6 +87,30 @@ def test_geometric_products_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_multiplies_by_no_built_geometric_factor(path):
     assert geometric_products(path.read_text()) == []
+
+
+def monomial_polynomials(source):
+    """Lines where an operand of `*` or `/` calls `Series.monomial`: a
+    q-polynomial such as 1 + q^m built from monomials and multiplied or
+    divided in is kernel steps (j, r) instead."""
+    return built_factor_operands(source, "monomial", (ast.Mult, ast.Div))
+
+
+def test_monomial_polynomials_are_found():
+    source = (
+        "a = 2 * Series.monomial(1, m, n)\n"
+        "b = s / (Series.one(n) + Series.monomial(1, 2 * m, n))\n"
+        "c = Series.one(n) - Series.monomial(1, m, n)\n"
+        "s *= Series.one(n) - Series.monomial(1, m, n)\n"
+        "d = (Series.monomial(1, e, n) if b is None else b.shift(e)).coeffs\n"
+        "e = s * monomial\n"
+    )
+    assert monomial_polynomials(source) == [1, 2, 4]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_builds_no_polynomial_from_monomials(path):
+    assert monomial_polynomials(path.read_text()) == []
 
 
 def unreferenced_definitions(module, trees):

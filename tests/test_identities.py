@@ -428,6 +428,15 @@ def test_wz_cor32():
         assert wz_cor32_failure(x, 6) is None
 
 
+@pytest.mark.parametrize("v", range(-1, -8, -1))
+def test_q1_walks_reject_every_pole_they_reach(v):
+    # with nmax = 6 the walks divide by z + k, or by C(x+k, k), for k = 1..7
+    with pytest.raises(ValueError, match="parameter hits pole: z"):
+        wz_master_failure(v, 6)
+    with pytest.raises(ValueError, match="parameter hits pole: x"):
+        wz_cor32_failure(v, 6)
+
+
 def test_wz_lemma51():
     for z in (0, 1, 2):
         assert wz_lemma51_failure(z, 4, 40) is None

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import brute_multisum, failed_cases, geometric_factor, naive_mul
 from macsums import identities, macmahon, registry, series
 from macsums.divisors import eisenstein, sigma_series, theta_moment
+from macsums.identities import jacobi_product_side, jacobi_theta_side, jacobi_weak_sum_side
 from macsums.macmahon import (
     CLOSED_FORMS,
     M_FORMULAS,
@@ -19,9 +20,6 @@ from macsums.macmahon import (
     chain_series,
     coefficient_table,
     conjugate_chain_m_form,
-    jacobi_product_side,
-    jacobi_theta_side,
-    jacobi_weak_sum_side,
     _dual,
     m_conjugate_form,
     m_recurrence,
@@ -509,13 +507,27 @@ def test_jacobi_sides_are_nontrivial():
 def test_jacobi_product_steps_are_each_load_bearing(monkeypatch, c):
     # the theta side keeps its own denominators, so a corrupted step of the
     # product table fails the product against the theta sum
-    steps = macmahon._JACOBI_PRODUCT_STEPS[c]
+    steps = identities._JACOBI_PRODUCT_STEPS[c]
     for i, (j, r) in enumerate(steps):
         for bad in ((j + 1, r), (j, -r)):
-            monkeypatch.setitem(macmahon._JACOBI_PRODUCT_STEPS, c, steps[:i] + (bad,) + steps[i + 1 :])
+            monkeypatch.setitem(identities._JACOBI_PRODUCT_STEPS, c, steps[:i] + (bad,) + steps[i + 1 :])
             (report,) = registry.run_identity("jacobi-specialization", {"c": [c]}, 30)
             assert not report.passed and report.note == "product vs theta", (i, bad)
-    monkeypatch.setitem(macmahon._JACOBI_PRODUCT_STEPS, c, steps)
+    monkeypatch.setitem(identities._JACOBI_PRODUCT_STEPS, c, steps)
+    assert failed_cases("jacobi-specialization", 30, c=[c]) == []
+
+
+@pytest.mark.parametrize("c", [4, 2, 1])
+def test_jacobi_theta_steps_are_each_load_bearing(monkeypatch, c):
+    # the product side keeps its own step table, so a corrupted step of the
+    # theta table fails the product against the theta sum
+    steps = identities._JACOBI_THETA_STEPS[c]
+    for i, (j, r) in enumerate(steps):
+        for bad in ((j + 1, r), (j, -r)):
+            monkeypatch.setitem(identities._JACOBI_THETA_STEPS, c, steps[:i] + (bad,) + steps[i + 1 :])
+            (report,) = registry.run_identity("jacobi-specialization", {"c": [c]}, 30)
+            assert not report.passed and report.note == "product vs theta", (i, bad)
+    monkeypatch.setitem(identities._JACOBI_THETA_STEPS, c, steps)
     assert failed_cases("jacobi-specialization", 30, c=[c]) == []
 
 
