@@ -342,7 +342,7 @@ def _recheck(args):
         if not isinstance(d, dict) or any(name not in d for name in fields):
             raise UsageError(f"each result needs the fields {', '.join(fields)}")
         claims.append(_checked_claim(
-            *(d[name] for name in fields), kind=d.get("kind", "theorem"), label=d.get("label", ""),
+            *(d[name] for name in fields), kind=d.get("kind", "ad-hoc"), label=d.get("label", ""),
         ))
     rechecked = cong.check_claims(claims, order)
     identical = True

@@ -1,34 +1,36 @@
 """Congruence verification and mining for the M and MO coefficient families.
 
-Scans reduce the exact integer coefficients of each family's default route
-(the alternating single sum for M, the theta quotient for MO) modulo p.
-One table serves every claim and prime for its (family, t); tables are
-built uncached, one family at a time, and each is dropped once its claims
-are checked.  The M tables are built one t at a time, so an M scan holds
-one table.  The MO tables of every t come from one packed division by the
-theta series (`macmahon.mo_andrews_rose_many`), so an MO scan holds that
-packed quotient, whose slot widths come from the proven bound
-MO(t, n) <= H^t C(n+t-1, 2t-1) / t!, H = order.bit_length() + 1
-(`macmahon.mo_slot_bound`), plus the one
-table unpacked from it.  The theta quotient divides by 2t+1 exactly, so
-its tables stay defined even when p divides 2t+1 (as it does for the
-t = 2, p = 5 claims).  Only a prospect's chance level is a rational, so
+A scan reads each coefficient of its family's default route (the
+alternating single sum for M, the theta quotient for MO) only modulo the
+primes of its claims.  One table serves every claim and prime for its
+(family, t); tables are built uncached, one family at a time, and each is
+dropped once its claims are checked.  The M tables are the exact integers,
+built one t at a time, so an M scan holds one table.  The MO tables are
+residues mod m_t, the lcm of the primes of t's claims, and every t's comes
+from one packed division by the theta series whose slots are reduced mod
+m_t(2t+1) at the division's leaves (`macmahon.mo_andrews_rose_many`); an
+MO scan holds that packed quotient, 20 to 30 bits per t at the suite's
+orders, plus the one table unpacked from it.  Each slot holds (2t+1) MO(t, n)
+mod m_t(2t+1), so its division by 2t+1 stays exact even when p divides 2t+1
+(as it does for the t = 2, p = 5 claims).  A status comes from one rule,
+`reports.claim_status`.  Only a prospect's chance level is a rational, so
 only `prospect` loads `fractions`.
 """
 
+from itertools import compress, count, repeat
+from math import lcm
+from operator import mod
+
 from .macmahon import coefficient_values, leading_window
-from .reports import EVIDENCE, REFUTED, VERIFIED, CongruenceClaim, InputError, ProspectResult
+from .reports import REFUTED, CongruenceClaim, InputError, ProspectResult, claim_status
 
 
 def _first_nonvanishing(values, p, step, offset):
     """(first index on step*n + offset where p does not divide the value, or
     None; number of indices checked)."""
-    checked = 0
-    for idx in range(offset, len(values), step):
-        checked += 1
-        if values[idx] % p:
-            return idx, checked
-    return None, checked
+    run = values[offset::step]
+    n = next(compress(count(), map(mod, run, repeat(p))), None)  # one C-level scan
+    return (None, len(run)) if n is None else (offset + n * step, n + 1)
 
 
 def require_checked(claims, order: int) -> None:
@@ -48,29 +50,33 @@ def require_checked(claims, order: int) -> None:
 def check_claims(claims, order: int) -> list[CongruenceClaim]:
     """Check coeff(a*n + b) = 0 mod p for every a*n + b <= order, for each
     claim; one table per (family, t) serves all of its claims, and the
-    tables of one family come from one `coefficient_values` pass.
+    tables of one family come from one `coefficient_values` pass, asked
+    for residues mod the lcm of the primes of t's claims.
 
-    Returns new claims, in the given order, with status, depth and (on
-    failure) the first violating coefficient index filled in.  A claim
-    checked on no coefficient raises InputError (`require_checked`).
+    Returns new claims, in the given order, with status
+    (`reports.claim_status`), depth and (on failure) the first violating
+    coefficient index filled in.  An ad-hoc claim that is one of
+    `paper_claims()` takes that claim's kind and label.  A claim checked on
+    no coefficient raises InputError (`require_checked`).
     """
     require_checked(claims, order)
+    paper = {c.key(): c for c in paper_claims()}
     groups = {}
     for i, claim in enumerate(claims):
         groups.setdefault(claim.family, {}).setdefault(claim.t, []).append(i)
     results = [None] * len(claims)
     for family, members in groups.items():
-        # largest t first: for MO its slot is the widest, and the top slot needs no width
-        for t, values in coefficient_values(family, sorted(members, reverse=True), order):
+        moduli = {t: lcm(*(claims[i].p for i in idx)) for t, idx in members.items()}
+        # largest t first: its MO slot is the widest when the moduli agree
+        for t, values in coefficient_values(family, sorted(members, reverse=True), order, moduli=moduli):
             for i in members[t]:
                 claim = claims[i]
                 first_violation, checked = _first_nonvanishing(values, claim.p, claim.step, claim.offset)
-                status = REFUTED if first_violation is not None else (
-                    EVIDENCE if claim.kind in ("conjecture", "prospect") else VERIFIED
-                )
+                known = paper.get(claim.key()) if claim.kind == "ad-hoc" else None
+                kind, label = (known.kind, known.label) if known else (claim.kind, claim.label)
                 results[i] = CongruenceClaim(
-                    *claim.key(), kind=claim.kind, label=claim.label,
-                    status=status, depth=checked - 1, checked=checked, first_violation=first_violation,
+                    *claim.key(), kind=kind, label=label, status=claim_status(kind, first_violation),
+                    depth=checked - 1, checked=checked, first_violation=first_violation,
                 )
             del values  # free this table before the next one is built
     return results

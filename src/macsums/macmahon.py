@@ -25,13 +25,13 @@ C(j+r-1, r-1), so x_k, the first level of `multisums`, is the weights
 """
 
 from bisect import bisect_left
-from itertools import accumulate, repeat
+from itertools import accumulate, compress, count, repeat
 from math import comb, factorial
-from operator import add, mul, sub
+from operator import add, and_, floordiv, mul, ne, rshift, sub
 
 from .divisors import eisenstein, odd_square_product, sigma_series, theta_moment, umbral_eval
 from .reports import FrozenRecord
-from .series import Series, geometric_pow, inexact_quotient, over_geometric_coeffs
+from .series import Series, divide_coeffs, geometric_pow, inexact_quotient, over_geometric_coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -208,48 +208,91 @@ def mo_slot_bound(t: int, order: int) -> int:
     return (2 * t + 1) * h**t * comb(order + t - 1, 2 * t - 1) // factorial(t)
 
 
-def mo_andrews_rose_many(ts, order: int):
+def mo_andrews_rose_many(ts, order: int, moduli=None):
     """Yield (t, coefficients of `mo_andrews_rose(t, order)` as a list) for
-    each t of ts in turn, from one division by the theta series.
+    each t of ts in turn, from one division by the theta series; with
+    `moduli`, a map t -> m_t, yield MO(t, n) mod m_t instead.
 
     Division by an integer series with constant term 1 is Z-linear, so the
     numerators of every t share one pass: t's integer numerator goes into
     its own bit slot of one int per coefficient, each t's slot above the
-    slots of the ts after it.  In the packed quotient, t's slot holds
-    (2t+1) MO(t, n), which lies in [0, `mo_slot_bound(t, order)`], so a slot
-    as wide as that bound's bit length never carries into its neighbour.
-    The first t holds the top slot, which needs no width: it is read as
-    c >> shift, and then the packed list is masked down in place to the
-    slots below, so a single t divides exactly as an unpacked table would.
-    Each slot is then divided exactly by 2t+1; a remainder there is a
-    transcription error.  No table is kept once it is yielded.
+    slots of the ts after it.  The packed quotient's slot for t is then
+    read as c >> shift, and the packed list is masked down in place to the
+    slots below; each slot is divided exactly by 2t+1, and a remainder
+    there is a transcription error.  No table is kept once it is yielded.
+
+    Exact tables: t's slot holds (2t+1) MO(t, n), which lies in
+    [0, `mo_slot_bound(t, order)`], so a slot as wide as that bound's bit
+    length never carries into its neighbour.  The top slot needs no width,
+    so a single t divides exactly as an unpacked table would.
+
+    Residues: with N_t = m_t (2t+1), t's numerator is reduced into
+    [0, N_t), and the division's `reduce` hook, at each leaf, reads every
+    slot as a signed value and keeps it mod N_t.  As the solve is Z-linear
+    and theta's constant term is 1, t's slot of the quotient then holds
+    (2t+1) MO(t, n) mod N_t, and that over 2t+1 is MO(t, n) mod m_t, even
+    when a prime of m_t divides 2t+1.  t's slot is w_t = bits(N_t (1 + S))
+    + 1 bits wide, where S sums the absolute coefficients of theta's terms
+    q^1..q^order.  Proof that it holds a leaf's signed value v: the packed
+    arithmetic is exact and linear, and each divisor term reaches q^m
+    exactly once, in a middle product or in the leaf, so v is t's reduced
+    numerator, in [0, N_t), less the sum of c times a solved, reduced slot,
+    in [0, N_t), over theta's terms c q^i, 1 <= i <= m.  Hence
+    |v| <= (N_t - 1)(1 + S) < 2^(w_t - 1).  The hook adds 2^(w_t - 1) to
+    every slot, which makes each slot nonnegative and below 2^(w_t), so no
+    slot borrows from its neighbour; it reads each slot, takes the bias
+    back off, reduces mod N_t and repacks.  The remainder check by 2t+1 is
+    then made on the residue mod N_t, which is weaker than the exact check.
     """
     ts = list(ts)
     if any(t < 1 for t in ts):
         raise ValueError("t >= 1")
+    theta = theta_moment(1, order)
+    if moduli is None:
+        widths = [mo_slot_bound(t, order).bit_length() for t in ts]
+    else:
+        mods = [moduli[t] * (2 * t + 1) for t in ts]
+        spread = 1 + sum(map(abs, theta.coeffs[1:]))
+        widths = [(n * spread).bit_length() + 1 for n in mods]
     shifts = [0] * len(ts)
     for i in range(len(ts) - 2, -1, -1):
-        shifts[i] = shifts[i + 1] + mo_slot_bound(ts[i + 1], order).bit_length()
+        shifts[i] = shifts[i + 1] + widths[i + 1]
     num = [0] * (order + 1)
-    for t, shift in zip(ts, shifts):
+    for j, (t, shift) in enumerate(zip(ts, shifts)):
         k = t
         while k * (k + 1) // 2 <= order:
-            c = (2 * k + 1) * comb(k + t, k - t) << shift
-            num[k * (k + 1) // 2] += -c if (k + t) % 2 else c
+            c = (2 * k + 1) * comb(k + t, k - t)
+            if (k + t) % 2:
+                c = -c
+            num[k * (k + 1) // 2] += (c if moduli is None else c % mods[j]) << shift
             k += 1
-    packed = (Series(num, order) / theta_moment(1, order)).coeffs
+    if moduli is None:
+        packed = (Series(num, order) / theta).coeffs
+    else:
+        slots = [(shift, (1 << w) - 1, 1 << (w - 1), n) for shift, w, n in zip(shifts, widths, mods)]
+        bias = sum(h << shift for shift, _, h, _ in slots)
+
+        def reduce(c):
+            c += bias
+            r = 0
+            for shift, mask, h, n in slots:
+                r |= (((c >> shift) & mask) - h) % n << shift
+            return r
+
+        packed = divide_coeffs(num, theta.coeffs, reduce)
     del num
     for j, (t, shift) in enumerate(zip(ts, shifts)):
-        out = []
-        mask = (1 << shift) - 1 if j + 1 < len(ts) else None
-        for i, c in enumerate(packed):
-            v, rem = divmod(c >> shift, 2 * t + 1)
-            if rem:
-                raise inexact_quotient(c >> shift, 2 * t + 1, i)
-            out.append(v)
-            if mask is not None:
-                packed[i] = c & mask
+        d = 2 * t + 1
+        slot = list(map(rshift, packed, repeat(shift))) if shift else packed
+        out = list(map(floordiv, slot, repeat(d)))
+        bad = next(compress(count(), map(ne, map(mul, out, repeat(d)), slot)), None)  # a remainder
+        if bad is not None:
+            raise inexact_quotient(slot[bad], d, bad)
+        del slot
+        if j + 1 < len(ts):
+            packed[:] = map(and_, packed, repeat((1 << shift) - 1))
         yield t, out
+        del out
 
 
 def mo_andrews_rose(t: int, order: int) -> Series:
@@ -362,13 +405,16 @@ def leading_window(family: str, t: int) -> int:
     return t if family == "M" else t * (t + 1) // 2
 
 
-def coefficient_values(family: str, ts, order: int, formula: str | None = None):
+def coefficient_values(family: str, ts, order: int, formula: str | None = None, moduli=None):
     """Yield (t, integer coefficients of the family through q^order) for
     each t of ts in turn, each table built afresh as a list the caller owns.
 
     The theta quotient, MO's default formula, builds the tables of every t
     in one packed division (`mo_andrews_rose_many`); every other formula
-    builds one t at a time.  No yielded table is kept here, so a caller
+    builds one t at a time.  `moduli`, a map t -> m_t, is passed to the
+    theta quotient, which then yields residues mod m_t; every other formula
+    ignores it, so with moduli a value is only known to be congruent to
+    its coefficient mod m_t.  No yielded table is kept here, so a caller
     that drops each table before asking for the next holds one at a time.
     The values are ints by construction, since every exact division in a
     route raises on a remainder; the vanishing of the leading window
@@ -387,7 +433,7 @@ def coefficient_values(family: str, ts, order: int, formula: str | None = None):
     vanishing = {t for t in ts if t >= 1 and leading_window(family, t) > order}
     live = [t for t in ts if t not in vanishing]
     if family == "MO" and formula == "andrews-rose":
-        tables = mo_andrews_rose_many(live, order)
+        tables = mo_andrews_rose_many(live, order, moduli)
     else:
         tables = ((t, table[formula](t, order).coeffs) for t in live)
     for t in ts:

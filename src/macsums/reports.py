@@ -92,6 +92,16 @@ EVIDENCE = "evidence-to-depth"
 REFUTED = "refuted"
 
 
+def claim_status(kind: str, first_violation: int | None) -> str:
+    """The one status rule for a checked congruence claim: refuted at a
+    violation; otherwise verified-to-depth only for a theorem, and
+    evidence-to-depth for a conjecture, a prospect or an ad-hoc claim that
+    no theorem stands behind."""
+    if first_violation is not None:
+        return REFUTED
+    return VERIFIED if kind == "theorem" else EVIDENCE
+
+
 class CongruenceClaim(Record):
     """p divides coeff(step*n + offset) for all n, for a named coefficient family."""
 
@@ -105,7 +115,7 @@ class CongruenceClaim(Record):
         p: int,
         step: int,
         offset: int,
-        kind: str = "theorem",  # "theorem" | "conjecture" | "ad-hoc" | "prospect"
+        kind: str = "theorem",  # "theorem" | "conjecture" | "ad-hoc" | "prospect"; see `claim_status`
         label: str = "",
         status: str = "",
         depth: int = -1,  # largest progression index n that was checked

@@ -190,18 +190,8 @@ class Series:
 
     def __truediv__(self, other):
         """Exact quotient by a nonzero int, or by a series with a nonzero
-        constant term d; a coefficient that would not be an integer raises
-        ArithmeticError naming its q^i.
-
-        The series quotient is solved divide and conquer over q^0..q^N
-        (`_divide`): solve the lower half, subtract its contributions from
-        the upper half (a Kronecker-packed middle product, `_middle_product`,
-        at any lane width), then solve the upper half.  Spans of at most
-        `LEAF` coefficients run the term-by-term loop over the divisor's
-        nonzero terms (`_leaf`).  Signs are moved so that d > 0; a unit
-        divisor (d = 1) then needs no division at all, and any other d
-        divides each solved coefficient exactly.
-        """
+        constant term (`divide_coeffs`); a coefficient that would not be an
+        integer raises ArithmeticError naming its q^i."""
         if type(other) is int:
             if other == 0:
                 raise ZeroDivisionError("division of a series by zero")
@@ -212,16 +202,7 @@ class Series:
             return Series(out, self.order)
         if not isinstance(other, Series):
             return NotImplemented
-        n = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
-        d = b[0]
-        if d == 0:
-            raise ZeroDivisionError("non-unit series: constant term is zero")
-        s = -1 if d < 0 else 1  # a / b = (s a) / (s b)
-        tail = [(i, s * c) for i, c in enumerate(b[1 : n + 1], 1) if c]
-        out = a[: n + 1] if s == 1 else [-c for c in a[: n + 1]]  # partial sums, solved in place
-        _divide(out, tail, s * d, 0, n + 1)
-        return Series(out, n)
+        return Series(divide_coeffs(self.coeffs, other.coeffs), min(self.order, other.order))
 
     def q_derivative(self):
         """Apply q*d/dq: the coefficient of q^n becomes n times itself."""
@@ -248,8 +229,41 @@ PIECE = 64
 PACK = 1 << 18
 
 
-def _divide(out, tail, d, lo, hi, off=0):
-    """Solve out[lo:hi] in place for `Series.__truediv__`.
+def divide_coeffs(a: list, b: list, reduce=None) -> list:
+    """The coefficients of a/b through the shorter of the two lists, for
+    integer coefficient lists a and b, where b's constant term d is
+    nonzero; a coefficient that would not be an integer raises
+    ArithmeticError naming its q^i.
+
+    The quotient is solved divide and conquer over q^0..q^N (`_divide`):
+    solve the lower half, subtract its contributions from the upper half (a
+    Kronecker-packed middle product, `_middle_product`, at any lane width),
+    then solve the upper half.  Spans of at most `LEAF` coefficients run
+    the term-by-term loop over the divisor's nonzero terms (`_leaf`).
+    Signs are moved so that d > 0; a unit divisor (d = 1) then needs no
+    division at all, and any other d divides each solved coefficient
+    exactly.
+
+    `reduce`, when given, maps each solved coefficient, right after that
+    exact division and before any later coefficient reads it, to the value
+    the quotient keeps.  The solve is Z-linear, so for d = 1 a `reduce`
+    that keeps each coefficient's residue modulo N yields the quotient
+    modulo N; the middle products size their lanes from the values they
+    pack, so they need not know of it.
+    """
+    n = min(len(a), len(b)) - 1
+    d = b[0]
+    if d == 0:
+        raise ZeroDivisionError("non-unit series: constant term is zero")
+    s = -1 if d < 0 else 1  # a / b = (s a) / (s b)
+    tail = [(i, s * c) for i, c in enumerate(b[1 : n + 1], 1) if c]
+    out = a[: n + 1] if s == 1 else [-c for c in a[: n + 1]]  # partial sums, solved in place
+    _divide(out, tail, s * d, reduce, 0, n + 1)
+    return out
+
+
+def _divide(out, tail, d, reduce, lo, hi, off=0):
+    """Solve out[lo:hi] in place for `divide_coeffs`.
 
     On entry out[m] + off holds the dividend's coefficient less the
     contributions of every solved out[j], j < lo; `tail` lists the
@@ -259,17 +273,18 @@ def _divide(out, tail, d, lo, hi, off=0):
     this function, so a division leaves no reference cycle behind.
     """
     if hi - lo <= LEAF:
-        _leaf(out, tail, d, lo, hi, off)
+        _leaf(out, tail, d, reduce, lo, hi, off)
         return
     mid = (lo + hi) // 2
-    _divide(out, tail, d, lo, mid, off)
-    _divide(out, tail, d, mid, hi, off + _middle_product(out, tail, lo, mid, hi))
+    _divide(out, tail, d, reduce, lo, mid, off)
+    _divide(out, tail, d, reduce, mid, hi, off + _middle_product(out, tail, lo, mid, hi))
 
 
-def _leaf(out, tail, d, lo, hi, off):
+def _leaf(out, tail, d, reduce, lo, hi, off):
     """Solve out[lo:hi] term by term, subtracting the contributions of
     out[lo:m] from each out[m] + off: one multiply and one subtract per
-    pair, then the exact division by d unless d = 1."""
+    pair, then the exact division by d unless d = 1, then `reduce` if one
+    is given."""
     for m in range(lo, hi):
         acc = out[m] + off
         k = m - lo
@@ -282,7 +297,7 @@ def _leaf(out, tail, d, lo, hi, off):
             if rem:
                 raise inexact_quotient(acc, d, m)
             acc = q
-        out[m] = acc
+        out[m] = acc if reduce is None else reduce(acc)
 
 
 def _middle_product(out, tail, lo, mid, hi):

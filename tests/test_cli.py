@@ -122,6 +122,35 @@ def test_scan_single_claim(capsys):
     assert "PASS" in out
 
 
+@pytest.mark.parametrize(
+    "claim, tag, kind, label",
+    [
+        ("MO,10,11,11,7", "EVIDENCE", "conjecture", "11 | MO(10, 11n+7)  [open]"),
+        ("M,3,7,8,4", "PASS", "theorem", "7 | M(3, 8n+4)"),
+        ("M,7,3,3,2", "EVIDENCE", "ad-hoc", ""),  # true for t = 1 mod 3, but not a claim of the paper
+    ],
+    ids=["conjecture", "theorem", "not-in-the-paper"],
+)
+def test_a_claim_reads_verified_only_with_a_theorem_behind_it(capsys, tmp_path, claim, tag, kind, label):
+    # a typed claim of the paper takes its kind and label; a report claim
+    # with no kind is ad-hoc; only a theorem reads verified, on --claim and
+    # on --recheck alike
+    status = {"PASS": "verified-to-depth", "EVIDENCE": "evidence-to-depth"}[tag]
+    code, out, _ = run_cli(capsys, "scan", "--claim", claim, "--order", "60")
+    assert code == 0
+    assert out.startswith(f"{tag}  ") and f"[{kind}]" in out and out.endswith(f"{label}\n")
+    code, out, _ = run_cli(capsys, "scan", "--claim", claim, "--order", "60", "--format", "json")
+    payload = json.loads(out)
+    (result,) = payload["results"]
+    assert (code, result["kind"], result["label"], result["status"]) == (0, kind, label, status)
+    report = tmp_path / "report.json"
+    for recorded in (result, {k: v for k, v in result.items() if k != "kind"}):
+        report.write_text(json.dumps(dict(payload, results=[recorded])))
+        code, out, _ = run_cli(capsys, "scan", "--input", str(report), "--recheck", "--format", "json")
+        (fresh,) = json.loads(out)["results"]
+        assert (code, fresh["kind"], fresh["status"]) == (0, kind, status)
+
+
 def test_scan_refuted_claim_exits_nonzero(capsys):
     code, out, _ = run_cli(capsys, "scan", "--claim", "M,1,5,5,1", "--order", "60")
     assert code == 1

@@ -2,9 +2,12 @@
 checks, cross-validation of the scanned tables, and negative controls."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from macsums import congruences, macmahon
 from macsums.congruences import check_claim, paper_claims, prospect, verify_paper_suite
@@ -111,8 +114,8 @@ def test_family_mod_stream_rejects_unknown():
 def test_paper_suite_builds_one_table_per_family_and_t(monkeypatch):
     calls = []
 
-    def counting(family, ts, order, formula=None):
-        for t, values in coefficient_values(family, ts, order, formula):
+    def counting(family, ts, order, formula=None, moduli=None):
+        for t, values in coefficient_values(family, ts, order, formula, moduli):
             calls.append((family, t))
             yield t, values
 
@@ -122,27 +125,80 @@ def test_paper_suite_builds_one_table_per_family_and_t(monkeypatch):
 
 
 def count_divisions(monkeypatch):
-    """Count Series divisions from here on; returns the list that grows."""
+    """Count series divisions from here on, exact (`Series.__truediv__`) or
+    reduced at the leaves (`divide_coeffs` called by macmahon); returns the
+    list that grows."""
     calls = []
-    div = Series.__truediv__
+    div, divide_coeffs = Series.__truediv__, macmahon.divide_coeffs
 
     def counted(self, other):
         calls.append(1)
         return div(self, other)
 
+    def counted_coeffs(a, b, reduce=None):
+        calls.append(1)
+        return divide_coeffs(a, b, reduce)
+
     monkeypatch.setattr(Series, "__truediv__", counted)
+    monkeypatch.setattr(macmahon, "divide_coeffs", counted_coeffs)
     return calls
 
 
 def test_mo_scans_share_one_theta_division(monkeypatch):
     # the suite's four MO tables and the prospect's six come from one packed
-    # division each; every table was its own division before
+    # division each, reduced at its leaves; every table was its own division before
     divisions = count_divisions(monkeypatch)
     verify_paper_suite(300)
     assert len(divisions) == 1
     divisions.clear()
     prospect("MO", range(1, 7), [5, 7, 11], 300)
     assert len(divisions) == 1
+
+
+def test_scan_residue_tables_match_exact_tables(monkeypatch):
+    # every table a scan checks equals the exact table mod the lcm m_t of
+    # the primes of t's claims, and an MO table holds residues in [0, m_t):
+    # the suite and both benchmark prospects at order 3000
+    order, tables = 3000, []
+
+    def recording(family, ts, order, formula=None, moduli=None):
+        for t, values in coefficient_values(family, ts, order, formula, moduli):
+            tables.append((family, t, moduli[t], values))
+            yield t, values
+
+    monkeypatch.setattr(congruences, "coefficient_values", recording)
+    verify_paper_suite(order)
+    suite = len(tables)
+    for family in ("MO", "M"):
+        prospect(family, range(1, 7), [5, 7, 11], order)
+    primes = {}
+    for c in paper_claims():
+        primes.setdefault((c.family, c.t), set()).add(c.p)
+    for i, (family, t, m, values) in enumerate(tables):
+        assert m == (math.prod(primes[(family, t)]) if i < suite else 385), (family, t)
+        assert [v % m for v in values] == [v % m for v in coefficient_table(family, t, order).values], (family, t)
+        if family == "MO":
+            assert max(values) < m
+    assert len(tables) == suite + 12 == 25
+
+
+def first_nonvanishing_loop(values, p, step, offset):
+    """The progression check as a loop, the reference for `_first_nonvanishing`."""
+    checked = 0
+    for idx in range(offset, len(values), step):
+        checked += 1
+        if values[idx] % p:
+            return idx, checked
+    return None, checked
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-4, 4), max_size=60), st.sampled_from((2, 3, 5, 7)), st.integers(1, 12),
+       st.integers(0, 70))
+def test_first_nonvanishing_matches_the_loop(values, p, step, offset):
+    assert congruences._first_nonvanishing(values, p, step, offset) == first_nonvanishing_loop(
+        values, p, step, offset
+    )
 
 
 def test_sigma_lemma_a_examples():
@@ -275,9 +331,9 @@ def test_prospect_builds_widest_slot_first_and_keeps_caller_order(monkeypatch, t
     seen = []
     many = macmahon.mo_andrews_rose_many
 
-    def recording(ts, order):
+    def recording(ts, order, moduli=None):
         seen.append(list(ts))
-        return many(ts, order)
+        return many(ts, order, moduli)
 
     monkeypatch.setattr(macmahon, "mo_andrews_rose_many", recording)
     res = prospect("MO", t_values, [5, 7, 11], 200)

@@ -5,8 +5,8 @@ itself, `series.py` imports nothing from `fractions`, no module but
 `rational.py` imports `fractions` at its top, no module imports from
 `__future__`, no module multiplies by a geometric factor it built as a
 series or multiplies or divides by a polynomial it built from monomials,
-no module holds a float, and only the registry builds identity reports or
-names catalog ids."""
+no module holds a float, only the registry builds identity reports or
+names catalog ids, and only `reports.py` chooses a claim's status."""
 
 import ast
 from pathlib import Path
@@ -308,3 +308,29 @@ def test_only_the_registry_judges_catalog_cases(path):
     # identities and macmahon compute sides; turning them into reports is
     # the registry's alone (reports.py defines the class and builds none)
     assert catalog_judges(path.read_text(), set(registry.known_ids())) == []
+
+
+def status_choices(source):
+    """Lines that read the status VERIFIED or EVIDENCE, by name or as an
+    attribute: a module that does chooses a passing claim's status."""
+    statuses = {"VERIFIED", "EVIDENCE"}
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if (isinstance(node, ast.Name) and node.id in statuses)
+                   or (isinstance(node, ast.Attribute) and node.attr in statuses)})
+
+
+def test_status_choices_are_found():
+    source = (
+        "status = VERIFIED if ok else EVIDENCE\n"
+        "s = reports.EVIDENCE\n"
+        "tag = {'verified-to-depth': 'PASS'}\n"
+        "failed = status == REFUTED\n"
+    )
+    assert status_choices(source) == [1, 2]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "reports.py"], ids=lambda p: p.name)
+def test_only_reports_chooses_a_claim_status(path):
+    # `reports.claim_status` is the one status rule; other modules may test
+    # for a refutation but never pick verified or evidence themselves
+    assert status_choices(path.read_text()) == []

@@ -4,6 +4,7 @@ import sys
 import time
 import tracemalloc
 from collections import Counter
+from math import comb, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -312,6 +313,74 @@ def test_packed_mo_division_peak_is_a_small_multiple_of_its_quotient(monkeypatch
         tracemalloc.stop()
     (size,) = sizes
     assert peak < 3.4 * size
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.dictionaries(st.integers(1, 12), st.sets(st.sampled_from((2, 3, 5, 7, 11, 13)), min_size=1).map(prod),
+                    max_size=5),
+    st.integers(0, 400),
+)
+@example({2: 5, 1: 3, 4: 3, 6: 13}, 300)  # every prime divides 2t+1
+@example({10: 11, 4: 11, 3: 7, 2: 5}, 129)  # the suite's moduli, one coefficient past a leaf
+def test_residue_theta_quotients_match_exact_tables(moduli, order):
+    tables = list(mo_andrews_rose_many(moduli, order, moduli))
+    assert [t for t, _ in tables] == list(moduli)
+    for t, values in tables:
+        assert values == [v % moduli[t] for v in mo_andrews_rose(t, order).coeffs], t
+
+
+@pytest.mark.parametrize("t, k, m, bump", [(2, 3, 5, 1), (4, 6, 11, 1), (3, 4, 7, 7), (10, 12, 11, 21)])
+def test_a_planted_numerator_error_shows_in_the_residues(monkeypatch, t, k, m, bump):
+    # the numerator (2k+1) C(k+t, k-t) at q^T, T = k(k+1)/2, is off by
+    # (2k+1) bump: off by a non-multiple of 2t+1, the remainder check by 2t+1
+    # raises at q^T; off by a multiple, MO(t, T) mod m moves by 2k+1, which m
+    # does not divide
+    order, at = 600, k * (k + 1) // 2
+    exact = [v % m for v in mo_andrews_rose(t, order).coeffs]
+    real = macmahon.comb
+    monkeypatch.setattr(macmahon, "comb", lambda n, r: real(n, r) + bump * ((n, r) == (k + t, k - t)))
+    if bump % (2 * t + 1):
+        with pytest.raises(ArithmeticError, match=rf"at q\^{at}$"):
+            list(mo_andrews_rose_many([t], order, {t: m}))
+    else:
+        ((_, values),) = mo_andrews_rose_many([t], order, {t: m})
+        assert next(n for n, (a, b) in enumerate(zip(values, exact)) if a != b) == at
+
+
+def test_residue_slots_hold_every_leaf_value(monkeypatch):
+    # each leaf's packed value is the sum of t's signed slot values v shifted
+    # into place, and |v| < 2^(w_t - 1) for w_t = bits(N_t (1 + S)) + 1:
+    # v is recomputed from the numerators and the yielded residues
+    ts, moduli, order = [10, 4, 3, 2], {10: 11, 4: 11, 3: 7, 2: 5}, 1000
+    seen = []
+    divide = macmahon.divide_coeffs
+
+    def recording(a, b, reduce):
+        return divide(a, b, lambda c: (seen.append(c), reduce(c))[1])
+
+    monkeypatch.setattr(macmahon, "divide_coeffs", recording)
+    tables = dict(mo_andrews_rose_many(ts, order, moduli))
+    terms = [(i, c) for i, c in enumerate(theta_moment(1, order).coeffs) if i and c]
+    spread = 1 + sum(abs(c) for _, c in terms)
+    packed, shift = [0] * (order + 1), 0
+    for t in reversed(ts):
+        n_t = moduli[t] * (2 * t + 1)
+        w = (n_t * spread).bit_length() + 1
+        solved = [(2 * t + 1) * v for v in tables[t]]
+        v = [0] * (order + 1)
+        for k in range(t, order + 1):
+            if k * (k + 1) // 2 > order:
+                break
+            v[k * (k + 1) // 2] = (-1) ** (k + t) * (2 * k + 1) * comb(k + t, k - t) % n_t
+        for m in range(order + 1):
+            v[m] -= sum(c * solved[m - i] for i, c in terms if i <= m)
+        largest = max(map(abs, v))
+        assert largest < 1 << (w - 1), t
+        assert largest.bit_length() > w - 8, t  # the bound is not far off
+        packed = [p + (x << shift) for p, x in zip(packed, v)]
+        shift += w
+    assert seen == packed
 
 
 def test_coefficient_values_names_the_first_non_integer(monkeypatch):
