@@ -4,15 +4,18 @@ A scan reads each coefficient of its family's default route (the
 alternating single sum for M, the theta quotient for MO) only modulo the
 primes of its claims.  One table serves every claim and prime for its
 (family, t); tables are built uncached, one family at a time, and each is
-dropped once its claims are checked.  The M tables are the exact integers,
-built one t at a time, so an M scan holds one table.  The MO tables are
-residues mod m_t, the lcm of the primes of t's claims, and every t's comes
-from one packed division by the theta series whose slots are reduced mod
-m_t(2t+1) at the division's leaves (`macmahon.mo_andrews_rose_many`); an
-MO scan holds that packed quotient, 20 to 30 bits per t at the suite's
-orders, plus the one table unpacked from it.  Each slot holds (2t+1) MO(t, n)
-mod m_t(2t+1), so its division by 2t+1 stays exact even when p divides 2t+1
-(as it does for the t = 2, p = 5 claims).  A status comes from one rule,
+dropped once its claims are checked.  Every table is a list of residues
+mod m_t, the lcm of the primes of t's claims.  The M tables of every t
+come from one packed single-sum pass whose weights are reduced mod m_t
+(`macmahon.m_single_sum_many`); an M scan holds that packed sum, 10 to 14
+bits per t at the suite's order, plus the one table read from it.  The MO
+tables come from one packed division by the theta series whose slots are
+reduced mod m_t(2t+1) at the division's leaves
+(`macmahon.mo_andrews_rose_many`); an MO scan holds that packed quotient,
+20 to 30 bits per t at the suite's orders, plus the one table unpacked from
+it.  Each MO slot holds (2t+1) MO(t, n) mod m_t(2t+1), so its division by
+2t+1 stays exact even when p divides 2t+1 (as it does for the t = 2, p = 5
+claims).  A status comes from one rule,
 `reports.claim_status`.  Only a prospect's chance level is a rational, so
 only `prospect` loads `fractions`.
 """
@@ -156,23 +159,36 @@ def prospect_grid(family: str, t_values, primes, order: int) -> tuple[list, list
     return grid, list(primes)
 
 
-def _null_survivals(p: int, order: int) -> "Fraction":
-    """Sum over the offsets b < p, b <= order, of p^-((order - b)//p + 1):
+def _scanned_offsets(p: int, order: int, window: int) -> list:
+    """The offsets b < p whose progression p*n + b checks at least one index
+    <= order at or past the leading window: the last such index,
+    b + p*((order - b)//p), is >= window.  An offset with none would check
+    only structural zeros."""
+    return [b for b in range(min(p, order + 1)) if b + (order - b) // p * p >= window]
+
+
+def _null_survivals(p: int, order: int, windows) -> "Fraction":
+    """Sum over the leading windows of a prospect's t, and over the offsets
+    b scanned under each (`_scanned_offsets`), of p^-((order - b)//p + 1):
     one integer numerator over p^C, for the largest count C (at b = 0).
     It runs once per prime of a prospect, the one use of `fractions` in a
     scan, so the import is made here."""
     from fractions import Fraction
 
     c = order // p + 1
-    return Fraction(sum(p ** (c - 1 - (order - b) // p) for b in range(min(p, order + 1))), p ** c)
+    return Fraction(
+        sum(p ** (c - 1 - (order - b) // p) for window in windows for b in _scanned_offsets(p, order, window)), p ** c
+    )
 
 
 def prospect(family: str, t_values, primes, order: int) -> ProspectResult:
     """Scan all progressions (p, b) with step p for full vanishing.
 
-    Only offsets b <= order are scanned, so every survivor has at least one
-    coefficient checked.  Survivors are reported sorted by evidence depth;
-    ties keep the order of t_values, then of primes, then of offsets.  A
+    Only offsets b whose progression checks an index <= order at or past
+    t's leading window are scanned (`_scanned_offsets`), so every survivor
+    rests on at least one coefficient that is not a structural zero.
+    Survivors are reported sorted by evidence depth; ties keep the order
+    of t_values, then of primes, then of offsets.  A
     bad grid raises InputError (`prospect_grid`).  Every (t, p, b)
     is a claim of kind "prospect", checked by `check_claims`, so a survivor
     carries the status a recheck of its report gives it: evidence-to-depth.
@@ -187,15 +203,17 @@ def prospect(family: str, t_values, primes, order: int) -> ProspectResult:
     known = {c.key() for c in paper_claims()}
     claims = []
     for t in t_values:
+        window = leading_window(family, t)
         for p in primes:
-            for b in range(min(p, order + 1)):
+            for b in _scanned_offsets(p, order, window):
                 label = f"{p} | {family}({t}, {p}n+{b})"
                 if (family, t, p, p, b) in known:
                     label += "  [known claim]"
                 claims.append(CongruenceClaim(family, t, p, p, b, kind="prospect", label=label))
     claims = [c for c in check_claims(claims, order) if c.status != REFUTED]
     claims.sort(key=lambda c: -c.depth)
-    chance = len(t_values) * sum(_null_survivals(p, order) for p in primes)
+    windows = [leading_window(family, t) for t in t_values]
+    chance = sum(_null_survivals(p, order, windows) for p in primes)
     return ProspectResult(
         family=family,
         order=order,

@@ -27,7 +27,7 @@ C(j+r-1, r-1), so x_k, the first level of `multisums`, is the weights
 from bisect import bisect_left
 from itertools import accumulate, compress, count, repeat
 from math import comb, factorial
-from operator import add, and_, floordiv, mul, ne, rshift, sub
+from operator import add, and_, floordiv, mod, mul, ne, rshift, sub
 
 from .divisors import eisenstein, odd_square_product, sigma_series, theta_moment, umbral_eval
 from .reports import FrozenRecord
@@ -150,25 +150,118 @@ def single_sum_weights(t: int, count: int) -> list:
     return out
 
 
+def _period_candidates(m: int, r: int, count: int):
+    """m, m^2, m^3, ... while the candidate L has L + r <= count."""
+    period = m
+    while period + r <= count:
+        yield period
+        period *= m
+
+
+def single_sum_weights_mod(t: int, count: int, m: int) -> list:
+    """`single_sum_weights(t, count)` reduced mod m, tiled from one proved
+    period where one is found.
+
+    With r = 2t-1, w(j) = C(j+r, r) + C(j+r-1, r) is a polynomial of degree
+    r in j, so for any L, g(j) = w(j+L) - w(j) is an integer-valued
+    polynomial of degree < r.  In the Newton basis g(j) = sum over i < r of
+    (Delta^i g)(0) C(j, i), and each (Delta^i g)(0) is an integer
+    combination of g(0), ..., g(i); so if m divides g(0), ..., g(r-1), it
+    divides every g(j), and w mod m has period L.  The candidates are
+    L = m, m^2, ... while L + r <= count (`_period_candidates`); the first
+    one whose g(0..r-1) the exact weights below L + r show divisible by m
+    is tiled.  That check is the proof, for any m; by Lucas' theorem it
+    succeeds for a prime power p^e once p^e > r.  With no candidate proved,
+    the exact weights below count are reduced.
+    """
+    r = 2 * t - 1
+    for period in _period_candidates(m, r, count):
+        exact = single_sum_weights(t, period + r)
+        if not any(map(mod, map(sub, exact[period:], exact), repeat(m))):  # m | g(0), ..., g(r-1)
+            return (list(map(mod, exact[:period], repeat(m))) * (count // period + 1))[:count]
+    return list(map(mod, single_sum_weights(t, count), repeat(m)))
+
+
 def add_single_sum_term(out: list, t: int, k: int, weights: list) -> None:
     """Add the k-th single-sum term (-1)^(k-1) (1+q^k) q^(C(k,2)+t*k) / (1-q^k)^(2t)
-    to the coefficient list out in place; weights are `single_sum_weights(t, len(out))`."""
+    to the coefficient list out in place, for weights[j] the coefficient of
+    q^j in (1+q)/(1-q)^(2t), as `single_sum_weights` gives them."""
     e = k * (k - 1) // 2 + t * k
     if e < len(out):
         out[e::k] = map(add if k % 2 else sub, out[e::k], weights)
 
 
+def _single_sum_pass(weights: list, lo: int, order: int, bias: int = 0) -> list:
+    """bias plus every term k >= 1 of the single sum with least index lo,
+    through q^order: weights[j] goes to q^(C(k,2) + k(lo + j)) with sign
+    (-1)^(k-1) (`add_single_sum_term`)."""
+    out = [bias] * (order + 1)
+    k = 1
+    while k * (k - 1) // 2 + lo * k <= order:
+        add_single_sum_term(out, lo, k, weights)
+        k += 1
+    return out
+
+
+def m_single_sum_many(ts, order: int, moduli=None):
+    """Yield (t, coefficients of `m_single_sum(t, order)` as a list) for
+    each t of ts in turn; with `moduli`, a map t -> m_t, yield M(t, n) mod
+    m_t instead, every t from one packed pass.
+
+    Term k of t's sum adds (-1)^(k-1) w_t(j) at q^(C(k,2) + k(t+j)), j >= 0,
+    for w_t = `single_sum_weights`.  Exact tables are built one t at a time:
+    no slot, no bias.
+
+    Residues: with u = t + j, term k adds w_t(u - t) at q^(C(k,2) + k u),
+    so one packed list W, W[u] = sum over t of (w_t(u - t) mod m_t) R_t
+    (`single_sum_weights_mod`; no term for u < t), serves every t at each
+    stride k, starting from lo = min(ts).  Let K be the number of strides
+    k >= 1 with C(k,2) + k lo <= order, the terms the pass makes, or 1 if
+    it makes none.  t's slot has radix B_t = 2 K m_t, and R_t is the
+    product of the radixes of the ts before it.  Each term reaches any q^n
+    at most once and adds t's slot a value in (-m_t, m_t), so t's signed
+    slot value v has |v| <= K (m_t - 1); the list starts at the bias sum
+    over t of K m_t R_t, so t's slot holds K m_t + v, in [0, B_t), and no
+    slot borrows from its neighbour.  Hence c // R_t is t's slot plus a
+    multiple of B_t, and as m_t divides both B_t and K m_t,
+    (c // R_t) % m_t = v mod m_t = M(t, n) mod m_t.  W is built Horner
+    fashion from the last t's slot down, and the slots are read in the
+    order of ts: after t's read the list is divided in place by B_t, which
+    leaves c // R_t' for the next t' (floor divisions compose), so every
+    pass multiplies or divides by a radix, never by a product of them.
+    """
+    ts = list(ts)
+    if any(t < 1 for t in ts):
+        raise ValueError("t >= 1")
+    if moduli is None:
+        for t in ts:
+            yield t, _single_sum_pass(single_sum_weights(t, order + 1 - t), t, order)
+        return
+    if not ts:
+        return
+    lo = min(ts)
+    terms = 1
+    while terms * (terms + 1) // 2 + lo * (terms + 1) <= order:
+        terms += 1
+    radixes = [2 * terms * moduli[t] for t in ts]
+    packed, bias = [0] * (order + 1 - lo), 0
+    for t, radix in zip(reversed(ts), reversed(radixes)):  # Horner, from the top slot down
+        residues = [0] * (t - lo) + single_sum_weights_mod(t, order + 1 - t, moduli[t])
+        packed = list(map(add, map(mul, packed, repeat(radix)), residues))
+        bias = bias * radix + terms * moduli[t]
+    del residues
+    out = _single_sum_pass(packed, lo, order, bias)
+    del packed
+    for t, radix in zip(ts, radixes):
+        yield t, list(map(mod, out, repeat(moduli[t])))
+        out[:] = map(floordiv, out, repeat(radix))
+
+
 def m_single_sum(t: int, order: int) -> Series:
     """Alternating single sum for the M family: terms
-    (-1)^(k-1) (1+q^k) q^(C(k,2)+t*k) / (1-q^k)^(2t)."""
-    if t < 1:
-        raise ValueError("t >= 1")
-    out = [0] * (order + 1)
-    weights = single_sum_weights(t, order + 1)
-    k = 1
-    while k * (k - 1) // 2 + t * k <= order:
-        add_single_sum_term(out, t, k, weights)
-        k += 1
+    (-1)^(k-1) (1+q^k) q^(C(k,2)+t*k) / (1-q^k)^(2t).  This is the
+    one-t case of `m_single_sum_many`."""
+    ((_, out),) = m_single_sum_many([t], order)
     return Series(out, order)
 
 
@@ -412,8 +505,10 @@ def coefficient_values(family: str, ts, order: int, formula: str | None = None, 
     The theta quotient, MO's default formula, builds the tables of every t
     in one packed division (`mo_andrews_rose_many`); every other formula
     builds one t at a time.  `moduli`, a map t -> m_t, is passed to the
-    theta quotient, which then yields residues mod m_t; every other formula
-    ignores it, so with moduli a value is only known to be congruent to
+    two default formulas, the theta quotient and M's single sum
+    (`m_single_sum_many`, which then packs every t into one pass), and
+    both yield residues mod m_t; every other formula ignores it and yields
+    exact values, so with moduli a value is only known to be congruent to
     its coefficient mod m_t.  No yielded table is kept here, so a caller
     that drops each table before asking for the next holds one at a time.
     The values are ints by construction, since every exact division in a
@@ -434,6 +529,8 @@ def coefficient_values(family: str, ts, order: int, formula: str | None = None, 
     live = [t for t in ts if t not in vanishing]
     if family == "MO" and formula == "andrews-rose":
         tables = mo_andrews_rose_many(live, order, moduli)
+    elif family == "M" and formula == "single-sum":
+        tables = m_single_sum_many(live, order, moduli)
     else:
         tables = ((t, table[formula](t, order).coeffs) for t in live)
     for t in ts:

@@ -157,8 +157,8 @@ def test_mo_scans_share_one_theta_division(monkeypatch):
 
 def test_scan_residue_tables_match_exact_tables(monkeypatch):
     # every table a scan checks equals the exact table mod the lcm m_t of
-    # the primes of t's claims, and an MO table holds residues in [0, m_t):
-    # the suite and both benchmark prospects at order 3000
+    # the primes of t's claims, and holds residues in [0, m_t): the suite
+    # and both benchmark prospects at order 3000
     order, tables = 3000, []
 
     def recording(family, ts, order, formula=None, moduli=None):
@@ -177,8 +177,7 @@ def test_scan_residue_tables_match_exact_tables(monkeypatch):
     for i, (family, t, m, values) in enumerate(tables):
         assert m == (math.prod(primes[(family, t)]) if i < suite else 385), (family, t)
         assert [v % m for v in values] == [v % m for v in coefficient_table(family, t, order).values], (family, t)
-        if family == "MO":
-            assert max(values) < m
+        assert 0 <= min(values) and max(values) < m, (family, t)
     assert len(tables) == suite + 12 == 25
 
 
@@ -302,22 +301,37 @@ def test_prospect_consistent_with_check_claim():
 
 
 def test_prospect_reports_only_tested_offsets():
-    # below order p the offsets past the order hold no coefficient
-    res = prospect("M", [1], [11], 5)
-    assert res.claims and all(c.checked > 0 for c in res.claims)
-    assert {c.offset for c in res.claims} <= set(range(6))
-    assert res.chance_level == Fraction(6, 11)  # six offsets, one coefficient each
+    # below order p the offsets past the order hold no coefficient, and
+    # offset 0 holds only M(1, 0), below the leading window; 7 | M(1, 4)
+    res = prospect("M", [1], [7], 5)
+    assert [(c.offset, c.checked) for c in res.claims] == [(4, 1)]
+    assert res.chance_level == Fraction(5, 7)  # five offsets, one coefficient each
+
+
+@pytest.mark.parametrize("t_values, p, order", [([1], 3, 1), ([1, 2, 3], 2147483647, 50), ([6], 5, 6)])
+def test_prospect_skips_offsets_that_check_only_structural_zeros(t_values, p, order):
+    # every index b, b + p, ... <= order of such an offset lies below the
+    # leading window, so it would survive on zeros alone; the chance level
+    # leaves it out as well
+    res = prospect("M", t_values, [p], order)
+    for c in res.claims:
+        assert c.offset + c.depth * p >= leading_window("M", c.t), c
+    rows = [(c.t, c.p, c.offset, c.depth, c.checked) for c in res.claims]
+    assert (rows, res.chance_level) == oracle_prospect("M", t_values, [p], order)
 
 
 def oracle_prospect(family, t_values, primes, order):
     """(t, p, offset, depth, checked) of every survivor, one table per t
     built on its own in the caller's order, then stably sorted by depth;
-    and the chance level, one Fraction 1/p^checked per (t, p, b)."""
+    and the chance level, one Fraction 1/p^checked per (t, p, b); an offset
+    whose indices all lie below the leading window is not scanned."""
     rows, chance = [], Fraction(0)
     for t in t_values:
         values = coefficient_table(family, t, order).values
         for p in primes:
             for b in range(min(p, order + 1)):
+                if not any(n >= leading_window(family, t) for n in range(b, order + 1, p)):
+                    continue
                 checked = values[b::p]
                 chance += Fraction(1, p ** len(checked))
                 if all(v % p == 0 for v in checked):
@@ -378,10 +392,11 @@ def test_prospect_rejects_a_table_that_vanishes_through_the_order(family, t_valu
 
 @pytest.mark.parametrize("family, t", [("M", 6), ("MO", 3)])
 def test_prospect_accepts_a_table_whose_window_ends_at_the_order(family, t):
-    # the one nonzero coefficient, 1 at q^6, fails only the progression 5n+1
+    # the one nonzero coefficient, 1 at q^6, is the one index at or past the
+    # window: only 5n+1 reaches it, and fails there
     assert leading_window(family, t) == 6
     res = prospect(family, [t], [5], 6)
-    assert sorted(c.offset for c in res.claims) == [0, 2, 3, 4]
+    assert res.claims == [] and res.chance_level == Fraction(1, 25)
 
 
 def test_prospect_chance_level_positive():

@@ -25,6 +25,7 @@ from macsums.macmahon import (
     m_conjugate_form,
     m_recurrence,
     m_single_sum,
+    m_single_sum_many,
     mo_andrews_rose,
     mo_andrews_rose_many,
     mo_from_m,
@@ -32,6 +33,8 @@ from macsums.macmahon import (
     mo_slot_bound,
     mo_umbral,
     multisums,
+    single_sum_weights,
+    single_sum_weights_mod,
     strict_multisum,
     symmetric_relation_sides,
     weak_multisum,
@@ -381,6 +384,101 @@ def test_residue_slots_hold_every_leaf_value(monkeypatch):
         packed = [p + (x << shift) for p, x in zip(packed, v)]
         shift += w
     assert seen == packed
+
+
+SUITE_M_MODULI = {10: 35, 9: 7, 7: 5, 6: 3, 5: 5, 4: 3, 3: 21, 2: 35, 1: 21}  # lcm of each t's claim primes
+MODULI = st.one_of(st.sets(st.sampled_from((2, 3, 5, 7, 11, 13)), min_size=1).map(prod),
+                   st.sampled_from((4, 9, 25, 27, 45, 49)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.dictionaries(st.integers(1, 12), MODULI, min_size=1, max_size=5), st.integers(0, 400),
+       st.integers(1, 16), st.sampled_from((None, -1, 0)))
+@example(SUITE_M_MODULI, 400, 1, None)  # the suite's moduli
+def test_residue_single_sums_match_exact_tables(moduli, order, k, edge):
+    # K, the number of terms, grows at the order C(k,2) + k lo: besides any
+    # order in 0..400, draw orders on both sides of such an edge
+    if edge is not None:
+        order = k * (k - 1) // 2 + min(moduli) * k + edge
+    tables = list(m_single_sum_many(moduli, order, moduli))
+    assert [t for t, _ in tables] == list(moduli)
+    for t, values in tables:
+        assert values == [v % moduli[t] for v in m_single_sum(t, order).coeffs], t  # each in [0, m_t)
+
+
+def test_residue_single_sum_slots_hold_every_signed_value(monkeypatch):
+    # the pass's list is the bias plus each t's signed slot value v shifted
+    # by its radix R_t, and |v| <= K (m_t - 1) for the K terms the pass
+    # makes: v is recomputed term by term from the weights mod m_t
+    order, seen = 1000, []
+    real = macmahon._single_sum_pass
+
+    def recording(*args):
+        out = real(*args)
+        seen.append(out[:])  # as the pass left it: the reads divide it in place
+        return out
+
+    monkeypatch.setattr(macmahon, "_single_sum_pass", recording)
+    tables = dict(m_single_sum_many(SUITE_M_MODULI, order, SUITE_M_MODULI))
+    (out,) = seen
+    terms = [k for k in range(1, order + 1) if k * (k - 1) // 2 + k <= order]  # lo = 1
+    K = len(terms)
+    packed, radix = [0] * (order + 1), 1
+    for t, m in SUITE_M_MODULI.items():
+        weights = [w % m for w in single_sum_weights(t, order + 1)]
+        v = [0] * (order + 1)
+        for k in terms:
+            for n, w in zip(range(k * (k - 1) // 2 + k * t, order + 1, k), weights):
+                v[n] += w if k % 2 else -w
+        assert max(map(abs, v)) <= K * (m - 1), t
+        assert [x % m for x in v] == tables[t], t
+        packed = [p + (K * m + x) * radix for p, x in zip(packed, v)]
+        radix *= 2 * K * m
+    assert out == packed
+
+
+@pytest.mark.parametrize("t", range(1, 11))
+def test_residue_weights_match_exact_weights(t):
+    exact = single_sum_weights(t, 3000)
+    for m in range(1, 60):
+        assert single_sum_weights_mod(t, 3000, m) == [w % m for w in exact], m
+
+
+def test_suite_weights_tile_their_lucas_periods(monkeypatch):
+    # each t's weights mod m_t are tiled from the first proved candidate
+    # m_t^e: the exact weights are built below period + 2t - 1 only
+    counts = []
+    real = macmahon.single_sum_weights
+    monkeypatch.setattr(macmahon, "single_sum_weights", lambda t, count: counts.append(count) or real(t, count))
+    periods = {}
+    for t, m in SUITE_M_MODULI.items():
+        counts.clear()
+        single_sum_weights_mod(t, 20000, m)
+        periods[t] = counts[-1] - (2 * t - 1)
+    assert periods == {10: 1225, 9: 49, 7: 25, 6: 27, 5: 25, 4: 9, 3: 441, 2: 35, 1: 21}
+
+
+@pytest.mark.parametrize("t, m, bad, good", [
+    (2, 5, 6, 5), (3, 21, 440, 441), (6, 3, 3, 27), (10, 35, 35, 1225), (1, 21, 20, 21), (2, 21, 14, 441),
+])
+def test_a_candidate_period_that_fails_the_check_is_never_tiled(monkeypatch, t, m, bad, good):
+    # tiling `bad` would give wrong residues; with it as the only candidate
+    # the exact weights below count are reduced, and the proved candidate
+    # `good` after it is tiled.  With g(j) = w(j + bad) - w(j) and
+    # r = 2t - 1, bad = 3 at t = 6, m = 3 (the suite's natural first
+    # candidate) fails only at g(6), and the last two fail only at g(r - 1):
+    # the check needs all of g(0..r-1)
+    count, r = 3000, 2 * t - 1
+    exact = [w % m for w in single_sum_weights(t, count)]
+    assert (exact[:bad] * (count // bad + 1))[:count] != exact
+    built = []
+    real = macmahon.single_sum_weights
+    monkeypatch.setattr(macmahon, "single_sum_weights", lambda t, n: built.append(n) or real(t, n))
+    for candidates, last in (([bad], count), ([bad, good], good + r)):
+        built.clear()
+        monkeypatch.setattr(macmahon, "_period_candidates", lambda m, r, count: iter(candidates))
+        assert single_sum_weights_mod(t, count, m) == exact, candidates
+        assert built == [bad + r, last], candidates
 
 
 def test_coefficient_values_names_the_first_non_integer(monkeypatch):
