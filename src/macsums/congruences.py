@@ -7,16 +7,18 @@ primes of its claims.  One table serves every claim and prime for its
 dropped once its claims are checked.  Every table is a list of residues
 mod m_t, the lcm of the primes of t's claims.  The M tables of every t
 come from one packed single-sum pass whose weights are reduced mod m_t
-(`macmahon.m_single_sum_many`); an M scan holds that packed sum, 10 to 14
-bits per t at the suite's order, plus the one table read from it.  The MO
-tables come from one packed division by the theta series whose slots are
-reduced mod m_t(2t+1) at the division's leaves
-(`macmahon.mo_andrews_rose_many`); an MO scan holds that packed quotient,
-20 to 30 bits per t at the suite's orders, plus the one table unpacked from
-it.  Each MO slot holds (2t+1) MO(t, n) mod m_t(2t+1), so its division by
-2t+1 stays exact even when p divides 2t+1 (as it does for the t = 2, p = 5
-claims).  A status comes from one rule,
-`reports.claim_status`.  Only a prospect's chance level is a rational, so
+(`macmahon.m_single_sum_many`); an M scan holds that packed sum, one
+32-bit machine word per t at the suite's order, then the words read back
+from it, plus the one table read from them.  The MO tables come from one
+packed division by the theta series whose slots are reduced at the
+division's leaves (`macmahon.mo_andrews_rose_many`): the ts whose moduli
+m_t(2t+1) are pairwise coprime share one slot, reduced mod the product of
+their moduli, so the suite's four MO tables take two 29-bit slots at
+order 20000.  An MO scan holds that packed quotient plus one slot and one
+table unpacked from it.  t reads its slot mod m_t(2t+1) as
+(2t+1) MO(t, n) mod m_t(2t+1), so its division by 2t+1 stays exact even
+when p divides 2t+1 (as it does for the t = 2, p = 5 claims).  A status
+comes from one rule, `reports.claim_status`.  Only a prospect's chance level is a rational, so
 only `prospect` loads `fractions`.
 """
 
@@ -36,17 +38,26 @@ def _first_nonvanishing(values, p, step, offset):
     return (None, len(run)) if n is None else (offset + n * step, n + 1)
 
 
+def _first_checked(claim) -> int:
+    """The smallest index of the claim's progression a*n + b at or past
+    its family's leading window: the first coefficient that is not a
+    structural zero."""
+    window = leading_window(claim.family, claim.t)
+    return claim.offset + max(0, -(-(window - claim.offset) // claim.step)) * claim.step
+
+
 def require_checked(claims, order: int) -> None:
     """Raise InputError if some claim's progression a*n + b has no index
-    <= order (b > order), so that checking it would check no coefficient.
-    The message names that claim (the one with the largest offset) and the
+    <= order at or past its leading window (`_first_checked`), so that
+    checking it would check no coefficient, or only structural zeros.
+    The message names the claim that needs the largest order and the
     smallest order that checks it."""
-    unchecked = [c for c in claims if c.offset > order]
+    unchecked = [c for c in claims if _first_checked(c) > order]
     if unchecked:
-        c = max(unchecked, key=lambda c: c.offset)
+        c = max(unchecked, key=_first_checked)
         raise InputError(
-            f"claim {c.p} | {c.family}({c.t}, {c.step}n+{c.offset}) checks no coefficient at order {order};"
-            f" order {c.offset} is the smallest that checks it"
+            f"claim {c.p} | {c.family}({c.t}, {c.step}n+{c.offset}) checks no coefficient at or past its"
+            f" leading window at order {order}; order {_first_checked(c)} is the smallest that checks it"
         )
 
 
@@ -60,7 +71,8 @@ def check_claims(claims, order: int) -> list[CongruenceClaim]:
     (`reports.claim_status`), depth and (on failure) the first violating
     coefficient index filled in.  An ad-hoc claim that is one of
     `paper_claims()` takes that claim's kind and label.  A claim checked on
-    no coefficient raises InputError (`require_checked`).
+    no coefficient, or only on structural zeros, raises InputError
+    (`require_checked`).
     """
     require_checked(claims, order)
     paper = {c.key(): c for c in paper_claims()}
@@ -70,7 +82,8 @@ def check_claims(claims, order: int) -> list[CongruenceClaim]:
     results = [None] * len(claims)
     for family, members in groups.items():
         moduli = {t: lcm(*(claims[i].p for i in idx)) for t, idx in members.items()}
-        # largest t first: its MO slot is the widest when the moduli agree
+        # largest t first: the MO tables share slots first-fit in this order
+        # (`macmahon.coprime_layers`), which gives the suite's {10, 2} and {4, 3}
         for t, values in coefficient_values(family, sorted(members, reverse=True), order, moduli=moduli):
             for i in members[t]:
                 claim = claims[i]

@@ -26,8 +26,9 @@ C(j+r-1, r-1), so x_k, the first level of `multisums`, is the weights
 
 from bisect import bisect_left
 from itertools import accumulate, compress, count, repeat
-from math import comb, factorial
-from operator import add, and_, floordiv, mod, mul, ne, rshift, sub
+from math import comb, factorial, gcd, lcm, prod
+from operator import add, and_, floordiv, itemgetter, lshift, mod, mul, ne, rshift, sub
+from sys import byteorder
 
 from .divisors import eisenstein, odd_square_product, sigma_series, theta_moment, umbral_eval
 from .reports import FrozenRecord
@@ -158,28 +159,78 @@ def _period_candidates(m: int, r: int, count: int):
         period *= m
 
 
-def single_sum_weights_mod(t: int, count: int, m: int) -> list:
-    """`single_sum_weights(t, count)` reduced mod m, tiled from one proved
-    period where one is found.
+def _prime_power_parts(m: int, r: int) -> list:
+    """m split into its prime powers p^a for the primes p <= r, in rising
+    order, then the cofactor if it is not 1.  Every prime of the cofactor
+    exceeds r, and it is never factored: trial division stops at r."""
+    parts = []
+    p = 2
+    while p <= min(r, m):
+        if m % p == 0:  # p is prime: every smaller prime is divided out of m
+            q = 1
+            while m % p == 0:
+                m //= p
+                q *= p
+            parts.append(q)
+        p += 1
+    return parts + [m] * (m > 1)
+
+
+def _proved_tile(t: int, count: int, q: int):
+    """`single_sum_weights(t, L)` reduced mod q, for the first candidate
+    L = q, q^2, ... (`_period_candidates`) proved to be a period of the
+    weights mod q, or None if none is proved.
 
     With r = 2t-1, w(j) = C(j+r, r) + C(j+r-1, r) is a polynomial of degree
     r in j, so for any L, g(j) = w(j+L) - w(j) is an integer-valued
     polynomial of degree < r.  In the Newton basis g(j) = sum over i < r of
     (Delta^i g)(0) C(j, i), and each (Delta^i g)(0) is an integer
-    combination of g(0), ..., g(i); so if m divides g(0), ..., g(r-1), it
-    divides every g(j), and w mod m has period L.  The candidates are
-    L = m, m^2, ... while L + r <= count (`_period_candidates`); the first
-    one whose g(0..r-1) the exact weights below L + r show divisible by m
-    is tiled.  That check is the proof, for any m; by Lucas' theorem it
-    succeeds for a prime power p^e once p^e > r.  With no candidate proved,
-    the exact weights below count are reduced.
+    combination of g(0), ..., g(i); so if q divides g(0), ..., g(r-1), it
+    divides every g(j), and w mod q has period L.  The check on the exact
+    weights below L + r is the proof, for any q; by Lucas' theorem it
+    succeeds for a prime power p^e once p^e > r, and at L = q for a q whose
+    primes all exceed r.
     """
     r = 2 * t - 1
-    for period in _period_candidates(m, r, count):
+    for period in _period_candidates(q, r, count):
         exact = single_sum_weights(t, period + r)
-        if not any(map(mod, map(sub, exact[period:], exact), repeat(m))):  # m | g(0), ..., g(r-1)
-            return (list(map(mod, exact[:period], repeat(m))) * (count // period + 1))[:count]
-    return list(map(mod, single_sum_weights(t, count), repeat(m)))
+        if not any(map(mod, map(sub, exact[period:], exact), repeat(q))):  # q | g(0), ..., g(r-1)
+            return list(map(mod, exact[:period], repeat(q)))
+    return None
+
+
+def _tile(values: list, n: int) -> list:
+    """The first n entries of values repeated."""
+    return (values * (n // len(values) + 1))[:n]
+
+
+def single_sum_weights_mod(t: int, count: int, m: int) -> list:
+    """`single_sum_weights(t, count)` reduced mod m, tiled from proved
+    periods where they are found.
+
+    m is split into its prime powers for the primes p <= 2t-1 and the
+    cofactor (`_prime_power_parts`), and each part q gets its own proved
+    period (`_proved_tile`).  The parts are coprime, so the tiles are
+    combined by the Chinese remainder theorem, one part at a time, over
+    the lcm of the periods so far, or over count if that is shorter.  With
+    some part proving no period, the exact weights below count are
+    reduced.
+    """
+    tiles = []
+    for q in _prime_power_parts(m, 2 * t - 1):
+        tile = _proved_tile(t, count, q)
+        if tile is None:
+            return list(map(mod, single_sum_weights(t, count), repeat(m)))
+        tiles.append((q, tile))
+    acc, modulus = [0], 1
+    for q, tile in tiles:
+        n = min(lcm(len(acc), len(tile)), count)
+        e = modulus * pow(modulus, -1, q)  # 0 mod modulus, 1 mod q
+        modulus *= q
+        left, right = _tile(acc, n), _tile(tile, n)
+        acc = list(map(mod, map(add, map(mul, left, repeat(modulus + 1 - e)), map(mul, right, repeat(e))),
+                       repeat(modulus)))
+    return _tile(acc, count)
 
 
 def add_single_sum_term(out: list, t: int, k: int, weights: list) -> None:
@@ -213,22 +264,25 @@ def m_single_sum_many(ts, order: int, moduli=None):
     no slot, no bias.
 
     Residues: with u = t + j, term k adds w_t(u - t) at q^(C(k,2) + k u),
-    so one packed list W, W[u] = sum over t of (w_t(u - t) mod m_t) R_t
-    (`single_sum_weights_mod`; no term for u < t), serves every t at each
-    stride k, starting from lo = min(ts).  Let K be the number of strides
-    k >= 1 with C(k,2) + k lo <= order, the terms the pass makes, or 1 if
-    it makes none.  t's slot has radix B_t = 2 K m_t, and R_t is the
-    product of the radixes of the ts before it.  Each term reaches any q^n
-    at most once and adds t's slot a value in (-m_t, m_t), so t's signed
-    slot value v has |v| <= K (m_t - 1); the list starts at the bias sum
-    over t of K m_t R_t, so t's slot holds K m_t + v, in [0, B_t), and no
-    slot borrows from its neighbour.  Hence c // R_t is t's slot plus a
-    multiple of B_t, and as m_t divides both B_t and K m_t,
-    (c // R_t) % m_t = v mod m_t = M(t, n) mod m_t.  W is built Horner
-    fashion from the last t's slot down, and the slots are read in the
-    order of ts: after t's read the list is divided in place by B_t, which
-    leaves c // R_t' for the next t' (floor divisions compose), so every
-    pass multiplies or divides by a radix, never by a product of them.
+    so one packed list W, whose u-th int holds w_t(u - t) mod m_t in t's
+    slot for every t (`single_sum_weights_mod`; no term for u < t), serves
+    every t at each stride k, starting from lo = min(ts).  Let K be the
+    number of strides k >= 1 with C(k,2) + k lo <= order, the terms the
+    pass makes, or 1 if it makes none.  t's slot is s_t machine words of
+    b bits (`array('I')`'s), the fewest that hold 2 K m_t:
+    s_t = ceil(bits(2 K m_t) / b).  Each term reaches any q^n at most once
+    and adds t's slot a value in (-m_t, m_t), so t's signed slot value v
+    has |v| <= K (m_t - 1); the list starts at a bias of K m_t in every
+    slot, so t's slot holds K m_t + v, in [0, 2 K m_t), and no slot
+    borrows from its neighbour.  As m_t divides K m_t, the slot mod m_t is
+    v mod m_t = M(t, n) mod m_t.
+
+    The slots are machine-word lanes of each packed int, little-endian
+    word after word: the residues of every t are written as the columns
+    of one `array('I')`, one bytes -> int pass packs its rows, and after
+    the strided adds one int -> bytes pass gives the rows back, so t's
+    slot is its columns' words, shifted into place, mod m_t.  A wide m_t
+    just takes more words.
     """
     ts = list(ts)
     if any(t < 1 for t in ts):
@@ -239,22 +293,44 @@ def m_single_sum_many(ts, order: int, moduli=None):
         return
     if not ts:
         return
+    from array import array  # imported here, off the start-up path
+    from struct import iter_unpack
+
     lo = min(ts)
     terms = 1
     while terms * (terms + 1) // 2 + lo * (terms + 1) <= order:
         terms += 1
-    radixes = [2 * terms * moduli[t] for t in ts]
-    packed, bias = [0] * (order + 1 - lo), 0
-    for t, radix in zip(reversed(ts), reversed(radixes)):  # Horner, from the top slot down
-        residues = [0] * (t - lo) + single_sum_weights_mod(t, order + 1 - t, moduli[t])
-        packed = list(map(add, map(mul, packed, repeat(radix)), residues))
-        bias = bias * radix + terms * moduli[t]
+    size = array("I").itemsize
+    b = 8 * size
+    spans = [-(-(2 * terms * moduli[t]).bit_length() // b) for t in ts]
+    starts = [0, *accumulate(spans)][:-1]
+    width = sum(spans)  # words per packed int
+    n = max(order + 1 - lo, 0)
+    lanes = array("I", bytes(n * width * size))
+    bias = 0
+    for t, at, span in zip(ts, starts, spans):
+        residues = ([0] * (t - lo) + single_sum_weights_mod(t, order + 1 - t, moduli[t]))[:n]
+        for i in range(span):
+            words = map(rshift, residues, repeat(b * i)) if i else residues
+            lanes[at + i :: width] = array("I", map(and_, words, repeat((1 << b) - 1)) if i + 1 < span else words)
+        bias += terms * moduli[t] << (b * at)
     del residues
+    if byteorder == "big":
+        lanes.byteswap()
+    row = width * size
+    packed = list(map(int.from_bytes, map(itemgetter(0), iter_unpack(f"{row}s", lanes)), repeat("little")))
+    del lanes
     out = _single_sum_pass(packed, lo, order, bias)
     del packed
-    for t, radix in zip(ts, radixes):
-        yield t, list(map(mod, out, repeat(moduli[t])))
-        out[:] = map(floordiv, out, repeat(radix))
+    lanes = array("I", b"".join(map(int.to_bytes, out, repeat(row), repeat("little"))))
+    del out
+    if byteorder == "big":
+        lanes.byteswap()
+    for t, at, span in zip(ts, starts, spans):
+        slot = lanes[at::width]
+        for i in range(1, span):
+            slot = map(add, slot, map(lshift, lanes[at + i :: width], repeat(b * i)))
+        yield t, list(map(mod, slot, repeat(moduli[t])))
 
 
 def m_single_sum(t: int, order: int) -> Series:
@@ -301,89 +377,134 @@ def mo_slot_bound(t: int, order: int) -> int:
     return (2 * t + 1) * h**t * comb(order + t - 1, 2 * t - 1) // factorial(t)
 
 
+def coprime_layers(moduli: list) -> list:
+    """The positions of `moduli`, grouped first-fit in the order given
+    into layers whose moduli are pairwise coprime: each position joins the
+    first layer whose product it is coprime to, or opens a new one."""
+    layers, products = [], []
+    for j, n in enumerate(moduli):
+        i = next((i for i, L in enumerate(products) if gcd(n, L) == 1), len(layers))
+        if i == len(layers):
+            layers.append([])
+            products.append(1)
+        layers[i].append(j)
+        products[i] *= n
+    return layers
+
+
 def mo_andrews_rose_many(ts, order: int, moduli=None):
     """Yield (t, coefficients of `mo_andrews_rose(t, order)` as a list) for
     each t of ts in turn, from one division by the theta series; with
     `moduli`, a map t -> m_t, yield MO(t, n) mod m_t instead.
 
     Division by an integer series with constant term 1 is Z-linear, so the
-    numerators of every t share one pass: t's integer numerator goes into
-    its own bit slot of one int per coefficient, each t's slot above the
-    slots of the ts after it.  The packed quotient's slot for t is then
-    read as c >> shift, and the packed list is masked down in place to the
-    slots below; each slot is divided exactly by 2t+1, and a remainder
-    there is a transcription error.  No table is kept once it is yielded.
+    numerators of every t share one pass: each layer of ts gets its own
+    bit slot of one int per coefficient, each layer's slot above the slots
+    of the layers after it.  The packed quotient's slot for a layer is
+    read as c >> shift, when the layer's first t is read, and the packed
+    list is then masked down in place to the slots below; each t's value
+    is divided exactly by 2t+1, and a remainder there is a transcription
+    error.  No table is kept once it is yielded, and no layer once its
+    last t is.
 
-    Exact tables: t's slot holds (2t+1) MO(t, n), which lies in
-    [0, `mo_slot_bound(t, order)`], so a slot as wide as that bound's bit
-    length never carries into its neighbour.  The top slot needs no width,
-    so a single t divides exactly as an unpacked table would.
+    Exact tables: each t is a layer of its own, and its slot holds
+    (2t+1) MO(t, n), which lies in [0, `mo_slot_bound(t, order)`], so a
+    slot as wide as that bound's bit length never carries into its
+    neighbour.  The top slot needs no width, so a single t divides exactly
+    as an unpacked table would.
 
-    Residues: with N_t = m_t (2t+1), t's numerator is reduced into
-    [0, N_t), and the division's `reduce` hook, at each leaf, reads every
-    slot as a signed value and keeps it mod N_t.  As the solve is Z-linear
-    and theta's constant term is 1, t's slot of the quotient then holds
-    (2t+1) MO(t, n) mod N_t, and that over 2t+1 is MO(t, n) mod m_t, even
-    when a prime of m_t divides 2t+1.  t's slot is w_t = bits(N_t (1 + S))
-    + 1 bits wide, where S sums the absolute coefficients of theta's terms
-    q^1..q^order.  Proof that it holds a leaf's signed value v: the packed
-    arithmetic is exact and linear, and each divisor term reaches q^m
-    exactly once, in a middle product or in the leaf, so v is t's reduced
-    numerator, in [0, N_t), less the sum of c times a solved, reduced slot,
-    in [0, N_t), over theta's terms c q^i, 1 <= i <= m.  Hence
-    |v| <= (N_t - 1)(1 + S) < 2^(w_t - 1).  The hook adds 2^(w_t - 1) to
-    every slot, which makes each slot nonnegative and below 2^(w_t), so no
-    slot borrows from its neighbour; it reads each slot, takes the bias
-    back off, reduces mod N_t and repacks.  The remainder check by 2t+1 is
-    then made on the residue mod N_t, which is weaker than the exact check.
+    Residues: with N_t = m_t (2t+1), the ts are grouped into layers whose
+    N_t are pairwise coprime (`coprime_layers`), and a layer's slot works
+    mod L, the product of its N_t.  By the Chinese remainder theorem each
+    t of the layer has E_t = 1 mod N_t and 0 mod the layer's other N_t,
+    and the layer's numerator is the sum over its ts of (c mod N_t) E_t,
+    reduced into [0, L): it is c mod N_t for each t of the layer.  The
+    division's `reduce` hook, at each leaf, reads every slot as a signed
+    value and keeps it mod L.  As the solve is Z-linear and theta's
+    constant term is 1, the slot then holds the layer's quotient mod L,
+    and t reads it mod N_t as (2t+1) MO(t, n) mod N_t; that over 2t+1 is
+    MO(t, n) mod m_t, even when a prime of m_t divides 2t+1.  A slot is
+    w = bits(L (1 + S)) + 1 bits wide, where S sums the absolute
+    coefficients of theta's terms q^1..q^order.  Proof that it holds a
+    leaf's signed value v: the packed arithmetic is exact and linear, and
+    each divisor term reaches q^m exactly once, in a middle product or in
+    the leaf, so v is the layer's reduced numerator, in [0, L), less the
+    sum of c times a solved, reduced slot, in [0, L), over theta's terms
+    c q^i, 1 <= i <= m.  Hence |v| <= (L - 1)(1 + S) < 2^(w - 1).  The
+    hook adds 2^(w - 1) to every slot, which makes each slot nonnegative
+    and below 2^w, so no slot borrows from its neighbour; it reads each
+    slot, takes the bias back off, reduces mod L and repacks.  The
+    remainder check by 2t+1 is then made on the residue mod N_t, which is
+    weaker than the exact check.
     """
     ts = list(ts)
     if any(t < 1 for t in ts):
         raise ValueError("t >= 1")
     theta = theta_moment(1, order)
     if moduli is None:
+        layers = [[j] for j in range(len(ts))]
         widths = [mo_slot_bound(t, order).bit_length() for t in ts]
     else:
         mods = [moduli[t] * (2 * t + 1) for t in ts]
+        layers = coprime_layers(mods)
+        products = [prod(mods[j] for j in layer) for layer in layers]
         spread = 1 + sum(map(abs, theta.coeffs[1:]))
-        widths = [(n * spread).bit_length() + 1 for n in mods]
-    shifts = [0] * len(ts)
-    for i in range(len(ts) - 2, -1, -1):
+        widths = [(L * spread).bit_length() + 1 for L in products]
+    shifts = [0] * len(layers)
+    for i in range(len(layers) - 2, -1, -1):
         shifts[i] = shifts[i + 1] + widths[i + 1]
     num = [0] * (order + 1)
-    for j, (t, shift) in enumerate(zip(ts, shifts)):
-        k = t
-        while k * (k + 1) // 2 <= order:
-            c = (2 * k + 1) * comb(k + t, k - t)
-            if (k + t) % 2:
-                c = -c
-            num[k * (k + 1) // 2] += (c if moduli is None else c % mods[j]) << shift
-            k += 1
+    for i, (layer, shift) in enumerate(zip(layers, shifts)):
+        part = {}
+        for j in layer:
+            t = ts[j]
+            if moduli is not None:
+                n, rest = mods[j], products[i] // mods[j]
+                e = rest * pow(rest, -1, n)  # 1 mod N_t, 0 mod the layer's other N_t
+            k = t
+            while k * (k + 1) // 2 <= order:
+                c = (2 * k + 1) * comb(k + t, k - t)
+                if (k + t) % 2:
+                    c = -c
+                at = k * (k + 1) // 2
+                part[at] = part.get(at, 0) + (c if moduli is None else c % n * e)
+                k += 1
+        for at, c in part.items():
+            num[at] += (c if moduli is None else c % products[i]) << shift
     if moduli is None:
         packed = (Series(num, order) / theta).coeffs
     else:
-        slots = [(shift, (1 << w) - 1, 1 << (w - 1), n) for shift, w, n in zip(shifts, widths, mods)]
+        slots = [(shift, (1 << w) - 1, 1 << (w - 1), L) for shift, w, L in zip(shifts, widths, products)]
         bias = sum(h << shift for shift, _, h, _ in slots)
 
         def reduce(c):
             c += bias
             r = 0
-            for shift, mask, h, n in slots:
-                r |= (((c >> shift) & mask) - h) % n << shift
+            for shift, mask, h, L in slots:
+                r |= (((c >> shift) & mask) - h) % L << shift
             return r
 
         packed = divide_coeffs(num, theta.coeffs, reduce)
     del num
-    for j, (t, shift) in enumerate(zip(ts, shifts)):
+    layer_of = {j: i for i, layer in enumerate(layers) for j in layer}
+    held = {}  # layer -> its slots, while a t of it is left to read
+    for j, t in enumerate(ts):
+        i = layer_of[j]
+        if i not in held:  # layers open in order, so i is the top slot left
+            if i + 1 == len(layers):
+                held[i] = packed
+            else:
+                held[i] = list(map(rshift, packed, repeat(shifts[i])))
+                packed[:] = map(and_, packed, repeat((1 << shifts[i]) - 1))
+        slot = held[i] if len(layers[i]) == 1 else list(map(mod, held[i], repeat(mods[j])))
+        if j == layers[i][-1]:
+            del held[i]
         d = 2 * t + 1
-        slot = list(map(rshift, packed, repeat(shift))) if shift else packed
         out = list(map(floordiv, slot, repeat(d)))
         bad = next(compress(count(), map(ne, map(mul, out, repeat(d)), slot)), None)  # a remainder
         if bad is not None:
             raise inexact_quotient(slot[bad], d, bad)
         del slot
-        if j + 1 < len(ts):
-            packed[:] = map(and_, packed, repeat((1 << shift) - 1))
         yield t, out
         del out
 
@@ -505,13 +626,14 @@ def coefficient_values(family: str, ts, order: int, formula: str | None = None, 
     The theta quotient, MO's default formula, builds the tables of every t
     in one packed division (`mo_andrews_rose_many`); every other formula
     builds one t at a time.  `moduli`, a map t -> m_t, is passed to the
-    two default formulas, the theta quotient and M's single sum
-    (`m_single_sum_many`, which then packs every t into one pass), and
-    both yield residues mod m_t; every other formula ignores it and yields
-    exact values, so with moduli a value is only known to be congruent to
-    its coefficient mod m_t.  No yielded table is kept here, so a caller
-    that drops each table before asking for the next holds one at a time.
-    The values are ints by construction, since every exact division in a
+    two default formulas, the theta quotient (where the ts whose moduli
+    m_t(2t+1) are coprime then share one slot) and M's single sum
+    (`m_single_sum_many`, which then packs every t into machine-word lanes
+    of one pass), and both yield residues mod m_t, in [0, m_t); every
+    other formula ignores it and yields exact values, so with moduli a
+    value is only known to be congruent to its coefficient mod m_t.  No
+    yielded table is kept here, so a caller that drops each table before
+    asking for the next holds one at a time.  The values are ints by construction, since every exact division in a
     route raises on a remainder; the vanishing of the leading window
     (every n below `leading_window`) is asserted for every table.  A t
     whose leading window passes the order gets the zero table that

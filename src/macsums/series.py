@@ -209,21 +209,24 @@ class Series:
         return Series([i * c for i, c in enumerate(self.coeffs)], self.order)
 
 
-# Series division, measured on the theta quotients of the MO scans and
-# tables (a 199-term divisor at N = 20000) with Python 3.11 on a 2-core
-# x86-64 host, best of seven or more in-process runs.  Against the
-# term-by-term loop alone, the packed division takes 0.76 of the time on
-# the suite's four-slot quotient (N = 20000, 417-bit values), 0.87 on a
-# prospect's six-slot one (N = 5000, 426 bits) and 0.38 on a single-t
-# table (N = 20000, 123 bits).  LEAF from 96 to 256 moves these by under
-# 4%.  PIECE bounds the bytes objects and the struct format that a pack
-# or an unpack holds at once, and the lanes it pads a node's output to: 64
-# and 256 lanes take the same time, 1024 takes 1.2 times as long on the
+# Series division, measured on the theta quotients the program divides (a
+# 199-term divisor at N = 20000) with Python 3.11 on a 2-core x86-64 host,
+# best of five or more in-process runs.  Against the term-by-term loop
+# alone, the packed division takes 0.30 of the time on the suite's residue
+# quotient (N = 20000, two CRT-shared slots, 42-bit values), 0.63 on a
+# prospect's six-slot one (N = 5000, 144 bits) and 0.32 on a single-t
+# exact table (N = 20000, 123 bits).  LEAF at 96 takes 1.00 to 1.03 times
+# as long on these as at 128, and 256 takes 0.91 to 0.97 times as long.
+# PIECE bounds the bytes objects and the struct format that a pack or an
+# unpack holds at once, and the lanes it pads a node's output to: 64 and
+# 256 lanes take the same time, 1024 takes 1.2 times as long on the
 # single-t table, and 64 keeps the formats struct caches smallest.  PACK
-# bounds the packed ints: at 2^18 bytes the suite's top middle product is
-# cut into two bit slices, which costs 2% of the suite's division against
-# no cut (2^17: 12%) and lowers the suite command's peak RSS from 21.2 to
-# 19.7 MB.
+# bounds the packed ints.  None of the shapes above is cut: it was set on
+# the suite's former exact quotient (N = 20000, 417 bits), whose top
+# middle product it cut into two bit slices, which cost 2% of that
+# division against no cut (2^17: 12%) and lowered the suite command's peak
+# RSS from 21.2 to 19.7 MB; a single-t exact table at t = 10 is not cut
+# either.
 LEAF = 128
 PIECE = 64
 PACK = 1 << 18

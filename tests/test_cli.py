@@ -136,10 +136,10 @@ def test_a_claim_reads_verified_only_with_a_theorem_behind_it(capsys, tmp_path, 
     # with no kind is ad-hoc; only a theorem reads verified, on --claim and
     # on --recheck alike
     status = {"PASS": "verified-to-depth", "EVIDENCE": "evidence-to-depth"}[tag]
-    code, out, _ = run_cli(capsys, "scan", "--claim", claim, "--order", "60")
+    code, out, _ = run_cli(capsys, "scan", "--claim", claim, "--order", "62")
     assert code == 0
     assert out.startswith(f"{tag}  ") and f"[{kind}]" in out and out.endswith(f"{label}\n")
-    code, out, _ = run_cli(capsys, "scan", "--claim", claim, "--order", "60", "--format", "json")
+    code, out, _ = run_cli(capsys, "scan", "--claim", claim, "--order", "62", "--format", "json")
     payload = json.loads(out)
     (result,) = payload["results"]
     assert (code, result["kind"], result["label"], result["status"]) == (0, kind, label, status)
@@ -403,15 +403,21 @@ def test_error_inside_a_case_is_not_a_usage_error(monkeypatch):
 @pytest.mark.parametrize(
     "argv, named, smallest",
     [
-        (["--suite", "paper", "--order", "0"], "11 | MO(10, 11n+7)", 7),
-        (["--suite", "paper", "--order", "6"], "11 | MO(10, 11n+7)", 7),
-        (["--claim", "MO,4,11,11,6", "--order", "5"], "11 | MO(4, 11n+6)", 6),
-        (["--input", "REPORT", "--recheck"], "5 | M(2, 5n+1)", 1),
+        (["--suite", "paper", "--order", "0"], "11 | MO(10, 11n+7)", 62),
+        (["--suite", "paper", "--order", "6"], "11 | MO(10, 11n+7)", 62),
+        (["--claim", "MO,4,11,11,6", "--order", "5"], "11 | MO(4, 11n+6)", 17),
+        (["--input", "REPORT", "--recheck"], "5 | M(2, 5n+1)", 6),
+        (["--suite", "paper", "--order", "60"], "11 | MO(10, 11n+7)", 62),
+        (["--claim", "MO,40,7,8,4", "--order", "30"], "7 | MO(40, 8n+4)", 820),
+        (["--claim", "MO,3,2147483647,2147483647,5", "--order", "200"], "2147483647 | MO(3, 2147483647n+5)",
+         2147483652),
     ],
-    ids=["suite-order-0", "suite-order-6", "claim", "recheck"],
+    ids=["suite-order-0", "suite-order-6", "claim", "recheck", "suite-order-60", "claim-on-zeros", "wide-on-zeros"],
 )
 def test_scan_rejects_a_claim_the_order_checks_nowhere(capsys, tmp_path, argv, named, smallest):
-    # a claim with offset > order used to report PASS with depth=-1 and no coefficient checked
+    # a claim with offset > order used to report PASS with depth=-1 and no
+    # coefficient checked; one whose indices <= order all lie below its
+    # leading window used to report EVIDENCE on structural zeros
     report = tmp_path / "report.json"
     report.write_text(json.dumps({"schema": 1, "command": "scan", "order": 0, "results": [SUITE_CLAIM]}))
     argv = [str(report) if arg == "REPORT" else arg for arg in argv]
@@ -442,12 +448,18 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
          "coeffs-M-t2-n30-mod7.csv"),
         (["coeffs", "--family", "M", "--t", "2", "--n", "30", "--mod", "7", "--format", "json"],
          "coeffs-M-t2-n30-mod7.json"),
-        (["scan", "--suite", "paper", "--order", "60", "--format", "csv"], "scan-suite-paper-order60.csv"),
+        (["scan", "--suite", "paper", "--order", "62", "--format", "csv"], "scan-suite-paper-order62.csv"),
         (["scan", "--prospect", "--family", "MO", "--t", "1..3", "--p", "5,7", "--order", "60", "--format", "json"],
          "scan-prospect-MO-t1-3-p5-7-order60.json"),
         *((["verify", "--id", ident, "--order", "30"], f"verify-{ident}-order30.txt")
           for ident in ("theorem-FGH", "FGH-recurrence", "G-forms", "mss", "mss-precursor", "atidB", "cor52",
                         "cor53", "wz-certificates")),
+        # the benchmark's congruence commands, at orders a test can afford
+        (["scan", "--suite", "paper", "--order", "3000", "--format", "json"], "scan-suite-paper-order3000.json"),
+        (["scan", "--prospect", "--family", "M", "--t", "1..6", "--p", "5,7,11", "--order", "2000", "--format", "json"],
+         "scan-prospect-M-t1-6-p5-7-11-order2000.json"),
+        (["scan", "--prospect", "--family", "MO", "--t", "1..6", "--p", "5,7,11", "--order", "1000", "--format",
+          "json"], "scan-prospect-MO-t1-6-p5-7-11-order1000.json"),
     ],
     ids=lambda v: v if isinstance(v, str) else None,
 )

@@ -120,7 +120,7 @@ def test_paper_suite_builds_one_table_per_family_and_t(monkeypatch):
             yield t, values
 
     monkeypatch.setattr(congruences, "coefficient_values", counting)
-    assert len(verify_paper_suite(60)) == 29
+    assert len(verify_paper_suite(62)) == 29
     assert len(calls) == len(set(calls)) == 13
 
 
@@ -179,6 +179,39 @@ def test_scan_residue_tables_match_exact_tables(monkeypatch):
         assert [v % m for v in values] == [v % m for v in coefficient_table(family, t, order).values], (family, t)
         assert 0 <= min(values) and max(values) < m, (family, t)
     assert len(tables) == suite + 12 == 25
+
+
+WIDE_PRIMES = (2147483647, 2147483629, 2147483587)  # the three largest primes below 2^31
+
+
+def test_wide_moduli_scan_tables_match_exact_tables(monkeypatch, capsys):
+    # claim primes near 2^31, end to end: the prospect's m_t, their product,
+    # is about 2^93, so each M slot spans four machine words and every
+    # weight cofactor, a prime or a product of primes past 2t - 1 whose
+    # powers all pass the order, falls back to exact weights.  Every table
+    # still equals the exact table mod m_t.  (MO(3, n) starts at n = 6, so
+    # the MO claim checks offset 6.)
+    from macsums.cli import main
+
+    tables = []
+
+    def recording(family, ts, order, formula=None, moduli=None):
+        for t, values in coefficient_values(family, ts, order, formula, moduli):
+            tables.append((family, t, moduli[t], values))
+            yield t, values
+
+    monkeypatch.setattr(congruences, "coefficient_values", recording)
+    p = WIDE_PRIMES[0]
+    for argv in (["--claim", f"M,3,{p},{p},5"], ["--claim", f"MO,3,{p},{p},6"],
+                 ["--prospect", "--family", "M", "--t", "1..3", "--p", ",".join(map(str, WIDE_PRIMES))]):
+        assert main(["scan", *argv, "--order", "200"]) in (0, 1), argv
+    capsys.readouterr()
+    assert [(family, t, m) for family, t, m, _ in tables] == [
+        ("M", 3, p), ("MO", 3, p), *(("M", t, math.prod(WIDE_PRIMES)) for t in (3, 2, 1))]
+    for family, t, m, values in tables:
+        assert values == [v % m for v in coefficient_table(family, t, 200).values], (family, t)
+    assert macmahon._prime_power_parts(math.prod(WIDE_PRIMES), 5) == [math.prod(WIDE_PRIMES)]
+    assert macmahon._proved_tile(3, 198, math.prod(WIDE_PRIMES)) is None
 
 
 def first_nonvanishing_loop(values, p, step, offset):

@@ -1,10 +1,12 @@
 """Tests for the M/MO generating function routes and their agreements."""
 
+import math
 import sys
 import time
 import tracemalloc
+from array import array
 from collections import Counter
-from math import comb, prod
+from math import comb, gcd, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,6 +23,7 @@ from macsums.macmahon import (
     chain_series,
     coefficient_table,
     conjugate_chain_m_form,
+    coprime_layers,
     _dual,
     m_conjugate_form,
     m_recurrence,
@@ -326,6 +329,7 @@ def test_packed_mo_division_peak_is_a_small_multiple_of_its_quotient(monkeypatch
 )
 @example({2: 5, 1: 3, 4: 3, 6: 13}, 300)  # every prime divides 2t+1
 @example({10: 11, 4: 11, 3: 7, 2: 5}, 129)  # the suite's moduli, one coefficient past a leaf
+@example({1: 11, 2: 13, 3: 2, 5: 3}, 400)  # N_t = 33, 65, 14 pairwise coprime: one layer of three, then 33
 def test_residue_theta_quotients_match_exact_tables(moduli, order):
     tables = list(mo_andrews_rose_many(moduli, order, moduli))
     assert [t for t, _ in tables] == list(moduli)
@@ -351,11 +355,53 @@ def test_a_planted_numerator_error_shows_in_the_residues(monkeypatch, t, k, m, b
         assert next(n for n, (a, b) in enumerate(zip(values, exact)) if a != b) == at
 
 
+def crt(residues, moduli):
+    """The x in [0, prod(moduli)) with x = r mod n for every pair, found by
+    search: the reference for the layers' CRT."""
+    x, step = 0, 1
+    for r, n in zip(residues, moduli):
+        while x % n != r % n:
+            x += step
+        step *= n
+    return x
+
+
+SUITE_MO_MODULI = {10: 11, 4: 11, 3: 7, 2: 5}  # lcm of each t's claim primes, largest t first
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 60), max_size=8))
+@example([231, 99, 49, 25])  # the suite's N_t = m_t (2t+1)
+def test_coprime_layers_are_a_first_fit_partition(moduli):
+    layers = coprime_layers(moduli)
+    assert sorted(j for layer in layers for j in layer) == list(range(len(moduli)))  # each once
+    for i, layer in enumerate(layers):
+        assert layer == sorted(layer)
+        assert all(gcd(moduli[a], moduli[b]) == 1 for a in layer for b in layer if a < b)
+        for j in layer:  # first fit: every earlier layer held a modulus sharing a prime with j's
+            assert all(any(gcd(moduli[j], moduli[k]) > 1 for k in earlier if k < j) for earlier in layers[:i])
+
+
+def test_suite_mo_layers_halve_the_packed_width():
+    # {10, 2} with L = 231 * 25 = 5775 and {4, 3} with L = 99 * 49 = 4851:
+    # two slots of 29 bits at order 20000, where one slot per t took 91 bits
+    ts = list(SUITE_MO_MODULI)
+    mods = [SUITE_MO_MODULI[t] * (2 * t + 1) for t in ts]
+    layers = coprime_layers(mods)
+    assert [[ts[j] for j in layer] for layer in layers] == [[10, 2], [4, 3]]
+    spread = 1 + sum(map(abs, theta_moment(1, 20000).coeffs[1:]))
+    products = [prod(mods[j] for j in layer) for layer in layers]
+    assert products == [5775, 4851]
+    assert [(L * spread).bit_length() + 1 for L in products] == [29, 29]
+    assert sum((n * spread).bit_length() + 1 for n in mods) == 91
+
+
 def test_residue_slots_hold_every_leaf_value(monkeypatch):
-    # each leaf's packed value is the sum of t's signed slot values v shifted
-    # into place, and |v| < 2^(w_t - 1) for w_t = bits(N_t (1 + S)) + 1:
-    # v is recomputed from the numerators and the yielded residues
-    ts, moduli, order = [10, 4, 3, 2], {10: 11, 4: 11, 3: 7, 2: 5}, 1000
+    # each leaf's packed value is the sum of each layer's signed slot value
+    # v shifted into place, and |v| < 2^(w - 1) for w = bits(L (1 + S)) + 1,
+    # L the product of the layer's N_t: v is recomputed from the numerators
+    # and the yielded residues, each combined over its layer by CRT
+    ts, moduli, order = list(SUITE_MO_MODULI), SUITE_MO_MODULI, 1000
     seen = []
     divide = macmahon.divide_coeffs
 
@@ -366,27 +412,31 @@ def test_residue_slots_hold_every_leaf_value(monkeypatch):
     tables = dict(mo_andrews_rose_many(ts, order, moduli))
     terms = [(i, c) for i, c in enumerate(theta_moment(1, order).coeffs) if i and c]
     spread = 1 + sum(abs(c) for _, c in terms)
+    mods = {t: moduli[t] * (2 * t + 1) for t in ts}
     packed, shift = [0] * (order + 1), 0
-    for t in reversed(ts):
-        n_t = moduli[t] * (2 * t + 1)
-        w = (n_t * spread).bit_length() + 1
-        solved = [(2 * t + 1) * v for v in tables[t]]
-        v = [0] * (order + 1)
-        for k in range(t, order + 1):
-            if k * (k + 1) // 2 > order:
-                break
-            v[k * (k + 1) // 2] = (-1) ** (k + t) * (2 * k + 1) * comb(k + t, k - t) % n_t
+    for layer in ([4, 3], [10, 2]):  # the bottom slot first
+        L, ns = prod(mods[t] for t in layer), [mods[t] for t in layer]
+        w = (L * spread).bit_length() + 1
+        solved = [crt([(2 * t + 1) * tables[t][n] for t in layer], ns) for n in range(order + 1)]
+        numerators = [[0] * (order + 1) for _ in layer]
+        for row, t in zip(numerators, layer):
+            for k in range(t, order + 1):
+                if k * (k + 1) // 2 > order:
+                    break
+                row[k * (k + 1) // 2] = (-1) ** (k + t) * (2 * k + 1) * comb(k + t, k - t)
+        v = [crt(column, ns) for column in zip(*numerators)]
         for m in range(order + 1):
             v[m] -= sum(c * solved[m - i] for i, c in terms if i <= m)
         largest = max(map(abs, v))
-        assert largest < 1 << (w - 1), t
-        assert largest.bit_length() > w - 8, t  # the bound is not far off
+        assert largest < 1 << (w - 1), layer
+        assert largest.bit_length() > w - 8, layer  # the bound is not far off
         packed = [p + (x << shift) for p, x in zip(packed, v)]
         shift += w
     assert seen == packed
 
 
 SUITE_M_MODULI = {10: 35, 9: 7, 7: 5, 6: 3, 5: 5, 4: 3, 3: 21, 2: 35, 1: 21}  # lcm of each t's claim primes
+WIDE_M_MODULI = {3: 2147483647 * 2147483629 * 2147483587, 1: 2147483647, 2: 35}  # about 2^93 at t = 3
 MODULI = st.one_of(st.sets(st.sampled_from((2, 3, 5, 7, 11, 13)), min_size=1).map(prod),
                    st.sampled_from((4, 9, 25, 27, 45, 49)))
 
@@ -406,25 +456,29 @@ def test_residue_single_sums_match_exact_tables(moduli, order, k, edge):
         assert values == [v % moduli[t] for v in m_single_sum(t, order).coeffs], t  # each in [0, m_t)
 
 
-def test_residue_single_sum_slots_hold_every_signed_value(monkeypatch):
-    # the pass's list is the bias plus each t's signed slot value v shifted
-    # by its radix R_t, and |v| <= K (m_t - 1) for the K terms the pass
-    # makes: v is recomputed term by term from the weights mod m_t
+def single_sum_slot_spans(monkeypatch, moduli):
+    """Check the pass's packed list against slots rebuilt from the weights,
+    and return the number of machine words each t's slot spans.
+
+    The list holds each t's slot value K m_t + v in the s_t machine words
+    from t's first word on, for |v| <= K (m_t - 1) and the K terms the pass
+    makes: each slot value lies in [0, 2 K m_t), and s_t is the fewest words
+    that hold 2 K m_t.  v is recomputed term by term from the weights mod m_t."""
     order, seen = 1000, []
     real = macmahon._single_sum_pass
 
     def recording(*args):
-        out = real(*args)
-        seen.append(out[:])  # as the pass left it: the reads divide it in place
-        return out
+        seen.append(real(*args))
+        return seen[-1]
 
     monkeypatch.setattr(macmahon, "_single_sum_pass", recording)
-    tables = dict(m_single_sum_many(SUITE_M_MODULI, order, SUITE_M_MODULI))
+    tables = dict(m_single_sum_many(moduli, order, moduli))
     (out,) = seen
-    terms = [k for k in range(1, order + 1) if k * (k - 1) // 2 + k <= order]  # lo = 1
-    K = len(terms)
-    packed, radix = [0] * (order + 1), 1
-    for t, m in SUITE_M_MODULI.items():
+    lo = min(moduli)
+    terms = [k for k in range(1, order + 1) if k * (k - 1) // 2 + k * lo <= order]
+    K, b = len(terms), 8 * array("I").itemsize
+    packed, at, spans = [0] * (order + 1), 0, []
+    for t, m in moduli.items():
         weights = [w % m for w in single_sum_weights(t, order + 1)]
         v = [0] * (order + 1)
         for k in terms:
@@ -432,53 +486,94 @@ def test_residue_single_sum_slots_hold_every_signed_value(monkeypatch):
                 v[n] += w if k % 2 else -w
         assert max(map(abs, v)) <= K * (m - 1), t
         assert [x % m for x in v] == tables[t], t
-        packed = [p + (K * m + x) * radix for p, x in zip(packed, v)]
-        radix *= 2 * K * m
+        slot = [K * m + x for x in v]
+        assert 0 <= min(slot) and max(slot) < 2 * K * m, t
+        spans.append(-(-(2 * K * m).bit_length() // b))
+        packed = [p + (x << (b * at)) for p, x in zip(packed, slot)]
+        at += spans[-1]
     assert out == packed
+    return spans
+
+
+def test_residue_single_sum_slots_hold_every_signed_value(monkeypatch):
+    assert max(single_sum_slot_spans(monkeypatch, SUITE_M_MODULI)) == 1
+
+
+def test_wide_residue_single_sum_slots_span_several_words(monkeypatch):
+    # m_t near 2^93 at t = 3 takes four words on the same path
+    assert max(single_sum_slot_spans(monkeypatch, WIDE_M_MODULI)) == 4
 
 
 @pytest.mark.parametrize("t", range(1, 11))
 def test_residue_weights_match_exact_weights(t):
     exact = single_sum_weights(t, 3000)
-    for m in range(1, 60):
+    for m in [*range(1, 60), 385, 5775]:
         assert single_sum_weights_mod(t, 3000, m) == [w % m for w in exact], m
 
 
 def test_suite_weights_tile_their_lucas_periods(monkeypatch):
-    # each t's weights mod m_t are tiled from the first proved candidate
-    # m_t^e: the exact weights are built below period + 2t - 1 only
-    counts = []
-    real = macmahon.single_sum_weights
-    monkeypatch.setattr(macmahon, "single_sum_weights", lambda t, count: counts.append(count) or real(t, count))
+    # m_t is split into its prime powers for the primes <= 2t - 1 and the
+    # cofactor, and each part q is tiled from its own first proved
+    # candidate q^e: the suite's moduli, and the M prospect's 385, which
+    # gets the periods 1925 at t = 3 and 13475 at t = 4, 5 where no power
+    # of 385 was proved below 20000
+    proved = []
+    real = macmahon._proved_tile
+
+    def recording(t, count, q):
+        tile = real(t, count, q)
+        proved.append((q, len(tile)))
+        return tile
+
+    monkeypatch.setattr(macmahon, "_proved_tile", recording)
     periods = {}
-    for t, m in SUITE_M_MODULI.items():
-        counts.clear()
+    for t, m in [*SUITE_M_MODULI.items(), *((t, 385) for t in range(1, 7))]:
+        proved.clear()
         single_sum_weights_mod(t, 20000, m)
-        periods[t] = counts[-1] - (2 * t - 1)
-    assert periods == {10: 1225, 9: 49, 7: 25, 6: 27, 5: 25, 4: 9, 3: 441, 2: 35, 1: 21}
+        periods[t, m] = proved[:]
+    assert periods == {
+        (10, 35): [(5, 25), (7, 49)], (9, 7): [(7, 49)], (7, 5): [(5, 25)], (6, 3): [(3, 27)],
+        (5, 5): [(5, 25)], (4, 3): [(3, 9)], (3, 21): [(3, 9), (7, 7)], (2, 35): [(35, 35)], (1, 21): [(21, 21)],
+        (1, 385): [(385, 385)], (2, 385): [(385, 385)], (3, 385): [(5, 25), (77, 77)],
+        (4, 385): [(5, 25), (7, 49), (11, 11)], (5, 385): [(5, 25), (7, 49), (11, 11)],
+        (6, 385): [(5, 25), (7, 49), (11, 121)],
+    }
+    assert math.lcm(25, 77) == 1925 and math.lcm(25, 49, 11) == 13475
+
+
+def test_weight_cofactors_are_never_factored(monkeypatch):
+    # trial division stops at 2t - 1: a product of primes past it is one
+    # part, and so is a prime power times it only past the small primes
+    assert macmahon._prime_power_parts(2147483647 * 2147483629, 5) == [2147483647 * 2147483629]
+    assert macmahon._prime_power_parts(4 * 27 * 11 * 13, 11) == [4, 27, 11, 13]
+    assert macmahon._prime_power_parts(4 * 27 * 11 * 13, 9) == [4, 27, 143]
+    assert macmahon._prime_power_parts(1, 5) == []
 
 
 @pytest.mark.parametrize("t, m, bad, good", [
     (2, 5, 6, 5), (3, 21, 440, 441), (6, 3, 3, 27), (10, 35, 35, 1225), (1, 21, 20, 21), (2, 21, 14, 441),
 ])
 def test_a_candidate_period_that_fails_the_check_is_never_tiled(monkeypatch, t, m, bad, good):
-    # tiling `bad` would give wrong residues; with it as the only candidate
-    # the exact weights below count are reduced, and the proved candidate
-    # `good` after it is tiled.  With g(j) = w(j + bad) - w(j) and
-    # r = 2t - 1, bad = 3 at t = 6, m = 3 (the suite's natural first
-    # candidate) fails only at g(6), and the last two fail only at g(r - 1):
-    # the check needs all of g(0..r-1)
+    # tiling `bad` would give wrong residues.  Offered as each part's only
+    # candidate it is refused at the first part, and the exact weights below
+    # count are reduced; offered before `good`, which every part proves, it
+    # is refused by the first part, which tiles `good`, and no part falls
+    # back to exact weights (14 is a true period mod 7).  With g(j) =
+    # w(j + bad) - w(j) and r = 2t - 1, bad = 3 at t = 6, m = 3 (the suite's
+    # natural first candidate) fails only at g(6): the check needs all of
+    # g(0..r-1)
     count, r = 3000, 2 * t - 1
     exact = [w % m for w in single_sum_weights(t, count)]
     assert (exact[:bad] * (count // bad + 1))[:count] != exact
     built = []
     real = macmahon.single_sum_weights
     monkeypatch.setattr(macmahon, "single_sum_weights", lambda t, n: built.append(n) or real(t, n))
-    for candidates, last in (([bad], count), ([bad, good], good + r)):
+    for candidates in ([bad], [bad, good]):
         built.clear()
         monkeypatch.setattr(macmahon, "_period_candidates", lambda m, r, count: iter(candidates))
         assert single_sum_weights_mod(t, count, m) == exact, candidates
-        assert built == [bad + r, last], candidates
+        assert built[:2] == [bad + r, count if candidates == [bad] else good + r], candidates
+        assert (count in built) == (candidates == [bad]), candidates
 
 
 def test_coefficient_values_names_the_first_non_integer(monkeypatch):
