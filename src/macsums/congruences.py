@@ -14,8 +14,12 @@ packed division by the theta series whose slots are reduced at the
 division's leaves (`macmahon.mo_andrews_rose_many`): the ts whose moduli
 m_t(2t+1) are pairwise coprime share one slot, reduced mod the product of
 their moduli, so the suite's four MO tables take two 29-bit slots at
-order 20000.  An MO scan holds that packed quotient plus one slot and one
-table unpacked from it.  t reads its slot mod m_t(2t+1) as
+order 20000.  The division (`series.divide_coeffs`) packs each
+coefficient into a lane once and reads it back once; the packed
+numerator is as wide as the reduced quotient, 42 bits for the suite, so
+its lanes (8 bytes for the suite) are sized right from the start.  An MO
+scan holds that packed quotient plus one slot and one table unpacked from
+it, and the division's packed lanes while it runs.  t reads its slot mod m_t(2t+1) as
 (2t+1) MO(t, n) mod m_t(2t+1), so its division by 2t+1 stays exact even
 when p divides 2t+1 (as it does for the t = 2, p = 5 claims).  A status
 comes from one rule, `reports.claim_status`.  Only a prospect's chance level is a rational, so

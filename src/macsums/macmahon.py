@@ -411,7 +411,11 @@ def mo_andrews_rose_many(ts, order: int, moduli=None):
     (2t+1) MO(t, n), which lies in [0, `mo_slot_bound(t, order)`], so a
     slot as wide as that bound's bit length never carries into its
     neighbour.  The top slot needs no width, so a single t divides exactly
-    as an unpacked table would.
+    as an unpacked table would.  The division (`Series /`, which runs
+    `divide_coeffs` with no hook) sizes its lanes from the packed
+    numerator and restarts with b doubled when the quotient outgrows them:
+    t = 6 at order 20000 (a 72-bit numerator, a 123-bit quotient) restarts
+    once.
 
     Residues: with N_t = m_t (2t+1), the ts are grouped into layers whose
     N_t are pairwise coprime (`coprime_layers`), and a layer's slot works
@@ -435,7 +439,10 @@ def mo_andrews_rose_many(ts, order: int, moduli=None):
     and below 2^w, so no slot borrows from its neighbour; it reads each
     slot, takes the bias back off, reduces mod L and repacks.  The
     remainder check by 2t+1 is then made on the residue mod N_t, which is
-    weaker than the exact check.
+    weaker than the exact check.  `divide_coeffs` sizes its lanes from the
+    packed numerator; on the suite's layout and the benchmark's prospects
+    the numerator is as wide as the reduced quotient, so the division
+    never restarts, and it would give the same residues if it did.
     """
     ts = list(ts)
     if any(t < 1 for t in ts):

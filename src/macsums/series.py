@@ -11,7 +11,7 @@ the coefficients it was constructed with.
 from bisect import bisect_left
 from itertools import accumulate, compress, count, islice, repeat
 from math import comb, gcd
-from operator import add, and_, itemgetter, lshift, rshift, sub
+from operator import add, itemgetter, lshift, sub
 
 
 def inexact_quotient(value: int, d: int, at: int) -> ArithmeticError:
@@ -210,26 +210,18 @@ class Series:
 
 
 # Series division, measured on the theta quotients the program divides (a
-# 199-term divisor at N = 20000) with Python 3.11 on a 2-core x86-64 host,
-# best of five or more in-process runs.  Against the term-by-term loop
-# alone, the packed division takes 0.30 of the time on the suite's residue
-# quotient (N = 20000, two CRT-shared slots, 42-bit values), 0.63 on a
-# prospect's six-slot one (N = 5000, 144 bits) and 0.32 on a single-t
-# exact table (N = 20000, 123 bits).  LEAF at 96 takes 1.00 to 1.03 times
-# as long on these as at 128, and 256 takes 0.91 to 0.97 times as long.
-# PIECE bounds the bytes objects and the struct format that a pack or an
-# unpack holds at once, and the lanes it pads a node's output to: 64 and
-# 256 lanes take the same time, 1024 takes 1.2 times as long on the
-# single-t table, and 64 keeps the formats struct caches smallest.  PACK
-# bounds the packed ints.  None of the shapes above is cut: it was set on
-# the suite's former exact quotient (N = 20000, 417 bits), whose top
-# middle product it cut into two bit slices, which cost 2% of that
-# division against no cut (2^17: 12%) and lowered the suite command's peak
-# RSS from 21.2 to 19.7 MB; a single-t exact table at t = 10 is not cut
-# either.
-LEAF = 128
-PIECE = 64
-PACK = 1 << 18
+# 199-term divisor at N = 20000) with Python 3.11 on a 2-core x86-64 host:
+# the suite's residue quotient (N = 20000, 42-bit values, 8-byte lanes), a
+# prospect's (N = 5000, 144 bits, 20-byte lanes) and a single-t exact table
+# (t = 6, N = 20000, 123 bits, 21-byte lanes after its one restart).  Best
+# of 7 runs, interleaved in one process: LEAF = 64 takes 55, 20 and 88 ms
+# on these; against it, 32 takes 1.05 to 1.09 times as long, 128 takes
+# 1.02 to 1.03 and 256 takes 1.05 to 1.08.
+LEAF = 64
+
+
+class _Restart(Exception):
+    """A leaf solved a coefficient too wide for the division's lanes."""
 
 
 def divide_coeffs(a: list, b: list, reduce=None) -> list:
@@ -238,58 +230,169 @@ def divide_coeffs(a: list, b: list, reduce=None) -> list:
     nonzero; a coefficient that would not be an integer raises
     ArithmeticError naming its q^i.
 
-    The quotient is solved divide and conquer over q^0..q^N (`_divide`):
-    solve the lower half, subtract its contributions from the upper half (a
-    Kronecker-packed middle product, `_middle_product`, at any lane width),
-    then solve the upper half.  Spans of at most `LEAF` coefficients run
-    the term-by-term loop over the divisor's nonzero terms (`_leaf`).
     Signs are moved so that d > 0; a unit divisor (d = 1) then needs no
     division at all, and any other d divides each solved coefficient
-    exactly.
+    exactly.  `reduce`, when given, maps each solved coefficient, right
+    after that exact division and before any later coefficient reads it,
+    to the value the quotient keeps.  The solve is Z-linear, so for d = 1 a
+    `reduce` that keeps each coefficient's residue modulo N yields the
+    quotient modulo N.  Up to `LEAF` coefficients are solved by the
+    term-by-term loop over the divisor's nonzero terms (`_solve`) alone,
+    with nothing packed.
 
-    `reduce`, when given, maps each solved coefficient, right after that
-    exact division and before any later coefficient reads it, to the value
-    the quotient keeps.  The solve is Z-linear, so for d = 1 a `reduce`
-    that keeps each coefficient's residue modulo N yields the quotient
-    modulo N; the middle products size their lanes from the values they
-    pack, so they need not know of it.
+    Longer quotients are solved divide and conquer over q^0..q^N
+    (`_divide`) on packed ints whose lanes are all W bits wide.  Each
+    dividend coefficient is packed into a pending lane once, at the root,
+    and read back once, at its leaf; each solved coefficient is packed
+    once, at its leaf, and never read back.  A node solves its lower half,
+    takes the lower half's contributions off its upper half's pending
+    lanes (`_middle_product`, run on the packed int the lower half
+    returned), then solves its upper half.  A leaf unpacks its pending
+    lanes, takes the bias back out, runs `_solve` and packs what it solved
+    (`_leaf`).
+
+    The lanes.  With c_i the divisor's coefficients (d's sign moved), S =
+    sum |c_i| over 1 <= i <= N and C_k = c_1 + ... + c_k, b is the bit
+    length of the dividend's widest coefficient, at least 1, so |a_m| <
+    2^b; W is the fewest whole bytes that hold b + bits(S) + 2 bits, and H
+    = 2^(W-1).  A solved v is packed as the lane v + 2^b, and the root
+    packs a_m + H + 2^b C_m as the pending lane of q^m.  Claim: while every
+    solved |v| < 2^b,
+
+    - each solved lane lies in [1, 2^(b+1)), so in [0, 2^(b+1));
+    - once the coefficients below L are solved and taken off, the pending
+      lane of q^m, m >= L, is H + a_m - sum(c_(m-j) v_j, j < L) + 2^b
+      C_(m-L), and it lies in [0, 2^W).
+
+    Proof.  The first is |v| < 2^b.  For the second, each pending lane
+    read holds a prefix j < L of the quotient: a node takes the lanes j in
+    [lo, mid) off the lanes m in [mid, hi), which held the prefix j < lo,
+    and every pair j < m lies across the halves of exactly one node or
+    within one leaf.  The lane of q^m starts as H + a_m + 2^b C_m; taking
+    off c_(m-j) (v_j + 2^b) for each j < L with m - j >= 1 takes off 2^b
+    (C_m - C_(m-L)) beside the c_(m-j) v_j, which is the formula.  Its
+    value less H has absolute value at most (2^b - 1) + S 2^b + S 2^b <
+    2^b (1 + 2S) <= 2^(b + bits(S) + 1) <= H, so it lies in [0, 2^W).  The
+    packed arithmetic is exact, so once a node's middle product is taken
+    off, whatever the partial sums on the way, the packed int is the sum
+    of its lanes, each in range, and no lane has borrowed from another.
+    At a leaf [lo, hi), L = lo and m - L = k is the lane's place in the
+    leaf, so the leaf's pending value is its lane less H + 2^b C_k.
+    Hence a leaf that checks the values it solves against 2^b is the only
+    guard needed: a leaf that solves some |v| >= 2^b restarts the division
+    from the dividend with b doubled, and no result depends on the width.
     """
     n = min(len(a), len(b)) - 1
-    d = b[0]
-    if d == 0:
+    if b[0] == 0:
         raise ZeroDivisionError("non-unit series: constant term is zero")
-    s = -1 if d < 0 else 1  # a / b = (s a) / (s b)
-    tail = [(i, s * c) for i, c in enumerate(b[1 : n + 1], 1) if c]
-    out = a[: n + 1] if s == 1 else [-c for c in a[: n + 1]]  # partial sums, solved in place
-    _divide(out, tail, s * d, reduce, 0, n + 1)
-    return out
+    if b[0] < 0:  # a / b = (-a) / (-b)
+        a, b = [-c for c in a[: n + 1]], [-c for c in b[: n + 1]]
+    d = b[0]
+    tail = [(i, c) for i, c in enumerate(b[1 : n + 1], 1) if c]
+    if n < LEAF:
+        out = a[: n + 1]
+        _solve(out, tail, d, reduce, 0, out)  # reads out[m] before it writes it
+        return out
+    top = max(map(abs, a[: n + 1])).bit_length() or 1
+    spread = sum(abs(c) for _, c in tail).bit_length() + 2
+    while True:
+        size = (top + spread + 7) // 8
+        h = 1 << (8 * size - 1)
+        unbias = [h + (c << top) for c in accumulate(b[1:LEAF], initial=0)]  # H + 2^b C_k, k < LEAF
+        out = a[: n + 1]
+        lanes = map(add, map(add, out, repeat(h)), map(lshift, accumulate(b[1 : n + 1], initial=0), repeat(top)))
+        try:
+            _divide(out, tail, d, reduce, (size, top, unbias), 0, n + 1, [_pack(lanes, size)], False)
+            return out
+        except _Restart:
+            top *= 2
 
 
-def _divide(out, tail, d, reduce, lo, hi, off=0):
-    """Solve out[lo:hi] in place for `divide_coeffs`.
+def _pack(lanes, size):
+    """The int whose k-th `size`-byte lane is the k-th value that `lanes`
+    yields, each in [0, 2^(8 size)).  Wider lanes than a machine word are
+    joined LEAF at a time, so the bytes held at once are about twice the
+    int's size."""
+    if size == 8:
+        return int.from_bytes(_words(lanes), "little")
+    chunk = lambda: b"".join(map(int.to_bytes, islice(lanes, LEAF), repeat(size), repeat("little")))
+    return int.from_bytes(b"".join(iter(chunk, b"")), "little")
 
-    On entry out[m] + off holds the dividend's coefficient less the
-    contributions of every solved out[j], j < lo; `tail` lists the
-    divisor's nonzero (i, c), i >= 1, and d > 0 is its constant term.  A
-    middle product leaves its upper half short by the bias it returns, and
-    that bias is carried down to the leaves.  No closure refers back to
-    this function, so a division leaves no reference cycle behind.
+
+def _words(data):
+    """The array('Q') built from `data`, ints or the bytes of 8-byte
+    little-endian lanes, with its words' byte order swapped on a
+    big-endian host: built from ints its bytes are the lanes, built from
+    bytes its items are the lanes' values.  One C loop packs or reads
+    every lane, where wider lanes take one bytes object each; on the
+    suite's 8-byte lanes the division takes 0.91 to 0.95 of the time it
+    takes with bytes objects."""
+    from array import array  # imported here, off the start-up path
+    from sys import byteorder
+
+    words = array("Q", data)
+    if byteorder == "big":
+        words.byteswap()
+    return words
+
+
+def _divide(out, tail, d, reduce, lanes, lo, hi, held, need):
+    """Solve out[lo:hi] for `divide_coeffs` from the packed pending lanes
+    of q^lo..q^(hi-1), the int on top of the stack `held`, and pop it;
+    return the solved lanes packed when `need`.
+
+    `tail` lists the divisor's nonzero (i, c), i >= 1, d > 0 is its
+    constant term, and `lanes` is (W / 8, b, the leaves' unbias values).
+    Each pending int is handed down on `held` alone, so a split frees it,
+    and a frame holds only what a later step reads: its upper half's
+    pending lanes, on the stack, and the lower half's solved lanes while
+    its own caller needs them.  No closure refers back to this function,
+    so a division leaves no reference cycle behind.
     """
     if hi - lo <= LEAF:
-        _leaf(out, tail, d, reduce, lo, hi, off)
-        return
+        return _leaf(out, tail, d, reduce, lanes, lo, hi, held.pop())
     mid = (lo + hi) // 2
-    _divide(out, tail, d, reduce, lo, mid, off)
-    _divide(out, tail, d, reduce, mid, hi, off + _middle_product(out, tail, lo, mid, hi))
+    cut = (mid - lo) * 8 * lanes[0]
+    pending = held.pop()
+    held.append(pending >> cut)
+    held.append(pending & ((1 << cut) - 1))
+    del pending
+    low = _divide(out, tail, d, reduce, lanes, lo, mid, held, True)
+    held.append(_middle_product(held.pop(), low, tail, mid - lo, hi - lo, 8 * lanes[0]))
+    if not need:
+        del low
+        return _divide(out, tail, d, reduce, lanes, mid, hi, held, False)
+    return low | _divide(out, tail, d, reduce, lanes, mid, hi, held, True) << cut
 
 
-def _leaf(out, tail, d, reduce, lo, hi, off):
-    """Solve out[lo:hi] term by term, subtracting the contributions of
-    out[lo:m] from each out[m] + off: one multiply and one subtract per
-    pair, then the exact division by d unless d = 1, then `reduce` if one
-    is given."""
-    for m in range(lo, hi):
-        acc = out[m] + off
+def _leaf(out, tail, d, reduce, lanes, lo, hi, pending):
+    """Unpack the pending lanes of q^lo..q^(hi-1), solve out[lo:hi] from
+    them and return the solved values packed, value + 2^b per lane, or
+    raise `_Restart` if some solved v has |v| >= 2^b."""
+    size, top, unbias = lanes
+    n = (hi - lo) * size
+    buf = pending.to_bytes(n, "little")
+    del pending
+    if size == 8:
+        values = _words(buf)
+    else:
+        parts = map(buf.__getitem__, map(slice, range(0, n, size), range(size, n + size, size)))
+        values = map(int.from_bytes, parts, repeat("little"))
+    _solve(out, tail, d, reduce, lo, map(sub, values, unbias))
+    solved = out[lo:hi]
+    bias = 1 << top
+    if max(solved) >= bias or min(solved) <= -bias:
+        raise _Restart
+    return _pack(map(add, solved, repeat(bias)), size)
+
+
+def _solve(out, tail, d, reduce, lo, pending):
+    """Solve out[lo], out[lo + 1], ... term by term from the values
+    `pending` yields, each its coefficient's dividend less the
+    contributions of every out[j], j < lo: one multiply and one subtract
+    per pair, then the exact division by d unless d = 1, then `reduce` if
+    one is given."""
+    for m, acc in enumerate(pending, lo):
         k = m - lo
         for i, c in tail:
             if i > k:
@@ -303,110 +406,48 @@ def _leaf(out, tail, d, reduce, lo, hi, off):
         out[m] = acc if reduce is None else reduce(acc)
 
 
-def _middle_product(out, tail, lo, mid, hi):
-    """Subtract sum of c * out[m - i] over lo <= m - i < mid from each
-    out[m], mid <= m < hi, and return the bias by which each out[m] is
-    then short.
+def _middle_product(pending, x, tail, n_lo, span, w):
+    """The packed pending lanes of a node's upper half less the
+    contributions of its solved lower half: lane e, 0 <= e < span - n_lo,
+    loses the sum of c times lane n_lo + e - i of x over the divisor terms
+    (i, c) with 0 <= n_lo + e - i < n_lo, where x packs the n_lo solved
+    lanes, each w bits wide and nonnegative, so a right shift drops whole
+    lanes exactly.
 
-    The solved ints out[lo:mid] are cut into as few bit slices as keep
-    each packed int near PACK bytes, and `_packed_pass` takes each slice's
-    contributions off: the product is linear in the ints, so the slices'
-    contributions, shifted into place, sum to the whole.  Every slice but
-    the top one is nonnegative; the top one keeps the sign.
+    For i <= n_lo the term is c * (x >> (n_lo - i) lanes), i lanes wide;
+    for i > n_lo it is c times the low span - i lanes of x, shifted up by
+    i - n_lo lanes.  The terms that write at most half the output's lanes
+    are summed, those past n_lo Horner fashion from the largest i, and each
+    sum is taken off whole; every wider term is taken off alone.  So each
+    term costs about the lanes it writes, and the ints live at once add up
+    to at most about four times the output's width.  The lanes on the way
+    may leave their range; `divide_coeffs` proves those of the result do
+    not.
     """
-    terms = tail[: bisect_left(tail, hi - lo, key=itemgetter(0))]
-    low = out[lo:mid]
-    top = max(max(low), -min(low))
-    if not (top and terms):
-        return 0
-    b = top.bit_length()
-    spread = sum(abs(c) for _, c in terms).bit_length() + 2
-    cut = -(-b // -(-(mid - lo) * (b + spread) // (8 * PACK)))
-    bias = 0
-    for j in range(0, b, cut):
-        if j + cut < b:
-            part, width = map(and_, map(rshift, low, repeat(j)), repeat((1 << cut) - 1)), cut
-        else:
-            part, width = (map(rshift, low, repeat(j)) if j else low), b - j
-        bias += _packed_pass(out, terms, part, width, spread, lo, mid, hi, j) << j
-    return bias
-
-
-def _packed_pass(out, terms, low, b, spread, lo, mid, hi, shift):
-    """Subtract sum of c * low[m - i - lo] << shift from each out[m],
-    mid <= m < hi, over the divisor terms (i, c) with lo <= m - i < mid,
-    as sums of shifted packed ints, where -2^b <= low[k] < 2^b; return the
-    bias h by which each out[m] is then short, before the shift.
-
-    Each int low[k] + 2^b becomes lane k, w bits wide, of x (Kronecker
-    substitution).  The lanes are nonnegative, so a right shift drops
-    whole lanes exactly.  Output lane e is what out[mid + e] needs taken
-    off, and the term (i, c) adds c * low[n_lo + e - i] to it for e in
-    [max(0, i - n_lo), min(i, n_up)).  For i <= n_lo that is
-    c * (x >> (n_lo - i) lanes), i lanes wide; for i > n_lo it is c times
-    the low hi - lo - i lanes of x, shifted up by i - n_lo lanes and summed
-    Horner fashion from the largest i.  So each term costs the lanes it
-    writes, and at most four ints as wide as x are live at once.  Each
-    term also adds c 2^b to every lane it covers; a constant whose lanes
-    are h = 2^(w-1) less those sums makes every lane of the result
-    nonnegative, and the lanes are packed and read off PIECE at a time.
-    Every lane fits in w bits as b + `spread` (bits of sum |c|, plus 2)
-    bits.
-    """
-    from struct import unpack_from  # imported here, off the start-up path
-
-    n_lo, n_up = mid - lo, hi - mid
-    size = (b + spread + 7) // 8
-    w = 8 * size
-    buf = bytearray(n_lo * size)
-    low = iter(low)
-    for j in range(0, n_lo * size, PIECE * size):
-        lanes = map(add, islice(low, PIECE), repeat(1 << b))
-        buf[j : j + PIECE * size] = b"".join(map(int.to_bytes, lanes, repeat(size), repeat("little")))
-    x = int.from_bytes(buf, "little")
-    del buf
-    steps = {0: 0}  # lane e is covered by terms whose c sum to the steps at or below e
+    terms = tail[: bisect_left(tail, span, key=itemgetter(0))]
+    low_half = bisect_left(terms, n_lo // 2 + 1, key=itemgetter(0))
     split = bisect_left(terms, n_lo + 1, key=itemgetter(0))
-    acc = 0
-    if split < len(terms):
+    high_half = bisect_left(terms, n_lo + (span - n_lo) // 2 + 1, key=itemgetter(0))
+    if high_half < len(terms):
+        acc = 0
         prev = terms[-1][0]
-        for i, c in reversed(terms[split:]):
+        for i, c in reversed(terms[high_half:]):
             acc <<= (prev - i) * w
-            acc += c * (x & ((1 << ((hi - lo - i) * w)) - 1))
+            acc += c * (x & ((1 << ((span - i) * w)) - 1))
             prev = i
-            steps[i - n_lo] = steps.get(i - n_lo, 0) + c
         acc <<= (prev - n_lo) * w
-    # the Horner part joins the sum once that is half as wide, which keeps
-    # four ints live rather than five
-    part, acc = acc, 0
-    fold = bisect_left(terms, n_lo // 2 + 1, key=itemgetter(0))
-    for j, (i, c) in enumerate(terms[:split]):
-        if j == fold and part:
-            acc, part = acc + part, 0
+        pending -= acc
+        del acc
+    for i, c in terms[split:high_half]:
+        pending -= c * (x & ((1 << ((span - i) * w)) - 1)) << ((i - n_lo) * w)
+    acc = 0
+    for i, c in terms[:low_half]:
         acc += c * (x >> ((n_lo - i) * w))
-        steps[0] += c
-        steps[i] = steps.get(i, 0) - c
-    del x
-    if part:
-        acc += part
-    del part
-    h = 1 << (w - 1)
-    at = sorted(steps)
-    level = 0
-    fill = []
-    for e, f in zip(at, [*at[1:], n_up]):
-        level += steps[e]
-        fill.append((h - (level << b)).to_bytes(size, "little") * (f - e))
-    acc += int.from_bytes(b"".join(fill), "little")
-    packed = acc.to_bytes(-(-n_up // PIECE) * PIECE * size, "little")  # whole pieces: one struct format per size
+    pending -= acc
     del acc
-    piece = f"{size}s" * PIECE
-    for j in range(mid, hi, PIECE):
-        lanes = map(int.from_bytes, unpack_from(piece, packed, (j - mid) * size), repeat("little"))
-        if shift:
-            lanes = map(lshift, lanes, repeat(shift))
-        out[j : j + PIECE] = map(sub, out[j : j + PIECE], lanes)
-    return h
+    for i, c in terms[low_half:split]:
+        pending -= c * (x >> ((n_lo - i) * w))
+    return pending
 
 
 def _check_stride_shift(k, shift):

@@ -280,7 +280,8 @@ def test_packed_theta_quotients_match_single_tables_and_chains(ts, order):
 
 def test_packed_and_single_mo_tables_pack_every_middle_product(monkeypatch):
     # the wide packed scan quotient and each narrow single-t one pack every
-    # middle product (a nonzero bias is returned), and both agree
+    # middle product (each returns its upper half's biased pending lanes,
+    # never zero), and both agree
     biases = []
     real = series._middle_product
 

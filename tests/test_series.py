@@ -3,7 +3,8 @@
 import gc
 import re
 from fractions import Fraction
-from math import isqrt
+from itertools import combinations
+from math import gcd, isqrt, prod
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,8 @@ from conftest import (
     rand_int_series,
     seeded,
 )
-from macsums import series
+from macsums import macmahon, series
+from macsums.congruences import prospect, verify_paper_suite
 from macsums.divisors import eisenstein, sigma_series
 from macsums.series import LEAF, Series, geometric_pow, over_geometric_coeffs
 
@@ -141,15 +143,17 @@ def _divisor(rng, order, shape, b0):
 
 @pytest.mark.parametrize(
     "order, shape",
-    [(n, "theta") for n in (LEAF - 1, LEAF, LEAF + 1, 300, 777, 1500)]
-    + [(n, "dense") for n in (LEAF + 1, 300, 777)]
-    + [(n, "heavy") for n in (LEAF + 1, 2 * LEAF + 1, 777)],
+    # the edges of one leaf and of one level more, and 127 to 129 and 257,
+    # the edges of two and four leaves at LEAF = 64
+    [(n, "theta") for n in sorted({LEAF - 1, LEAF, LEAF + 1, 127, 128, 129, 300, 777, 1500})]
+    + [(n, "dense") for n in sorted({LEAF + 1, 129, 300, 777})]
+    + [(n, "heavy") for n in sorted({LEAF + 1, 2 * LEAF + 1, 257, 777})],
 )
 def test_division_at_depth_matches_the_product_oracle(order, shape):
-    # past LEAF the quotient is solved divide and conquer, up to four levels
+    # past LEAF the quotient is solved divide and conquer, up to five levels
     # here, and every middle product packs: signed quotients of 3 to 1200
     # bits, over divisors with constant term +-1, +-2 or +-3 whose sum of |c|
-    # passes 2^20 when heavy (a dropped bias, lane, fold or slice shows)
+    # passes 2^20 when heavy (a dropped bias or lane shows)
     rng = seeded(order)
     b0s = (1, -3) if shape == "dense" else (1, -1, 2, -2, 3, -3)
     for bits in (3, 60, 300, 600, 1200):
@@ -166,28 +170,206 @@ def test_division_at_depth_matches_the_product_oracle(order, shape):
                     Series(a, order) / Series(b, order)
 
 
-def test_division_cut_into_bit_slices_matches_the_product_oracle(monkeypatch):
-    # a middle product whose packed ints would pass PACK bytes cuts the
-    # solved ints into bit slices, one packed pass each: the low slices are
-    # nonnegative, the top one keeps the sign
-    monkeypatch.setattr(series, "PACK", 1 << 12)
-    passes = []
-    real = series._packed_pass
+def restarts(monkeypatch):
+    """Record the b of every leaf `divide_coeffs` runs from here on, and
+    count the leaves that restart a division; returns (bs, restarted)."""
+    bs, restarted = [], []
+    real = series._leaf
 
-    def spy(*args):
-        passes.append(args[-1])
-        return real(*args)
+    def recording(out, tail, d, reduce, lanes, lo, hi, pending):
+        bs.append(lanes[1])
+        try:
+            return real(out, tail, d, reduce, lanes, lo, hi, pending)
+        except series._Restart:
+            restarted.append(lo)
+            raise
 
-    monkeypatch.setattr(series, "_packed_pass", spy)
+    monkeypatch.setattr(series, "_leaf", recording)
+    return bs, restarted
+
+
+def test_division_restarted_with_wider_lanes_matches_the_product_oracle(monkeypatch):
+    # a dividend narrower than its quotient (the constant 1, or 60 or 1200
+    # bits, over a theta-shaped divisor b0 u, u_0 = 1): the first leaf to
+    # solve a value of 2^b or more restarts the division from the dividend
+    # with b doubled, and the quotient still equals the product oracle
+    bs, restarted = restarts(monkeypatch)
     rng = seeded(12)
     order = 600
-    for bits in (60, 1200):
+    for bits in (0, 60, 1200):
         for b0 in (1, -2):
-            q = [rng.randrange(-(2**bits), 2**bits) for _ in range(order + 1)]
-            b = _divisor(rng, order, "theta", b0)
-            a = naive_mul(b, q, order)
-            assert (Series(a, order) / Series(b, order)).coeffs == q, (bits, b0)
-    assert max(passes) > 0  # some pass ran on a slice above the lowest
+            bs.clear()
+            restarted.clear()
+            b = [b0 * c for c in _divisor(rng, order, "theta", 1)]
+            a = [1] + [0] * order if bits == 0 else [rng.randrange(-(2**bits), 2**bits) for _ in range(order + 1)]
+            a = [b0 * c for c in a]
+            q = series.divide_coeffs(a, b)
+            assert naive_mul(b, q, order) == a, (bits, b0)
+            first = max(map(abs, a)).bit_length()
+            widths = sorted(set(bs))
+            assert widths == [first << k for k in range(len(widths))], (bits, b0)  # b doubles from the dividend's
+            assert len(restarted) == len(widths) - 1 >= (3 if bits == 0 else 1), (bits, b0)
+            assert 1 << widths[-2] <= max(map(abs, q)) < 1 << widths[-1], (bits, b0)  # the last restart was needed
+
+
+def test_scan_divisions_restart_at_most_once(monkeypatch):
+    # the suite's residue quotient (order 20000) and the MO prospect's
+    # (order 5000, each t window 1..6, 2..7, 3..8 with each three of the
+    # primes 5, 7, 11, 13) have dividends as wide as their reduced
+    # quotients, so none restarts; the exact t = 6 table at order 3000,
+    # whose quotient outgrows its dividend, restarts at most once
+    bs, restarted = restarts(monkeypatch)
+    verify_paper_suite(20000)
+    for low in (1, 2, 3):
+        for primes in combinations((5, 7, 11, 13), 3):
+            prospect("MO", range(low, low + 6), list(primes), 5000)
+    assert bs and restarted == []
+    bs.clear()
+    macmahon.mo_andrews_rose(6, 3000)
+    assert len(restarted) <= 1 and len(set(bs)) == len(restarted) + 1
+
+
+def lane_checks(monkeypatch, a, b, reduce=None):
+    """Divide a by b and check every leaf's lanes against the product
+    oracle: the pending lane of q^m, m in the leaf [lo, hi), is H + a_m -
+    sum(c_(m-j) v_j, j < lo) + 2^b C_(m-lo), with |lane - H| < 2^b (1 + 2S),
+    and, unless the leaf restarts, its solved lane is v_m + 2^b, in
+    [0, 2^(b+1)).  W is the fewest whole bytes holding b + bits(S) + 2
+    bits.  Returns the quotient and the b of each leaf."""
+    leaves = []
+    real = series._leaf
+
+    def recording(out, tail, d, reduce, lanes, lo, hi, pending):
+        leaves.append([lanes[0], lanes[1], lo, hi, pending, None])
+        leaves[-1][-1] = real(out, tail, d, reduce, lanes, lo, hi, pending)
+        return leaves[-1][-1]
+
+    monkeypatch.setattr(series, "_leaf", recording)
+    q = series.divide_coeffs(a, b, reduce)
+    order = len(q) - 1
+    sign = -1 if b[0] < 0 else 1
+    a, b = [sign * c for c in a[: order + 1]], [sign * c for c in b[: order + 1]]
+    spread = sum(map(abs, b[1:]))
+    prefix = [sum(b[1 : k + 1]) for k in range(series.LEAF)]
+    assert leaves
+    for size, top, lo, hi, pending, packed in leaves:
+        w, h = 8 * size, 1 << (8 * size - 1)
+        assert w - 8 < top + spread.bit_length() + 2 <= w
+        taken = naive_mul(b, q[:lo] + [0] * (order + 1 - lo), order)
+        lanes = pending.to_bytes((hi - lo) * size, "little")
+        for m in range(lo, hi):
+            lane = int.from_bytes(lanes[(m - lo) * size : (m - lo + 1) * size], "little")
+            assert lane == h + a[m] - taken[m] + (prefix[m - lo] << top), (lo, m)
+            assert abs(lane - h) < (1 + 2 * spread) << top, (lo, m)
+        if packed is not None:
+            solved = packed.to_bytes((hi - lo) * size, "little")
+            for m in range(lo, hi):
+                lane = int.from_bytes(solved[(m - lo) * size : (m - lo + 1) * size], "little")
+                assert lane == q[m] + (1 << top) and 0 <= lane < 1 << (top + 1), (lo, m)
+    return q, [top for _, top, *_ in leaves]
+
+
+def _signed_division():
+    """A signed quotient over a divisor with constant term -2, scaled so
+    that b + bits(S) + 2 is one bit past a whole byte: a lane one bit short
+    of the proof is a byte short here.  Returns (a, b, None, q)."""
+    rng = seeded(21)
+    order = 3 * LEAF + 5
+    b = _divisor(rng, order, "theta", -2)
+    q = [rng.randrange(-(2**60), 2**60) for _ in range(order + 1)]
+    top = max(map(abs, naive_mul(b, q, order))).bit_length()
+    spread = sum(map(abs, b[1:])).bit_length() + 2
+    q = [v << (1 - top - spread) % 8 for v in q]
+    a = naive_mul(b, q, order)
+    assert (max(map(abs, a)).bit_length() + spread) % 8 == 1
+    return a, b, None, q
+
+
+def _suite_residue_division(monkeypatch):
+    """The division of the paper suite's MO residue tables at order 1000,
+    with its `reduce` hook.  Returns (a, b, reduce, quotient)."""
+    moduli = {10: 11, 4: 11, 3: 7, 2: 5}
+    seen = []
+
+    def recording(a, b, reduce):
+        q = series.divide_coeffs(a, b, reduce)
+        seen.append((list(a), list(b), reduce, list(q)))  # the caller reads q in place
+        return q
+
+    monkeypatch.setattr(macmahon, "divide_coeffs", recording)
+    list(macmahon.mo_andrews_rose_many(moduli, 1000, moduli))
+    (division,) = seen
+    return division
+
+
+@pytest.mark.parametrize("case", ("signed", "suite residues"))
+def test_division_lanes_stay_in_their_proved_ranges(monkeypatch, case):
+    # neither division restarts: the suite's dividend is as wide as its
+    # reduced quotient, and the signed one is wider than its quotient
+    a, b, reduce, q = _signed_division() if case == "signed" else _suite_residue_division(monkeypatch)
+    solved, bs = lane_checks(monkeypatch, a, b, reduce)
+    assert solved == q and len(set(bs)) == 1
+
+
+EDGES = (LEAF - 1, LEAF + 1, 2 * LEAF - 1, 2 * LEAF + 1)  # one leaf, two, and one level more
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_packed_division_matches_the_product_oracle(data):
+    # signed quotients narrower than their dividends (a = b q), or wider: a
+    # narrow dividend b0 a' over b = b0 u, u_0 = 1, whose quotient a'/u may
+    # outgrow it and restart the division; when |b0| > 1 a planted
+    # remainder raises at its own q^m
+    order = data.draw(st.sampled_from(EDGES), label="order")
+    b0 = data.draw(st.sampled_from((1, -1, 2, -2, 3, -3)), label="b0")
+    spread = data.draw(st.sampled_from((9, 2**20)), label="spread")
+    u = [1, *data.draw(st.lists(st.integers(-spread, spread), min_size=order, max_size=order), label="u")]
+    bits = data.draw(st.sampled_from((3, 60, 300)), label="bits")
+    ints = st.lists(st.integers(-(2**bits), 2**bits), min_size=order + 1, max_size=order + 1)
+    if data.draw(st.booleans(), label="wider"):
+        b = [b0 * c for c in u]
+        a = [b0 * c for c in data.draw(ints, label="a'")]
+    else:
+        b = [b0, *u[1:]]
+        a = naive_mul(b, data.draw(ints, label="q"), order)
+    assert naive_mul(b, series.divide_coeffs(a, b), order) == a
+    if abs(b0) > 1:
+        m = data.draw(st.integers(0, order), label="m")
+        a[m] += 1
+        with pytest.raises(ArithmeticError, match=rf"at q\^{m}$"):
+            series.divide_coeffs(a, b)
+
+
+COPRIME_PAIRS = st.tuples(*[st.sampled_from((4, 7, 9, 11, 25, 27, 49, 2**31 - 1))] * 2).filter(lambda p: gcd(*p) == 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_packed_division_reduced_over_two_crt_layers(data):
+    # a reduce hook as a residue scan's: two layers, each working mod the
+    # product L of two coprime moduli in a slot of bits(L (1 + S)) + 1 bits,
+    # read signed and kept mod L; the packed quotient then holds each
+    # layer's quotient mod L, which the product oracle gives back mod L
+    order = data.draw(st.sampled_from(EDGES), label="order")
+    spread = data.draw(st.sampled_from((9, 2**20)), label="spread")
+    u = [1, *data.draw(st.lists(st.integers(-spread, spread), min_size=order, max_size=order), label="u")]
+    mods = [prod(data.draw(COPRIME_PAIRS, label="layer")) for _ in range(2)]
+    widths = [(L * (1 + sum(map(abs, u[1:])))).bit_length() + 1 for L in mods]
+    slots = [(widths[1], widths[0], mods[0]), (0, widths[1], mods[1])]  # (shift, width, L), the top layer first
+    bias = sum(1 << (w - 1) << shift for shift, w, _ in slots)
+
+    def reduce(c):
+        c += bias
+        return sum(((c >> shift & (1 << w) - 1) - (1 << w - 1)) % L << shift for shift, w, L in slots)
+
+    packed = [0] * (order + 1)
+    a = [0] * (order + 1)
+    for shift, _, L in slots:
+        r = data.draw(st.lists(st.integers(0, L - 1), min_size=order + 1, max_size=order + 1), label="residues")
+        packed = [p + (x << shift) for p, x in zip(packed, r)]
+        a = [p + (x % L << shift) for p, x in zip(a, naive_mul(u, r, order))]
+    assert series.divide_coeffs(a, u, reduce) == packed
 
 
 @pytest.mark.parametrize("b0, fraction_term", [(2, False), (-3, False), (1, True), (-1, True)])
