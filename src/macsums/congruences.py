@@ -12,18 +12,16 @@ come from one packed single-sum pass whose weights are reduced mod m_t
 from it, plus the one table read from them.  The MO tables come from one
 packed division by the theta series whose slots are reduced at the
 division's leaves (`macmahon.mo_andrews_rose_many`): the ts whose moduli
-m_t(2t+1) are pairwise coprime share one slot, reduced mod the product of
-their moduli, so the suite's four MO tables take two 29-bit slots at
+m_t are pairwise coprime share one slot, reduced mod the product of their
+moduli, so the suite's four MO tables take slots of 25 and 20 bits at
 order 20000.  The division (`series.divide_coeffs`) packs each
 coefficient into a lane once and reads it back once; the packed
-numerator is as wide as the reduced quotient, 42 bits for the suite, so
-its lanes (8 bytes for the suite) are sized right from the start.  An MO
+numerator is as wide as the reduced quotient, 29 bits for the suite, so
+its lanes (6 bytes for the suite) are sized right from the start.  An MO
 scan holds that packed quotient plus one slot and one table unpacked from
-it, and the division's packed lanes while it runs.  t reads its slot mod m_t(2t+1) as
-(2t+1) MO(t, n) mod m_t(2t+1), so its division by 2t+1 stays exact even
-when p divides 2t+1 (as it does for the t = 2, p = 5 claims).  A status
-comes from one rule, `reports.claim_status`.  Only a prospect's chance level is a rational, so
-only `prospect` loads `fractions`.
+it, and the division's packed lanes while it runs.  A status comes from
+one rule, `reports.claim_status`.  Only a prospect's chance level is a
+rational, so only `prospect` loads `fractions`.
 """
 
 from itertools import compress, count, repeat
@@ -87,7 +85,7 @@ def check_claims(claims, order: int) -> list[CongruenceClaim]:
     for family, members in groups.items():
         moduli = {t: lcm(*(claims[i].p for i in idx)) for t, idx in members.items()}
         # largest t first: the MO tables share slots first-fit in this order
-        # (`macmahon.coprime_layers`), which gives the suite's {10, 2} and {4, 3}
+        # (`macmahon.coprime_layers`), which gives the suite's {10, 3, 2} and {4}
         for t, values in coefficient_values(family, sorted(members, reverse=True), order, moduli=moduli):
             for i in members[t]:
                 claim = claims[i]

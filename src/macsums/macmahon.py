@@ -25,14 +25,14 @@ C(j+r-1, r-1), so x_k, the first level of `multisums`, is the weights
 """
 
 from bisect import bisect_left
-from itertools import accumulate, compress, count, repeat
+from itertools import accumulate, repeat
 from math import comb, factorial, gcd, lcm, prod
-from operator import add, and_, floordiv, itemgetter, lshift, mod, mul, ne, rshift, sub
+from operator import add, and_, itemgetter, lshift, mod, mul, rshift, sub
 from sys import byteorder
 
 from .divisors import eisenstein, odd_square_product, sigma_series, theta_moment, umbral_eval
 from .reports import FrozenRecord
-from .series import Series, divide_coeffs, geometric_pow, inexact_quotient, over_geometric_coeffs
+from .series import Series, divide_coeffs, geometric_pow, over_geometric_coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +351,9 @@ def m_conjugate_form(t: int, order: int) -> Series:
 
 
 def mo_slot_bound(t: int, order: int) -> int:
-    """An integer B >= (2t+1) MO(t, n) for every n <= order: the bound that
-    sizes t's bit slot in `mo_andrews_rose_many`.
+    """An integer B >= MO(t, n) for every n <= order: an exact table of
+    `mo_andrews_rose_many` is its residues mod B + 1, so its exactness
+    rests on this bound.
 
     MO(t, n) is the q^n coefficient of e_t(x_1, x_2, ...), where
     x_k = q^k/(1-q^k)^2 has nonnegative coefficients.  Expanding
@@ -370,11 +371,10 @@ def mo_slot_bound(t: int, order: int) -> int:
         MO(t, n) <= H^t C(n+t-1, 2t-1) / t!.
 
     The right side grows with n, so its value at n = order bounds every
-    n <= order, and as MO(t, n) is an integer the floor of 2t+1 times it
-    does too.
+    n <= order, and as MO(t, n) is an integer its floor does too.
     """
     h = order.bit_length() + 1
-    return (2 * t + 1) * h**t * comb(order + t - 1, 2 * t - 1) // factorial(t)
+    return h**t * comb(order + t - 1, 2 * t - 1) // factorial(t)
 
 
 def coprime_layers(moduli: list) -> list:
@@ -397,66 +397,70 @@ def mo_andrews_rose_many(ts, order: int, moduli=None):
     each t of ts in turn, from one division by the theta series; with
     `moduli`, a map t -> m_t, yield MO(t, n) mod m_t instead.
 
+    The numerators are integral: (2k+1) C(k+t, 2t) = (2t+1) [C(k+t, 2t+1)
+    + C(k+t+1, 2t+1)], so MO_t = A_t / theta exactly, where A_t puts
+    (-1)^(k+t) [C(k+t, 2t+1) + C(k+t+1, 2t+1)] at q^(k(k+1)/2) for each
+    k >= t and theta is the weight-1 theta series.
+
+    Every table is a table of residues.  Without `moduli`, m_t is
+    `mo_slot_bound(t, order)` + 1: as 0 <= MO(t, n) <= that bound, the
+    residue is MO(t, n) itself, so an exact table is exact because that
+    bound is proved.
+
     Division by an integer series with constant term 1 is Z-linear, so the
-    numerators of every t share one pass: each layer of ts gets its own
-    bit slot of one int per coefficient, each layer's slot above the slots
-    of the layers after it.  The packed quotient's slot for a layer is
-    read as c >> shift, when the layer's first t is read, and the packed
-    list is then masked down in place to the slots below; each t's value
-    is divided exactly by 2t+1, and a remainder there is a transcription
-    error.  No table is kept once it is yielded, and no layer once its
-    last t is.
+    numerators of every t share one pass.  The ts are grouped first-fit,
+    in the order given, into layers whose m_t are pairwise coprime
+    (`coprime_layers`); each layer gets its own bit slot of one int per
+    coefficient, above the slots of the layers after it, and works mod L,
+    the product of its m_t.  By the Chinese remainder theorem each t of
+    the layer has E_t = 1 mod m_t and 0 mod the layer's other m_t, and the
+    layer's numerator is the sum over its ts of (c mod m_t) E_t, reduced
+    into [0, L): it is c mod m_t for each t of the layer.  The division's
+    `reduce` hook, at each leaf, reads every slot as a signed value and
+    keeps it mod L.  As the solve is Z-linear and theta's constant term is
+    1, the slot then holds the layer's quotient mod L, and t reads it mod
+    m_t as MO(t, n) mod m_t.  A layer's slot is read as c >> shift when its
+    first t is read, and the packed list is then masked down in place to
+    the slots below.  No table is kept once it is yielded, and no layer
+    once its last t is.
 
-    Exact tables: each t is a layer of its own, and its slot holds
-    (2t+1) MO(t, n), which lies in [0, `mo_slot_bound(t, order)`], so a
-    slot as wide as that bound's bit length never carries into its
-    neighbour.  The top slot needs no width, so a single t divides exactly
-    as an unpacked table would.  The division (`Series /`, which runs
-    `divide_coeffs` with no hook) sizes its lanes from the packed
-    numerator and restarts with b doubled when the quotient outgrows them:
-    t = 6 at order 20000 (a 72-bit numerator, a 123-bit quotient) restarts
-    once.
+    A slot is w = bits(L (1 + S)) + 1 bits wide, where S sums the absolute
+    coefficients of theta's terms q^1..q^order; the top slot needs no
+    width.  Proof that it holds a leaf's signed value v: the packed
+    arithmetic is exact and linear, and each divisor term reaches q^m
+    exactly once, in a middle product or in the leaf, so v is the layer's
+    reduced numerator, in [0, L), less the sum of c times a solved,
+    reduced slot, in [0, L), over theta's terms c q^i, 1 <= i <= m.  Hence
+    |v| <= (L - 1)(1 + S) < 2^(w - 1).  The hook adds 2^(w - 1) to every
+    slot, which makes each slot nonnegative and below 2^w, so no slot
+    borrows from its neighbour; it reads each slot, takes the bias back
+    off, reduces mod L and repacks.
 
-    Residues: with N_t = m_t (2t+1), the ts are grouped into layers whose
-    N_t are pairwise coprime (`coprime_layers`), and a layer's slot works
-    mod L, the product of its N_t.  By the Chinese remainder theorem each
-    t of the layer has E_t = 1 mod N_t and 0 mod the layer's other N_t,
-    and the layer's numerator is the sum over its ts of (c mod N_t) E_t,
-    reduced into [0, L): it is c mod N_t for each t of the layer.  The
-    division's `reduce` hook, at each leaf, reads every slot as a signed
-    value and keeps it mod L.  As the solve is Z-linear and theta's
-    constant term is 1, the slot then holds the layer's quotient mod L,
-    and t reads it mod N_t as (2t+1) MO(t, n) mod N_t; that over 2t+1 is
-    MO(t, n) mod m_t, even when a prime of m_t divides 2t+1.  A slot is
-    w = bits(L (1 + S)) + 1 bits wide, where S sums the absolute
-    coefficients of theta's terms q^1..q^order.  Proof that it holds a
-    leaf's signed value v: the packed arithmetic is exact and linear, and
-    each divisor term reaches q^m exactly once, in a middle product or in
-    the leaf, so v is the layer's reduced numerator, in [0, L), less the
-    sum of c times a solved, reduced slot, in [0, L), over theta's terms
-    c q^i, 1 <= i <= m.  Hence |v| <= (L - 1)(1 + S) < 2^(w - 1).  The
-    hook adds 2^(w - 1) to every slot, which makes each slot nonnegative
-    and below 2^w, so no slot borrows from its neighbour; it reads each
-    slot, takes the bias back off, reduces mod L and repacks.  The
-    remainder check by 2t+1 is then made on the residue mod N_t, which is
-    weaker than the exact check.  `divide_coeffs` sizes its lanes from the
-    packed numerator; on the suite's layout and the benchmark's prospects
-    the numerator is as wide as the reduced quotient, so the division
-    never restarts, and it would give the same residues if it did.
+    `divide_coeffs` sizes its lanes from the packed numerator.  Its
+    negative coefficients, the first of t at q^((t+1)(t+2)/2), reduce to
+    residues near L, so on the suite's layout, the benchmark's prospects
+    and the exact tables tried (t <= 15 from order (t+1)(t+2)/2 to 3000,
+    and t = 5, 6, 7, 10 at 20000) the numerator is as wide as the reduced
+    quotient and the division does not restart.  Below that order the
+    numerator of t is the one coefficient 1 and the
+    division may restart (t = 10 at order 64 does, four times); it gives
+    the same residues either way.  The hook returns packed
+    residues below 2^s L, for s the shift and L the product of the highest
+    layer with a nonzero numerator, and the numerator is nonzero in that
+    slot, so b0 > s.  The hook thus keeps `divide_coeffs`' bound B = b0 +
+    n bits(1 + S) whenever bits(L) <= n bits(1 + S), which is at least 448
+    wherever lanes are packed (n >= LEAF = 64).  A layer past it would
+    make the division raise RuntimeError, never yield a wrong residue.
     """
     ts = list(ts)
     if any(t < 1 for t in ts):
         raise ValueError("t >= 1")
     theta = theta_moment(1, order)
-    if moduli is None:
-        layers = [[j] for j in range(len(ts))]
-        widths = [mo_slot_bound(t, order).bit_length() for t in ts]
-    else:
-        mods = [moduli[t] * (2 * t + 1) for t in ts]
-        layers = coprime_layers(mods)
-        products = [prod(mods[j] for j in layer) for layer in layers]
-        spread = 1 + sum(map(abs, theta.coeffs[1:]))
-        widths = [(L * spread).bit_length() + 1 for L in products]
+    mods = [moduli[t] if moduli is not None else mo_slot_bound(t, order) + 1 for t in ts]
+    layers = coprime_layers(mods)
+    products = [prod(mods[j] for j in layer) for layer in layers]
+    spread = 1 + sum(map(abs, theta.coeffs[1:]))
+    widths = [(L * spread).bit_length() + 1 for L in products]
     shifts = [0] * len(layers)
     for i in range(len(layers) - 2, -1, -1):
         shifts[i] = shifts[i + 1] + widths[i + 1]
@@ -464,34 +468,30 @@ def mo_andrews_rose_many(ts, order: int, moduli=None):
     for i, (layer, shift) in enumerate(zip(layers, shifts)):
         part = {}
         for j in layer:
-            t = ts[j]
-            if moduli is not None:
-                n, rest = mods[j], products[i] // mods[j]
-                e = rest * pow(rest, -1, n)  # 1 mod N_t, 0 mod the layer's other N_t
+            t, n = ts[j], mods[j]
+            rest = products[i] // n
+            e = rest * pow(rest, -1, n)  # 1 mod m_t, 0 mod the layer's other m_t
             k = t
             while k * (k + 1) // 2 <= order:
-                c = (2 * k + 1) * comb(k + t, k - t)
+                c = comb(k + t, 2 * t + 1) + comb(k + t + 1, 2 * t + 1)
                 if (k + t) % 2:
                     c = -c
                 at = k * (k + 1) // 2
-                part[at] = part.get(at, 0) + (c if moduli is None else c % n * e)
+                part[at] = part.get(at, 0) + c % n * e
                 k += 1
         for at, c in part.items():
-            num[at] += (c if moduli is None else c % products[i]) << shift
-    if moduli is None:
-        packed = (Series(num, order) / theta).coeffs
-    else:
-        slots = [(shift, (1 << w) - 1, 1 << (w - 1), L) for shift, w, L in zip(shifts, widths, products)]
-        bias = sum(h << shift for shift, _, h, _ in slots)
+            num[at] += c % products[i] << shift
+    slots = [(shift, (1 << w) - 1, 1 << (w - 1), L) for shift, w, L in zip(shifts, widths, products)]
+    bias = sum(h << shift for shift, _, h, _ in slots)
 
-        def reduce(c):
-            c += bias
-            r = 0
-            for shift, mask, h, L in slots:
-                r |= (((c >> shift) & mask) - h) % L << shift
-            return r
+    def reduce(c):
+        c += bias
+        r = 0
+        for shift, mask, h, L in slots:
+            r |= (((c >> shift) & mask) - h) % L << shift
+        return r
 
-        packed = divide_coeffs(num, theta.coeffs, reduce)
+    packed = divide_coeffs(num, theta.coeffs, reduce)
     del num
     layer_of = {j: i for i, layer in enumerate(layers) for j in layer}
     held = {}  # layer -> its slots, while a t of it is left to read
@@ -503,15 +503,9 @@ def mo_andrews_rose_many(ts, order: int, moduli=None):
             else:
                 held[i] = list(map(rshift, packed, repeat(shifts[i])))
                 packed[:] = map(and_, packed, repeat((1 << shifts[i]) - 1))
-        slot = held[i] if len(layers[i]) == 1 else list(map(mod, held[i], repeat(mods[j])))
+        out = held[i] if len(layers[i]) == 1 else list(map(mod, held[i], repeat(mods[j])))
         if j == layers[i][-1]:
             del held[i]
-        d = 2 * t + 1
-        out = list(map(floordiv, slot, repeat(d)))
-        bad = next(compress(count(), map(ne, map(mul, out, repeat(d)), slot)), None)  # a remainder
-        if bad is not None:
-            raise inexact_quotient(slot[bad], d, bad)
-        del slot
         yield t, out
         del out
 
@@ -522,9 +516,9 @@ def mo_andrews_rose(t: int, order: int) -> Series:
     Euler product.
 
     The cube is taken as the weight-1 theta series (Jacobi's identity), and
-    the integer numerators (2k+1) * C(k+t, k-t) are divided by it before the
-    exact division by 2t+1; a remainder there is a transcription error.
-    This is the one-t case of `mo_andrews_rose_many`."""
+    the weights are written as the integers C(k+t, 2t+1) + C(k+t+1, 2t+1),
+    so the quotient is one division with no remainder to check.  This is
+    the one-t case of `mo_andrews_rose_many`."""
     ((_, out),) = mo_andrews_rose_many([t], order)
     return Series(out, order)
 
@@ -634,13 +628,15 @@ def coefficient_values(family: str, ts, order: int, formula: str | None = None, 
     in one packed division (`mo_andrews_rose_many`); every other formula
     builds one t at a time.  `moduli`, a map t -> m_t, is passed to the
     two default formulas, the theta quotient (where the ts whose moduli
-    m_t(2t+1) are coprime then share one slot) and M's single sum
+    m_t are coprime then share one slot) and M's single sum
     (`m_single_sum_many`, which then packs every t into machine-word lanes
     of one pass), and both yield residues mod m_t, in [0, m_t); every
     other formula ignores it and yields exact values, so with moduli a
     value is only known to be congruent to its coefficient mod m_t.  No
     yielded table is kept here, so a caller that drops each table before
-    asking for the next holds one at a time.  The values are ints by construction, since every exact division in a
+    asking for the next holds one at a time.  The values are ints by
+    construction: the theta quotient divides integer numerators by a
+    series with constant term 1, and every other exact division in a
     route raises on a remainder; the vanishing of the leading window
     (every n below `leading_window`) is asserted for every table.  A t
     whose leading window passes the order gets the zero table that

@@ -211,12 +211,12 @@ class Series:
 
 # Series division, measured on the theta quotients the program divides (a
 # 199-term divisor at N = 20000) with Python 3.11 on a 2-core x86-64 host:
-# the suite's residue quotient (N = 20000, 42-bit values, 8-byte lanes), a
-# prospect's (N = 5000, 144 bits, 20-byte lanes) and a single-t exact table
-# (t = 6, N = 20000, 123 bits, 21-byte lanes after its one restart).  Best
-# of 7 runs, interleaved in one process: LEAF = 64 takes 55, 20 and 88 ms
-# on these; against it, 32 takes 1.05 to 1.09 times as long, 128 takes
-# 1.02 to 1.03 and 256 takes 1.05 to 1.08.
+# the suite's residue quotient (N = 20000, 29-bit values, 6-byte lanes), a
+# prospect's (N = 5000, 124 bits, 18-byte lanes) and a single-t exact table
+# (t = 6, N = 20000, lanes sized from its 147-bit modulus, 21 bytes).  Best
+# of 7 runs, interleaved in one process: LEAF = 64 takes 51, 19 and 85 ms
+# on these; against it, 32 takes 1.04 to 1.06 times as long, 128 takes
+# 0.98 to 1.04 and 256 takes 1.05 to 1.09.
 LEAF = 64
 
 
@@ -280,7 +280,18 @@ def divide_coeffs(a: list, b: list, reduce=None) -> list:
     leaf, so the leaf's pending value is its lane less H + 2^b C_k.
     Hence a leaf that checks the values it solves against 2^b is the only
     guard needed: a leaf that solves some |v| >= 2^b restarts the division
-    from the dividend with b doubled, and no result depends on the width.
+    from the dividend with a wider b, and no result depends on the width.
+
+    The restarts are bounded.  With no hook, v_m = (a_m - sum c_i v_(m-i))
+    / d with d >= 1, so |v_m| <= max|a| (1 + S)^m by induction on m, and
+    every quotient coefficient fits in B = b0 + N bits(1 + S) bits, b0 the
+    first b.  With a hook, B assumes that every value the hook returns fits
+    in B bits too; a hook that never returns a value wider than both its
+    argument and the dividend's widest coefficient keeps the induction
+    (`macmahon.mo_andrews_rose_many` shows when its hook meets this).  A
+    restart sets b to min(2b, B), and a leaf that overflows at b = B raises
+    RuntimeError at once: a value past the bound is a fault of this kernel
+    or of the hook, not an inexact quotient.
     """
     n = min(len(a), len(b)) - 1
     if b[0] == 0:
@@ -294,7 +305,9 @@ def divide_coeffs(a: list, b: list, reduce=None) -> list:
         _solve(out, tail, d, reduce, 0, out)  # reads out[m] before it writes it
         return out
     top = max(map(abs, a[: n + 1])).bit_length() or 1
-    spread = sum(abs(c) for _, c in tail).bit_length() + 2
+    weight = sum(abs(c) for _, c in tail)  # S
+    cap = top + n * (1 + weight).bit_length()  # B
+    spread = weight.bit_length() + 2
     while True:
         size = (top + spread + 7) // 8
         h = 1 << (8 * size - 1)
@@ -305,7 +318,9 @@ def divide_coeffs(a: list, b: list, reduce=None) -> list:
             _divide(out, tail, d, reduce, (size, top, unbias), 0, n + 1, [_pack(lanes, size)], False)
             return out
         except _Restart:
-            top *= 2
+            if top == cap:
+                raise RuntimeError(f"a quotient coefficient passed its proved bound of {cap} bits") from None
+            top = min(2 * top, cap)
 
 
 def _pack(lanes, size):

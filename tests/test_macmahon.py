@@ -293,8 +293,9 @@ def test_packed_and_single_mo_tables_pack_every_middle_product(monkeypatch):
     packed = dict(mo_andrews_rose_many([10, 4, 3, 2], 3000))
     assert biases and all(biases)
     biases.clear()
+    strict = multisums(10, 3000, strict=True)  # an independent route
     for t, values in packed.items():
-        assert values == mo_andrews_rose(t, 3000).coeffs, t
+        assert values == mo_andrews_rose(t, 3000).coeffs == strict[t - 1].coeffs, t
     assert biases and all(biases)
 
 
@@ -304,14 +305,14 @@ def test_packed_mo_division_peak_is_a_small_multiple_of_its_quotient(monkeypatch
     # with the term-by-term loop and 3.07 packed, where packing every lane at
     # once, as an earlier prototype did, reached 3.82
     sizes = []
-    divide = Series.__truediv__
+    divide = macmahon.divide_coeffs
 
-    def measured(self, other):
-        quotient = divide(self, other)
-        sizes.append(sys.getsizeof(quotient.coeffs) + sum(map(sys.getsizeof, quotient.coeffs)))
+    def measured(a, b, reduce):
+        quotient = divide(a, b, reduce)
+        sizes.append(sys.getsizeof(quotient) + sum(map(sys.getsizeof, quotient)))
         return quotient
 
-    monkeypatch.setattr(Series, "__truediv__", measured)
+    monkeypatch.setattr(macmahon, "divide_coeffs", measured)
     tracemalloc.start()
     try:
         list(mo_andrews_rose_many([10, 4, 3, 2], 3000))
@@ -334,26 +335,39 @@ def test_packed_mo_division_peak_is_a_small_multiple_of_its_quotient(monkeypatch
 def test_residue_theta_quotients_match_exact_tables(moduli, order):
     tables = list(mo_andrews_rose_many(moduli, order, moduli))
     assert [t for t, _ in tables] == list(moduli)
+    strict = multisums(max(moduli, default=0), order, strict=True)  # an independent route
     for t, values in tables:
         assert values == [v % moduli[t] for v in mo_andrews_rose(t, order).coeffs], t
+        assert values == [v % moduli[t] for v in strict[t - 1].coeffs], t
 
 
-@pytest.mark.parametrize("t, k, m, bump", [(2, 3, 5, 1), (4, 6, 11, 1), (3, 4, 7, 7), (10, 12, 11, 21)])
+@pytest.mark.parametrize("t, k, m, bump", [(2, 3, 5, 1), (4, 6, 11, 1), (3, 4, 5, 7), (10, 12, 11, 21)])
 def test_a_planted_numerator_error_shows_in_the_residues(monkeypatch, t, k, m, bump):
-    # the numerator (2k+1) C(k+t, k-t) at q^T, T = k(k+1)/2, is off by
-    # (2k+1) bump: off by a non-multiple of 2t+1, the remainder check by 2t+1
-    # raises at q^T; off by a multiple, MO(t, T) mod m moves by 2k+1, which m
-    # does not divide
+    # the integer numerator C(k+t, 2t+1) + C(k+t+1, 2t+1) at q^T, T =
+    # k(k+1)/2, is off by bump, which m does not divide (a multiple of 2t+1
+    # at t = 3): theta's constant term is 1, so MO(t, T) moves by bump and
+    # every earlier value stays, and the exact and the residue table both
+    # first differ from the strict multisum mod m at q^T
     order, at = 600, k * (k + 1) // 2
-    exact = [v % m for v in mo_andrews_rose(t, order).coeffs]
+    strict = [v % m for v in strict_multisum(t, order).coeffs]
     real = macmahon.comb
-    monkeypatch.setattr(macmahon, "comb", lambda n, r: real(n, r) + bump * ((n, r) == (k + t, k - t)))
-    if bump % (2 * t + 1):
-        with pytest.raises(ArithmeticError, match=rf"at q\^{at}$"):
-            list(mo_andrews_rose_many([t], order, {t: m}))
-    else:
-        ((_, values),) = mo_andrews_rose_many([t], order, {t: m})
-        assert next(n for n, (a, b) in enumerate(zip(values, exact)) if a != b) == at
+    # C(k+t+1, 2t+1) is also the first term at k + 1, past q^T
+    monkeypatch.setattr(macmahon, "comb", lambda n, r: real(n, r) + bump * ((n, r) == (k + t + 1, 2 * t + 1)))
+    ((_, values),) = mo_andrews_rose_many([t], order, {t: m})
+    exact = [v % m for v in mo_andrews_rose(t, order).coeffs]
+    for table in (exact, values):
+        assert next(n for n, (a, b) in enumerate(zip(table, strict)) if a != b) == at
+
+
+def test_a_slot_bound_below_a_table_maximum_fails_verify(monkeypatch, capsys):
+    # an exact table is its residues mod mo_slot_bound + 1, so a bound below
+    # a coefficient wraps that coefficient, and the theta quotient then
+    # disagrees with the other MO routes
+    from macsums.cli import main
+
+    monkeypatch.setattr(macmahon, "mo_slot_bound", lambda t, order: max(strict_multisum(t, order).coeffs) - 1)
+    assert main(["verify", "--id", "U-agreement", "--order", "40"]) == 1
+    assert "FAIL" in capsys.readouterr().out
 
 
 def crt(residues, moduli):
@@ -372,7 +386,8 @@ SUITE_MO_MODULI = {10: 11, 4: 11, 3: 7, 2: 5}  # lcm of each t's claim primes, l
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.integers(1, 60), max_size=8))
-@example([231, 99, 49, 25])  # the suite's N_t = m_t (2t+1)
+@example([11, 11, 7, 5])  # the suite's m_t
+@example([231, 99, 49, 25])  # two layers of two
 def test_coprime_layers_are_a_first_fit_partition(moduli):
     layers = coprime_layers(moduli)
     assert sorted(j for layer in layers for j in layer) == list(range(len(moduli)))  # each once
@@ -384,24 +399,24 @@ def test_coprime_layers_are_a_first_fit_partition(moduli):
 
 
 def test_suite_mo_layers_halve_the_packed_width():
-    # {10, 2} with L = 231 * 25 = 5775 and {4, 3} with L = 99 * 49 = 4851:
-    # two slots of 29 bits at order 20000, where one slot per t took 91 bits
+    # {10, 3, 2} with L = 11 * 7 * 5 = 385 and {4} with L = 11: slots of 25
+    # and 20 bits at order 20000, where one slot per t took 79 bits
     ts = list(SUITE_MO_MODULI)
-    mods = [SUITE_MO_MODULI[t] * (2 * t + 1) for t in ts]
+    mods = [SUITE_MO_MODULI[t] for t in ts]
     layers = coprime_layers(mods)
-    assert [[ts[j] for j in layer] for layer in layers] == [[10, 2], [4, 3]]
+    assert [[ts[j] for j in layer] for layer in layers] == [[10, 3, 2], [4]]
     spread = 1 + sum(map(abs, theta_moment(1, 20000).coeffs[1:]))
     products = [prod(mods[j] for j in layer) for layer in layers]
-    assert products == [5775, 4851]
-    assert [(L * spread).bit_length() + 1 for L in products] == [29, 29]
-    assert sum((n * spread).bit_length() + 1 for n in mods) == 91
+    assert products == [385, 11]
+    assert [(L * spread).bit_length() + 1 for L in products] == [25, 20]
+    assert sum((n * spread).bit_length() + 1 for n in mods) == 79
 
 
 def test_residue_slots_hold_every_leaf_value(monkeypatch):
     # each leaf's packed value is the sum of each layer's signed slot value
     # v shifted into place, and |v| < 2^(w - 1) for w = bits(L (1 + S)) + 1,
-    # L the product of the layer's N_t: v is recomputed from the numerators
-    # and the yielded residues, each combined over its layer by CRT
+    # L the product of the layer's m_t: v is recomputed from the integer
+    # numerators and the yielded residues, each combined over its layer by CRT
     ts, moduli, order = list(SUITE_MO_MODULI), SUITE_MO_MODULI, 1000
     seen = []
     divide = macmahon.divide_coeffs
@@ -413,18 +428,17 @@ def test_residue_slots_hold_every_leaf_value(monkeypatch):
     tables = dict(mo_andrews_rose_many(ts, order, moduli))
     terms = [(i, c) for i, c in enumerate(theta_moment(1, order).coeffs) if i and c]
     spread = 1 + sum(abs(c) for _, c in terms)
-    mods = {t: moduli[t] * (2 * t + 1) for t in ts}
     packed, shift = [0] * (order + 1), 0
-    for layer in ([4, 3], [10, 2]):  # the bottom slot first
-        L, ns = prod(mods[t] for t in layer), [mods[t] for t in layer]
-        w = (L * spread).bit_length() + 1
-        solved = [crt([(2 * t + 1) * tables[t][n] for t in layer], ns) for n in range(order + 1)]
+    for layer in ([4], [10, 3, 2]):  # the bottom slot first
+        ns = [moduli[t] for t in layer]
+        w = (prod(ns) * spread).bit_length() + 1
+        solved = [crt([tables[t][n] for t in layer], ns) for n in range(order + 1)]
         numerators = [[0] * (order + 1) for _ in layer]
         for row, t in zip(numerators, layer):
             for k in range(t, order + 1):
                 if k * (k + 1) // 2 > order:
                     break
-                row[k * (k + 1) // 2] = (-1) ** (k + t) * (2 * k + 1) * comb(k + t, k - t)
+                row[k * (k + 1) // 2] = (-1) ** (k + t) * (comb(k + t, 2 * t + 1) + comb(k + t + 1, 2 * t + 1))
         v = [crt(column, ns) for column in zip(*numerators)]
         for m in range(order + 1):
             v[m] -= sum(c * solved[m - i] for i, c in terms if i <= m)
@@ -585,18 +599,19 @@ def test_coefficient_values_names_the_first_non_integer(monkeypatch):
 
 
 def test_slot_bound_dominates_every_theta_quotient_coefficient():
-    # sigma(m) <= m (N.bit_length() + 1) bounds every (2t+1) MO(t, n), n <= N
+    # sigma(m) <= m (N.bit_length() + 1) bounds every MO(t, n), n <= N
     strict = multisums(10, 1000, strict=True)
     for t in range(1, 11):
-        quotients = [(2 * t + 1) * c for c in strict[t - 1].coeffs]
+        quotients = strict[t - 1].coeffs
         assert mo_slot_bound(t, 1000) >= max(quotients), t
         assert all(mo_slot_bound(t, n) >= c for n, c in enumerate(quotients)), t
     for t in (2, 3, 4):
-        quotients = [(2 * t + 1) * c for c in mo_andrews_rose(t, 5000).coeffs]
+        quotients = mo_andrews_rose(t, 5000).coeffs
         assert all(mo_slot_bound(t, n) >= c for n, c in enumerate(quotients)), t
-    # the suite's slots at order 20000, 28 to 16 bits narrower than the
-    # C(m+1, 2) bound on sigma(m) made them
-    assert [mo_slot_bound(t, 20000).bit_length() for t in (4, 3, 2)] == [103, 77, 50]
+    # the bounds of the suite's ts at order 20000, which size their exact
+    # tables' moduli, 28 to 16 bits narrower than the C(m+1, 2) bound on
+    # sigma(m) made them
+    assert [mo_slot_bound(t, 20000).bit_length() for t in (4, 3, 2)] == [100, 74, 48]
 
 
 def test_strict_multisum_matches_brute_force():

@@ -165,8 +165,9 @@ def test_catalog_builds_no_inverse_series(monkeypatch):
 def test_identities_divide_no_series(monkeypatch):
     # a finite identity's q-rational term, the Jacobi product and theta
     # sides among them, is kernel steps on one coefficient list; the series
-    # divisions left are macmahon's theta quotients (6).  Exact divisions by
-    # an int are not counted.
+    # divisions left are macmahon's umbral quotients (3): the theta quotient
+    # calls `divide_coeffs` directly.  Exact divisions by an int are not
+    # counted.
     callers = Counter()
     divide = Series.__truediv__
 
@@ -178,7 +179,7 @@ def test_identities_divide_no_series(monkeypatch):
     monkeypatch.setattr(Series, "__truediv__", recorded)
     for ident_id in registry.known_ids():
         assert all(r.passed for r in registry.run_identity(ident_id, {}, 12)), ident_id
-    assert dict(callers) == {"macmahon.py": 6}
+    assert dict(callers) == {"macmahon.py": 3}
 
 
 def bumped(module, name, at=0):
@@ -314,7 +315,7 @@ def test_a_failure_without_a_coefficient_index_prints_no_none(monkeypatch, capsy
 
 def theta_constant_doubled(monkeypatch):
     # the weight-1 theta series, the MO theta quotient's divisor, gets the
-    # constant term 2: the first nonzero numerator, 5 at q^3 for t = 2, is odd
+    # constant term 2: the first nonzero numerator, 1 at q^3 for t = 2, is odd
     theta = macmahon.theta_moment
 
     def doubled(s, order):
@@ -331,7 +332,7 @@ def theta_constant_doubled(monkeypatch):
         (["coeffs", "--family", "MO", "--t", "1", "--n", "20", "--formula", "umbral"], theta_moment_3_bumped,
          "non-integer coefficient 143/24 at q^5"),
         (["scan", "--claim", "MO,2,5,5,1", "--order", "50"], theta_constant_doubled,
-         "non-integer coefficient 5/2 at q^3"),
+         "non-integer coefficient 1/2 at q^3"),
     ],
     ids=["coeffs-umbral", "scan-claim"],
 )

@@ -21,7 +21,7 @@ from conftest import (
 )
 from macsums import macmahon, series
 from macsums.congruences import prospect, verify_paper_suite
-from macsums.divisors import eisenstein, sigma_series
+from macsums.divisors import eisenstein, sigma_series, theta_moment
 from macsums.series import LEAF, Series, geometric_pow, over_geometric_coeffs
 
 ONES = lambda n: Series([1] * (n + 1), n)
@@ -216,8 +216,8 @@ def test_scan_divisions_restart_at_most_once(monkeypatch):
     # the suite's residue quotient (order 20000) and the MO prospect's
     # (order 5000, each t window 1..6, 2..7, 3..8 with each three of the
     # primes 5, 7, 11, 13) have dividends as wide as their reduced
-    # quotients, so none restarts; the exact t = 6 table at order 3000,
-    # whose quotient outgrows its dividend, restarts at most once
+    # quotients, so none restarts; nor does the exact t = 6 table at order
+    # 3000 (`test_exact_mo_tables_divide_with_no_restart`)
     bs, restarted = restarts(monkeypatch)
     verify_paper_suite(20000)
     for low in (1, 2, 3):
@@ -227,6 +227,43 @@ def test_scan_divisions_restart_at_most_once(monkeypatch):
     bs.clear()
     macmahon.mo_andrews_rose(6, 3000)
     assert len(restarted) <= 1 and len(set(bs)) == len(restarted) + 1
+
+
+def test_exact_mo_tables_divide_with_no_restart(monkeypatch):
+    # an exact table is its residues mod its slot bound + 1, and its
+    # numerator's negative coefficients reduce to residues near that
+    # modulus, so the lanes are sized right at the first attempt
+    bs, restarted = restarts(monkeypatch)
+    list(macmahon.mo_andrews_rose_many([10, 4, 3, 2], 3000))
+    macmahon.mo_andrews_rose(6, 3000)
+    assert bs and restarted == []
+
+
+def test_a_division_that_overflows_every_attempt_stops_at_its_bound(monkeypatch):
+    # a planted fault, each leaf's 2^b C_k left in its pending values, makes
+    # the first leaf overflow at every b: b doubles up to B = b0 + N bits(1
+    # + S), the bound every hook-free quotient coefficient keeps, and the
+    # leaf that overflows there raises at once; the spy stops a division
+    # that restarts past that, so an unbounded one fails and does not
+    # exhaust memory
+    order = LEAF + 1
+    b = theta_moment(1, order).coeffs
+    a = [1] + [0] * order
+    bound = 1 + order * (1 + sum(map(abs, b[1:]))).bit_length()
+    bs = []
+    real = series._leaf
+
+    def faulty(out, tail, d, reduce, lanes, lo, hi, pending):
+        size, top, unbias = lanes
+        if lo == 0:
+            bs.append(top)
+            assert len(bs) <= 16, "the division restarted past its bound"
+        return real(out, tail, d, reduce, (size, top, [1 << (8 * size - 1)] * len(unbias)), lo, hi, pending)
+
+    monkeypatch.setattr(series, "_leaf", faulty)
+    with pytest.raises(RuntimeError, match=rf"bound of {bound} bits$"):
+        series.divide_coeffs(a, b)
+    assert bs == [1 << k for k in range((bound - 1).bit_length())] + [bound]
 
 
 def lane_checks(monkeypatch, a, b, reduce=None):
