@@ -337,13 +337,19 @@ def _recheck(args):
     if not isinstance(results, list):
         raise UsageError("the report has no results list")
     fields = ("family", *_CLAIM_INTS)
+    paper = {c.key() for c in cong.paper_claims()}
     claims = []
     for d in results:
         if not isinstance(d, dict) or any(name not in d for name in fields):
             raise UsageError(f"each result needs the fields {', '.join(fields)}")
-        claims.append(_checked_claim(
-            *(d[name] for name in fields), kind=d.get("kind", "ad-hoc"), label=d.get("label", ""),
-        ))
+        claim = _checked_claim(*(d[name] for name in fields), kind=d.get("kind", "ad-hoc"), label=d.get("label", ""))
+        # a paper claim takes the paper's kind and label when checked; no other claim is a theorem or conjecture
+        kinds = ("theorem", "conjecture", "ad-hoc", "prospect") if claim.key() in paper else ("ad-hoc", "prospect")
+        if claim.kind not in kinds:
+            raise UsageError(f"claim {claim.key()} must have one of the kinds {', '.join(kinds)}, got {claim.kind!r}")
+        if type(claim.label) is not str or claim.label.splitlines() not in ([], [claim.label]):
+            raise UsageError(f"claim label must be a one-line string, got {claim.label!r}")
+        claims.append(claim)
     rechecked = cong.check_claims(claims, order)
     identical = True
     for d, fresh in zip(results, rechecked):

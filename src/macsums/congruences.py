@@ -15,9 +15,9 @@ division's leaves (`macmahon.mo_andrews_rose_many`): the ts whose moduli
 m_t are pairwise coprime share one slot, reduced mod the product of their
 moduli, so the suite's four MO tables take slots of 25 and 20 bits at
 order 20000.  The division (`series.divide_coeffs`) packs each
-coefficient into a lane once and reads it back once; the packed
-numerator is as wide as the reduced quotient, 29 bits for the suite, so
-its lanes (6 bytes for the suite) are sized right from the start.  An MO
+coefficient into a lane once and reads it back once, at a width proved
+from the slots' moduli, 29 bits for the suite (6-byte lanes), and is
+never retried.  An MO
 scan holds that packed quotient plus one slot and one table unpacked from
 it, and the division's packed lanes while it runs.  A status comes from
 one rule, `reports.claim_status`.  Only a prospect's chance level is a
@@ -71,10 +71,11 @@ def check_claims(claims, order: int) -> list[CongruenceClaim]:
 
     Returns new claims, in the given order, with status
     (`reports.claim_status`), depth and (on failure) the first violating
-    coefficient index filled in.  An ad-hoc claim that is one of
-    `paper_claims()` takes that claim's kind and label.  A claim checked on
-    no coefficient, or only on structural zeros, raises InputError
-    (`require_checked`).
+    coefficient index filled in.  A claim that is one of `paper_claims()`
+    takes that claim's kind and label, whatever kind it was given, unless
+    it is a prospect's survivor: a scan's finding stays a prospect.  A
+    claim checked on no coefficient, or only on structural zeros, raises
+    InputError (`require_checked`).
     """
     require_checked(claims, order)
     paper = {c.key(): c for c in paper_claims()}
@@ -90,7 +91,7 @@ def check_claims(claims, order: int) -> list[CongruenceClaim]:
             for i in members[t]:
                 claim = claims[i]
                 first_violation, checked = _first_nonvanishing(values, claim.p, claim.step, claim.offset)
-                known = paper.get(claim.key()) if claim.kind == "ad-hoc" else None
+                known = paper.get(claim.key()) if claim.kind != "prospect" else None
                 kind, label = (known.kind, known.label) if known else (claim.kind, claim.label)
                 results[i] = CongruenceClaim(
                     *claim.key(), kind=kind, label=label, status=claim_status(kind, first_violation),

@@ -436,25 +436,18 @@ def mo_andrews_rose_many(ts, order: int, moduli=None):
     borrows from its neighbour; it reads each slot, takes the bias back
     off, reduces mod L and repacks.
 
-    `divide_coeffs` sizes its lanes from the packed numerator.  Its
-    negative coefficients, the first of t at q^((t+1)(t+2)/2), reduce to
-    residues near L, so on the suite's layout, the benchmark's prospects
-    and the exact tables tried (t <= 15 from order (t+1)(t+2)/2 to 3000,
-    and t = 5, 6, 7, 10 at 20000) the numerator is as wide as the reduced
-    quotient and the division does not restart.  Below that order the
-    numerator of t is the one coefficient 1 and the
-    division may restart (t = 10 at order 64 does, four times); it gives
-    the same residues either way.  The hook returns packed
-    residues below 2^s L, for s the shift and L the product of the highest
-    layer with a nonzero numerator, and the numerator is nonzero in that
-    slot, so b0 > s.  The hook thus keeps `divide_coeffs`' bound B = b0 +
-    n bits(1 + S) whenever bits(L) <= n bits(1 + S), which is at least 448
-    wherever lanes are packed (n >= LEAF = 64).  A layer past it would
-    make the division raise RuntimeError, never yield a wrong residue.
+    The division's width is Q = s + bits(L - 1), for s the top layer's
+    shift and L its product: every slot holds a residue below its L, so
+    the packed numerator and every value the hook returns are below
+    (L - 1) 2^s + 2^s <= 2^Q.  `divide_coeffs` packs its lanes once at
+    that width, and a value past it would raise ArithmeticError, never
+    yield a wrong residue.
     """
     ts = list(ts)
     if any(t < 1 for t in ts):
         raise ValueError("t >= 1")
+    if not ts:
+        return
     theta = theta_moment(1, order)
     mods = [moduli[t] if moduli is not None else mo_slot_bound(t, order) + 1 for t in ts]
     layers = coprime_layers(mods)
@@ -491,7 +484,7 @@ def mo_andrews_rose_many(ts, order: int, moduli=None):
             r |= (((c >> shift) & mask) - h) % L << shift
         return r
 
-    packed = divide_coeffs(num, theta.coeffs, reduce)
+    packed = divide_coeffs(num, theta.coeffs, shifts[0] + (products[0] - 1).bit_length(), reduce)
     del num
     layer_of = {j: i for i, layer in enumerate(layers) for j in layer}
     held = {}  # layer -> its slots, while a t of it is left to read
@@ -526,11 +519,19 @@ def mo_andrews_rose(t: int, order: int) -> Series:
 def mo_umbral(t: int, order: int) -> Series:
     """Umbral route for the MO family: expand X(X^2-1^2)...(X^2-(2t-1)^2),
     substitute the theta family, divide by its first member, and divide
-    exactly by (-1)^t 4^t (2t+1)!; a remainder is a transcription error."""
+    exactly by (-1)^t 4^t (2t+1)!; a remainder is a transcription error.
+
+    The first quotient is (-1)^t 4^t (2t+1)! MO_t, so its packed division
+    is given the width bits(4^t (2t+1)! `mo_slot_bound(t, order)`).  A
+    transcription error that passes that width raises ArithmeticError; the
+    width cannot make a wrong quotient pass, so the route stays
+    independent of the theta quotient whose bound it borrows."""
     if t < 1:
         raise ValueError("t >= 1")
+    scale = (-1) ** t * 4**t * factorial(2 * t + 1)
     combo = umbral_eval(odd_square_product(t), theta_moment, order)
-    return combo / theta_moment(1, order) / ((-1) ** t * 4**t * factorial(2 * t + 1))
+    bits = (abs(scale) * mo_slot_bound(t, order)).bit_length()
+    return Series(divide_coeffs(combo.coeffs, theta_moment(1, order).coeffs, bits), order) / scale
 
 
 def mo_recurrence(t: int, order: int) -> Series:

@@ -190,8 +190,11 @@ class Series:
 
     def __truediv__(self, other):
         """Exact quotient by a nonzero int, or by a series with a nonzero
-        constant term (`divide_coeffs`); a coefficient that would not be an
-        integer raises ArithmeticError naming its q^i."""
+        constant term; a coefficient that would not be an integer raises
+        ArithmeticError naming its q^i.  A series divisor runs the
+        term-by-term loop of `divide_coeffs` at every order: no width is
+        proved for a general quotient, and a caller that has one calls
+        `divide_coeffs` with it."""
         if type(other) is int:
             if other == 0:
                 raise ZeroDivisionError("division of a series by zero")
@@ -220,11 +223,7 @@ class Series:
 LEAF = 64
 
 
-class _Restart(Exception):
-    """A leaf solved a coefficient too wide for the division's lanes."""
-
-
-def divide_coeffs(a: list, b: list, reduce=None) -> list:
+def divide_coeffs(a: list, b: list, bits=None, reduce=None) -> list:
     """The coefficients of a/b through the shorter of the two lists, for
     integer coefficient lists a and b, where b's constant term d is
     nonzero; a coefficient that would not be an integer raises
@@ -236,28 +235,30 @@ def divide_coeffs(a: list, b: list, reduce=None) -> list:
     after that exact division and before any later coefficient reads it,
     to the value the quotient keeps.  The solve is Z-linear, so for d = 1 a
     `reduce` that keeps each coefficient's residue modulo N yields the
-    quotient modulo N.  Up to `LEAF` coefficients are solved by the
+    quotient modulo N.  `bits`, when given, is a width the caller has
+    proved: every value the quotient keeps has |v| < 2^bits.  Without it,
+    or with at most `LEAF` coefficients, the quotient is solved by the
     term-by-term loop over the divisor's nonzero terms (`_solve`) alone,
     with nothing packed.
 
-    Longer quotients are solved divide and conquer over q^0..q^N
-    (`_divide`) on packed ints whose lanes are all W bits wide.  Each
-    dividend coefficient is packed into a pending lane once, at the root,
-    and read back once, at its leaf; each solved coefficient is packed
-    once, at its leaf, and never read back.  A node solves its lower half,
-    takes the lower half's contributions off its upper half's pending
-    lanes (`_middle_product`, run on the packed int the lower half
+    With `bits`, longer quotients are solved divide and conquer over
+    q^0..q^N (`_divide`) on packed ints whose lanes are all W bits wide.
+    Each dividend coefficient is packed into a pending lane once, at the
+    root, and read back once, at its leaf; each solved coefficient is
+    packed once, at its leaf, and never read back.  A node solves its
+    lower half, takes the lower half's contributions off its upper half's
+    pending lanes (`_middle_product`, run on the packed int the lower half
     returned), then solves its upper half.  A leaf unpacks its pending
     lanes, takes the bias back out, runs `_solve` and packs what it solved
     (`_leaf`).
 
     The lanes.  With c_i the divisor's coefficients (d's sign moved), S =
-    sum |c_i| over 1 <= i <= N and C_k = c_1 + ... + c_k, b is the bit
-    length of the dividend's widest coefficient, at least 1, so |a_m| <
-    2^b; W is the fewest whole bytes that hold b + bits(S) + 2 bits, and H
-    = 2^(W-1).  A solved v is packed as the lane v + 2^b, and the root
-    packs a_m + H + 2^b C_m as the pending lane of q^m.  Claim: while every
-    solved |v| < 2^b,
+    sum |c_i| over 1 <= i <= N and C_k = c_1 + ... + c_k, b is the larger
+    of `bits` and the bit length of the dividend's widest coefficient, so
+    |a_m| < 2^b; W is the fewest whole bytes that hold b + bits(S) + 2
+    bits, and H = 2^(W-1).  A solved v is packed as the lane v + 2^b, and
+    the root packs a_m + H + 2^b C_m as the pending lane of q^m.  Claim:
+    while every solved |v| < 2^b,
 
     - each solved lane lies in [1, 2^(b+1)), so in [0, 2^(b+1));
     - once the coefficients below L are solved and taken off, the pending
@@ -279,19 +280,9 @@ def divide_coeffs(a: list, b: list, reduce=None) -> list:
     At a leaf [lo, hi), L = lo and m - L = k is the lane's place in the
     leaf, so the leaf's pending value is its lane less H + 2^b C_k.
     Hence a leaf that checks the values it solves against 2^b is the only
-    guard needed: a leaf that solves some |v| >= 2^b restarts the division
-    from the dividend with a wider b, and no result depends on the width.
-
-    The restarts are bounded.  With no hook, v_m = (a_m - sum c_i v_(m-i))
-    / d with d >= 1, so |v_m| <= max|a| (1 + S)^m by induction on m, and
-    every quotient coefficient fits in B = b0 + N bits(1 + S) bits, b0 the
-    first b.  With a hook, B assumes that every value the hook returns fits
-    in B bits too; a hook that never returns a value wider than both its
-    argument and the dividend's widest coefficient keeps the induction
-    (`macmahon.mo_andrews_rose_many` shows when its hook meets this).  A
-    restart sets b to min(2b, B), and a leaf that overflows at b = B raises
-    RuntimeError at once: a value past the bound is a fault of this kernel
-    or of the hook, not an inexact quotient.
+    guard needed: a leaf that solves some |v| >= 2^b raises
+    ArithmeticError naming its q-range, as `bits` was then no bound on
+    this quotient, and no lane has borrowed before that leaf.
     """
     n = min(len(a), len(b)) - 1
     if b[0] == 0:
@@ -300,27 +291,17 @@ def divide_coeffs(a: list, b: list, reduce=None) -> list:
         a, b = [-c for c in a[: n + 1]], [-c for c in b[: n + 1]]
     d = b[0]
     tail = [(i, c) for i, c in enumerate(b[1 : n + 1], 1) if c]
-    if n < LEAF:
-        out = a[: n + 1]
+    out = a[: n + 1]
+    if bits is None or n < LEAF:
         _solve(out, tail, d, reduce, 0, out)  # reads out[m] before it writes it
         return out
-    top = max(map(abs, a[: n + 1])).bit_length() or 1
-    weight = sum(abs(c) for _, c in tail)  # S
-    cap = top + n * (1 + weight).bit_length()  # B
-    spread = weight.bit_length() + 2
-    while True:
-        size = (top + spread + 7) // 8
-        h = 1 << (8 * size - 1)
-        unbias = [h + (c << top) for c in accumulate(b[1:LEAF], initial=0)]  # H + 2^b C_k, k < LEAF
-        out = a[: n + 1]
-        lanes = map(add, map(add, out, repeat(h)), map(lshift, accumulate(b[1 : n + 1], initial=0), repeat(top)))
-        try:
-            _divide(out, tail, d, reduce, (size, top, unbias), 0, n + 1, [_pack(lanes, size)], False)
-            return out
-        except _Restart:
-            if top == cap:
-                raise RuntimeError(f"a quotient coefficient passed its proved bound of {cap} bits") from None
-            top = min(2 * top, cap)
+    top = max(bits, max(map(abs, out)).bit_length())
+    size = (top + sum(abs(c) for _, c in tail).bit_length() + 9) // 8  # b + bits(S) + 2 bits, in whole bytes
+    h = 1 << (8 * size - 1)
+    unbias = [h + (c << top) for c in accumulate(b[1:LEAF], initial=0)]  # H + 2^b C_k, k < LEAF
+    lanes = map(add, map(add, out, repeat(h)), map(lshift, accumulate(b[1 : n + 1], initial=0), repeat(top)))
+    _divide(out, tail, d, reduce, (size, top, unbias), 0, n + 1, [_pack(lanes, size)], False)
+    return out
 
 
 def _pack(lanes, size):
@@ -383,7 +364,7 @@ def _divide(out, tail, d, reduce, lanes, lo, hi, held, need):
 def _leaf(out, tail, d, reduce, lanes, lo, hi, pending):
     """Unpack the pending lanes of q^lo..q^(hi-1), solve out[lo:hi] from
     them and return the solved values packed, value + 2^b per lane, or
-    raise `_Restart` if some solved v has |v| >= 2^b."""
+    raise ArithmeticError if some solved v has |v| >= 2^b."""
     size, top, unbias = lanes
     n = (hi - lo) * size
     buf = pending.to_bytes(n, "little")
@@ -397,7 +378,7 @@ def _leaf(out, tail, d, reduce, lanes, lo, hi, pending):
     solved = out[lo:hi]
     bias = 1 << top
     if max(solved) >= bias or min(solved) <= -bias:
-        raise _Restart
+        raise ArithmeticError(f"a quotient coefficient in q^{lo}..q^{hi - 1} needs more than its proved {top} bits")
     return _pack(map(add, solved, repeat(bias)), size)
 
 

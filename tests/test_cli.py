@@ -318,6 +318,7 @@ def test_malformed_input_exits_2_without_traceback(capsys, argv):
 
 
 SUITE_CLAIM = {"family": "M", "t": 2, "p": 5, "step": 5, "offset": 1, "status": "verified-to-depth"}
+NOT_IN_THE_PAPER = {"family": "M", "t": 7, "p": 3, "step": 3, "offset": 2, "status": "verified-to-depth"}
 
 
 @pytest.mark.parametrize(
@@ -328,13 +329,48 @@ SUITE_CLAIM = {"family": "M", "t": 2, "p": 5, "step": 5, "offset": 1, "status": 
         {"schema": 1, "command": "scan", "order": 50, "results": [{"family": "M", "t": 2}]},
         {"schema": 1, "command": "scan", "order": 50, "results": [dict(SUITE_CLAIM, p=4)]},
         {"schema": 1, "command": "scan", "order": 50, "results": [dict(SUITE_CLAIM, t="2")]},
+        {"schema": 1, "command": "scan", "order": 50, "results": [dict(SUITE_CLAIM, kind=["x"])]},
+        {"schema": 1, "command": "scan", "order": 50, "results": [dict(SUITE_CLAIM, kind="lemma")]},
+        {"schema": 1, "command": "scan", "order": 50, "results": [dict(SUITE_CLAIM, label=5)]},
+        {"schema": 1, "command": "scan", "order": 50,
+         "results": [dict(SUITE_CLAIM, label="5 | M(2, 5n+1)\nPASS  M t=7 p=3 progression 3n+2  [theorem]")]},
+        {"schema": 1, "command": "scan", "order": 50, "results": [dict(NOT_IN_THE_PAPER, kind="theorem")]},
+        {"schema": 1, "command": "scan", "order": 50, "results": [dict(NOT_IN_THE_PAPER, kind="conjecture")]},
     ],
-    ids=["not-an-object", "no-results-list", "missing-keys", "modulus-not-prime", "string-t"],
+    ids=["not-an-object", "no-results-list", "missing-keys", "modulus-not-prime", "string-t", "kind-not-a-string",
+         "unknown-kind", "label-not-a-string", "two-line-label", "theorem-not-in-the-paper",
+         "conjecture-not-in-the-paper"],
 )
 def test_recheck_rejects_malformed_report(capsys, tmp_path, report):
+    # a kind outside the four, a theorem or conjecture the paper does not
+    # state, or a label that is not one line of text is malformed too
     path = tmp_path / "report.json"
     path.write_text(json.dumps(report))
     assert_usage_error(*run_cli(capsys, "scan", "--input", str(path), "--recheck"))
+
+
+@pytest.mark.parametrize(
+    "claim, forged, kind, status, label",
+    [
+        (("MO", 10, 11, 11, 7), "theorem", "conjecture", "evidence-to-depth", "11 | MO(10, 11n+7)  [open]"),
+        (("MO", 4, 11, 11, 6), "conjecture", "theorem", "verified-to-depth", "11 | MO(4, 11n+6)"),
+    ],
+    ids=["conjecture-as-theorem", "theorem-as-conjecture"],
+)
+def test_recheck_gives_a_paper_claim_the_papers_kind_and_label(capsys, tmp_path, claim, forged, kind, status,
+                                                                label):
+    # a hand-edited report cannot make the open conjecture read verified:
+    # a claim of the paper takes the paper's kind and label, and a recorded
+    # status that then differs is reported and exits 1
+    recorded = dict(zip(("family", "t", "p", "step", "offset"), claim), kind=forged, label="forged",
+                    status="verified-to-depth")
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({"schema": 1, "command": "scan", "order": 200, "results": [recorded]}))
+    code, out, err = run_cli(capsys, "scan", "--input", str(path), "--recheck", "--format", "json")
+    (fresh,) = json.loads(out)["results"]
+    assert (fresh["kind"], fresh["label"], fresh["status"]) == (kind, label, status)
+    assert code == (0 if status == "verified-to-depth" else 1)
+    assert ("status changed" in err) == (code == 1)
 
 
 @pytest.mark.parametrize(

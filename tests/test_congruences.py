@@ -135,9 +135,9 @@ def count_divisions(monkeypatch):
         calls.append(1)
         return div(self, other)
 
-    def counted_coeffs(a, b, reduce=None):
+    def counted_coeffs(a, b, bits=None, reduce=None):
         calls.append(1)
-        return divide_coeffs(a, b, reduce)
+        return divide_coeffs(a, b, bits, reduce)
 
     monkeypatch.setattr(Series, "__truediv__", counted)
     monkeypatch.setattr(macmahon, "divide_coeffs", counted_coeffs)

@@ -307,8 +307,8 @@ def test_packed_mo_division_peak_is_a_small_multiple_of_its_quotient(monkeypatch
     sizes = []
     divide = macmahon.divide_coeffs
 
-    def measured(a, b, reduce):
-        quotient = divide(a, b, reduce)
+    def measured(a, b, bits, reduce):
+        quotient = divide(a, b, bits, reduce)
         sizes.append(sys.getsizeof(quotient) + sum(map(sys.getsizeof, quotient)))
         return quotient
 
@@ -421,8 +421,8 @@ def test_residue_slots_hold_every_leaf_value(monkeypatch):
     seen = []
     divide = macmahon.divide_coeffs
 
-    def recording(a, b, reduce):
-        return divide(a, b, lambda c: (seen.append(c), reduce(c))[1])
+    def recording(a, b, bits, reduce):
+        return divide(a, b, bits, lambda c: (seen.append(c), reduce(c))[1])
 
     monkeypatch.setattr(macmahon, "divide_coeffs", recording)
     tables = dict(mo_andrews_rose_many(ts, order, moduli))
@@ -692,8 +692,11 @@ def test_andrews_rose_mod11_progression():
 
 
 def test_umbral_route_matches_multisum():
+    # at order 200, past LEAF, the theta quotient packs at MO's proved width
     for t in (1, 2, 3):
         assert mo_umbral(t, 40) == strict_multisum(t, 40)
+    for t in (1, 2, 3, 4):
+        assert mo_umbral(t, 200) == strict_multisum(t, 200)
 
 
 def test_umbral_route_t1_theta_quotient():

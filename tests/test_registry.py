@@ -164,10 +164,10 @@ def test_catalog_builds_no_inverse_series(monkeypatch):
 
 def test_identities_divide_no_series(monkeypatch):
     # a finite identity's q-rational term, the Jacobi product and theta
-    # sides among them, is kernel steps on one coefficient list; the series
-    # divisions left are macmahon's umbral quotients (3): the theta quotient
-    # calls `divide_coeffs` directly.  Exact divisions by an int are not
-    # counted.
+    # sides among them, is kernel steps on one coefficient list, and the
+    # theta and umbral quotients call `divide_coeffs` directly with their
+    # proved widths, so no `Series / Series` is left.  Exact divisions by
+    # an int are not counted.
     callers = Counter()
     divide = Series.__truediv__
 
@@ -179,7 +179,7 @@ def test_identities_divide_no_series(monkeypatch):
     monkeypatch.setattr(Series, "__truediv__", recorded)
     for ident_id in registry.known_ids():
         assert all(r.passed for r in registry.run_identity(ident_id, {}, 12)), ident_id
-    assert dict(callers) == {"macmahon.py": 3}
+    assert dict(callers) == {}
 
 
 def bumped(module, name, at=0):
@@ -331,14 +331,19 @@ def theta_constant_doubled(monkeypatch):
     [
         (["coeffs", "--family", "MO", "--t", "1", "--n", "20", "--formula", "umbral"], theta_moment_3_bumped,
          "non-integer coefficient 143/24 at q^5"),
+        # past LEAF the umbral quotient packs at MO's proved width, which the
+        # corrupted quotient passes in its first leaf
+        (["coeffs", "--family", "MO", "--t", "1", "--n", "100", "--formula", "umbral"], theta_moment_3_bumped,
+         "a quotient coefficient in q^0..q^49 needs more than its proved 15 bits"),
         (["scan", "--claim", "MO,2,5,5,1", "--order", "50"], theta_constant_doubled,
          "non-integer coefficient 1/2 at q^3"),
     ],
-    ids=["coeffs-umbral", "scan-claim"],
+    ids=["coeffs-umbral", "coeffs-umbral-at-depth", "scan-claim"],
 )
 def test_a_route_left_with_a_remainder_is_one_error_line(monkeypatch, capsys, argv, corrupt, message):
-    # coeffs and scan have no case to fail: the command prints one error
-    # line and exits 1, the code of a refutation, with nothing on stdout
+    # coeffs and scan have no case to fail: a remainder, or a packed
+    # quotient past its proved width, prints one error line and exits 1,
+    # the code of a refutation, with nothing on stdout
     from macsums.cli import main
 
     corrupt(monkeypatch)

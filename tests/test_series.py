@@ -3,7 +3,6 @@
 import gc
 import re
 from fractions import Fraction
-from itertools import combinations
 from math import gcd, isqrt, prod
 
 import pytest
@@ -150,10 +149,11 @@ def _divisor(rng, order, shape, b0):
     + [(n, "heavy") for n in sorted({LEAF + 1, 2 * LEAF + 1, 257, 777})],
 )
 def test_division_at_depth_matches_the_product_oracle(order, shape):
-    # past LEAF the quotient is solved divide and conquer, up to five levels
-    # here, and every middle product packs: signed quotients of 3 to 1200
-    # bits, over divisors with constant term +-1, +-2 or +-3 whose sum of |c|
-    # passes 2^20 when heavy (a dropped bias or lane shows)
+    # given the quotient's width, past LEAF the quotient is solved divide
+    # and conquer, up to five levels here, and every middle product packs:
+    # signed quotients of 3 to 1200 bits, over divisors with constant term
+    # +-1, +-2 or +-3 whose sum of |c| passes 2^20 when heavy (a dropped
+    # bias or lane shows)
     rng = seeded(order)
     b0s = (1, -3) if shape == "dense" else (1, -1, 2, -2, 3, -3)
     for bits in (3, 60, 300, 600, 1200):
@@ -161,116 +161,78 @@ def test_division_at_depth_matches_the_product_oracle(order, shape):
             q = [rng.randrange(-(2**bits), 2**bits) for _ in range(order + 1)]
             b = _divisor(rng, order, shape, b0)
             a = naive_mul(b, q, order)
-            assert (Series(a, order) / Series(b, order)).coeffs == q, (bits, b0)
+            assert series.divide_coeffs(a, b, bits + 1) == q, (bits, b0)
             if abs(b0) > 1:
                 # a planted remainder raises at its own coefficient
                 m = rng.randrange(order + 1)
                 a[m] += 1
                 with pytest.raises(ArithmeticError, match=rf"at q\^{m}$"):
-                    Series(a, order) / Series(b, order)
+                    series.divide_coeffs(a, b, bits + 1)
 
 
-def restarts(monkeypatch):
-    """Record the b of every leaf `divide_coeffs` runs from here on, and
-    count the leaves that restart a division; returns (bs, restarted)."""
-    bs, restarted = [], []
-    real = series._leaf
-
-    def recording(out, tail, d, reduce, lanes, lo, hi, pending):
-        bs.append(lanes[1])
-        try:
-            return real(out, tail, d, reduce, lanes, lo, hi, pending)
-        except series._Restart:
-            restarted.append(lo)
-            raise
-
-    monkeypatch.setattr(series, "_leaf", recording)
-    return bs, restarted
-
-
-def test_division_restarted_with_wider_lanes_matches_the_product_oracle(monkeypatch):
-    # a dividend narrower than its quotient (the constant 1, or 60 or 1200
-    # bits, over a theta-shaped divisor b0 u, u_0 = 1): the first leaf to
-    # solve a value of 2^b or more restarts the division from the dividend
-    # with b doubled, and the quotient still equals the product oracle
-    bs, restarted = restarts(monkeypatch)
-    rng = seeded(12)
-    order = 600
-    for bits in (0, 60, 1200):
-        for b0 in (1, -2):
-            bs.clear()
-            restarted.clear()
-            b = [b0 * c for c in _divisor(rng, order, "theta", 1)]
-            a = [1] + [0] * order if bits == 0 else [rng.randrange(-(2**bits), 2**bits) for _ in range(order + 1)]
-            a = [b0 * c for c in a]
-            q = series.divide_coeffs(a, b)
-            assert naive_mul(b, q, order) == a, (bits, b0)
-            first = max(map(abs, a)).bit_length()
-            widths = sorted(set(bs))
-            assert widths == [first << k for k in range(len(widths))], (bits, b0)  # b doubles from the dividend's
-            assert len(restarted) == len(widths) - 1 >= (3 if bits == 0 else 1), (bits, b0)
-            assert 1 << widths[-2] <= max(map(abs, q)) < 1 << widths[-1], (bits, b0)  # the last restart was needed
-
-
-def test_scan_divisions_restart_at_most_once(monkeypatch):
-    # the suite's residue quotient (order 20000) and the MO prospect's
-    # (order 5000, each t window 1..6, 2..7, 3..8 with each three of the
-    # primes 5, 7, 11, 13) have dividends as wide as their reduced
-    # quotients, so none restarts; nor does the exact t = 6 table at order
-    # 3000 (`test_exact_mo_tables_divide_with_no_restart`)
-    bs, restarted = restarts(monkeypatch)
-    verify_paper_suite(20000)
-    for low in (1, 2, 3):
-        for primes in combinations((5, 7, 11, 13), 3):
-            prospect("MO", range(low, low + 6), list(primes), 5000)
-    assert bs and restarted == []
-    bs.clear()
-    macmahon.mo_andrews_rose(6, 3000)
-    assert len(restarted) <= 1 and len(set(bs)) == len(restarted) + 1
-
-
-def test_exact_mo_tables_divide_with_no_restart(monkeypatch):
-    # an exact table is its residues mod its slot bound + 1, and its
-    # numerator's negative coefficients reduce to residues near that
-    # modulus, so the lanes are sized right at the first attempt
-    bs, restarted = restarts(monkeypatch)
-    list(macmahon.mo_andrews_rose_many([10, 4, 3, 2], 3000))
-    macmahon.mo_andrews_rose(6, 3000)
-    assert bs and restarted == []
-
-
-def test_a_division_that_overflows_every_attempt_stops_at_its_bound(monkeypatch):
-    # a planted fault, each leaf's 2^b C_k left in its pending values, makes
-    # the first leaf overflow at every b: b doubles up to B = b0 + N bits(1
-    # + S), the bound every hook-free quotient coefficient keeps, and the
-    # leaf that overflows there raises at once; the spy stops a division
-    # that restarts past that, so an unbounded one fails and does not
-    # exhaust memory
-    order = LEAF + 1
+def test_a_quotient_past_its_given_width_raises_naming_its_leaf():
+    # a dividend narrower than its quotient (the constant 1 over the theta
+    # series, whose quotient counts partitions in three colours) with a
+    # width one bit short of the quotient's: the first leaf to solve a value
+    # of 2^b or more raises at once, naming its q-range, and a width that
+    # holds the quotient gives the term loop's quotient
+    order = 3 * LEAF
     b = theta_moment(1, order).coeffs
     a = [1] + [0] * order
-    bound = 1 + order * (1 + sum(map(abs, b[1:]))).bit_length()
-    bs = []
-    real = series._leaf
-
-    def faulty(out, tail, d, reduce, lanes, lo, hi, pending):
-        size, top, unbias = lanes
-        if lo == 0:
-            bs.append(top)
-            assert len(bs) <= 16, "the division restarted past its bound"
-        return real(out, tail, d, reduce, (size, top, [1 << (8 * size - 1)] * len(unbias)), lo, hi, pending)
-
-    monkeypatch.setattr(series, "_leaf", faulty)
-    with pytest.raises(RuntimeError, match=rf"bound of {bound} bits$"):
-        series.divide_coeffs(a, b)
-    assert bs == [1 << k for k in range((bound - 1).bit_length())] + [bound]
+    q = series.divide_coeffs(a, b)
+    width = max(map(abs, q)).bit_length()
+    first = next(m for m, v in enumerate(q) if abs(v) >> (width - 1))
+    with pytest.raises(ArithmeticError, match=rf"needs more than its proved {width - 1} bits$") as raised:
+        series.divide_coeffs(a, b, width - 1)
+    lo, last = map(int, re.fullmatch(r"a quotient coefficient in q\^(\d+)\.\.q\^(\d+) .*", str(raised.value)).groups())
+    assert lo <= first <= last < lo + LEAF  # the leaf that solved it
+    assert series.divide_coeffs(a, b, width) == q
 
 
-def lane_checks(monkeypatch, a, b, reduce=None):
-    """Divide a by b and check every leaf's lanes against the product
-    oracle: the pending lane of q^m, m in the leaf [lo, hi), is H + a_m -
-    sum(c_(m-j) v_j, j < lo) + 2^b C_(m-lo), with |lane - H| < 2^b (1 + 2S),
-    and, unless the leaf restarts, its solved lane is v_m + 2^b, in
+def test_every_packed_division_packs_once_at_its_proved_width(monkeypatch):
+    # no division is retried: a `_leaf` spy sees one lane layout (bytes, b)
+    # per division on the scans, the exact MO tables (t <= 15, orders 64 to
+    # 3000, with each t's orders below its second numerator term, whose one
+    # numerator coefficient is 1) and the umbral quotients; the benchmark's
+    # divisions keep their lanes: the suite's 29 bits in 6 bytes, the MO
+    # prospect's 124 in 18 and the exact t = 6 table's 147 in 21, and the
+    # exact [10, 4, 3, 2] tables at order 3000 share 370 bits in 49
+    divisions = []
+    divide, leaf = macmahon.divide_coeffs, series._leaf
+
+    def division(*args):
+        divisions.append(set())
+        return divide(*args)
+
+    def recording(out, tail, d, reduce, lanes, lo, hi, pending):
+        divisions[-1].add(lanes[:2])
+        return leaf(out, tail, d, reduce, lanes, lo, hi, pending)
+
+    monkeypatch.setattr(macmahon, "divide_coeffs", division)
+    monkeypatch.setattr(series, "_leaf", recording)
+    verify_paper_suite(20000)
+    prospect("MO", range(1, 7), [5, 7, 11], 5000)
+    macmahon.mo_andrews_rose(6, 20000)
+    list(macmahon.mo_andrews_rose_many([10, 4, 3, 2], 3000))
+    assert divisions == [{(6, 29)}, {(18, 124)}, {(21, 147)}, {(49, 370)}]
+    divisions.clear()
+    tables = 0
+    for t in range(1, 16):
+        second = (t + 1) * (t + 2) // 2
+        for order in (LEAF, second - 1, second, 3000):
+            if order >= LEAF:
+                macmahon.mo_andrews_rose(t, order)
+                tables += 1
+    for t in range(1, 5):
+        macmahon.mo_umbral(t, 200)
+    assert len(divisions) == tables + 4 and all(len(lanes) == 1 for lanes in divisions)
+
+
+def lane_checks(monkeypatch, a, b, bits, reduce=None):
+    """Divide a by b at the width `bits` and check every leaf's lanes
+    against the product oracle: the pending lane of q^m, m in the leaf [lo,
+    hi), is H + a_m - sum(c_(m-j) v_j, j < lo) + 2^b C_(m-lo), with |lane -
+    H| < 2^b (1 + 2S), and its solved lane is v_m + 2^b, in
     [0, 2^(b+1)).  W is the fewest whole bytes holding b + bits(S) + 2
     bits.  Returns the quotient and the b of each leaf."""
     leaves = []
@@ -282,7 +244,7 @@ def lane_checks(monkeypatch, a, b, reduce=None):
         return leaves[-1][-1]
 
     monkeypatch.setattr(series, "_leaf", recording)
-    q = series.divide_coeffs(a, b, reduce)
+    q = series.divide_coeffs(a, b, bits, reduce)
     order = len(q) - 1
     sign = -1 if b[0] < 0 else 1
     a, b = [sign * c for c in a[: order + 1]], [sign * c for c in b[: order + 1]]
@@ -309,7 +271,8 @@ def lane_checks(monkeypatch, a, b, reduce=None):
 def _signed_division():
     """A signed quotient over a divisor with constant term -2, scaled so
     that b + bits(S) + 2 is one bit past a whole byte: a lane one bit short
-    of the proof is a byte short here.  Returns (a, b, None, q)."""
+    of the proof is a byte short here.  Returns (a, b, bits, None, q),
+    bits the quotient's width."""
     rng = seeded(21)
     order = 3 * LEAF + 5
     b = _divisor(rng, order, "theta", -2)
@@ -319,18 +282,19 @@ def _signed_division():
     q = [v << (1 - top - spread) % 8 for v in q]
     a = naive_mul(b, q, order)
     assert (max(map(abs, a)).bit_length() + spread) % 8 == 1
-    return a, b, None, q
+    return a, b, max(map(abs, q)).bit_length(), None, q
 
 
 def _suite_residue_division(monkeypatch):
     """The division of the paper suite's MO residue tables at order 1000,
-    with its `reduce` hook.  Returns (a, b, reduce, quotient)."""
+    with its width and `reduce` hook.  Returns (a, b, bits, reduce,
+    quotient)."""
     moduli = {10: 11, 4: 11, 3: 7, 2: 5}
     seen = []
 
-    def recording(a, b, reduce):
-        q = series.divide_coeffs(a, b, reduce)
-        seen.append((list(a), list(b), reduce, list(q)))  # the caller reads q in place
+    def recording(a, b, bits, reduce):
+        q = series.divide_coeffs(a, b, bits, reduce)
+        seen.append((list(a), list(b), bits, reduce, list(q)))  # the caller reads q in place
         return q
 
     monkeypatch.setattr(macmahon, "divide_coeffs", recording)
@@ -341,10 +305,10 @@ def _suite_residue_division(monkeypatch):
 
 @pytest.mark.parametrize("case", ("signed", "suite residues"))
 def test_division_lanes_stay_in_their_proved_ranges(monkeypatch, case):
-    # neither division restarts: the suite's dividend is as wide as its
+    # each division packs once: the suite's dividend is as wide as its
     # reduced quotient, and the signed one is wider than its quotient
-    a, b, reduce, q = _signed_division() if case == "signed" else _suite_residue_division(monkeypatch)
-    solved, bs = lane_checks(monkeypatch, a, b, reduce)
+    a, b, bits, reduce, q = _signed_division() if case == "signed" else _suite_residue_division(monkeypatch)
+    solved, bs = lane_checks(monkeypatch, a, b, bits, reduce)
     assert solved == q and len(set(bs)) == 1
 
 
@@ -356,8 +320,9 @@ EDGES = (LEAF - 1, LEAF + 1, 2 * LEAF - 1, 2 * LEAF + 1)  # one leaf, two, and o
 def test_packed_division_matches_the_product_oracle(data):
     # signed quotients narrower than their dividends (a = b q), or wider: a
     # narrow dividend b0 a' over b = b0 u, u_0 = 1, whose quotient a'/u may
-    # outgrow it and restart the division; when |b0| > 1 a planted
-    # remainder raises at its own q^m
+    # outgrow it; packed at the quotient's width, the division gives the
+    # term loop's quotient, and when |b0| > 1 a planted remainder raises at
+    # its own q^m
     order = data.draw(st.sampled_from(EDGES), label="order")
     b0 = data.draw(st.sampled_from((1, -1, 2, -2, 3, -3)), label="b0")
     spread = data.draw(st.sampled_from((9, 2**20)), label="spread")
@@ -370,12 +335,15 @@ def test_packed_division_matches_the_product_oracle(data):
     else:
         b = [b0, *u[1:]]
         a = naive_mul(b, data.draw(ints, label="q"), order)
-    assert naive_mul(b, series.divide_coeffs(a, b), order) == a
+    q = series.divide_coeffs(a, b)
+    assert naive_mul(b, q, order) == a
+    width = max(map(abs, q)).bit_length()
+    assert series.divide_coeffs(a, b, width) == q
     if abs(b0) > 1:
         m = data.draw(st.integers(0, order), label="m")
         a[m] += 1
         with pytest.raises(ArithmeticError, match=rf"at q\^{m}$"):
-            series.divide_coeffs(a, b)
+            series.divide_coeffs(a, b, width)
 
 
 COPRIME_PAIRS = st.tuples(*[st.sampled_from((4, 7, 9, 11, 25, 27, 49, 2**31 - 1))] * 2).filter(lambda p: gcd(*p) == 1)
@@ -386,8 +354,9 @@ COPRIME_PAIRS = st.tuples(*[st.sampled_from((4, 7, 9, 11, 25, 27, 49, 2**31 - 1)
 def test_packed_division_reduced_over_two_crt_layers(data):
     # a reduce hook as a residue scan's: two layers, each working mod the
     # product L of two coprime moduli in a slot of bits(L (1 + S)) + 1 bits,
-    # read signed and kept mod L; the packed quotient then holds each
-    # layer's quotient mod L, which the product oracle gives back mod L
+    # read signed and kept mod L; packed at the top slot's shift plus
+    # bits(L - 1), the packed quotient then holds each layer's quotient mod
+    # L, which the product oracle gives back mod L
     order = data.draw(st.sampled_from(EDGES), label="order")
     spread = data.draw(st.sampled_from((9, 2**20)), label="spread")
     u = [1, *data.draw(st.lists(st.integers(-spread, spread), min_size=order, max_size=order), label="u")]
@@ -406,7 +375,7 @@ def test_packed_division_reduced_over_two_crt_layers(data):
         r = data.draw(st.lists(st.integers(0, L - 1), min_size=order + 1, max_size=order + 1), label="residues")
         packed = [p + (x << shift) for p, x in zip(packed, r)]
         a = [p + (x % L << shift) for p, x in zip(a, naive_mul(u, r, order))]
-    assert series.divide_coeffs(a, u, reduce) == packed
+    assert series.divide_coeffs(a, u, widths[1] + (mods[0] - 1).bit_length(), reduce) == packed
 
 
 @pytest.mark.parametrize("b0, fraction_term", [(2, False), (-3, False), (1, True), (-1, True)])
@@ -429,12 +398,12 @@ def test_division_at_depth_by_a_non_unit_or_fraction_divisor(b0, fraction_term):
 def test_division_leaves_no_reference_cycle():
     rng = seeded(5)
     order = 2000
-    a = Series([rng.randrange(-(2**40), 2**40) for _ in range(order + 1)], order)
-    b = Series(_divisor(rng, order, "theta", 1), order)
+    b = _divisor(rng, order, "theta", 1)
+    a = naive_mul(b, [rng.randrange(-(2**40), 2**40) for _ in range(order + 1)], order)
     gc.collect()
     gc.disable()
     try:
-        a / b
+        series.divide_coeffs(a, b, 41)
         found = gc.collect()
     finally:
         gc.enable()
