@@ -17,9 +17,11 @@ moduli, so the suite's four MO tables take slots of 25 and 20 bits at
 order 20000.  The division (`series.divide_coeffs`) packs each
 coefficient into a lane once and reads it back once, at a width proved
 from the slots' moduli, 29 bits for the suite (6-byte lanes), and is
-never retried.  An MO
-scan holds that packed quotient plus one slot and one table unpacked from
-it, and the division's packed lanes while it runs.  A status comes from
+never retried; its root packs the lanes by runs between the numerator's
+and theta's terms, which sit only at triangular exponents.  An MO scan
+holds that packed quotient plus one slot and one table unpacked from it,
+and the division's packed lanes while it runs.  Exact tables, which
+`coeffs` and `verify` build, are not residues: each t divides in Z.  A status comes from
 one rule, `reports.claim_status`.  Only a prospect's chance level is a
 rational, so only `prospect` loads `fractions`.
 """

@@ -227,9 +227,9 @@ def single_sum_weights_mod(t: int, count: int, m: int) -> list:
         n = min(lcm(len(acc), len(tile)), count)
         e = modulus * pow(modulus, -1, q)  # 0 mod modulus, 1 mod q
         modulus *= q
-        left, right = _tile(acc, n), _tile(tile, n)
-        acc = list(map(mod, map(add, map(mul, left, repeat(modulus + 1 - e)), map(mul, right, repeat(e))),
-                       repeat(modulus)))
+        left = list(map(mod, map(mul, acc, repeat(modulus + 1 - e)), repeat(modulus)))  # each tile scaled once
+        right = list(map(mul, tile, repeat(e)))
+        acc = list(map(mod, map(add, _tile(left, n), _tile(right, n)), repeat(modulus)))
     return _tile(acc, count)
 
 
@@ -352,29 +352,40 @@ def m_conjugate_form(t: int, order: int) -> Series:
 
 def mo_slot_bound(t: int, order: int) -> int:
     """An integer B >= MO(t, n) for every n <= order: an exact table of
-    `mo_andrews_rose_many` is its residues mod B + 1, so its exactness
-    rests on this bound.
+    `mo_andrews_rose_many` is divided in Z at the width bits(B), so a B
+    too small would raise at a leaf, never wrap a value, and a tighter B
+    gives narrower lanes.
 
     MO(t, n) is the q^n coefficient of e_t(x_1, x_2, ...), where
     x_k = q^k/(1-q^k)^2 has nonnegative coefficients.  Expanding
     p_1^t = (x_1 + x_2 + ...)^t gives every product of t distinct x_k
     exactly t! times and only nonnegative terms besides, so t! e_t <= p_1^t
-    coefficientwise.  p_1 = sum sigma(m) q^m, and for m <= N = order
+    coefficientwise.  p_1 = sum sigma(m) q^m, and for 1 <= m <= N = order
 
-        sigma(m) = m * (sum of 1/d over the divisors d of m) <= m H_N <= m H,
+        sigma(m) / m = prod over p^a || m of (1 + 1/p + ... + 1/p^a)
+                     <= prod over p | m of p/(p-1) <= P / phi(P),
 
-    where H_N = 1 + 1/2 + ... + 1/N <= 1 + ln N <= 1 + log2 N, and
-    log2 N < N.bit_length(), so the integer H = N.bit_length() + 1 bounds
-    it.  m is the q^m coefficient of q/(1-q)^2, so through q^N,
-    p_1^t <= H^t q^t/(1-q)^(2t) coefficientwise, and
+    where P = p_1 p_2 ... p_w is the product of the w smallest primes, w
+    the most primes whose product is <= N.  m has at most w distinct
+    primes, as their product divides m <= N and is at least the product of
+    as many smallest primes, and p/(p-1) > 1 falls as p grows, so the
+    smallest w primes give the largest product.  m is the q^m coefficient
+    of q/(1-q)^2, so through q^N, p_1^t <= (P/phi(P))^t q^t/(1-q)^(2t)
+    coefficientwise, and
 
-        MO(t, n) <= H^t C(n+t-1, 2t-1) / t!.
+        MO(t, n) <= P^t C(n+t-1, 2t-1) / (phi(P)^t t!).
 
     The right side grows with n, so its value at n = order bounds every
-    n <= order, and as MO(t, n) is an integer its floor does too.
+    n <= order, and as MO(t, n) is an integer its floor does too.  The
+    next prime after p_i is the least integer above it coprime to P: every
+    integer between them has only primes up to p_i.
     """
-    h = order.bit_length() + 1
-    return h**t * comb(order + t - 1, 2 * t - 1) // factorial(t)
+    primorial, totient, p = 1, 1, 2
+    while primorial * p <= order:
+        primorial, totient = primorial * p, totient * (p - 1)
+        while gcd(p, primorial) > 1:
+            p += 1
+    return primorial**t * comb(order + t - 1, 2 * t - 1) // (totient**t * factorial(t))
 
 
 def coprime_layers(moduli: list) -> list:
@@ -392,37 +403,50 @@ def coprime_layers(moduli: list) -> list:
     return layers
 
 
+def _numerator(t: int, order: int):
+    """Yield the nonzero terms (k(k+1)/2, c) of the integer numerator of
+    MO_t through q^order: c = (-1)^(k+t) [C(k+t, 2t+1) + C(k+t+1, 2t+1)]
+    for each k >= t."""
+    k = t
+    while k * (k + 1) // 2 <= order:
+        c = comb(k + t, 2 * t + 1) + comb(k + t + 1, 2 * t + 1)
+        yield k * (k + 1) // 2, -c if (k + t) % 2 else c
+        k += 1
+
+
 def mo_andrews_rose_many(ts, order: int, moduli=None):
     """Yield (t, coefficients of `mo_andrews_rose(t, order)` as a list) for
-    each t of ts in turn, from one division by the theta series; with
-    `moduli`, a map t -> m_t, yield MO(t, n) mod m_t instead.
+    each t of ts in turn, each from a division by the theta series; with
+    `moduli`, a map t -> m_t, yield MO(t, n) mod m_t instead, every t from
+    one division.
 
     The numerators are integral: (2k+1) C(k+t, 2t) = (2t+1) [C(k+t, 2t+1)
     + C(k+t+1, 2t+1)], so MO_t = A_t / theta exactly, where A_t puts
     (-1)^(k+t) [C(k+t, 2t+1) + C(k+t+1, 2t+1)] at q^(k(k+1)/2) for each
-    k >= t and theta is the weight-1 theta series.
+    k >= t (`_numerator`) and theta is the weight-1 theta series.
 
-    Every table is a table of residues.  Without `moduli`, m_t is
-    `mo_slot_bound(t, order)` + 1: as 0 <= MO(t, n) <= that bound, the
-    residue is MO(t, n) itself, so an exact table is exact because that
-    bound is proved.
+    Exact tables are divided one t at a time in Z, with no hook, at the
+    width bits(`mo_slot_bound(t, order)`): as 0 <= MO(t, n) <= that bound
+    B < 2^bits(B), every quotient coefficient fits, and a bound that were
+    too small would make `divide_coeffs` raise ArithmeticError at the leaf
+    that solved the value past it, never yield a wrapped one.
 
-    Division by an integer series with constant term 1 is Z-linear, so the
-    numerators of every t share one pass.  The ts are grouped first-fit,
-    in the order given, into layers whose m_t are pairwise coprime
-    (`coprime_layers`); each layer gets its own bit slot of one int per
-    coefficient, above the slots of the layers after it, and works mod L,
-    the product of its m_t.  By the Chinese remainder theorem each t of
-    the layer has E_t = 1 mod m_t and 0 mod the layer's other m_t, and the
-    layer's numerator is the sum over its ts of (c mod m_t) E_t, reduced
-    into [0, L): it is c mod m_t for each t of the layer.  The division's
-    `reduce` hook, at each leaf, reads every slot as a signed value and
-    keeps it mod L.  As the solve is Z-linear and theta's constant term is
-    1, the slot then holds the layer's quotient mod L, and t reads it mod
-    m_t as MO(t, n) mod m_t.  A layer's slot is read as c >> shift when its
-    first t is read, and the packed list is then masked down in place to
-    the slots below.  No table is kept once it is yielded, and no layer
-    once its last t is.
+    Residues: division by an integer series with constant term 1 is
+    Z-linear, so the numerators of every t share one pass.  The ts are
+    grouped first-fit, in the order given, into layers whose m_t are
+    pairwise coprime (`coprime_layers`); each layer gets its own bit slot
+    of one int per coefficient, above the slots of the layers after it,
+    and works mod L, the product of its m_t.  By the Chinese remainder
+    theorem each t of the layer has E_t = 1 mod m_t and 0 mod the layer's
+    other m_t, and the layer's numerator is the sum over its ts of
+    (c mod m_t) E_t, reduced into [0, L): it is c mod m_t for each t of
+    the layer.  The division's `reduce` hook, at each leaf, reads every
+    slot as a signed value and keeps it mod L.  As the solve is Z-linear
+    and theta's constant term is 1, the slot then holds the layer's
+    quotient mod L, and t reads it mod m_t as MO(t, n) mod m_t.  A layer's
+    slot is read as c >> shift when its first t is read, and the packed
+    list is then masked down in place to the slots below.  No table is
+    kept once it is yielded, and no layer once its last t is.
 
     A slot is w = bits(L (1 + S)) + 1 bits wide, where S sums the absolute
     coefficients of theta's terms q^1..q^order; the top slot needs no
@@ -436,9 +460,9 @@ def mo_andrews_rose_many(ts, order: int, moduli=None):
     borrows from its neighbour; it reads each slot, takes the bias back
     off, reduces mod L and repacks.
 
-    The division's width is Q = s + bits(L - 1), for s the top layer's
-    shift and L its product: every slot holds a residue below its L, so
-    the packed numerator and every value the hook returns are below
+    The residue division's width is Q = s + bits(L - 1), for s the top
+    layer's shift and L its product: every slot holds a residue below its
+    L, so the packed numerator and every value the hook returns are below
     (L - 1) 2^s + 2^s <= 2^Q.  `divide_coeffs` packs its lanes once at
     that width, and a value past it would raise ArithmeticError, never
     yield a wrong residue.
@@ -448,11 +472,21 @@ def mo_andrews_rose_many(ts, order: int, moduli=None):
         raise ValueError("t >= 1")
     if not ts:
         return
-    theta = theta_moment(1, order)
-    mods = [moduli[t] if moduli is not None else mo_slot_bound(t, order) + 1 for t in ts]
+    theta = theta_moment(1, order).coeffs
+    if moduli is None:
+        for t in ts:
+            num = [0] * (order + 1)
+            for at, c in _numerator(t, order):
+                num[at] = c
+            values = divide_coeffs(num, theta, mo_slot_bound(t, order).bit_length())
+            del num
+            yield t, values
+            del values
+        return
+    mods = [moduli[t] for t in ts]
     layers = coprime_layers(mods)
     products = [prod(mods[j] for j in layer) for layer in layers]
-    spread = 1 + sum(map(abs, theta.coeffs[1:]))
+    spread = 1 + sum(map(abs, theta[1:]))
     widths = [(L * spread).bit_length() + 1 for L in products]
     shifts = [0] * len(layers)
     for i in range(len(layers) - 2, -1, -1):
@@ -461,17 +495,11 @@ def mo_andrews_rose_many(ts, order: int, moduli=None):
     for i, (layer, shift) in enumerate(zip(layers, shifts)):
         part = {}
         for j in layer:
-            t, n = ts[j], mods[j]
+            n = mods[j]
             rest = products[i] // n
             e = rest * pow(rest, -1, n)  # 1 mod m_t, 0 mod the layer's other m_t
-            k = t
-            while k * (k + 1) // 2 <= order:
-                c = comb(k + t, 2 * t + 1) + comb(k + t + 1, 2 * t + 1)
-                if (k + t) % 2:
-                    c = -c
-                at = k * (k + 1) // 2
+            for at, c in _numerator(ts[j], order):
                 part[at] = part.get(at, 0) + c % n * e
-                k += 1
         for at, c in part.items():
             num[at] += c % products[i] << shift
     slots = [(shift, (1 << w) - 1, 1 << (w - 1), L) for shift, w, L in zip(shifts, widths, products)]
@@ -484,7 +512,7 @@ def mo_andrews_rose_many(ts, order: int, moduli=None):
             r |= (((c >> shift) & mask) - h) % L << shift
         return r
 
-    packed = divide_coeffs(num, theta.coeffs, shifts[0] + (products[0] - 1).bit_length(), reduce)
+    packed = divide_coeffs(num, theta, shifts[0] + (products[0] - 1).bit_length(), reduce)
     del num
     layer_of = {j: i for i, layer in enumerate(layers) for j in layer}
     held = {}  # layer -> its slots, while a t of it is left to read
@@ -510,8 +538,9 @@ def mo_andrews_rose(t: int, order: int) -> Series:
 
     The cube is taken as the weight-1 theta series (Jacobi's identity), and
     the weights are written as the integers C(k+t, 2t+1) + C(k+t+1, 2t+1),
-    so the quotient is one division with no remainder to check.  This is
-    the one-t case of `mo_andrews_rose_many`."""
+    so the quotient is one division in Z with no remainder to check, at
+    the width bits(`mo_slot_bound(t, order)`).  This is the one-t case of
+    `mo_andrews_rose_many`."""
     ((_, out),) = mo_andrews_rose_many([t], order)
     return Series(out, order)
 
@@ -625,20 +654,21 @@ def coefficient_values(family: str, ts, order: int, formula: str | None = None, 
     """Yield (t, integer coefficients of the family through q^order) for
     each t of ts in turn, each table built afresh as a list the caller owns.
 
-    The theta quotient, MO's default formula, builds the tables of every t
-    in one packed division (`mo_andrews_rose_many`); every other formula
-    builds one t at a time.  `moduli`, a map t -> m_t, is passed to the
-    two default formulas, the theta quotient (where the ts whose moduli
-    m_t are coprime then share one slot) and M's single sum
-    (`m_single_sum_many`, which then packs every t into machine-word lanes
-    of one pass), and both yield residues mod m_t, in [0, m_t); every
-    other formula ignores it and yields exact values, so with moduli a
-    value is only known to be congruent to its coefficient mod m_t.  No
-    yielded table is kept here, so a caller that drops each table before
-    asking for the next holds one at a time.  The values are ints by
-    construction: the theta quotient divides integer numerators by a
-    series with constant term 1, and every other exact division in a
-    route raises on a remainder; the vanishing of the leading window
+    Every formula builds exact tables one t at a time, the theta quotient,
+    MO's default formula, as one division in Z per t
+    (`mo_andrews_rose_many`).  `moduli`, a map t -> m_t, is passed to the
+    two default formulas, the theta quotient (which then builds the tables
+    of every t in one packed division, the ts whose moduli m_t are coprime
+    sharing one slot) and M's single sum (`m_single_sum_many`, which then
+    packs every t into machine-word lanes of one pass), and both yield
+    residues mod m_t, in [0, m_t); every other formula ignores it and
+    yields exact values, so with moduli a value is only known to be
+    congruent to its coefficient mod m_t.  Without moduli no value is read
+    from residues.  No yielded table is kept here, so a caller that drops
+    each table before asking for the next holds one at a time.  The values
+    are ints by construction: the theta quotient divides integer
+    numerators by a series with constant term 1, and every other exact
+    division in a route raises on a remainder; the vanishing of the leading window
     (every n below `leading_window`) is asserted for every table.  A t
     whose leading window passes the order gets the zero table that
     assertion proves, without running the route: some routes take time

@@ -9,9 +9,9 @@ the coefficients it was constructed with.
 """
 
 from bisect import bisect_left
-from itertools import accumulate, compress, count, islice, repeat
+from itertools import accumulate, compress, count, repeat
 from math import comb, gcd
-from operator import add, itemgetter, lshift, sub
+from operator import add, itemgetter, sub
 
 
 def inexact_quotient(value: int, d: int, at: int) -> ArithmeticError:
@@ -216,10 +216,10 @@ class Series:
 # 199-term divisor at N = 20000) with Python 3.11 on a 2-core x86-64 host:
 # the suite's residue quotient (N = 20000, 29-bit values, 6-byte lanes), a
 # prospect's (N = 5000, 124 bits, 18-byte lanes) and a single-t exact table
-# (t = 6, N = 20000, lanes sized from its 147-bit modulus, 21 bytes).  Best
-# of 7 runs, interleaved in one process: LEAF = 64 takes 51, 19 and 85 ms
-# on these; against it, 32 takes 1.04 to 1.06 times as long, 128 takes
-# 0.98 to 1.04 and 256 takes 1.05 to 1.09.
+# in Z (t = 6, N = 20000, 137 bits from its proved bound, 20-byte lanes).
+# Best of 7 runs, interleaved in one process, root packed by runs: LEAF =
+# 64 takes 53, 21 and 78 ms on these; against it, 32 takes 0.99 to 1.02
+# times as long, 128 takes 0.95 to 1.03 and 256 takes 1.02 to 1.05.
 LEAF = 64
 
 
@@ -245,7 +245,11 @@ def divide_coeffs(a: list, b: list, bits=None, reduce=None) -> list:
     q^0..q^N (`_divide`) on packed ints whose lanes are all W bits wide.
     Each dividend coefficient is packed into a pending lane once, at the
     root, and read back once, at its leaf; each solved coefficient is
-    packed once, at its leaf, and never read back.  A node solves its
+    packed once, at its leaf, and never read back.  The root packs by runs
+    (`_root`): between nonzero terms of the dividend and the divisor every
+    pending lane is the same, so a sparse input, such as a theta quotient's
+    numerator over theta, takes one `to_bytes` per stretch, and a dense
+    one one per lane.  A node solves its
     lower half, takes the lower half's contributions off its upper half's
     pending lanes (`_middle_product`, run on the packed int the lower half
     returned), then solves its upper half.  A leaf unpacks its pending
@@ -299,37 +303,30 @@ def divide_coeffs(a: list, b: list, bits=None, reduce=None) -> list:
     size = (top + sum(abs(c) for _, c in tail).bit_length() + 9) // 8  # b + bits(S) + 2 bits, in whole bytes
     h = 1 << (8 * size - 1)
     unbias = [h + (c << top) for c in accumulate(b[1:LEAF], initial=0)]  # H + 2^b C_k, k < LEAF
-    lanes = map(add, map(add, out, repeat(h)), map(lshift, accumulate(b[1 : n + 1], initial=0), repeat(top)))
-    _divide(out, tail, d, reduce, (size, top, unbias), 0, n + 1, [_pack(lanes, size)], False)
+    _divide(out, tail, d, reduce, (size, top, unbias), 0, n + 1, [_root(out, tail, size, top, h)], False)
     return out
 
 
-def _pack(lanes, size):
-    """The int whose k-th `size`-byte lane is the k-th value that `lanes`
-    yields, each in [0, 2^(8 size)).  Wider lanes than a machine word are
-    joined LEAF at a time, so the bytes held at once are about twice the
-    int's size."""
-    if size == 8:
-        return int.from_bytes(_words(lanes), "little")
-    chunk = lambda: b"".join(map(int.to_bytes, islice(lanes, LEAF), repeat(size), repeat("little")))
-    return int.from_bytes(b"".join(iter(chunk, b"")), "little")
-
-
-def _words(data):
-    """The array('Q') built from `data`, ints or the bytes of 8-byte
-    little-endian lanes, with its words' byte order swapped on a
-    big-endian host: built from ints its bytes are the lanes, built from
-    bytes its items are the lanes' values.  One C loop packs or reads
-    every lane, where wider lanes take one bytes object each; on the
-    suite's 8-byte lanes the division takes 0.91 to 0.95 of the time it
-    takes with bytes objects."""
-    from array import array  # imported here, off the start-up path
-    from sys import byteorder
-
-    words = array("Q", data)
-    if byteorder == "big":
-        words.byteswap()
-    return words
+def _root(a, tail, size, top, h):
+    """The root's pending lanes a_m + H + 2^b C_m, m < len(a), packed
+    `size` bytes each, for `divide_coeffs`.  Past a nonzero term of the
+    dividend or the divisor's `tail`, and up to the next one, a_m = 0 and
+    C_m does not change, so every lane of that stretch is H + 2^b C_m:
+    each stretch takes one `to_bytes` and a repeat of its bytes, and each
+    nonzero a_m one more `to_bytes`."""
+    n = len(a)
+    steps = dict(tail)
+    marks = sorted({0, *compress(count(), a), *steps})
+    pieces = []
+    c = 0
+    for m, end in zip(marks, marks[1:] + [n]):
+        c += steps.get(m, 0)
+        lane = h + (c << top)
+        if a[m]:
+            pieces.append((lane + a[m]).to_bytes(size, "little"))
+            m += 1
+        pieces.append(lane.to_bytes(size, "little") * (end - m))
+    return int.from_bytes(b"".join(pieces), "little")
 
 
 def _divide(out, tail, d, reduce, lanes, lo, hi, held, need):
@@ -369,17 +366,14 @@ def _leaf(out, tail, d, reduce, lanes, lo, hi, pending):
     n = (hi - lo) * size
     buf = pending.to_bytes(n, "little")
     del pending
-    if size == 8:
-        values = _words(buf)
-    else:
-        parts = map(buf.__getitem__, map(slice, range(0, n, size), range(size, n + size, size)))
-        values = map(int.from_bytes, parts, repeat("little"))
-    _solve(out, tail, d, reduce, lo, map(sub, values, unbias))
+    parts = map(buf.__getitem__, map(slice, range(0, n, size), range(size, n + size, size)))
+    _solve(out, tail, d, reduce, lo, map(sub, map(int.from_bytes, parts, repeat("little")), unbias))
     solved = out[lo:hi]
     bias = 1 << top
     if max(solved) >= bias or min(solved) <= -bias:
         raise ArithmeticError(f"a quotient coefficient in q^{lo}..q^{hi - 1} needs more than its proved {top} bits")
-    return _pack(map(add, solved, repeat(bias)), size)
+    return int.from_bytes(b"".join(map(int.to_bytes, map(add, solved, repeat(bias)), repeat(size), repeat("little"))),
+                          "little")
 
 
 def _solve(out, tail, d, reduce, lo, pending):

@@ -1,6 +1,7 @@
 """Tests for the M/MO generating function routes and their agreements."""
 
 import math
+import re
 import sys
 import time
 import tracemalloc
@@ -299,11 +300,15 @@ def test_packed_and_single_mo_tables_pack_every_middle_product(monkeypatch):
     assert biases and all(biases)
 
 
+SUITE_MO_MODULI = {10: 11, 4: 11, 3: 7, 2: 5}  # lcm of each t's claim primes, largest t first
+
+
 def test_packed_mo_division_peak_is_a_small_multiple_of_its_quotient(monkeypatch):
-    # the packed middle products' temporaries stay within a small multiple
-    # of the packed quotient: the whole scan peaks at 2.71 times its size
-    # with the term-by-term loop and 3.07 packed, where packing every lane at
-    # once, as an earlier prototype did, reached 3.82
+    # the packed middle products' temporaries and the root's run-packed
+    # lanes stay within a small multiple of the packed quotient: the suite's
+    # residue division peaks at 2.28 times its size, where packing every
+    # lane at once, as an earlier prototype did, reached 3.82 on the exact
+    # tables
     sizes = []
     divide = macmahon.divide_coeffs
 
@@ -315,7 +320,7 @@ def test_packed_mo_division_peak_is_a_small_multiple_of_its_quotient(monkeypatch
     monkeypatch.setattr(macmahon, "divide_coeffs", measured)
     tracemalloc.start()
     try:
-        list(mo_andrews_rose_many([10, 4, 3, 2], 3000))
+        list(mo_andrews_rose_many(SUITE_MO_MODULI, 3000, SUITE_MO_MODULI))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -346,28 +351,41 @@ def test_a_planted_numerator_error_shows_in_the_residues(monkeypatch, t, k, m, b
     # the integer numerator C(k+t, 2t+1) + C(k+t+1, 2t+1) at q^T, T =
     # k(k+1)/2, is off by bump, which m does not divide (a multiple of 2t+1
     # at t = 3): theta's constant term is 1, so MO(t, T) moves by bump and
-    # every earlier value stays, and the exact and the residue table both
-    # first differ from the strict multisum mod m at q^T
+    # every earlier value stays, and the exact table through q^T and the
+    # residue table both first differ from the strict multisum mod m at
+    # q^T; later, bump times 1/theta outgrows the slot bound, so the exact
+    # table at depth raises at a leaf that ends at or past q^T
     order, at = 600, k * (k + 1) // 2
     strict = [v % m for v in strict_multisum(t, order).coeffs]
     real = macmahon.comb
     # C(k+t+1, 2t+1) is also the first term at k + 1, past q^T
     monkeypatch.setattr(macmahon, "comb", lambda n, r: real(n, r) + bump * ((n, r) == (k + t + 1, 2 * t + 1)))
     ((_, values),) = mo_andrews_rose_many([t], order, {t: m})
-    exact = [v % m for v in mo_andrews_rose(t, order).coeffs]
+    exact = [v % m for v in mo_andrews_rose(t, at).coeffs]
     for table in (exact, values):
         assert next(n for n, (a, b) in enumerate(zip(table, strict)) if a != b) == at
+    with pytest.raises(ArithmeticError, match=r"needs more than its proved \d+ bits$") as raised:
+        mo_andrews_rose(t, order)
+    assert int(re.search(r"\.\.q\^(\d+) ", str(raised.value))[1]) >= at
 
 
-def test_a_slot_bound_below_a_table_maximum_fails_verify(monkeypatch, capsys):
-    # an exact table is its residues mod mo_slot_bound + 1, so a bound below
-    # a coefficient wraps that coefficient, and the theta quotient then
-    # disagrees with the other MO routes
+def test_a_slot_bound_below_a_table_maximum_raises_at_a_leaf(monkeypatch, capsys):
+    # an exact table is divided in Z at the width bits(mo_slot_bound), so a
+    # bound one bit short of the table's maximum makes the first leaf that
+    # solves a value past it raise: `coeffs` prints one error line naming
+    # that leaf and no table, and exits 1; below LEAF the term loop checks
+    # no width, so `verify` at order 40 still passes, with exact tables
     from macsums.cli import main
 
-    monkeypatch.setattr(macmahon, "mo_slot_bound", lambda t, order: max(strict_multisum(t, order).coeffs) - 1)
-    assert main(["verify", "--id", "U-agreement", "--order", "40"]) == 1
-    assert "FAIL" in capsys.readouterr().out
+    top = max(strict_multisum(6, 3000).coeffs).bit_length()
+    monkeypatch.setattr(macmahon, "mo_slot_bound", lambda t, order: (1 << (top - 1)) - 1)
+    assert main(["coeffs", "--family", "MO", "--t", "6", "--n", "3000"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(rf"error: a quotient coefficient in q\^\d+\.\.q\^\d+ needs more than its proved {top - 1} bits\n",
+                        err)
+    assert main(["verify", "--id", "U-agreement", "--order", "40"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
 
 
 def crt(residues, moduli):
@@ -379,9 +397,6 @@ def crt(residues, moduli):
             x += step
         step *= n
     return x
-
-
-SUITE_MO_MODULI = {10: 11, 4: 11, 3: 7, 2: 5}  # lcm of each t's claim primes, largest t first
 
 
 @settings(max_examples=100, deadline=None)
@@ -599,7 +614,8 @@ def test_coefficient_values_names_the_first_non_integer(monkeypatch):
 
 
 def test_slot_bound_dominates_every_theta_quotient_coefficient():
-    # sigma(m) <= m (N.bit_length() + 1) bounds every MO(t, n), n <= N
+    # sigma(m) <= m P/phi(P), P the product of the most smallest primes
+    # whose product is <= N, bounds every MO(t, n), n <= N
     strict = multisums(10, 1000, strict=True)
     for t in range(1, 11):
         quotients = strict[t - 1].coeffs
@@ -608,10 +624,19 @@ def test_slot_bound_dominates_every_theta_quotient_coefficient():
     for t in (2, 3, 4):
         quotients = mo_andrews_rose(t, 5000).coeffs
         assert all(mo_slot_bound(t, n) >= c for n, c in enumerate(quotients)), t
-    # the bounds of the suite's ts at order 20000, which size their exact
-    # tables' moduli, 28 to 16 bits narrower than the C(m+1, 2) bound on
-    # sigma(m) made them
-    assert [mo_slot_bound(t, 20000).bit_length() for t in (4, 3, 2)] == [100, 74, 48]
+    # the bounds at order 20000 of the benchmark's exact table, t = 6, and
+    # of the suite's ts, which size their exact tables' lanes
+    assert [mo_slot_bound(t, 20000).bit_length() for t in (6, 4, 3, 2)] == [137, 93, 69, 44]
+
+
+def test_slot_bound_holds_where_its_prime_count_steps():
+    # the number of smallest primes whose product is <= n steps at the
+    # primorials 2, 6, 30, 210 and 2310: on either side of each, the bound
+    # at n dominates MO(t, m) for every m <= n
+    strict = multisums(10, 3000, strict=True)
+    for n in (0, 1, 2, 5, 6, 29, 30, 209, 210, 2309, 2310, 3000):
+        for t in range(1, 11):
+            assert mo_slot_bound(t, n) >= max(strict[t - 1].coeffs[: n + 1]), (t, n)
 
 
 def test_strict_multisum_matches_brute_force():

@@ -194,9 +194,9 @@ def test_every_packed_division_packs_once_at_its_proved_width(monkeypatch):
     # per division on the scans, the exact MO tables (t <= 15, orders 64 to
     # 3000, with each t's orders below its second numerator term, whose one
     # numerator coefficient is 1) and the umbral quotients; the benchmark's
-    # divisions keep their lanes: the suite's 29 bits in 6 bytes, the MO
-    # prospect's 124 in 18 and the exact t = 6 table's 147 in 21, and the
-    # exact [10, 4, 3, 2] tables at order 3000 share 370 bits in 49
+    # divisions pack the suite's 29 bits in 6 bytes, the MO prospect's 124
+    # in 18 and the exact t = 6 table's 137 in 20, and the exact [10, 4, 3,
+    # 2] tables at order 3000 are four divisions in Z, each at its own bound
     divisions = []
     divide, leaf = macmahon.divide_coeffs, series._leaf
 
@@ -214,7 +214,7 @@ def test_every_packed_division_packs_once_at_its_proved_width(monkeypatch):
     prospect("MO", range(1, 7), [5, 7, 11], 5000)
     macmahon.mo_andrews_rose(6, 20000)
     list(macmahon.mo_andrews_rose_many([10, 4, 3, 2], 3000))
-    assert divisions == [{(6, 29)}, {(18, 124)}, {(21, 147)}, {(49, 370)}]
+    assert divisions == [{(6, 29)}, {(18, 124)}, {(20, 137)}, {(23, 164)}, {(12, 74)}, {(9, 56)}, {(7, 36)}]
     divisions.clear()
     tables = 0
     for t in range(1, 16):
@@ -303,11 +303,49 @@ def _suite_residue_division(monkeypatch):
     return division
 
 
-@pytest.mark.parametrize("case", ("signed", "suite residues"))
+def _sparse_division(shape, spare):
+    """A theta-shaped divisor (terms at 55 and 66 and at 120 and 136, so
+    its runs cross the leaf edges 63, 64 and 65 and their doubles) over a
+    sparse dividend: nonzero at the triangular exponents ("triangular"), at
+    q^(LEAF-1), q^LEAF, q^(LEAF+1) and q^(2 LEAF) ("edges"), or at q^0
+    alone ("one"), so the root packs long runs.  The width is the least at
+    or above the quotient's and the dividend's with b + bits(S) + 2 = spare
+    mod 8: 0 fills the lanes' bytes, 1 is one bit past a byte edge.
+    Returns (a, b, bits, None, q), q the term loop's quotient."""
+    rng = seeded(34)
+    order = 3 * LEAF + 5
+    b = _divisor(rng, order, "theta", -1 if spare else 1)
+    marks = {
+        "triangular": [k * (k + 1) // 2 for k in range(isqrt(2 * order) + 1) if k * (k + 1) // 2 <= order],
+        "edges": [LEAF - 1, LEAF, LEAF + 1, 2 * LEAF],
+        "one": [0],
+    }[shape]
+    a = [0] * (order + 1)
+    for m in marks:
+        a[m] = rng.choice((-1, 1)) * rng.randrange(1, 2**40)
+    q = series.divide_coeffs(a, b)
+    assert naive_mul(b, q, order) == a
+    spread = sum(map(abs, b[1:])).bit_length() + 2
+    bits = max(map(abs, q + a)).bit_length()
+    bits += (spare - bits - spread) % 8
+    return a, b, bits, None, q
+
+
+@pytest.mark.parametrize(
+    "case", ["signed", "suite residues"] + [f"{shape} {spare}" for shape in ("triangular", "edges", "one") for spare in (0, 1)]
+)
 def test_division_lanes_stay_in_their_proved_ranges(monkeypatch, case):
     # each division packs once: the suite's dividend is as wide as its
-    # reduced quotient, and the signed one is wider than its quotient
-    a, b, bits, reduce, q = _signed_division() if case == "signed" else _suite_residue_division(monkeypatch)
+    # reduced quotient, the signed one is wider than its quotient, and the
+    # sparse ones' root packs runs that cross leaf edges, in lanes whose
+    # bytes are full or one bit past full
+    if case == "signed":
+        a, b, bits, reduce, q = _signed_division()
+    elif case == "suite residues":
+        a, b, bits, reduce, q = _suite_residue_division(monkeypatch)
+    else:
+        shape, spare = case.split()
+        a, b, bits, reduce, q = _sparse_division(shape, int(spare))
     solved, bs = lane_checks(monkeypatch, a, b, bits, reduce)
     assert solved == q and len(set(bs)) == 1
 
