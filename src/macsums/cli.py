@@ -152,11 +152,7 @@ def cmd_coeffs(args):
     _at_least(0, n=args.n)
     if args.mod is not None:
         _at_least(2, mod=args.mod)
-    formulas = mac.M_FORMULAS if family == "M" else mac.MO_FORMULAS
-    formula = args.formula or mac.DEFAULT_FORMULA[family]
-    if formula not in formulas:
-        raise UsageError(f"unknown formula {formula!r}; known: {', '.join(sorted(formulas))}")
-    table = mac.coefficient_table(family, args.t, args.n, formula)
+    table = mac.coefficient_table(family, args.t, args.n, args.formula)
     mod = args.mod
     if args.format == "json":
         body = _json({
@@ -165,7 +161,7 @@ def cmd_coeffs(args):
             "family": family,
             "t": args.t,
             "order": args.n,
-            "formula": formula,
+            "formula": table.provenance,
             "modulus": mod,
             "values": [
                 {"n": n, "value": v, **({"residue": v % mod} if mod else {})}
@@ -180,7 +176,7 @@ def cmd_coeffs(args):
             rows = ([family, args.t, n, v] for n, v in enumerate(table.values))
         body = _csv(header, rows)
     else:
-        head = f"# family={family} t={args.t} formula={formula} order={args.n}" + (f" mod={mod}" if mod else "")
+        head = f"# family={family} t={args.t} formula={table.provenance} order={args.n}{f' mod={mod}' if mod else ''}"
         if mod:
             lines = [f"{n}\t{v}\t{v % mod}" for n, v in enumerate(table.values)]
         else:

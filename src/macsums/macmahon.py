@@ -31,7 +31,7 @@ from operator import add, and_, itemgetter, lshift, mod, mul, rshift, sub
 from sys import byteorder
 
 from .divisors import eisenstein, odd_square_product, sigma_series, theta_moment, umbral_eval
-from .reports import FrozenRecord
+from .reports import FrozenRecord, InputError
 from .series import Series, divide_coeffs, geometric_pow, over_geometric_coeffs
 
 
@@ -254,28 +254,25 @@ def _single_sum_pass(weights: list, lo: int, order: int, bias: int = 0) -> list:
     return out
 
 
-def m_single_sum_many(ts, order: int, moduli=None):
-    """Yield (t, coefficients of `m_single_sum(t, order)` as a list) for
-    each t of ts in turn; with `moduli`, a map t -> m_t, yield M(t, n) mod
-    m_t instead, every t from one packed pass.
+def m_single_sum_many(ts, order: int, moduli):
+    """Yield (t, M(t, n) mod m_t for n <= order, as a list) for each t of
+    ts in turn, for `moduli` a map t -> m_t: every t from one packed pass.
+    The exact table of one t is `m_single_sum`.
 
     Term k of t's sum adds (-1)^(k-1) w_t(j) at q^(C(k,2) + k(t+j)), j >= 0,
-    for w_t = `single_sum_weights`.  Exact tables are built one t at a time:
-    no slot, no bias.
-
-    Residues: with u = t + j, term k adds w_t(u - t) at q^(C(k,2) + k u),
-    so one packed list W, whose u-th int holds w_t(u - t) mod m_t in t's
-    slot for every t (`single_sum_weights_mod`; no term for u < t), serves
-    every t at each stride k, starting from lo = min(ts).  Let K be the
-    number of strides k >= 1 with C(k,2) + k lo <= order, the terms the
-    pass makes, or 1 if it makes none.  t's slot is s_t machine words of
-    b bits (`array('I')`'s), the fewest that hold 2 K m_t:
-    s_t = ceil(bits(2 K m_t) / b).  Each term reaches any q^n at most once
-    and adds t's slot a value in (-m_t, m_t), so t's signed slot value v
-    has |v| <= K (m_t - 1); the list starts at a bias of K m_t in every
-    slot, so t's slot holds K m_t + v, in [0, 2 K m_t), and no slot
-    borrows from its neighbour.  As m_t divides K m_t, the slot mod m_t is
-    v mod m_t = M(t, n) mod m_t.
+    for w_t = `single_sum_weights`.  With u = t + j, term k adds w_t(u - t)
+    at q^(C(k,2) + k u), so one packed list W, whose u-th int holds
+    w_t(u - t) mod m_t in t's slot for every t (`single_sum_weights_mod`;
+    no term for u < t), serves every t at each stride k, starting from
+    lo = min(ts).  Let K be the number of strides k >= 1 with
+    C(k,2) + k lo <= order, the terms the pass makes, or 1 if it makes
+    none.  t's slot is s_t machine words of b bits (`array('I')`'s), the
+    fewest that hold 2 K m_t: s_t = ceil(bits(2 K m_t) / b).  Each term
+    reaches any q^n at most once and adds t's slot a value in (-m_t, m_t),
+    so t's signed slot value v has |v| <= K (m_t - 1); the list starts at a
+    bias of K m_t in every slot, so t's slot holds K m_t + v, in
+    [0, 2 K m_t), and no slot borrows from its neighbour.  As m_t divides
+    K m_t, the slot mod m_t is v mod m_t = M(t, n) mod m_t.
 
     The slots are machine-word lanes of each packed int, little-endian
     word after word: the residues of every t are written as the columns
@@ -287,10 +284,6 @@ def m_single_sum_many(ts, order: int, moduli=None):
     ts = list(ts)
     if any(t < 1 for t in ts):
         raise ValueError("t >= 1")
-    if moduli is None:
-        for t in ts:
-            yield t, _single_sum_pass(single_sum_weights(t, order + 1 - t), t, order)
-        return
     if not ts:
         return
     from array import array  # imported here, off the start-up path
@@ -335,10 +328,12 @@ def m_single_sum_many(ts, order: int, moduli=None):
 
 def m_single_sum(t: int, order: int) -> Series:
     """Alternating single sum for the M family: terms
-    (-1)^(k-1) (1+q^k) q^(C(k,2)+t*k) / (1-q^k)^(2t).  This is the
-    one-t case of `m_single_sum_many`."""
-    ((_, out),) = m_single_sum_many([t], order)
-    return Series(out, order)
+    (-1)^(k-1) (1+q^k) q^(C(k,2)+t*k) / (1-q^k)^(2t), as strided adds of
+    the weights (`add_single_sum_term`).  `m_single_sum_many` makes the same
+    pass on the residues of several t at once."""
+    if t < 1:
+        raise ValueError("t >= 1")
+    return Series(_single_sum_pass(single_sum_weights(t, order + 1 - t), t, order), order)
 
 
 def m_conjugate_form(t: int, order: int) -> Series:
@@ -351,10 +346,10 @@ def m_conjugate_form(t: int, order: int) -> Series:
 
 
 def mo_slot_bound(t: int, order: int) -> int:
-    """An integer B >= MO(t, n) for every n <= order: an exact table of
-    `mo_andrews_rose_many` is divided in Z at the width bits(B), so a B
-    too small would raise at a leaf, never wrap a value, and a tighter B
-    gives narrower lanes.
+    """An integer B >= MO(t, n) for every n <= order: `mo_andrews_rose`
+    divides its exact table in Z at the width bits(B), so a B too small
+    would raise at a leaf, never wrap a value, and a tighter B gives
+    narrower lanes.
 
     MO(t, n) is the q^n coefficient of e_t(x_1, x_2, ...), where
     x_k = q^k/(1-q^k)^2 has nonnegative coefficients.  Expanding
@@ -414,33 +409,21 @@ def _numerator(t: int, order: int):
         k += 1
 
 
-def mo_andrews_rose_many(ts, order: int, moduli=None):
-    """Yield (t, coefficients of `mo_andrews_rose(t, order)` as a list) for
-    each t of ts in turn, each from a division by the theta series; with
-    `moduli`, a map t -> m_t, yield MO(t, n) mod m_t instead, every t from
-    one division.
+def mo_andrews_rose_many(ts, order: int, moduli):
+    """Yield (t, MO(t, n) mod m_t for n <= order, as a list) for each t of
+    ts in turn, for `moduli` a map t -> m_t: every t from one division of
+    the integer numerators A_t of `mo_andrews_rose` (`_numerator`) by the
+    theta series.  The exact table of one t is `mo_andrews_rose`.
 
-    The numerators are integral: (2k+1) C(k+t, 2t) = (2t+1) [C(k+t, 2t+1)
-    + C(k+t+1, 2t+1)], so MO_t = A_t / theta exactly, where A_t puts
-    (-1)^(k+t) [C(k+t, 2t+1) + C(k+t+1, 2t+1)] at q^(k(k+1)/2) for each
-    k >= t (`_numerator`) and theta is the weight-1 theta series.
-
-    Exact tables are divided one t at a time in Z, with no hook, at the
-    width bits(`mo_slot_bound(t, order)`): as 0 <= MO(t, n) <= that bound
-    B < 2^bits(B), every quotient coefficient fits, and a bound that were
-    too small would make `divide_coeffs` raise ArithmeticError at the leaf
-    that solved the value past it, never yield a wrapped one.
-
-    Residues: division by an integer series with constant term 1 is
-    Z-linear, so the numerators of every t share one pass.  The ts are
-    grouped first-fit, in the order given, into layers whose m_t are
-    pairwise coprime (`coprime_layers`); each layer gets its own bit slot
-    of one int per coefficient, above the slots of the layers after it,
-    and works mod L, the product of its m_t.  By the Chinese remainder
-    theorem each t of the layer has E_t = 1 mod m_t and 0 mod the layer's
-    other m_t, and the layer's numerator is the sum over its ts of
-    (c mod m_t) E_t, reduced into [0, L): it is c mod m_t for each t of
-    the layer.  The division's `reduce` hook, at each leaf, reads every
+    Division by an integer series with constant term 1 is Z-linear, so the
+    numerators of every t share one pass.  The ts are grouped first-fit,
+    in the order given, into layers whose m_t are pairwise coprime
+    (`coprime_layers`); each layer gets its own bit slot of one int per
+    coefficient, above the slots of the layers after it, and works mod L,
+    the product of its m_t.  By the Chinese remainder theorem each t of
+    the layer has E_t = 1 mod m_t and 0 mod the layer's other m_t, and the
+    layer's numerator is the sum over its ts of (c mod m_t) E_t, reduced
+    into [0, L): it is c mod m_t for each t of the layer.  The division's `reduce` hook, at each leaf, reads every
     slot as a signed value and keeps it mod L.  As the solve is Z-linear
     and theta's constant term is 1, the slot then holds the layer's
     quotient mod L, and t reads it mod m_t as MO(t, n) mod m_t.  A layer's
@@ -473,16 +456,6 @@ def mo_andrews_rose_many(ts, order: int, moduli=None):
     if not ts:
         return
     theta = theta_moment(1, order).coeffs
-    if moduli is None:
-        for t in ts:
-            num = [0] * (order + 1)
-            for at, c in _numerator(t, order):
-                num[at] = c
-            values = divide_coeffs(num, theta, mo_slot_bound(t, order).bit_length())
-            del num
-            yield t, values
-            del values
-        return
     mods = [moduli[t] for t in ts]
     layers = coprime_layers(mods)
     products = [prod(mods[j] for j in layer) for layer in layers]
@@ -537,12 +510,22 @@ def mo_andrews_rose(t: int, order: int) -> Series:
     Euler product.
 
     The cube is taken as the weight-1 theta series (Jacobi's identity), and
-    the weights are written as the integers C(k+t, 2t+1) + C(k+t+1, 2t+1),
-    so the quotient is one division in Z with no remainder to check, at
-    the width bits(`mo_slot_bound(t, order)`).  This is the one-t case of
-    `mo_andrews_rose_many`."""
-    ((_, out),) = mo_andrews_rose_many([t], order)
-    return Series(out, order)
+    the numerators are integral: (2k+1) C(k+t, 2t) = (2t+1) [C(k+t, 2t+1)
+    + C(k+t+1, 2t+1)], so MO_t = A_t / theta exactly, where A_t puts
+    (-1)^(k+t) [C(k+t, 2t+1) + C(k+t+1, 2t+1)] at q^(k(k+1)/2) for each
+    k >= t (`_numerator`).  The quotient is one division in Z with no
+    remainder to check, at the width bits(`mo_slot_bound(t, order)`): as
+    0 <= MO(t, n) <= that bound B < 2^bits(B), every quotient coefficient
+    fits, and a bound that were too small would make `divide_coeffs` raise
+    ArithmeticError at the leaf that solved the value past it, never yield
+    a wrapped one.  `mo_andrews_rose_many` divides the same numerators mod
+    the moduli of several t at once."""
+    if t < 1:
+        raise ValueError("t >= 1")
+    num = [0] * (order + 1)
+    for at, c in _numerator(t, order):
+        num[at] = c
+    return Series(divide_coeffs(num, theta_moment(1, order).coeffs, mo_slot_bound(t, order).bit_length()), order)
 
 
 def mo_umbral(t: int, order: int) -> Series:
@@ -650,59 +633,63 @@ def leading_window(family: str, t: int) -> int:
     return t if family == "M" else t * (t + 1) // 2
 
 
-def coefficient_values(family: str, ts, order: int, formula: str | None = None, moduli=None):
-    """Yield (t, integer coefficients of the family through q^order) for
-    each t of ts in turn, each table built afresh as a list the caller owns.
-
-    Every formula builds exact tables one t at a time, the theta quotient,
-    MO's default formula, as one division in Z per t
-    (`mo_andrews_rose_many`).  `moduli`, a map t -> m_t, is passed to the
-    two default formulas, the theta quotient (which then builds the tables
-    of every t in one packed division, the ts whose moduli m_t are coprime
-    sharing one slot) and M's single sum (`m_single_sum_many`, which then
-    packs every t into machine-word lanes of one pass), and both yield
-    residues mod m_t, in [0, m_t); every other formula ignores it and
-    yields exact values, so with moduli a value is only known to be
-    congruent to its coefficient mod m_t.  Without moduli no value is read
-    from residues.  No yielded table is kept here, so a caller that drops
-    each table before asking for the next holds one at a time.  The values
-    are ints by construction: the theta quotient divides integer
-    numerators by a series with constant term 1, and every other exact
-    division in a route raises on a remainder; the vanishing of the leading window
-    (every n below `leading_window`) is asserted for every table.  A t
-    whose leading window passes the order gets the zero table that
-    assertion proves, without running the route: some routes take time
-    growing with t.
-    """
-    if family not in ("M", "MO"):
-        raise ValueError(f"unknown family {family!r}; use M or MO")
-    formula = formula or DEFAULT_FORMULA[family]
-    table = M_FORMULAS if family == "M" else MO_FORMULAS
-    if formula not in table:
-        raise ValueError(f"unknown formula {formula!r} for family {family}; known: {sorted(table)}")
-    ts = list(ts)
-    vanishing = {t for t in ts if t >= 1 and leading_window(family, t) > order}
-    live = [t for t in ts if t not in vanishing]
-    if family == "MO" and formula == "andrews-rose":
-        tables = mo_andrews_rose_many(live, order, moduli)
-    elif family == "M" and formula == "single-sum":
-        tables = m_single_sum_many(live, order, moduli)
-    else:
-        tables = ((t, table[formula](t, order).coeffs) for t in live)
-    for t in ts:
-        vals = [0] * (order + 1) if t in vanishing else next(tables)[1]
-        for n in range(min(leading_window(family, t), order + 1)):
-            if vals[n] != 0:
-                raise ArithmeticError(f"{family}({t},{n}) = {vals[n]} below the minimal partition size")
-        yield t, vals
-        del vals  # the next table is built before the loop rebinds this name
+def _require_window(family: str, t: int, values: list) -> None:
+    """Raise ArithmeticError at the first nonzero value below t's leading
+    window: a structural zero that a route got wrong."""
+    for n in range(min(leading_window(family, t), len(values))):
+        if values[n] != 0:
+            raise ArithmeticError(f"{family}({t},{n}) = {values[n]} below the minimal partition size")
 
 
 def coefficient_table(family: str, t: int, order: int, formula: str | None = None) -> CoefficientTable:
-    """One t of `coefficient_values` as a table naming its formula, built afresh."""
-    formula = formula or DEFAULT_FORMULA.get(family)
-    ((_, values),) = coefficient_values(family, [t], order, formula)
+    """The exact coefficients of the family through q^order by one formula
+    of its table (`M_FORMULAS`, `MO_FORMULAS`; `DEFAULT_FORMULA` when none
+    is named), built afresh as a table naming that formula.
+
+    The values are ints by construction: the theta quotient divides
+    integer numerators by a series with constant term 1, and every other
+    exact division in a route raises on a remainder.  The vanishing of the
+    leading window (every n below `leading_window`) is asserted.  A t whose
+    leading window passes the order gets the zero table that assertion
+    proves, without running the route: some routes take time growing with
+    t.  An unknown formula is an InputError.
+    """
+    if family not in ("M", "MO"):
+        raise ValueError(f"unknown family {family!r}; use M or MO")
+    table = M_FORMULAS if family == "M" else MO_FORMULAS
+    formula = formula or DEFAULT_FORMULA[family]
+    if formula not in table:
+        raise InputError(f"unknown formula {formula!r}; known: {', '.join(sorted(table))}")
+    if order < 0:
+        raise ValueError("order >= 0")
+    if t >= 1 and leading_window(family, t) > order:
+        values = [0] * (order + 1)
+    else:
+        values = table[formula](t, order).coeffs
+    _require_window(family, t, values)
     return CoefficientTable(family, t, order, formula, tuple(values))
+
+
+def residue_tables(family: str, ts, order: int, moduli):
+    """Yield (t, the family's coefficients through q^order mod m_t, as a
+    list of residues in [0, m_t)) for each t of ts, for `moduli` a map
+    t -> m_t, every t from the family's one packed pass
+    (`m_single_sum_many`, `mo_andrews_rose_many`).
+
+    The ts are yielded largest first, the order the pass lays them out
+    in: the theta division's slots are shared first-fit in that order
+    (`coprime_layers`), which gives the paper suite's {10, 3, 2} and {4}.
+    The vanishing of each leading window is asserted, as in
+    `coefficient_table`.  No yielded table is kept here, so a caller that
+    drops each table before asking for the next holds one at a time.
+    """
+    if family not in ("M", "MO"):
+        raise ValueError(f"unknown family {family!r}; use M or MO")
+    packed = m_single_sum_many if family == "M" else mo_andrews_rose_many
+    for t, values in packed(sorted(ts, reverse=True), order, moduli):
+        _require_window(family, t, values)
+        yield t, values
+        del values  # the next table is built before the loop rebinds this name
 
 
 # ---------------------------------------------------------------------------

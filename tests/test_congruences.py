@@ -13,10 +13,10 @@ from macsums import congruences, macmahon
 from macsums.congruences import check_claim, paper_claims, prospect, verify_paper_suite
 from macsums.macmahon import (
     coefficient_table,
-    coefficient_values,
     leading_window,
     m_conjugate_form,
     mo_recurrence,
+    residue_tables,
     single_sum_weights,
     strict_multisum,
     weak_multisum,
@@ -114,12 +114,12 @@ def test_family_mod_stream_rejects_unknown():
 def test_paper_suite_builds_one_table_per_family_and_t(monkeypatch):
     calls = []
 
-    def counting(family, ts, order, formula=None, moduli=None):
-        for t, values in coefficient_values(family, ts, order, formula, moduli):
+    def counting(family, ts, order, moduli):
+        for t, values in residue_tables(family, ts, order, moduli):
             calls.append((family, t))
             yield t, values
 
-    monkeypatch.setattr(congruences, "coefficient_values", counting)
+    monkeypatch.setattr(congruences, "residue_tables", counting)
     assert len(verify_paper_suite(62)) == 29
     assert len(calls) == len(set(calls)) == 13
 
@@ -161,12 +161,12 @@ def test_scan_residue_tables_match_exact_tables(monkeypatch):
     # and both benchmark prospects at order 3000
     order, tables = 3000, []
 
-    def recording(family, ts, order, formula=None, moduli=None):
-        for t, values in coefficient_values(family, ts, order, formula, moduli):
+    def recording(family, ts, order, moduli):
+        for t, values in residue_tables(family, ts, order, moduli):
             tables.append((family, t, moduli[t], values))
             yield t, values
 
-    monkeypatch.setattr(congruences, "coefficient_values", recording)
+    monkeypatch.setattr(congruences, "residue_tables", recording)
     verify_paper_suite(order)
     suite = len(tables)
     for family in ("MO", "M"):
@@ -195,12 +195,12 @@ def test_wide_moduli_scan_tables_match_exact_tables(monkeypatch, capsys):
 
     tables = []
 
-    def recording(family, ts, order, formula=None, moduli=None):
-        for t, values in coefficient_values(family, ts, order, formula, moduli):
+    def recording(family, ts, order, moduli):
+        for t, values in residue_tables(family, ts, order, moduli):
             tables.append((family, t, moduli[t], values))
             yield t, values
 
-    monkeypatch.setattr(congruences, "coefficient_values", recording)
+    monkeypatch.setattr(congruences, "residue_tables", recording)
     p = WIDE_PRIMES[0]
     for argv in (["--claim", f"M,3,{p},{p},5"], ["--claim", f"MO,3,{p},{p},6"],
                  ["--prospect", "--family", "M", "--t", "1..3", "--p", ",".join(map(str, WIDE_PRIMES))]):
@@ -378,7 +378,7 @@ def test_prospect_builds_widest_slot_first_and_keeps_caller_order(monkeypatch, t
     seen = []
     many = macmahon.mo_andrews_rose_many
 
-    def recording(ts, order, moduli=None):
+    def recording(ts, order, moduli):
         seen.append(list(ts))
         return many(ts, order, moduli)
 

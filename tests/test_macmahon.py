@@ -269,14 +269,24 @@ def test_scan_routes_match_chains_up_to_t10():
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.lists(st.integers(1, 12), max_size=5), st.integers(0, 400))
-@example([1, 2], 1)  # a zero-width slot under the top one
-def test_packed_theta_quotients_match_single_tables_and_chains(ts, order):
-    tables = list(mo_andrews_rose_many(ts, order))
+@given(st.lists(st.integers(1, 12), max_size=5), st.integers(0, 400),
+       st.lists(st.integers(2, 2**40), min_size=12, max_size=12))
+@example([], 5, [2] * 12)  # no t: nothing to divide
+@example([1, 2], 1, [2] * 12)  # a zero-width slot under the top one
+@example([10, 3], 30, [11, 7] * 6)  # MO(10, n) = 0 for n < 55: its leading window passes the order
+def test_packed_theta_quotients_match_single_tables_and_chains(ts, order, drawn):
+    # each t's residue table from the one packed division, t repeated or
+    # not, equals its own exact division and the strict multisum mod m_t
+    moduli = {t: drawn[t - 1] for t in ts}
+    tables = list(mo_andrews_rose_many(ts, order, moduli))
     assert [t for t, _ in tables] == ts
     strict = multisums(max(ts, default=0), order, strict=True)
     for t, values in tables:
-        assert values == mo_andrews_rose(t, order).coeffs == strict[t - 1].coeffs, t
+        m = moduli[t]
+        assert values == [v % m for v in mo_andrews_rose(t, order).coeffs] == [v % m for v in strict[t - 1].coeffs], t
+
+
+SUITE_MO_MODULI = {10: 11, 4: 11, 3: 7, 2: 5}  # lcm of each t's claim primes, largest t first
 
 
 def test_packed_and_single_mo_tables_pack_every_middle_product(monkeypatch):
@@ -291,16 +301,14 @@ def test_packed_and_single_mo_tables_pack_every_middle_product(monkeypatch):
         return biases[-1]
 
     monkeypatch.setattr(series, "_middle_product", spy)
-    packed = dict(mo_andrews_rose_many([10, 4, 3, 2], 3000))
+    packed = dict(mo_andrews_rose_many(SUITE_MO_MODULI, 3000, SUITE_MO_MODULI))
     assert biases and all(biases)
     biases.clear()
     strict = multisums(10, 3000, strict=True)  # an independent route
     for t, values in packed.items():
-        assert values == mo_andrews_rose(t, 3000).coeffs == strict[t - 1].coeffs, t
+        m = SUITE_MO_MODULI[t]
+        assert values == [v % m for v in mo_andrews_rose(t, 3000).coeffs] == [v % m for v in strict[t - 1].coeffs], t
     assert biases and all(biases)
-
-
-SUITE_MO_MODULI = {10: 11, 4: 11, 3: 7, 2: 5}  # lcm of each t's claim primes, largest t first
 
 
 def test_packed_mo_division_peak_is_a_small_multiple_of_its_quotient(monkeypatch):
@@ -606,11 +614,43 @@ def test_a_candidate_period_that_fails_the_check_is_never_tiled(monkeypatch, t, 
         assert (count in built) == (candidates == [bad]), candidates
 
 
-def test_coefficient_values_names_the_first_non_integer(monkeypatch):
+def test_coefficient_table_names_the_first_non_integer(monkeypatch):
     # a route's exact division raises at the first coefficient it cannot divide
     monkeypatch.setitem(macmahon.M_FORMULAS, "non-integral", lambda t, order: Series([0, 0, 2, 1, 1], order) / 2)
     with pytest.raises(ArithmeticError, match=r"^non-integer coefficient 1/2 at q\^3$"):
-        list(macmahon.coefficient_values("M", [1], 4, "non-integral"))
+        coefficient_table("M", 1, 4, "non-integral")
+
+
+def test_a_value_below_the_leading_window_is_an_arithmetic_error(monkeypatch, capsys):
+    # a nonzero coefficient planted at q^(window - 1), in an exact route
+    # reached through the formula table and in a packed residue pass: both
+    # table paths raise naming family(t,n), and `coeffs` prints one error
+    # line and exits 1
+    from macsums.cli import main
+
+    def single_sum_with_plant(t, order):
+        table = m_single_sum(t, order)
+        table.coeffs[t - 1] = 1  # M(t, n) starts at n = t
+        return table
+
+    monkeypatch.setitem(M_FORMULAS, "single-sum", single_sum_with_plant)
+    with pytest.raises(ArithmeticError, match=r"^M\(3,2\) = 1 below the minimal partition size$"):
+        coefficient_table("M", 3, 20)
+    assert main(["coeffs", "--family", "M", "--t", "3", "--n", "20"]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: M(3,2) = 1 below the minimal partition size\n")
+
+    real = macmahon.mo_andrews_rose_many
+
+    def packed_with_plant(ts, order, moduli):
+        for t, values in real(ts, order, moduli):
+            if t == 3:
+                values[5] = 1  # MO(3, n) starts at n = 6
+            yield t, values
+
+    monkeypatch.setattr(macmahon, "mo_andrews_rose_many", packed_with_plant)
+    with pytest.raises(ArithmeticError, match=r"^MO\(3,5\) = 1 below the minimal partition size$"):
+        list(macmahon.residue_tables("MO", [2, 3], 20, {2: 5, 3: 7}))
 
 
 def test_slot_bound_dominates_every_theta_quotient_coefficient():
@@ -863,6 +903,9 @@ def test_coefficient_table_basics():
         coefficient_table("X", 1, 5)
     with pytest.raises(ValueError):
         coefficient_table("M", 1, 5, "made-up")
+    for family, t, order in (("M", 2, -1), ("M", 1, -1), ("MO", 3, -5)):  # the zero-table shortcut too
+        with pytest.raises(ValueError, match="order >= 0"):
+            coefficient_table(family, t, order)
 
 
 def test_coefficient_tables_nonnegative_and_ordered():

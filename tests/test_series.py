@@ -213,7 +213,8 @@ def test_every_packed_division_packs_once_at_its_proved_width(monkeypatch):
     verify_paper_suite(20000)
     prospect("MO", range(1, 7), [5, 7, 11], 5000)
     macmahon.mo_andrews_rose(6, 20000)
-    list(macmahon.mo_andrews_rose_many([10, 4, 3, 2], 3000))
+    for t in (10, 4, 3, 2):
+        macmahon.mo_andrews_rose(t, 3000)
     assert divisions == [{(6, 29)}, {(18, 124)}, {(20, 137)}, {(23, 164)}, {(12, 74)}, {(9, 56)}, {(7, 36)}]
     divisions.clear()
     tables = 0
