@@ -6,26 +6,12 @@ primes of its claims.  One table serves every claim and prime for its
 (family, t); tables are built uncached, one family at a time, and each is
 dropped once its claims are checked.  Every table is a list of residues
 mod m_t, the lcm of the primes of t's claims, and every table of a family
-comes from one packed pass (`macmahon.residue_tables`, which lays the ts
-out largest first).  The M pass is a single sum whose weights are reduced
-mod m_t (`macmahon.m_single_sum_many`); an M scan holds that packed sum,
-one 32-bit machine word per t at the suite's order, then the words read
-back from it, plus the one table read from them.  The MO pass is one
-division by the theta series whose slots are reduced at the division's
-leaves (`macmahon.mo_andrews_rose_many`): the ts whose moduli m_t are
-pairwise coprime share one slot, reduced mod the product of their
-moduli, so the suite's four MO tables take slots of 25 and 20 bits at
-order 20000.  The division (`series.divide_coeffs`) packs each
-coefficient into a lane once and reads it back once, at a width proved
-from the slots' moduli, 29 bits for the suite (6-byte lanes), and is
-never retried; its root packs the lanes by runs between the numerator's
-and theta's terms, which sit only at triangular exponents.  An MO scan
-holds that packed quotient plus one slot and one table unpacked from it,
-and the division's packed lanes while it runs.  Exact tables, which
-`coeffs` and `verify` build, take the other path, one t at a time
-(`macmahon.coefficient_table`).  A status comes from one rule,
-`reports.claim_status`.  Only a prospect's chance level is a rational,
-so only `prospect` loads `fractions`.
+comes from one packed pass over the map t -> m_t
+(`macmahon.residue_tables`; the passes it names document their slots
+and lanes).  Exact tables, which `coeffs` and `verify` build, take the
+other path, one t at a time (`macmahon.coefficient_table`).  A status
+comes from one rule, `reports.claim_status`.  Only a prospect's chance
+level is a rational, so only `prospect` loads `fractions`.
 """
 
 from itertools import compress, count, repeat
@@ -89,7 +75,7 @@ def check_claims(claims, order: int) -> list[CongruenceClaim]:
     results = [None] * len(claims)
     for family, members in groups.items():
         moduli = {t: lcm(*(claims[i].p for i in idx)) for t, idx in members.items()}
-        for t, values in residue_tables(family, members, order, moduli):
+        for t, values in residue_tables(family, moduli, order):
             for i in members[t]:
                 claim = claims[i]
                 first_violation, checked = _first_nonvanishing(values, claim.p, claim.step, claim.offset)

@@ -242,21 +242,28 @@ def add_single_sum_term(out: list, t: int, k: int, weights: list) -> None:
         out[e::k] = map(add if k % 2 else sub, out[e::k], weights)
 
 
+def _term_count(lo: int, order: int) -> int:
+    """K, the number of single-sum terms k >= 1 with least index lo that
+    reach q^order: those whose first exponent C(k,2) + k lo is <= order."""
+    k = 0
+    while k * (k + 1) // 2 + lo * (k + 1) <= order:
+        k += 1
+    return k
+
+
 def _single_sum_pass(weights: list, lo: int, order: int, bias: int = 0) -> list:
     """bias plus every term k >= 1 of the single sum with least index lo,
     through q^order: weights[j] goes to q^(C(k,2) + k(lo + j)) with sign
-    (-1)^(k-1) (`add_single_sum_term`)."""
+    (-1)^(k-1) (`add_single_sum_term`), for k up to `_term_count`."""
     out = [bias] * (order + 1)
-    k = 1
-    while k * (k - 1) // 2 + lo * k <= order:
+    for k in range(1, _term_count(lo, order) + 1):
         add_single_sum_term(out, lo, k, weights)
-        k += 1
     return out
 
 
-def m_single_sum_many(ts, order: int, moduli):
+def m_single_sum_many(moduli, order: int):
     """Yield (t, M(t, n) mod m_t for n <= order, as a list) for each t of
-    ts in turn, for `moduli` a map t -> m_t: every t from one packed pass.
+    `moduli`, a map t -> m_t, in its order: every t from one packed pass.
     The exact table of one t is `m_single_sum`.
 
     Term k of t's sum adds (-1)^(k-1) w_t(j) at q^(C(k,2) + k(t+j)), j >= 0,
@@ -264,15 +271,15 @@ def m_single_sum_many(ts, order: int, moduli):
     at q^(C(k,2) + k u), so one packed list W, whose u-th int holds
     w_t(u - t) mod m_t in t's slot for every t (`single_sum_weights_mod`;
     no term for u < t), serves every t at each stride k, starting from
-    lo = min(ts).  Let K be the number of strides k >= 1 with
-    C(k,2) + k lo <= order, the terms the pass makes, or 1 if it makes
-    none.  t's slot is s_t machine words of b bits (`array('I')`'s), the
-    fewest that hold 2 K m_t: s_t = ceil(bits(2 K m_t) / b).  Each term
-    reaches any q^n at most once and adds t's slot a value in (-m_t, m_t),
-    so t's signed slot value v has |v| <= K (m_t - 1); the list starts at a
-    bias of K m_t in every slot, so t's slot holds K m_t + v, in
-    [0, 2 K m_t), and no slot borrows from its neighbour.  As m_t divides
-    K m_t, the slot mod m_t is v mod m_t = M(t, n) mod m_t.
+    lo, the least t.  Let K be the number of terms the pass makes
+    (`_term_count`), or 1 if it makes none.  t's slot is s_t machine words
+    of b bits (`array('I')`'s), the fewest that hold 2 K m_t:
+    s_t = ceil(bits(2 K m_t) / b).  Each term reaches any q^n at most once
+    and adds t's slot a value in (-m_t, m_t), so t's signed slot value v
+    has |v| <= K (m_t - 1); the list starts at a bias of K m_t in every
+    slot, so t's slot holds K m_t + v, in [0, 2 K m_t), and no slot
+    borrows from its neighbour.  As m_t divides K m_t, the slot mod m_t is
+    v mod m_t = M(t, n) mod m_t.
 
     The slots are machine-word lanes of each packed int, little-endian
     word after word: the residues of every t are written as the columns
@@ -281,32 +288,29 @@ def m_single_sum_many(ts, order: int, moduli):
     slot is its columns' words, shifted into place, mod m_t.  A wide m_t
     just takes more words.
     """
-    ts = list(ts)
-    if any(t < 1 for t in ts):
+    if any(t < 1 for t in moduli):
         raise ValueError("t >= 1")
-    if not ts:
+    if not moduli:
         return
     from array import array  # imported here, off the start-up path
     from struct import iter_unpack
 
-    lo = min(ts)
-    terms = 1
-    while terms * (terms + 1) // 2 + lo * (terms + 1) <= order:
-        terms += 1
+    lo = min(moduli)
+    terms = max(_term_count(lo, order), 1)
     size = array("I").itemsize
     b = 8 * size
-    spans = [-(-(2 * terms * moduli[t]).bit_length() // b) for t in ts]
+    spans = [-(-(2 * terms * m).bit_length() // b) for m in moduli.values()]
     starts = [0, *accumulate(spans)][:-1]
     width = sum(spans)  # words per packed int
     n = max(order + 1 - lo, 0)
     lanes = array("I", bytes(n * width * size))
     bias = 0
-    for t, at, span in zip(ts, starts, spans):
-        residues = ([0] * (t - lo) + single_sum_weights_mod(t, order + 1 - t, moduli[t]))[:n]
+    for (t, m), at, span in zip(moduli.items(), starts, spans):
+        residues = ([0] * (t - lo) + single_sum_weights_mod(t, order + 1 - t, m))[:n]
         for i in range(span):
             words = map(rshift, residues, repeat(b * i)) if i else residues
             lanes[at + i :: width] = array("I", map(and_, words, repeat((1 << b) - 1)) if i + 1 < span else words)
-        bias += terms * moduli[t] << (b * at)
+        bias += terms * m << (b * at)
     del residues
     if byteorder == "big":
         lanes.byteswap()
@@ -319,11 +323,11 @@ def m_single_sum_many(ts, order: int, moduli):
     del out
     if byteorder == "big":
         lanes.byteswap()
-    for t, at, span in zip(ts, starts, spans):
+    for (t, m), at, span in zip(moduli.items(), starts, spans):
         slot = lanes[at::width]
         for i in range(1, span):
             slot = map(add, slot, map(lshift, lanes[at + i :: width], repeat(b * i)))
-        yield t, list(map(mod, slot, repeat(moduli[t])))
+        yield t, list(map(mod, slot, repeat(m)))
 
 
 def m_single_sum(t: int, order: int) -> Series:
@@ -383,17 +387,17 @@ def mo_slot_bound(t: int, order: int) -> int:
     return primorial**t * comb(order + t - 1, 2 * t - 1) // (totient**t * factorial(t))
 
 
-def coprime_layers(moduli: list) -> list:
-    """The positions of `moduli`, grouped first-fit in the order given
-    into layers whose moduli are pairwise coprime: each position joins the
-    first layer whose product it is coprime to, or opens a new one."""
+def coprime_layers(moduli) -> list:
+    """The ts of `moduli`, a map t -> m_t, grouped first-fit in its order
+    into layers whose m_t are pairwise coprime: each t joins the first
+    layer whose product its m_t is coprime to, or opens a new one."""
     layers, products = [], []
-    for j, n in enumerate(moduli):
+    for t, n in moduli.items():
         i = next((i for i, L in enumerate(products) if gcd(n, L) == 1), len(layers))
         if i == len(layers):
             layers.append([])
             products.append(1)
-        layers[i].append(j)
+        layers[i].append(t)
         products[i] *= n
     return layers
 
@@ -409,27 +413,31 @@ def _numerator(t: int, order: int):
         k += 1
 
 
-def mo_andrews_rose_many(ts, order: int, moduli):
+def mo_andrews_rose_many(moduli, order: int):
     """Yield (t, MO(t, n) mod m_t for n <= order, as a list) for each t of
-    ts in turn, for `moduli` a map t -> m_t: every t from one division of
-    the integer numerators A_t of `mo_andrews_rose` (`_numerator`) by the
-    theta series.  The exact table of one t is `mo_andrews_rose`.
+    `moduli`, a map t -> m_t: every t from one division of the integer
+    numerators A_t of `mo_andrews_rose` (`_numerator`) by the theta series.
+    The exact table of one t is `mo_andrews_rose`.
 
     Division by an integer series with constant term 1 is Z-linear, so the
     numerators of every t share one pass.  The ts are grouped first-fit,
-    in the order given, into layers whose m_t are pairwise coprime
+    in the map's order, into layers whose m_t are pairwise coprime
     (`coprime_layers`); each layer gets its own bit slot of one int per
     coefficient, above the slots of the layers after it, and works mod L,
     the product of its m_t.  By the Chinese remainder theorem each t of
     the layer has E_t = 1 mod m_t and 0 mod the layer's other m_t, and the
     layer's numerator is the sum over its ts of (c mod m_t) E_t, reduced
-    into [0, L): it is c mod m_t for each t of the layer.  The division's `reduce` hook, at each leaf, reads every
-    slot as a signed value and keeps it mod L.  As the solve is Z-linear
-    and theta's constant term is 1, the slot then holds the layer's
-    quotient mod L, and t reads it mod m_t as MO(t, n) mod m_t.  A layer's
-    slot is read as c >> shift when its first t is read, and the packed
-    list is then masked down in place to the slots below.  No table is
-    kept once it is yielded, and no layer once its last t is.
+    into [0, L): it is c mod m_t for each t of the layer.  The division's
+    `reduce` hook, at each leaf, reads every slot as a signed value and
+    keeps it mod L.  As the solve is Z-linear and theta's constant term is
+    1, the slot then holds the layer's quotient mod L, and t reads it mod
+    m_t as MO(t, n) mod m_t.
+
+    The slots are read one layer at a time, the top slot first: its slot
+    is c >> shift, the packed list is masked down in place to the slots
+    below, and each t of the layer is yielded in the map's order, so the
+    suite's {10: 11, 4: 11, 3: 7, 2: 5} yields 10, 3, 2, then 4.  No table
+    is kept once it is yielded, and no layer once its last t is.
 
     A slot is w = bits(L (1 + S)) + 1 bits wide, where S sums the absolute
     coefficients of theta's terms q^1..q^order; the top slot needs no
@@ -450,31 +458,29 @@ def mo_andrews_rose_many(ts, order: int, moduli):
     that width, and a value past it would raise ArithmeticError, never
     yield a wrong residue.
     """
-    ts = list(ts)
-    if any(t < 1 for t in ts):
+    if any(t < 1 for t in moduli):
         raise ValueError("t >= 1")
-    if not ts:
+    if not moduli:
         return
     theta = theta_moment(1, order).coeffs
-    mods = [moduli[t] for t in ts]
-    layers = coprime_layers(mods)
-    products = [prod(mods[j] for j in layer) for layer in layers]
+    layers = coprime_layers(moduli)
+    products = [prod(moduli[t] for t in layer) for layer in layers]
     spread = 1 + sum(map(abs, theta[1:]))
     widths = [(L * spread).bit_length() + 1 for L in products]
     shifts = [0] * len(layers)
     for i in range(len(layers) - 2, -1, -1):
         shifts[i] = shifts[i + 1] + widths[i + 1]
     num = [0] * (order + 1)
-    for i, (layer, shift) in enumerate(zip(layers, shifts)):
+    for layer, shift, L in zip(layers, shifts, products):
         part = {}
-        for j in layer:
-            n = mods[j]
-            rest = products[i] // n
+        for t in layer:
+            n = moduli[t]
+            rest = L // n
             e = rest * pow(rest, -1, n)  # 1 mod m_t, 0 mod the layer's other m_t
-            for at, c in _numerator(ts[j], order):
+            for at, c in _numerator(t, order):
                 part[at] = part.get(at, 0) + c % n * e
         for at, c in part.items():
-            num[at] += c % products[i] << shift
+            num[at] += c % L << shift
     slots = [(shift, (1 << w) - 1, 1 << (w - 1), L) for shift, w, L in zip(shifts, widths, products)]
     bias = sum(h << shift for shift, _, h, _ in slots)
 
@@ -487,21 +493,18 @@ def mo_andrews_rose_many(ts, order: int, moduli):
 
     packed = divide_coeffs(num, theta, shifts[0] + (products[0] - 1).bit_length(), reduce)
     del num
-    layer_of = {j: i for i, layer in enumerate(layers) for j in layer}
-    held = {}  # layer -> its slots, while a t of it is left to read
-    for j, t in enumerate(ts):
-        i = layer_of[j]
-        if i not in held:  # layers open in order, so i is the top slot left
-            if i + 1 == len(layers):
-                held[i] = packed
-            else:
-                held[i] = list(map(rshift, packed, repeat(shifts[i])))
-                packed[:] = map(and_, packed, repeat((1 << shifts[i]) - 1))
-        out = held[i] if len(layers[i]) == 1 else list(map(mod, held[i], repeat(mods[j])))
-        if j == layers[i][-1]:
-            del held[i]
-        yield t, out
-        del out
+    for layer, shift in zip(layers, shifts):
+        if shift:  # every slot but the bottom one
+            slot = list(map(rshift, packed, repeat(shift)))
+            packed[:] = map(and_, packed, repeat((1 << shift) - 1))
+        else:
+            slot = packed
+        for t in layer:
+            out = slot if len(layer) == 1 else list(map(mod, slot, repeat(moduli[t])))
+            if t == layer[-1]:
+                del slot
+            yield t, out
+            del out
 
 
 def mo_andrews_rose(t: int, order: int) -> Series:
@@ -670,23 +673,25 @@ def coefficient_table(family: str, t: int, order: int, formula: str | None = Non
     return CoefficientTable(family, t, order, formula, tuple(values))
 
 
-def residue_tables(family: str, ts, order: int, moduli):
+def residue_tables(family: str, moduli, order: int):
     """Yield (t, the family's coefficients through q^order mod m_t, as a
-    list of residues in [0, m_t)) for each t of ts, for `moduli` a map
-    t -> m_t, every t from the family's one packed pass
-    (`m_single_sum_many`, `mo_andrews_rose_many`).
+    list of residues in [0, m_t)) for each t of `moduli`, a map t -> m_t,
+    every t from the family's one packed pass (`m_single_sum_many`,
+    `mo_andrews_rose_many`).
 
-    The ts are yielded largest first, the order the pass lays them out
-    in: the theta division's slots are shared first-fit in that order
+    The pass is given the map largest t first, the order it lays the ts
+    out in: the theta division's slots are shared first-fit in that order
     (`coprime_layers`), which gives the paper suite's {10, 3, 2} and {4}.
-    The vanishing of each leading window is asserted, as in
-    `coefficient_table`.  No yielded table is kept here, so a caller that
-    drops each table before asking for the next holds one at a time.
+    M tables are yielded in that order; MO tables layer by layer, top slot
+    first, so the suite's come as 10, 3, 2, then 4.  The vanishing of each
+    leading window is asserted, as in `coefficient_table`.  No yielded
+    table is kept here, so a caller that drops each table before asking
+    for the next holds one at a time.
     """
     if family not in ("M", "MO"):
         raise ValueError(f"unknown family {family!r}; use M or MO")
     packed = m_single_sum_many if family == "M" else mo_andrews_rose_many
-    for t, values in packed(sorted(ts, reverse=True), order, moduli):
+    for t, values in packed(dict(sorted(moduli.items(), reverse=True)), order):
         _require_window(family, t, values)
         yield t, values
         del values  # the next table is built before the loop rebinds this name

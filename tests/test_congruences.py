@@ -114,8 +114,8 @@ def test_family_mod_stream_rejects_unknown():
 def test_paper_suite_builds_one_table_per_family_and_t(monkeypatch):
     calls = []
 
-    def counting(family, ts, order, moduli):
-        for t, values in residue_tables(family, ts, order, moduli):
+    def counting(family, moduli, order):
+        for t, values in residue_tables(family, moduli, order):
             calls.append((family, t))
             yield t, values
 
@@ -161,8 +161,8 @@ def test_scan_residue_tables_match_exact_tables(monkeypatch):
     # and both benchmark prospects at order 3000
     order, tables = 3000, []
 
-    def recording(family, ts, order, moduli):
-        for t, values in residue_tables(family, ts, order, moduli):
+    def recording(family, moduli, order):
+        for t, values in residue_tables(family, moduli, order):
             tables.append((family, t, moduli[t], values))
             yield t, values
 
@@ -195,8 +195,8 @@ def test_wide_moduli_scan_tables_match_exact_tables(monkeypatch, capsys):
 
     tables = []
 
-    def recording(family, ts, order, moduli):
-        for t, values in residue_tables(family, ts, order, moduli):
+    def recording(family, moduli, order):
+        for t, values in residue_tables(family, moduli, order):
             tables.append((family, t, moduli[t], values))
             yield t, values
 
@@ -378,9 +378,9 @@ def test_prospect_builds_widest_slot_first_and_keeps_caller_order(monkeypatch, t
     seen = []
     many = macmahon.mo_andrews_rose_many
 
-    def recording(ts, order, moduli):
-        seen.append(list(ts))
-        return many(ts, order, moduli)
+    def recording(moduli, order):
+        seen.append(list(moduli))
+        return many(moduli, order)
 
     monkeypatch.setattr(macmahon, "mo_andrews_rose_many", recording)
     res = prospect("MO", t_values, [5, 7, 11], 200)

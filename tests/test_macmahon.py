@@ -268,24 +268,6 @@ def test_scan_routes_match_chains_up_to_t10():
         assert mo_andrews_rose(t, 1000) == strict[t - 1], t
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.lists(st.integers(1, 12), max_size=5), st.integers(0, 400),
-       st.lists(st.integers(2, 2**40), min_size=12, max_size=12))
-@example([], 5, [2] * 12)  # no t: nothing to divide
-@example([1, 2], 1, [2] * 12)  # a zero-width slot under the top one
-@example([10, 3], 30, [11, 7] * 6)  # MO(10, n) = 0 for n < 55: its leading window passes the order
-def test_packed_theta_quotients_match_single_tables_and_chains(ts, order, drawn):
-    # each t's residue table from the one packed division, t repeated or
-    # not, equals its own exact division and the strict multisum mod m_t
-    moduli = {t: drawn[t - 1] for t in ts}
-    tables = list(mo_andrews_rose_many(ts, order, moduli))
-    assert [t for t, _ in tables] == ts
-    strict = multisums(max(ts, default=0), order, strict=True)
-    for t, values in tables:
-        m = moduli[t]
-        assert values == [v % m for v in mo_andrews_rose(t, order).coeffs] == [v % m for v in strict[t - 1].coeffs], t
-
-
 SUITE_MO_MODULI = {10: 11, 4: 11, 3: 7, 2: 5}  # lcm of each t's claim primes, largest t first
 
 
@@ -301,7 +283,7 @@ def test_packed_and_single_mo_tables_pack_every_middle_product(monkeypatch):
         return biases[-1]
 
     monkeypatch.setattr(series, "_middle_product", spy)
-    packed = dict(mo_andrews_rose_many(SUITE_MO_MODULI, 3000, SUITE_MO_MODULI))
+    packed = dict(mo_andrews_rose_many(SUITE_MO_MODULI, 3000))
     assert biases and all(biases)
     biases.clear()
     strict = multisums(10, 3000, strict=True)  # an independent route
@@ -328,7 +310,7 @@ def test_packed_mo_division_peak_is_a_small_multiple_of_its_quotient(monkeypatch
     monkeypatch.setattr(macmahon, "divide_coeffs", measured)
     tracemalloc.start()
     try:
-        list(mo_andrews_rose_many(SUITE_MO_MODULI, 3000, SUITE_MO_MODULI))
+        list(mo_andrews_rose_many(SUITE_MO_MODULI, 3000))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -338,16 +320,22 @@ def test_packed_mo_division_peak_is_a_small_multiple_of_its_quotient(monkeypatch
 
 @settings(max_examples=25, deadline=None)
 @given(
-    st.dictionaries(st.integers(1, 12), st.sets(st.sampled_from((2, 3, 5, 7, 11, 13)), min_size=1).map(prod),
-                    max_size=5),
+    st.dictionaries(st.integers(1, 12), st.one_of(st.sets(st.sampled_from((2, 3, 5, 7, 11, 13)), min_size=1).map(prod),
+                                                  st.integers(2, 2**40)), max_size=5),
     st.integers(0, 400),
 )
+@example({}, 5)  # no t: nothing to divide
+@example({1: 2, 2: 2}, 1)  # a zero-width slot under the top one
+@example({10: 7, 3: 11}, 30)  # MO(10, n) = 0 for n < 55: its leading window passes the order
 @example({2: 5, 1: 3, 4: 3, 6: 13}, 300)  # every prime divides 2t+1
 @example({10: 11, 4: 11, 3: 7, 2: 5}, 129)  # the suite's moduli, one coefficient past a leaf
 @example({1: 11, 2: 13, 3: 2, 5: 3}, 400)  # N_t = 33, 65, 14 pairwise coprime: one layer of three, then 33
 def test_residue_theta_quotients_match_exact_tables(moduli, order):
-    tables = list(mo_andrews_rose_many(moduli, order, moduli))
-    assert [t for t, _ in tables] == list(moduli)
+    # each t's residue table from the one packed division equals its own
+    # exact division and the strict multisum mod m_t; the tables come layer
+    # by layer, each layer's ts in the map's order
+    tables = list(mo_andrews_rose_many(moduli, order))
+    assert [t for t, _ in tables] == [t for layer in coprime_layers(moduli) for t in layer]
     strict = multisums(max(moduli, default=0), order, strict=True)  # an independent route
     for t, values in tables:
         assert values == [v % moduli[t] for v in mo_andrews_rose(t, order).coeffs], t
@@ -368,7 +356,7 @@ def test_a_planted_numerator_error_shows_in_the_residues(monkeypatch, t, k, m, b
     real = macmahon.comb
     # C(k+t+1, 2t+1) is also the first term at k + 1, past q^T
     monkeypatch.setattr(macmahon, "comb", lambda n, r: real(n, r) + bump * ((n, r) == (k + t + 1, 2 * t + 1)))
-    ((_, values),) = mo_andrews_rose_many([t], order, {t: m})
+    ((_, values),) = mo_andrews_rose_many({t: m}, order)
     exact = [v % m for v in mo_andrews_rose(t, at).coeffs]
     for table in (exact, values):
         assert next(n for n, (a, b) in enumerate(zip(table, strict)) if a != b) == at
@@ -408,31 +396,31 @@ def crt(residues, moduli):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.integers(1, 60), max_size=8))
-@example([11, 11, 7, 5])  # the suite's m_t
-@example([231, 99, 49, 25])  # two layers of two
+@given(st.dictionaries(st.integers(1, 60), st.integers(1, 60), max_size=8))
+@example({10: 11, 4: 11, 3: 7, 2: 5})  # the suite's m_t
+@example({4: 231, 3: 99, 2: 49, 1: 25})  # two layers of two
 def test_coprime_layers_are_a_first_fit_partition(moduli):
     layers = coprime_layers(moduli)
-    assert sorted(j for layer in layers for j in layer) == list(range(len(moduli)))  # each once
+    order = list(moduli)
+    assert sorted(t for layer in layers for t in layer) == sorted(moduli)  # each once
     for i, layer in enumerate(layers):
-        assert layer == sorted(layer)
-        assert all(gcd(moduli[a], moduli[b]) == 1 for a in layer for b in layer if a < b)
-        for j in layer:  # first fit: every earlier layer held a modulus sharing a prime with j's
-            assert all(any(gcd(moduli[j], moduli[k]) > 1 for k in earlier if k < j) for earlier in layers[:i])
+        assert layer == sorted(layer, key=order.index)  # in the map's order
+        assert all(gcd(moduli[a], moduli[b]) == 1 for a in layer for b in layer if a != b)
+        for t in layer:  # first fit: every earlier layer held a modulus sharing a prime with t's
+            assert all(any(gcd(moduli[t], moduli[u]) > 1 for u in earlier if order.index(u) < order.index(t))
+                       for earlier in layers[:i])
 
 
 def test_suite_mo_layers_halve_the_packed_width():
     # {10, 3, 2} with L = 11 * 7 * 5 = 385 and {4} with L = 11: slots of 25
     # and 20 bits at order 20000, where one slot per t took 79 bits
-    ts = list(SUITE_MO_MODULI)
-    mods = [SUITE_MO_MODULI[t] for t in ts]
-    layers = coprime_layers(mods)
-    assert [[ts[j] for j in layer] for layer in layers] == [[10, 3, 2], [4]]
+    layers = coprime_layers(SUITE_MO_MODULI)
+    assert layers == [[10, 3, 2], [4]]
     spread = 1 + sum(map(abs, theta_moment(1, 20000).coeffs[1:]))
-    products = [prod(mods[j] for j in layer) for layer in layers]
+    products = [prod(SUITE_MO_MODULI[t] for t in layer) for layer in layers]
     assert products == [385, 11]
     assert [(L * spread).bit_length() + 1 for L in products] == [25, 20]
-    assert sum((n * spread).bit_length() + 1 for n in mods) == 79
+    assert sum((n * spread).bit_length() + 1 for n in SUITE_MO_MODULI.values()) == 79
 
 
 def test_residue_slots_hold_every_leaf_value(monkeypatch):
@@ -440,7 +428,7 @@ def test_residue_slots_hold_every_leaf_value(monkeypatch):
     # v shifted into place, and |v| < 2^(w - 1) for w = bits(L (1 + S)) + 1,
     # L the product of the layer's m_t: v is recomputed from the integer
     # numerators and the yielded residues, each combined over its layer by CRT
-    ts, moduli, order = list(SUITE_MO_MODULI), SUITE_MO_MODULI, 1000
+    moduli, order = SUITE_MO_MODULI, 1000
     seen = []
     divide = macmahon.divide_coeffs
 
@@ -448,7 +436,7 @@ def test_residue_slots_hold_every_leaf_value(monkeypatch):
         return divide(a, b, bits, lambda c: (seen.append(c), reduce(c))[1])
 
     monkeypatch.setattr(macmahon, "divide_coeffs", recording)
-    tables = dict(mo_andrews_rose_many(ts, order, moduli))
+    tables = dict(mo_andrews_rose_many(moduli, order))
     terms = [(i, c) for i, c in enumerate(theta_moment(1, order).coeffs) if i and c]
     spread = 1 + sum(abs(c) for _, c in terms)
     packed, shift = [0] * (order + 1), 0
@@ -488,10 +476,37 @@ def test_residue_single_sums_match_exact_tables(moduli, order, k, edge):
     # order in 0..400, draw orders on both sides of such an edge
     if edge is not None:
         order = k * (k - 1) // 2 + min(moduli) * k + edge
-    tables = list(m_single_sum_many(moduli, order, moduli))
+    tables = list(m_single_sum_many(moduli, order))
     assert [t for t, _ in tables] == list(moduli)
     for t, values in tables:
         assert values == [v % moduli[t] for v in m_single_sum(t, order).coeffs], t  # each in [0, m_t)
+
+
+@pytest.mark.parametrize("lo, K", [(1, 1), (1, 3), (2, 3), (3, 4), (5, 2), (10, 5)])
+def test_term_count_takes_a_last_term_that_lands_on_the_order(lo, K):
+    # at order C(K,2) + lo K term K's first weight, 1, lands on q^order
+    # itself, so K terms count there and K - 1 one below; the exact and the
+    # residue single sums both need it to match the weak multisum
+    order = K * (K - 1) // 2 + lo * K
+    assert (macmahon._term_count(lo, order), macmahon._term_count(lo, order - 1)) == (K, K - 1)
+    weak = weak_multisum(lo, order).coeffs
+    assert m_single_sum(lo, order).coeffs == weak
+    ((_, values),) = m_single_sum_many({lo: 7}, order)
+    assert values == [v % 7 for v in weak]
+
+
+def test_residue_single_sum_slot_holds_twice_the_bias():
+    # t's slot holds K m_t + v with 0 < v for t = 1 (M(1, n) = sigma(n),
+    # below m_t), so it needs bits(2 K m_t): with m_t = (2^b - 1) // K, K m_t
+    # fits one machine word and the slot value does not, and t = 1's slot
+    # spans two words under t = 2's
+    order, b = 200, 8 * array("I").itemsize
+    K = macmahon._term_count(1, order)
+    moduli = {1: ((1 << b) - 1) // K, 2: 35}
+    assert (K * moduli[1]).bit_length() <= b < (2 * K * moduli[1]).bit_length()
+    tables = dict(m_single_sum_many(moduli, order))
+    for t, m in moduli.items():
+        assert tables[t] == [v % m for v in m_single_sum(t, order).coeffs], t
 
 
 def single_sum_slot_spans(monkeypatch, moduli):
@@ -510,7 +525,7 @@ def single_sum_slot_spans(monkeypatch, moduli):
         return seen[-1]
 
     monkeypatch.setattr(macmahon, "_single_sum_pass", recording)
-    tables = dict(m_single_sum_many(moduli, order, moduli))
+    tables = dict(m_single_sum_many(moduli, order))
     (out,) = seen
     lo = min(moduli)
     terms = [k for k in range(1, order + 1) if k * (k - 1) // 2 + k * lo <= order]
@@ -642,15 +657,15 @@ def test_a_value_below_the_leading_window_is_an_arithmetic_error(monkeypatch, ca
 
     real = macmahon.mo_andrews_rose_many
 
-    def packed_with_plant(ts, order, moduli):
-        for t, values in real(ts, order, moduli):
+    def packed_with_plant(moduli, order):
+        for t, values in real(moduli, order):
             if t == 3:
                 values[5] = 1  # MO(3, n) starts at n = 6
             yield t, values
 
     monkeypatch.setattr(macmahon, "mo_andrews_rose_many", packed_with_plant)
     with pytest.raises(ArithmeticError, match=r"^MO\(3,5\) = 1 below the minimal partition size$"):
-        list(macmahon.residue_tables("MO", [2, 3], 20, {2: 5, 3: 7}))
+        list(macmahon.residue_tables("MO", {2: 5, 3: 7}, 20))
 
 
 def test_slot_bound_dominates_every_theta_quotient_coefficient():

@@ -189,6 +189,19 @@ def test_a_quotient_past_its_given_width_raises_naming_its_leaf():
     assert series.divide_coeffs(a, b, width) == q
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_a_solved_value_of_exactly_two_to_the_bits_raises_at_its_leaf(sign):
+    # the guard is |v| >= 2^b, not > 2^b: two steps of 2^(b-1) over 1 - q
+    # fit b bits in the dividend, and their running sum is exactly 2^b at
+    # q^(LEAF + 1), in the second of the two leaves
+    b = 20
+    a = [0] * (2 * LEAF)
+    a[LEAF] = a[LEAF + 1] = sign << (b - 1)
+    with pytest.raises(ArithmeticError) as raised:
+        series.divide_coeffs(a, [1, -1] + [0] * (2 * LEAF - 2), b)
+    assert str(raised.value) == f"a quotient coefficient in q^{LEAF}..q^{2 * LEAF - 1} needs more than its proved {b} bits"
+
+
 def test_every_packed_division_packs_once_at_its_proved_width(monkeypatch):
     # no division is retried: a `_leaf` spy sees one lane layout (bytes, b)
     # per division on the scans, the exact MO tables (t <= 15, orders 64 to
@@ -299,7 +312,7 @@ def _suite_residue_division(monkeypatch):
         return q
 
     monkeypatch.setattr(macmahon, "divide_coeffs", recording)
-    list(macmahon.mo_andrews_rose_many(moduli, 1000, moduli))
+    list(macmahon.mo_andrews_rose_many(moduli, 1000))
     (division,) = seen
     return division
 
